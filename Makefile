@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race race-concurrent race-server ssp-differential fuzz lint rasql-lint allocs metrics-smoke serve-smoke golangci ci
+.PHONY: build test vet race race-concurrent race-server ssp-differential fuzz lint rasql-lint allocs metrics-smoke serve-smoke bench bench-pair golangci ci
 
 build:
 	$(GO) build ./...
@@ -88,6 +88,43 @@ serve-smoke:
 	kill -TERM $$pid; \
 	wait $$pid
 	./bin/rasql prom-verify rasqld-metrics.prom
+
+# The repository's benchmark (benchmarks/README.md), one workload the way the
+# pipeline runs it: make bench WORKLOAD=cc-rmat SEED=2. TRACE=1 reports the
+# per-layer metrics instead of the end-to-end ones.
+WORKLOAD ?= tc-grid
+SEED ?= 1
+TRACE ?= 0
+bench:
+	bash benchmarks/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 20 --trace $(TRACE)
+
+# Paired runs, for a claim smaller than the run-to-run spread (under 10%):
+# PAIRS pairs of PARENT (a git ref, exported with git archive; required) and
+# this checkout, alternating which side runs first, then each side's quartiles
+# per end-to-end metric. A run that fails, answers wrongly or has a failed
+# request stops the recipe. A gain counts when the change wins nine pairs in
+# ten and the medians differ by more than the parent's q1..q3. Requires jq.
+PAIRS ?= 10
+bench-pair:
+	@test -n "$(PARENT)" || { echo "bench-pair: set PARENT=<git ref of the parent commit>" >&2; exit 2; }
+	rm -rf .bench_build/pair && mkdir -p .bench_build/pair/parent
+	git archive $(PARENT) | tar -x -C .bench_build/pair/parent
+	for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi; \
+		for side in $$order; do \
+			if [ $$side = parent ]; then dir=.bench_build/pair/parent; else dir=.; fi; \
+			out=.bench_build/pair/$$side.$$i; \
+			bash $$dir/benchmarks/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 20 --trace 0 > $$out.out 2> $$out.err \
+				|| { tail -n 20 $$out.err >&2; echo "bench-pair: $$side run $$i failed" >&2; exit 1; }; \
+			tail -n 1 $$out.out > $$out.json; \
+			jq -c --arg run "$$side $$i" '{run: $$run, correct, failed} + (.metrics | map_values(.value))' $$out.json || exit 1; \
+			jq -e '.correct == true and .failed == 0' $$out.json >/dev/null \
+				|| { echo "bench-pair: $$side run $$i is incorrect or has failed requests" >&2; exit 1; }; \
+		done; \
+	done
+	for side in parent change; do \
+		jq -s -r --arg side $$side '[.[].metrics | map_values(.value)] | (.[0] | keys[]) as $$m | [.[][$$m]] | sort | "\($$side) \($$m): q1 \(.[(length - 1) / 4 | floor]) median \(.[(length - 1) / 2 | floor]) q3 \(.[(length - 1) * 3 / 4 | floor])"' .bench_build/pair/$$side.*.json || exit 1; \
+	done
 
 # Requires golangci-lint (https://golangci-lint.run); CI installs it via
 # the golangci-lint-action.

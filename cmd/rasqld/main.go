@@ -96,6 +96,11 @@ func main() {
 		DefaultSettings: server.Settings{Mode: *mode},
 	})
 
+	// The handler goes in before the address is announced: whoever reads the
+	// line below may signal at once, and that signal must drain, not kill.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
+
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		fatal(err)
@@ -107,8 +112,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "rasqld: serving %d tables on http://%s (catalog v%d)\n",
 		len(eng.Catalog().Names()), ln.Addr(), eng.CatalogVersion())
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case s := <-sig:
 		fmt.Fprintf(os.Stderr, "rasqld: %v: draining (max %v)\n", s, *drainMax)

@@ -46,7 +46,9 @@ type RelaxedOptions struct {
 	Staleness int
 	// Process consumes one drained batch of rows for a partition at the
 	// given round and returns output rows bucketed by destination
-	// partition (nil when the fixpoint contributes nothing further).
+	// partition (nil when the fixpoint contributes nothing further). The
+	// router takes its own copy of the output before the partition's next
+	// round, so Process may reuse the buckets and their rows from then on.
 	// stale is the number of consumed rows older than the BSP-fresh stamp
 	// (already counted in Metrics.StaleReads; passed so callers can slice
 	// the telemetry per round). It runs on the owner worker's goroutine,
@@ -72,9 +74,9 @@ type RelaxedStats struct {
 	Batches int64
 }
 
-// relaxedBatch is one routed delta batch. Cross-worker batches carry the
-// pooled wire encoding (paid for at emit); same-worker batches carry the
-// rows directly.
+// relaxedBatch is one routed delta batch, owning its storage either way:
+// cross-worker batches carry the pooled wire encoding (paid for at emit);
+// same-worker batches carry a private copy of the rows.
 type relaxedBatch struct {
 	buf  *[]byte
 	rows []types.Row
@@ -187,10 +189,13 @@ func (q *QueryContext) RunRelaxed(opt RelaxedOptions, seed [][]types.Row) Relaxe
 	return stats
 }
 
-// enqueueLocked routes one output bucket to partition t. producerWorker -1
-// is the driver (seed); a bucket crossing workers is encoded immediately —
-// the map-side shuffle write, where the bytes are counted — while a bucket
-// staying on its producer's worker is handed over in memory.
+// enqueueLocked routes one output bucket to partition t, taking ownership of
+// it: the producer reuses its output storage on its next round, which may
+// well run before t drains its inbox. producerWorker -1 is the driver
+// (seed); a bucket crossing workers is encoded immediately — the map-side
+// shuffle write, where the bytes are counted — while a bucket staying on its
+// producer's worker is handed over in memory, as a copy in one exactly-sized
+// slab.
 //
 //rasql:locked=mu
 //rasql:noalloc
@@ -198,7 +203,8 @@ func (rt *relaxedRouter) enqueueLocked(t int, rows []types.Row, stamp int64, pro
 	b := relaxedBatch{n: len(rows), stamp: stamp}
 	//rasql:allow noalloc -- Owner is a caller-supplied pure index→worker mapping; the engine passes closure-free routing functions
 	if producerWorker >= 0 && rt.opt.Owner(t) == producerWorker {
-		b.rows = rows
+		//rasql:allow noalloc -- the hand-over copy: one exactly-sized slab per batch, what the cross-worker branch pays as its encode
+		b.rows = types.CloneRows(rows)
 	} else {
 		//rasql:allow pooldiscipline -- ownership transfers to relaxedBatch; drainRows recycles the buffer after decoding
 		bp := getEncBuf()
@@ -273,8 +279,6 @@ func (rt *relaxedRouter) runWorker(w int, busyNanos *int64, spans bool) {
 		sw := startStopwatch()
 		rows := rt.drainRows(batches, w)
 		out := rt.process(w, part, rows, round, stale, spans)
-		// Encode cross-worker buckets outside the lock; deliver only
-		// appends and signals.
 		*busyNanos += sw.elapsedNanos()
 		rt.deliver(part, out, round, int64(len(batches)), w)
 	}

@@ -129,6 +129,43 @@ func TestRelaxedStaleReadAccounting(t *testing.T) {
 	}
 }
 
+// TestRelaxedSameWorkerHandOverOwnsRows drives deliver directly: a producer
+// that reuses its output storage every round (the fixpoint projector's
+// scratch) runs two rounds before the consumer on the same worker drains its
+// inbox, and the first round's rows must still be what was delivered.
+func TestRelaxedSameWorkerHandOverOwnsRows(t *testing.T) {
+	q := relaxedTestQuery(1, 2, true)
+	rt := &relaxedRouter{
+		q:        q,
+		opt:      RelaxedOptions{Parts: 2, Owner: func(int) int { return 0 }, Staleness: -1},
+		inbox:    make([][]relaxedBatch, 2),
+		clock:    make([]int64, 2),
+		inflight: make([]bool, 2),
+	}
+	rt.cond = sync.NewCond(&rt.mu)
+
+	row := types.Row{types.Int(0), types.Int(0)}
+	out := make([][]types.Row, 2)
+	for round := int64(0); round < 2; round++ {
+		row[0], row[1] = types.Int(round), types.Int(10*round)
+		out[1] = append(out[1][:0], row)
+		rt.deliver(0, out, round, 0, 0)
+	}
+	row[0], row[1] = types.Int(-1), types.Int(-1)
+
+	rt.mu.Lock()
+	batches, _, _ := rt.takeLocked(1)
+	rt.mu.Unlock()
+	got := rt.drainRows(batches, 0)
+	want := intRows([2]int64{0, 0}, [2]int64{1, 10})
+	if !sameRowSlices(got, want) {
+		t.Errorf("drained %v, want %v: a same-worker batch aliased its producer's storage", got, want)
+	}
+	if n := q.Metrics.LocalFetchRows.Load(); n != 2 {
+		t.Errorf("LocalFetchRows = %d, want 2 (handed over in memory, not encoded)", n)
+	}
+}
+
 // TestRelaxedGatePick drives pickLocked directly: the over-lead partition
 // is gated under SSP and runnable under async.
 func TestRelaxedGatePick(t *testing.T) {

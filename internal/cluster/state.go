@@ -16,6 +16,11 @@ import (
 // row slice — entry i is rows[part][i] — which is what makes checkpoints
 // O(1) below.
 //
+// The state owns its rows: Merge copies each accepted row into the
+// partition's append-only slab, so incoming batches stay caller-owned (the
+// caller may reuse their storage as soon as Merge returns) and one surviving
+// row never pins the buffer it arrived in.
+//
 // When the cluster is configured with ImmutableState the merge instead
 // copies the full partition contents every iteration — vanilla immutable
 // RDD behaviour, kept for the ablation benchmark.
@@ -26,6 +31,7 @@ type SetRDD struct {
 	c    *Cluster
 	idx  []*keyIndex
 	rows [][]types.Row
+	slab []types.RowSlab // slab[part] backs rows[part]
 }
 
 // NewSetRDD creates an empty SetRDD with the cluster's default partitions.
@@ -41,6 +47,7 @@ func (c *Cluster) NewSetRDDN(schema types.Schema, parts int) *SetRDD {
 		c:      c,
 		idx:    make([]*keyIndex, parts),
 		rows:   make([][]types.Row, parts),
+		slab:   make([]types.RowSlab, parts),
 	}
 	for i := range s.Owner {
 		s.Owner[i] = c.DefaultOwner(i)
@@ -68,6 +75,10 @@ func (s *SetRDD) has(part int, r types.Row) bool {
 // Merge set-differences incoming against partition part and unions the
 // survivors in, returning the genuinely new rows (the next delta). It must
 // be called from the task that owns the partition.
+//
+// Ownership is AggRDD.Merge's: incoming rows stay caller-owned, and the
+// returned delta is the tail of the stored partition — read-only, and to be
+// consumed before the next merge of the same partition.
 func (s *SetRDD) Merge(part int, incoming []types.Row) []types.Row {
 	if s.c.cfg.ImmutableState {
 		// Simulate an immutable union: rebuild the partition's index and
@@ -78,15 +89,15 @@ func (s *SetRDD) Merge(part int, incoming []types.Row) []types.Row {
 		s.rows[part] = newRows
 	}
 
-	var delta []types.Row
+	rows := s.rows[part]
+	before := len(rows)
 	for _, r := range incoming {
-		if !s.add(part, r) {
-			continue
+		if s.add(part, r) {
+			rows = append(rows, s.slab[part].Clone(r))
 		}
-		s.rows[part] = append(s.rows[part], r)
-		delta = append(delta, r)
 	}
-	return delta
+	s.rows[part] = rows
+	return rows[before:len(rows):len(rows)]
 }
 
 // Contains reports whether the partition already holds the row.
@@ -94,8 +105,8 @@ func (s *SetRDD) Contains(part int, r types.Row) bool {
 	return s.has(part, r)
 }
 
-// Rows returns the accumulated rows of a partition (no copy; callers must
-// not mutate).
+// Rows returns the accumulated rows of a partition (no copy: the rows live
+// in the state's slab and callers must not mutate them).
 func (s *SetRDD) Rows(part int) []types.Row { return s.rows[part] }
 
 // Len returns the total number of distinct rows.
@@ -132,7 +143,8 @@ type AggRDD struct {
 
 	c    *Cluster
 	idx  []*keyIndex
-	rows [][]types.Row // entry rows, value column holds the running total/extremum
+	rows [][]types.Row   // entry rows, value column holds the running total/extremum
+	slab []types.RowSlab // slab[part] backs rows[part]
 }
 
 // AggDelta is the delta produced by one AggRDD merge: the updated rows
@@ -165,6 +177,7 @@ func (c *Cluster) NewAggRDDN(schema types.Schema, key []int, valIdx int, kind ty
 		c:      c,
 		idx:    make([]*keyIndex, parts),
 		rows:   make([][]types.Row, parts),
+		slab:   make([]types.RowSlab, parts),
 	}
 	for i := range a.Owner {
 		a.Owner[i] = c.DefaultOwner(i)
@@ -184,12 +197,12 @@ func (a *AggRDD) lookup(part int, r types.Row) (int, bool) {
 // the value column of an incoming row is a candidate value; for sum/count it
 // is an increment. Must be called from the task owning the partition.
 //
-// Ownership: incoming rows stay caller-owned (a new group stores a clone,
-// never the incoming row itself — see below), and the returned delta rows
-// alias the stored state (the value column reflects the new total or
-// extremum at merge time). Callers must treat delta rows as read-only and
-// consume them before the next merge of the same partition — exactly the
-// lifecycle of semi-naive deltas.
+// Ownership: incoming rows stay caller-owned (a new group stores a copy in
+// the partition's slab, never the incoming row itself — see below), and the
+// returned delta rows alias the stored state (the value column reflects the
+// new total or extremum at merge time). Callers must treat delta rows as
+// read-only and consume them before the next merge of the same partition —
+// exactly the lifecycle of semi-naive deltas.
 func (a *AggRDD) Merge(part int, incoming []types.Row) AggDelta {
 	if a.c.cfg.ImmutableState {
 		a.copyPartition(part)
@@ -208,13 +221,13 @@ func (a *AggRDD) Merge(part int, incoming []types.Row) AggDelta {
 				continue // zero increment on a fresh group derives nothing
 			}
 			x.getOrInsert(b, h)
-			// Store a clone: a second contribution to this group later in
+			// Store a copy: a second contribution to this group later in
 			// the same batch updates the stored row's value column in
 			// place, and adopting the caller's row would leak that
 			// mutation into the input batch — Checkpoint/Restore only
 			// reverts rows that existed at snapshot time, so a replay of
 			// the same batch would then double-count the corrupted row.
-			nr := r.Clone()
+			nr := a.slab[part].Clone(r)
 			a.rows[part] = append(a.rows[part], nr)
 			d.Rows = append(d.Rows, nr)
 			d.News = append(d.News, true)
@@ -245,14 +258,13 @@ func (a *AggRDD) Merge(part int, incoming []types.Row) AggDelta {
 }
 
 // copyPartition simulates an immutable-RDD union by duplicating the
-// partition's entire index and row storage before mutation.
+// partition's entire index and row storage before mutation. The copy goes
+// into a fresh slab, so the previous generation is garbage once the deltas
+// aliasing it are consumed.
 func (a *AggRDD) copyPartition(part int) {
 	a.idx[part] = a.idx[part].clone()
-	nr := make([]types.Row, len(a.rows[part]))
-	for i, r := range a.rows[part] {
-		nr[i] = r.Clone()
-	}
-	a.rows[part] = nr
+	a.rows[part] = types.CloneRows(a.rows[part])
+	a.slab[part] = types.RowSlab{}
 }
 
 // Rows returns the accumulated group rows of a partition (no copy; callers
@@ -288,8 +300,9 @@ func (a *AggRDD) NumPartitions() int { return len(a.rows) }
 // if the task must be replayed. Because the key index assigns dense
 // insertion-ordered ids that parallel the append-only row slice, a
 // checkpoint is just the partition's length (plus saved aggregate values
-// for AggRDD); Restore truncates the index back to it. The snapshot itself
-// is O(1) — the rebuild cost moves to the failure-replay path.
+// for AggRDD); Restore truncates the index back to it and simply abandons
+// the dropped rows' slab space. The snapshot itself is O(1) — the rebuild
+// cost moves to the failure-replay path.
 
 // SetCheckpoint captures one SetRDD partition's state.
 type SetCheckpoint struct {

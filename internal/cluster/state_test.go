@@ -356,3 +356,108 @@ func TestAggRDDRestoreThenReplaySameSlice(t *testing.T) {
 		t.Errorf("replayed total = %v, want 3 (double-count bug)", row)
 	}
 }
+
+// mergeTarget runs one ownership scenario against either RDD kind.
+type mergeTarget struct {
+	name  string
+	merge func(part int, rows []types.Row) []types.Row
+	rows  func(part int) []types.Row
+	// checkpoint snapshots the partition and returns its restore.
+	checkpoint func(part int) func()
+}
+
+func mergeTargets(immutable bool) []mergeTarget {
+	c := New(Config{Workers: 2, Partitions: 2, StageOverheadOps: -1, ImmutableState: immutable})
+	s := c.NewSetRDD(pairSchema())
+	targets := []mergeTarget{{
+		name: "set", merge: s.Merge, rows: s.Rows,
+		checkpoint: func(p int) func() { cp := s.Checkpoint(p); return func() { s.Restore(cp) } },
+	}}
+	for _, kind := range []types.AggKind{types.AggMin, types.AggSum} {
+		a := c.NewAggRDD(pairSchema(), []int{0}, 1, kind)
+		targets = append(targets, mergeTarget{
+			name:  "agg-" + kind.String(),
+			merge: func(p int, rows []types.Row) []types.Row { return a.Merge(p, rows).Rows },
+			rows:  a.Rows,
+			checkpoint: func(p int) func() {
+				cp := a.Checkpoint(p)
+				return func() { a.Restore(cp) }
+			},
+		})
+	}
+	return targets
+}
+
+func sameRowSlices(a, b []types.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// The ownership contract of both RDDs: Merge copies what it keeps, so the
+// caller may overwrite every incoming row the moment Merge returns (the
+// projector's scratch does exactly that on the partition's next step)
+// without touching the state or the delta it was handed.
+func TestMergeLeavesIncomingCallerOwned(t *testing.T) {
+	for _, immutable := range []bool{false, true} {
+		for _, tg := range mergeTargets(immutable) {
+			tg.merge(0, intRows([2]int64{1, 10}))
+			// A duplicate, an update of a stored group, two rows of one
+			// fresh group, and a plain new row.
+			batch := intRows([2]int64{1, 10}, [2]int64{1, 4}, [2]int64{2, 7}, [2]int64{2, 5}, [2]int64{3, 9})
+			delta := tg.merge(0, batch)
+			if len(delta) == 0 {
+				t.Fatalf("%s immutable=%v: empty delta", tg.name, immutable)
+			}
+			wantDelta, wantState := types.CloneRows(delta), types.CloneRows(tg.rows(0))
+			for _, r := range batch {
+				for i := range r {
+					r[i] = types.Int(-999)
+				}
+			}
+			if !sameRowSlices(delta, wantDelta) {
+				t.Errorf("%s immutable=%v: delta aliases the incoming batch: %v, want %v", tg.name, immutable, delta, wantDelta)
+			}
+			if !sameRowSlices(tg.rows(0), wantState) {
+				t.Errorf("%s immutable=%v: state aliases the incoming batch: %v, want %v", tg.name, immutable, tg.rows(0), wantState)
+			}
+		}
+	}
+}
+
+// Task retry in one picture: checkpoint, a merge that dies after mutating
+// the state, Restore, and a replay of the very same batch must land on the
+// state an undisturbed merge produces — the abandoned slab space and the
+// batch the first attempt read must not leak into it.
+func TestRestoreThenReplayIdenticalState(t *testing.T) {
+	for _, immutable := range []bool{false, true} {
+		undisturbed, retried := mergeTargets(immutable), mergeTargets(immutable)
+		for i, tg := range retried {
+			first := intRows([2]int64{1, 10}, [2]int64{2, 20})
+			batch := intRows([2]int64{1, 4}, [2]int64{3, 7}, [2]int64{3, 5}, [2]int64{2, 20}, [2]int64{4, 1})
+			undisturbed[i].merge(0, first)
+			wantDelta := types.CloneRows(undisturbed[i].merge(0, batch))
+
+			tg.merge(0, first)
+			restore := tg.checkpoint(0)
+			tg.merge(0, batch)
+			restore()
+			if !sameRowSlices(tg.rows(0), first) {
+				t.Errorf("%s immutable=%v: state after restore = %v, want %v", tg.name, immutable, tg.rows(0), first)
+			}
+			delta := tg.merge(0, batch)
+			if !sameRowSlices(delta, wantDelta) {
+				t.Errorf("%s immutable=%v: replayed delta = %v, want %v", tg.name, immutable, delta, wantDelta)
+			}
+			if !sameRowSlices(tg.rows(0), undisturbed[i].rows(0)) {
+				t.Errorf("%s immutable=%v: replayed state = %v, want %v", tg.name, immutable, tg.rows(0), undisturbed[i].rows(0))
+			}
+		}
+	}
+}

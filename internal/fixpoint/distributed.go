@@ -265,17 +265,30 @@ func makeKernels(plan *Plan, ctx *exec.Context, c *cluster.QueryContext, opt Dis
 // project evaluates rule heads over kernel emissions, bucketing output rows
 // by the view partition key, with map-side partial aggregation (Algorithm
 // 5 line 5). Head expressions are compiled to closures once per rule and
-// output rows carve slices out of chunked arenas — the allocation-shape
-// half of whole-stage code generation.
+// every byte a step needs comes out of the partition's reusable scratch —
+// the allocation-shape half of whole-stage code generation.
 type projector struct {
 	plan  *Plan
 	parts int
 	// heads[rule][col] is the compiled projection.
 	heads [][]func(expr.Env) types.Value
+	// scratch[part] is partition part's working memory. Tasks of one
+	// partition never overlap, so it needs no lock.
+	scratch []stepScratch
+}
+
+// stepScratch is the memory one projector.run call works in, reused by the
+// next call for the same partition: a run's output is valid only until then.
+type stepScratch struct {
+	arena  types.RowSlab   // output rows, increment clones, probe keys
+	out    [][]types.Row   // output buckets by target partition
+	stream []types.Row     // the delta as one rule consumes it
+	env    expr.Env        // the fused kernel's join environment
+	keys   [][]types.Value // the fused kernel's probe key per join step
 }
 
 func newProjector(plan *Plan, parts int) *projector {
-	pr := &projector{plan: plan, parts: parts}
+	pr := &projector{plan: plan, parts: parts, scratch: make([]stepScratch, parts)}
 	pr.heads = make([][]func(expr.Env) types.Value, len(plan.Rules))
 	for i, rp := range plan.Rules {
 		fns := make([]func(expr.Env) types.Value, len(rp.Rule.Head))
@@ -313,35 +326,30 @@ func compileExpr(e expr.Expr) func(expr.Env) types.Value {
 	return e.Eval
 }
 
-// rowArena allocates output rows in chunks to cut allocator and GC
-// pressure in the emit hot path.
-type rowArena struct {
-	buf   []types.Value
-	width int
-}
-
-func (a *rowArena) next() types.Row {
-	if len(a.buf) < a.width {
-		a.buf = make([]types.Value, 4096*a.width)
-	}
-	r := a.buf[:a.width:a.width]
-	a.buf = a.buf[a.width:]
-	return r
-}
-
+// run derives one step's output for partition part from its delta. The
+// buckets and their rows live in the partition's scratch: the caller must
+// encode, merge or copy them before the next run for the same partition.
 func (pr *projector) run(c *cluster.QueryContext, kernels []*ruleKernel, delta deltaBatch, part, worker int) [][]types.Row {
 	v := pr.plan.View
-	out := make([][]types.Row, pr.parts)
-	arena := rowArena{width: v.Schema.Len()}
+	sc := &pr.scratch[part]
+	sc.arena.Reset()
+	if sc.out == nil {
+		sc.out = make([][]types.Row, pr.parts)
+	}
+	out := sc.out
+	for t := range out {
+		out[t] = out[t][:0]
+	}
+	width := v.Schema.Len()
 	for ki, k := range kernels {
 		rp := pr.plan.Rules[ki]
-		stream := delta.streamRows(rp, aggIdxOf(v))
+		stream := delta.streamRows(rp, aggIdxOf(v), sc)
 		if len(stream) == 0 {
 			continue
 		}
 		head := pr.heads[ki]
-		k.run(c, stream, part, worker, func(env expr.Env) {
-			row := arena.next()
+		k.run(c, stream, part, worker, sc, func(env expr.Env) {
+			row := sc.arena.Alloc(width)
 			for i, h := range head {
 				row[i] = h(env)
 			}
@@ -354,7 +362,7 @@ func (pr *projector) run(c *cluster.QueryContext, kernels []*ruleKernel, delta d
 	}
 	if v.IsAgg() {
 		for t := range out {
-			// Output rows are arena-owned and private to this call.
+			// Output rows are scratch-owned and private to this call.
 			out[t] = types.PartialAggregateOwned(out[t], v.GroupIdx, v.AggIdx, v.Agg)
 		}
 	}

@@ -18,8 +18,9 @@ type deltaBatch struct {
 
 func (d deltaBatch) empty() bool { return len(d.Rows) == 0 }
 
-// streamRows adapts the batch to one rule's delta mode.
-func (d deltaBatch) streamRows(rp *RulePlan, aggIdx int) []types.Row {
+// streamRows adapts the batch to one rule's delta mode. Anything it has to
+// build comes out of sc and is valid until the next rule's stream.
+func (d deltaBatch) streamRows(rp *RulePlan, aggIdx int, sc *stepScratch) []types.Row {
 	switch {
 	case rp.UseIncrements:
 		if d.Incs == nil {
@@ -27,20 +28,22 @@ func (d deltaBatch) streamRows(rp *RulePlan, aggIdx int) []types.Row {
 			// Spark-SQL-Naive baseline re-aggregates from scratch).
 			return d.Rows
 		}
-		out := make([]types.Row, len(d.Rows))
+		out := sc.stream[:0]
 		for i, r := range d.Rows {
-			nr := r.Clone()
+			nr := sc.arena.Clone(r)
 			nr[aggIdx] = d.Incs[i]
-			out[i] = nr
+			out = append(out, nr)
 		}
+		sc.stream = out
 		return out
 	case rp.NewGroupsOnly:
-		out := make([]types.Row, 0, len(d.Rows))
+		out := sc.stream[:0]
 		for i, r := range d.Rows {
 			if d.News == nil || d.News[i] {
 				out = append(out, r)
 			}
 		}
+		sc.stream = out
 		return out
 	default:
 		return d.Rows
@@ -125,12 +128,12 @@ type ruleKernel struct {
 // run streams the delta through the rule's joins and filters, invoking emit
 // with a complete environment for each result. part/worker locate cached
 // state for the co-partitioned base.
-func (k *ruleKernel) run(c *cluster.QueryContext, delta []types.Row, part, worker int, emit func(expr.Env)) {
+func (k *ruleKernel) run(c *cluster.QueryContext, delta []types.Row, part, worker int, sc *stepScratch, emit func(expr.Env)) {
 	if k.volcano {
 		k.runVolcano(c, delta, part, worker, emit)
 		return
 	}
-	k.runFused(c, delta, part, worker, emit)
+	k.runFused(c, delta, part, worker, sc, emit)
 }
 
 // copartTable returns the co-partitioned base's hash table for a partition
@@ -148,10 +151,21 @@ func (k *ruleKernel) copartTable(c *cluster.QueryContext, part, worker int) *clu
 // runFused is the "code generation" execution mode: the whole pipeline is
 // collapsed into nested loops over closures, no per-row interface calls —
 // the structural analog of Spark's whole-stage codegen (Section 7.3).
-func (k *ruleKernel) runFused(c *cluster.QueryContext, delta []types.Row, part, worker int, emit func(expr.Env)) {
+func (k *ruleKernel) runFused(c *cluster.QueryContext, delta []types.Row, part, worker int, sc *stepScratch, emit func(expr.Env)) {
 	rp := k.rp
 	n := len(rp.Rule.Sources)
-	env := make(expr.Env, n)
+	if cap(sc.env) < n {
+		sc.env = make(expr.Env, n)
+	}
+	env := sc.env[:n]
+	clear(env)
+	// One probe key per join step: a step is done with its key once
+	// ProbeValues returns, and only deeper steps run before its next probe.
+	keys := sc.keys[:0]
+	for _, st := range rp.Steps {
+		keys = append(keys, sc.arena.Alloc(len(st.BuildCols)))
+	}
+	sc.keys = keys
 
 	var runSteps func(step int)
 	runSteps = func(step int) {
@@ -160,7 +174,7 @@ func (k *ruleKernel) runFused(c *cluster.QueryContext, delta []types.Row, part, 
 			return
 		}
 		st := rp.Steps[step]
-		key := make([]types.Value, len(st.BuildCols))
+		key := keys[step]
 		for i, pf := range st.ProbeFrom {
 			key[i] = env[pf[0]][pf[1]]
 		}

@@ -294,11 +294,13 @@ func JoinRows(n int, rows [][]types.Row, conjuncts []expr.Expr) []expr.Env {
 	applied := make([]bool, len(conjuncts))
 
 	bound := map[int]bool{0: true}
-	envs := make([]expr.Env, 0, len(rows[0]))
-	for _, r := range rows[0] {
-		env := make(expr.Env, n)
-		env[0] = r
-		envs = append(envs, env)
+	// Source 0's environments are carved from one slab; the full-slice caps
+	// keep an append to one from running into its neighbour.
+	envs := make([]expr.Env, len(rows[0]))
+	slab := make(expr.Env, n*len(rows[0]))
+	for i, r := range rows[0] {
+		envs[i] = slab[i*n : (i+1)*n : (i+1)*n]
+		envs[i][0] = r
 	}
 	envs = applyReady(envs, pending, applied, bound)
 

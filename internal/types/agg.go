@@ -123,8 +123,9 @@ func PartialAggregate(rows []Row, key []int, valIdx int, kind AggKind) []Row {
 	return partialAggregate(rows, key, valIdx, kind, false)
 }
 
-// PartialAggregateOwned is PartialAggregate for callers that own the input
-// rows: surviving rows are reused and updated in place instead of cloned.
+// PartialAggregateOwned is PartialAggregate for callers that own the input:
+// surviving rows are updated in place instead of cloned, and the slice is
+// compacted in place, so the result is a prefix of rows' own backing array.
 func PartialAggregateOwned(rows []Row, key []int, valIdx int, kind AggKind) []Row {
 	return partialAggregate(rows, key, valIdx, kind, true)
 }
@@ -145,9 +146,15 @@ func partialAggregate(rows []Row, key []int, valIdx int, kind AggKind, owned boo
 			}
 		}
 	}
+	// An owner's slice is compacted in place (the write index never passes
+	// the read index); anyone else's may alias cached storage, so the
+	// survivors get a fresh backing.
+	out := rows[:0:0]
+	if owned {
+		out = rows[:0]
+	}
 	if packable {
 		groups := make(map[PackedKey]int, len(rows))
-		out := rows[:0:0]
 		for _, r := range rows {
 			k, _ := PackRow(r, key)
 			if i, hit := groups[k]; hit {
@@ -164,7 +171,6 @@ func partialAggregate(rows []Row, key []int, valIdx int, kind AggKind, owned boo
 		return out
 	}
 	groups := make(map[string]int, len(rows))
-	out := rows[:0:0] // fresh backing; rows may alias cached storage
 	for _, r := range rows {
 		k := KeyString(r, key)
 		if i, ok := groups[k]; ok {

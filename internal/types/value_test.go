@@ -281,6 +281,35 @@ func TestPartialAggregateStringKeysFallback(t *testing.T) {
 	}
 }
 
+// The owned variant compacts the caller's slice in place — on the packed
+// path and on the string-key fallback — so a reused bucket keeps its backing
+// array; the unowned variant must leave the caller's slice alone.
+func TestPartialAggregateOwnedCompactsInPlace(t *testing.T) {
+	for _, key := range []func(int) Value{
+		func(k int) Value { return Int(int64(k)) },
+		func(k int) Value { return Str(string(rune('a' + k))) },
+	} {
+		mk := func() []Row {
+			return []Row{{key(0), Int(1)}, {key(1), Int(5)}, {key(0), Int(2)}, {key(2), Int(7)}, {key(1), Int(1)}}
+		}
+		rows := mk()
+		out := PartialAggregateOwned(rows, []int{0}, 1, AggSum)
+		want := []Row{{key(0), Int(3)}, {key(1), Int(6)}, {key(2), Int(7)}}
+		if len(out) != len(want) || &out[0] != &rows[0] {
+			t.Fatalf("owned: %d groups, in place = %v", len(out), len(out) > 0 && &out[0] == &rows[0])
+		}
+		for i := range want {
+			if !out[i].Equal(want[i]) {
+				t.Errorf("owned group %d = %v, want %v", i, out[i], want[i])
+			}
+		}
+		rows = mk()
+		if out = PartialAggregate(rows, []int{0}, 1, AggSum); &out[0] == &rows[0] || !rows[2].Equal(Row{key(0), Int(2)}) {
+			t.Errorf("unowned variant wrote into its input: %v", rows)
+		}
+	}
+}
+
 func TestAggKindHelpers(t *testing.T) {
 	if AggAvg.MonotonicInRecursion() || !AggMin.MonotonicInRecursion() {
 		t.Error("monotonicity classification wrong")
