@@ -73,11 +73,16 @@ metrics-smoke:
 # graph, run two HTTP queries (the second must hit the plan cache),
 # scrape /metrics, SIGTERM, and require a clean drain (exit 0); the
 # final exposition written by -metrics-out must survive prom-verify.
+# Every command of the recipe is an assertion (set -e), and the EXIT trap
+# stops rasqld and waits for it if one fails before the SIGTERM (its `|| :`
+# keeps a clean run's exit status 0 once rasqld is already gone).
 serve-smoke:
 	$(GO) build -o bin/rasql ./cmd/rasql
 	$(GO) build -o bin/rasqld ./cmd/rasqld
+	set -e; \
 	./bin/rasqld -demo -listen 127.0.0.1:18123 -metrics-out rasqld-metrics.prom & \
 	pid=$$!; \
+	trap 'kill $$pid 2>/dev/null && wait $$pid || :' EXIT; \
 	ok=0; for i in $$(seq 1 50); do \
 		if curl -sf 127.0.0.1:18123/healthz >/dev/null 2>&1; then ok=1; break; fi; sleep 0.1; \
 	done; test $$ok -eq 1; \

@@ -58,6 +58,10 @@ type Metrics struct {
 	// (slowest busy − own busy); under relaxed execution, measured
 	// staleness-gate stalls.
 	BarrierWaitNanos atomic.Int64
+	// BaseReuses counts fixpoint executions that reused the physical base
+	// side (plan, seed, co-partitioned and broadcast tables) a compiled
+	// plan published, instead of building their own.
+	BaseReuses atomic.Int64
 }
 
 // stopwatch is the cluster's only sanctioned wall-clock access: timing
@@ -100,6 +104,7 @@ type Snapshot struct {
 	StaleReads          int64
 	SupersededRows      int64
 	BarrierWaitNanos    int64
+	BaseReuses          int64
 }
 
 // counterNames caches the shared field names of Metrics and Snapshot, in

@@ -120,6 +120,7 @@ func TestMetricsConcurrentUpdates(t *testing.T) {
 				m.StaleReads.Add(14)
 				m.SupersededRows.Add(15)
 				m.BarrierWaitNanos.Add(16)
+				m.BaseReuses.Add(17)
 				_ = m.Snapshot() // concurrent reads race-check the loads
 			}
 		}()
@@ -133,6 +134,7 @@ func TestMetricsConcurrentUpdates(t *testing.T) {
 		Iterations: 8 * n, SimNanos: 9 * n, StageWallNanos: 10 * n,
 		TaskRetries: 11 * n, RowsReplayed: 12 * n, RecoveredIterations: 13 * n,
 		StaleReads: 14 * n, SupersededRows: 15 * n, BarrierWaitNanos: 16 * n,
+		BaseReuses: 17 * n,
 	}
 	if got != want {
 		t.Errorf("lost updates: got %+v, want %+v", got, want)

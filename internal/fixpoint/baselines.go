@@ -40,33 +40,17 @@ func DistributedSQLSN(clique *analyze.Clique, ctx *exec.Context, c *cluster.Quer
 // recomputes the full relation every iteration (the paper's
 // Spark-SQL-Naive baseline).
 func DistributedSQLNaive(clique *analyze.Clique, ctx *exec.Context, c *cluster.QueryContext, opt DistOptions) (*Result, error) {
-	plan, err := PlanDistributed(clique)
+	opt.DisableDecomposition = true
+	base, err := buildBase(clique, ctx, c, opt)
 	if err != nil {
 		return nil, err
 	}
-	if plan.Decomposed {
-		plan = replanShuffled(clique)
-	}
+	// The base branch of the UNION is re-scanned every iteration; its rows
+	// are evaluated once here and re-shuffled every round.
+	plan, kernels, seed := base.plan, base.kernels, base.seed
 	v := plan.View
 	parts := c.Partitions()
 	pr := newProjector(plan, parts)
-
-	// Base-case rows, recomputed conceptually every iteration; evaluated
-	// once here and re-shuffled every round, as the SQL loop's
-	// base-branch scan would be.
-	var baseRows []types.Row
-	for _, rule := range v.BaseRules {
-		rows, err := evalRuleLocal(rule, nil, ctx, nil)
-		if err != nil {
-			return nil, err
-		}
-		baseRows = append(baseRows, rows...)
-	}
-	seed := make([][]types.Row, parts)
-	for _, r := range baseRows {
-		p := int(types.HashRowKey(r, plan.PartKey) % uint64(parts))
-		seed[p] = append(seed[p], r)
-	}
 
 	// state[p] holds the current full relation partition; each iteration
 	// builds a fresh copy (immutable SQL results).
@@ -79,10 +63,11 @@ func DistributedSQLNaive(clique *analyze.Clique, ctx *exec.Context, c *cluster.Q
 		if iter > opt.maxIter() {
 			return nil, &ErrNonTermination{Iterations: iter, Rows: rowsTotal(state)}
 		}
-		// A fresh job: rebuild join state every iteration.
-		kernels, err := makeKernels(plan, ctx, c, opt)
-		if err != nil {
-			return nil, err
+		if iter > 1 {
+			// A fresh job: rebuild join state every iteration.
+			if kernels, err = makeKernels(plan, ctx, c, opt); err != nil {
+				return nil, err
+			}
 		}
 
 		var mark shuffleMark

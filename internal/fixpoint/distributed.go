@@ -47,22 +47,43 @@ type DistOptions struct {
 }
 
 // Distributed evaluates a linear single-view clique on the simulated
-// cluster with Distributed Semi-Naive evaluation. Callers should fall back
-// to Local when PlanDistributed rejects the clique.
+// cluster with Distributed Semi-Naive evaluation, building its base side
+// for this query alone. Callers should fall back to Local when
+// PlanDistributed rejects the clique.
 func Distributed(clique *analyze.Clique, ctx *exec.Context, c *cluster.QueryContext, opt DistOptions) (*Result, error) {
-	plan, err := PlanDistributed(clique)
-	if err != nil {
-		return nil, err
+	return DistributedShared(clique, ctx, c, opt, nil)
+}
+
+// DistributedShared is Distributed over the base published in slot: the
+// first execution builds it and publishes it, later ones reuse it. A nil
+// slot builds a private base, and so does a query with an enabled fault
+// injector (a simulated worker loss drops broadcast tables) or with
+// RebuildJoinState (which models rebuilding the join state every iteration).
+// A failed build publishes nothing.
+func DistributedShared(clique *analyze.Clique, ctx *exec.Context, c *cluster.QueryContext, opt DistOptions, slot *BaseSlot) (*Result, error) {
+	if c.ChaosEnabled() || opt.RebuildJoinState {
+		slot = nil
 	}
-	if opt.DisableDecomposition && plan.Decomposed {
-		plan = replanShuffled(clique)
+	var base *Base
+	var err error
+	if slot != nil {
+		base = slot.base.Load()
+	}
+	if base != nil {
+		c.Metrics.BaseReuses.Add(1)
+	} else if base, err = buildBase(clique, ctx, c, opt); err != nil {
+		return nil, err
+	} else if slot != nil {
+		// A concurrent first execution may have published first; the two
+		// bases are equivalent, so the loser keeps its own.
+		slot.base.CompareAndSwap(nil, base)
 	}
 	// Barrier relaxation is sound only for confluent cliques; anything else
 	// silently losing the barrier could observe non-final aggregates, so a
 	// failed certification downgrades to BSP and says why.
 	var fallback string
 	if opt.Mode != ModeBSP {
-		if reason := relaxedIneligible(clique, plan); reason != "" {
+		if reason := relaxedIneligible(clique, base.plan); reason != "" {
 			fallback = reason
 			if opt.Tracer.SpansEnabled() {
 				opt.Tracer.Instant("bsp fallback: "+reason, trace.TidDriver)
@@ -70,7 +91,7 @@ func Distributed(clique *analyze.Clique, ctx *exec.Context, c *cluster.QueryCont
 			opt.Mode = ModeBSP
 		}
 	}
-	res, err := runDistributed(plan, ctx, c, opt)
+	res, err := runDistributed(base, ctx, c, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -80,6 +101,105 @@ func Distributed(clique *analyze.Clique, ctx *exec.Context, c *cluster.QueryCont
 	// fold (obs recorder, query log) attributes it without re-deriving.
 	c.SetMode(res.Mode, fallback)
 	return res, nil
+}
+
+// Base is the physical base side of one recursive program: the plan, the
+// rule kernels (co-partitioned hash tables or sorted runs, and the
+// per-worker broadcast tables) and the hash-partitioned seed. It depends
+// only on the clique, the base relations and the engine configuration, so
+// a compiled plan builds it once and every execution shares it — the
+// paper's cached build side (Appendix D) and "broadcast once" (Section 7.2).
+//
+// A Base is read-only once built, and every evaluation mode treats it so:
+// Fetch copies seed rows across the driver boundary, Shuffle.Add and the
+// relaxed router's driver enqueue encode them, state Merge copies the rows
+// it accepts, and kernels only probe their tables. Concurrent executions
+// may therefore read one Base without locks.
+type Base struct {
+	plan    *Plan
+	kernels []*ruleKernel
+	// seed[p] is partition p's base case, in one slab per partition.
+	seed [][]types.Row
+}
+
+// BaseSlot holds the Base of one compiled recursive program. The zero value
+// is empty; the first successful execution fills it and it never changes
+// after, so it lives and dies with the compiled plan that owns it.
+type BaseSlot struct{ base atomic.Pointer[Base] }
+
+// Fingerprint hashes every row the published base holds — the seed, the
+// co-partitioned tables or sorted runs, and each of the given workers'
+// broadcast tables — so a test can prove executions leave it untouched.
+// An empty slot hashes to 0.
+func (s *BaseSlot) Fingerprint(workers int) uint64 {
+	b := s.base.Load()
+	if b == nil {
+		return 0
+	}
+	var h uint64 = 1
+	hash := func(rows []types.Row) {
+		for _, r := range rows {
+			h = types.HashRow(h, r)
+		}
+	}
+	for _, rows := range b.seed {
+		hash(rows)
+	}
+	for _, k := range b.kernels {
+		if cb := k.copart; cb != nil {
+			for _, t := range cb.tables {
+				hash(t.Rows())
+			}
+			for _, rows := range cb.sorted {
+				hash(rows)
+			}
+		}
+		for _, bc := range k.bcasts {
+			for w := 0; w < workers; w++ {
+				hash(bc.Table(w).Rows())
+			}
+		}
+	}
+	return h
+}
+
+// buildBase plans the clique and builds its base side: the kernels, then
+// the base rules evaluated on the driver and bucketed by partition key.
+func buildBase(clique *analyze.Clique, ctx *exec.Context, c *cluster.QueryContext, opt DistOptions) (*Base, error) {
+	plan, err := PlanDistributed(clique)
+	if err != nil {
+		return nil, err
+	}
+	if opt.DisableDecomposition && plan.Decomposed {
+		plan = replanShuffled(clique)
+	}
+	kernels, err := makeKernels(plan, ctx, c, opt)
+	if err != nil {
+		return nil, err
+	}
+	v := plan.View
+	parts := c.Partitions()
+	seed := make([][]types.Row, parts)
+	for _, rule := range v.BaseRules {
+		rows, err := evalRuleLocal(rule, nil, ctx, nil)
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range rows {
+			p := int(types.HashRowKey(r, plan.PartKey) % uint64(parts))
+			seed[p] = append(seed[p], r)
+		}
+	}
+	for p, rows := range seed {
+		// Algorithm 5's map-side combine on the base branch: an extremum
+		// keeps one row per group. (Additive contributions that cancel to
+		// zero would drop a group Merge keeps, so sum/count stay uncombined.)
+		if v.IsAgg() && !v.Agg.Additive() {
+			rows = types.PartialAggregateOwned(rows, v.GroupIdx, v.AggIdx, v.Agg)
+		}
+		seed[p] = types.CloneRows(rows)
+	}
+	return &Base{plan: plan, kernels: kernels, seed: seed}, nil
 }
 
 // replanShuffled rebuilds the plan with decomposition disabled; the rules
@@ -194,35 +314,9 @@ func recoverableTask(c *cluster.QueryContext, state *viewState, t cluster.Task) 
 	return t
 }
 
-func runDistributed(plan *Plan, ctx *exec.Context, c *cluster.QueryContext, opt DistOptions) (*Result, error) {
-	if opt.Volcano && opt.Join == SortMerge {
-		opt.Join = ShuffleHash // sort-merge is implemented in the fused path
-	}
-	v := plan.View
-	parts := c.Partitions()
-
-	kernels, err := makeKernels(plan, ctx, c, opt)
-	if err != nil {
-		return nil, err
-	}
-
-	state := newViewState(c, v)
-
-	// Evaluate base cases on the driver and bucket them by partition key.
-	var baseRows []types.Row
-	for _, rule := range v.BaseRules {
-		rows, err := evalRuleLocal(rule, nil, ctx, nil)
-		if err != nil {
-			return nil, err
-		}
-		baseRows = append(baseRows, rows...)
-	}
-	seed := make([][]types.Row, parts)
-	for _, r := range baseRows {
-		p := int(types.HashRowKey(r, plan.PartKey) % uint64(parts))
-		seed[p] = append(seed[p], r)
-	}
-
+func runDistributed(base *Base, ctx *exec.Context, c *cluster.QueryContext, opt DistOptions) (*Result, error) {
+	plan, kernels, seed := base.plan, base.kernels, base.seed
+	state := newViewState(c, plan.View)
 	if opt.Mode != ModeBSP {
 		// Every plan shape shares the one relaxed delta-routing kernel; the
 		// plan still decides partitioning and join strategy.
@@ -240,15 +334,19 @@ func runDistributed(plan *Plan, ctx *exec.Context, c *cluster.QueryContext, opt 
 // makeKernels builds the per-rule kernels: cached co-partitioned hash
 // tables or sorted runs, and compressed/hashed broadcasts.
 func makeKernels(plan *Plan, ctx *exec.Context, c *cluster.QueryContext, opt DistOptions) ([]*ruleKernel, error) {
+	join := opt.Join
+	if opt.Volcano && join == SortMerge {
+		join = ShuffleHash // sort-merge is implemented in the fused path
+	}
 	kernels := make([]*ruleKernel, len(plan.Rules))
 	for i, rp := range plan.Rules {
-		k := &ruleKernel{rp: rp, volcano: opt.Volcano, join: opt.Join}
+		k := &ruleKernel{rp: rp, volcano: opt.Volcano, join: join}
 		if rp.Strategy == StrategyCoPartition {
 			rel, err := ctx.SourceRelation(rp.Rule.Sources[rp.CoPartSource])
 			if err != nil {
 				return nil, err
 			}
-			k.copart = buildCopart(c, rel.Rows, rp.CoPartBuildCols, opt.Join)
+			k.copart = buildCopart(c, rel.Rows, rp.CoPartBuildCols, join)
 		}
 		for _, st := range rp.Steps {
 			rel, err := ctx.SourceRelation(rp.Rule.Sources[st.Source])

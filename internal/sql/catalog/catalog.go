@@ -80,7 +80,10 @@ func (c *Catalog) Version() uint64 {
 	return c.version
 }
 
-// Register adds or replaces a base table.
+// Register adds or replaces a base table and bumps the version. The catalog
+// keeps rel itself, not a copy, so rel must not be mutated in place once
+// registered: plans compiled against this version cache structures built
+// from its rows. Register a new relation to change a table.
 func (c *Catalog) Register(rel *relation.Relation) error {
 	if rel.Name == "" {
 		return fmt.Errorf("catalog: relation must be named")

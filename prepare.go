@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/rasql/rasql-go/internal/fixpoint"
 	"github.com/rasql/rasql-go/internal/relation"
 	"github.com/rasql/rasql-go/internal/sql/analyze"
 	"github.com/rasql/rasql-go/internal/sql/ast"
@@ -24,13 +25,22 @@ var ErrNotPreparable = errors.New("rasql: scripts containing CREATE VIEW cannot 
 var ErrPlanStale = errors.New("rasql: prepared plan is stale (catalog changed since Prepare)")
 
 // Prepared is a compiled script: parsed, analyzed and optimized once against
-// a snapshot-isolated catalog clone. A Prepared is immutable after Prepare
-// and safe to execute from any number of goroutines concurrently — the
-// compiled programs are read-only; all mutable execution state is per-query.
+// a snapshot-isolated catalog clone. A Prepared is safe to execute from any
+// number of goroutines concurrently — the compiled programs are read-only;
+// all mutable execution state is per-query.
+//
+// It also owns one physical base side per program (plan, seed partitions,
+// co-partitioned and broadcast tables): the first execution on the engine
+// that prepared it builds and publishes it, and later executions reuse it.
+// The base is immutable once published and is freed with the Prepared, so a
+// plan cache bounds it with the plans it holds.
 type Prepared struct {
 	src     string
 	progs   []*analyze.Program
 	version uint64
+	eng     *Engine
+	// bases[i] is progs[i]'s physical base side, built lazily.
+	bases []fixpoint.BaseSlot
 }
 
 // CatalogVersion returns the catalog DDL version the plan was compiled
@@ -58,7 +68,7 @@ func (e *Engine) Prepare(src string) (*Prepared, error) {
 		return nil, err
 	}
 	cat := e.cat.Clone()
-	p := &Prepared{src: src, version: cat.Version()}
+	p := &Prepared{src: src, version: cat.Version(), eng: e}
 	for _, s := range stmts {
 		if _, ok := s.(*ast.CreateView); ok {
 			return nil, ErrNotPreparable
@@ -72,6 +82,7 @@ func (e *Engine) Prepare(src string) (*Prepared, error) {
 	if len(p.progs) == 0 {
 		return nil, fmt.Errorf("rasql: script contained no query statement")
 	}
+	p.bases = make([]fixpoint.BaseSlot, len(p.progs))
 	return p, nil
 }
 
@@ -88,9 +99,15 @@ func (e *Engine) ExecPrepared(ctx context.Context, p *Prepared, opts *ExecOption
 	defer qc.Finish()
 	var last *relation.Relation
 	var err error
-	for _, prog := range p.progs {
+	for i, prog := range p.progs {
+		// The base was built from the preparing engine's tables and
+		// configuration; any other engine builds its own.
+		var slot *fixpoint.BaseSlot
+		if p.eng == e {
+			slot = &p.bases[i]
+		}
 		sp := qc.Tracer.Begin("prepared", trace.TidDriver)
-		last, err = e.run(qc, prog, opts)
+		last, err = e.run(qc, prog, opts, slot)
 		sp.End()
 		if err != nil {
 			break

@@ -1,0 +1,5 @@
+//go:build !race
+
+package rasql_test
+
+const raceEnabled = false

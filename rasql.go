@@ -101,7 +101,9 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Register adds a base table to the catalog.
+// Register adds a base table to the catalog, replacing any table of the same
+// name. A registered relation must not be mutated in place: compiled plans
+// cache structures built from its rows. Register it again to change it.
 func (e *Engine) Register(rel *relation.Relation) error { return e.cat.Register(rel) }
 
 // MustRegister is Register, panicking on error. Intended for setup code.
@@ -245,7 +247,7 @@ func (e *Engine) exec(qc *cluster.QueryContext, src string, opts *ExecOptions) (
 		}
 		opt := optimize.Program(prog)
 		sp.End()
-		last, err = e.run(qc, opt, opts)
+		last, err = e.run(qc, opt, opts, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -303,16 +305,18 @@ func (e *Engine) Vet(src string) (*vet.Report, error) {
 func (e *Engine) Run(prog *analyze.Program) (*relation.Relation, error) {
 	qc := e.cluster.NewQuery(e.Tracer())
 	defer qc.Finish()
-	rel, err := e.run(qc, prog, nil)
+	rel, err := e.run(qc, prog, nil, nil)
 	qc.SetErr(err)
 	return rel, err
 }
 
-func (e *Engine) run(qc *cluster.QueryContext, prog *analyze.Program, opts *ExecOptions) (*relation.Relation, error) {
+// run executes one program. A non-nil slot holds the program's shared
+// physical base side (see Prepared); nil builds it for this query alone.
+func (e *Engine) run(qc *cluster.QueryContext, prog *analyze.Program, opts *ExecOptions, slot *fixpoint.BaseSlot) (*relation.Relation, error) {
 	ctx := exec.NewContext()
 	if prog.Clique != nil && len(prog.Clique.Views) > 0 {
 		sp := qc.Tracer.Begin("fixpoint", trace.TidDriver)
-		res, err := e.runClique(qc, prog.Clique, ctx, opts)
+		res, err := e.runClique(qc, prog.Clique, ctx, opts, slot)
 		sp.End()
 		if err != nil {
 			return nil, err
@@ -333,12 +337,12 @@ func (e *Engine) RunClique(prog *analyze.Program) (*fixpoint.Result, error) {
 	}
 	qc := e.cluster.NewQuery(e.Tracer())
 	defer qc.Finish()
-	res, err := e.runClique(qc, prog.Clique, exec.NewContext(), nil)
+	res, err := e.runClique(qc, prog.Clique, exec.NewContext(), nil, nil)
 	qc.SetErr(err)
 	return res, err
 }
 
-func (e *Engine) runClique(qc *cluster.QueryContext, clique *analyze.Clique, ctx *exec.Context, opts *ExecOptions) (*fixpoint.Result, error) {
+func (e *Engine) runClique(qc *cluster.QueryContext, clique *analyze.Clique, ctx *exec.Context, opts *ExecOptions, slot *fixpoint.BaseSlot) (*fixpoint.Result, error) {
 	opt := e.cfg.Fixpoint
 	if qc.Tracer != nil {
 		opt.Tracer = qc.Tracer
@@ -362,7 +366,7 @@ func (e *Engine) runClique(qc *cluster.QueryContext, clique *analyze.Clique, ctx
 		qc.SetMode("local", "")
 		return fixpoint.Local(clique, ctx, opt.Options)
 	}
-	res, err := fixpoint.Distributed(clique, ctx, qc, opt)
+	res, err := fixpoint.DistributedShared(clique, ctx, qc, opt, slot)
 	if err == nil {
 		return res, nil
 	}
