@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race race-concurrent race-server ssp-differential fuzz lint rasql-lint allocs metrics-smoke serve-smoke bench bench-pair golangci ci
+.PHONY: build test vet race race-concurrent race-server ssp-differential fuzz lint rasql-lint allocs serve-smoke bench bench-pair no-strays golangci ci
 
 build:
 	$(GO) build ./...
@@ -57,18 +57,6 @@ allocs:
 	./bin/rasql-lint -allocdrift ./...
 	$(GO) test -run ZeroAllocs ./internal/types/ ./internal/cluster/ ./internal/trace/ ./internal/obs/
 
-# Serving-metrics smoke (DESIGN.md §13): closed-loop concurrent clients on
-# one shared engine, the Prometheus exposition round-tripped through the
-# strict in-repo parser, and throughput/percentile columns asserted in the
-# machine-readable bench output. Requires jq.
-metrics-smoke:
-	$(GO) build -o bin/rasql ./cmd/rasql
-	$(GO) build -o bin/rasql-bench ./cmd/rasql-bench
-	./bin/rasql-bench -quick -run fig5,fig8 -clients 4 -duration 2s \
-		-json bench-metrics.json -metrics-out metrics.prom -quiet
-	./bin/rasql prom-verify metrics.prom
-	jq -e 'length == 2 and all(.[]; .qps > 0 and .p50_nanos > 0 and .p99_nanos >= .p50_nanos and .queries > 0)' bench-metrics.json
-
 # Serving lifecycle smoke (DESIGN.md §14): start rasqld on the demo
 # graph, run two HTTP queries (the second must hit the plan cache),
 # scrape /metrics, SIGTERM, and require a clean drain (exit 0); the
@@ -109,7 +97,7 @@ bench:
 # per end-to-end metric. A run that fails, answers wrongly or has a failed
 # request stops the recipe. A gain counts when the change wins nine pairs in
 # ten and the medians differ by more than the parent's q1..q3. Requires jq.
-PAIRS ?= 10
+PAIRS ?= 3
 bench-pair:
 	@test -n "$(PARENT)" || { echo "bench-pair: set PARENT=<git ref of the parent commit>" >&2; exit 2; }
 	rm -rf .bench_build/pair && mkdir -p .bench_build/pair/parent
@@ -131,6 +119,14 @@ bench-pair:
 		jq -s -r --arg side $$side '[.[].metrics | map_values(.value)] | (.[0] | keys[]) as $$m | [.[][$$m]] | sort | "\($$side) \($$m): q1 \(.[(length - 1) / 4 | floor]) median \(.[(length - 1) / 2 | floor]) q3 \(.[(length - 1) * 3 / 4 | floor])"' .bench_build/pair/$$side.*.json || exit 1; \
 	done
 
+# Hand-off check: fails if a server, benchmark driver or re-exec'd rasqld
+# test child is still running. pgrep -x matches the process name exactly;
+# pgrep -f would match the shell running this recipe.
+no-strays:
+	@for p in rasqld rasqlbench rasqld.test; do \
+		if pgrep -x $$p; then echo "no-strays: $$p is still running" >&2; exit 1; fi; \
+	done
+
 # Requires golangci-lint (https://golangci-lint.run); CI installs it via
 # the golangci-lint-action.
 golangci:
@@ -138,4 +134,4 @@ golangci:
 
 lint: rasql-lint
 
-ci: build vet test race race-concurrent race-server ssp-differential rasql-lint allocs metrics-smoke serve-smoke
+ci: build vet test race race-concurrent race-server ssp-differential rasql-lint allocs serve-smoke

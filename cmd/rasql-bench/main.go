@@ -8,37 +8,24 @@
 //	rasql-bench -all -md > out.md    # markdown output
 //	rasql-bench -quick               # small sizes for smoke runs
 //
-//	rasql-bench -run fig5,fig8 -clients 4 -duration 5s
-//	                                 # closed-loop serving mode: N client
-//	                                 # goroutines share one engine; emits
-//	                                 # QPS and p50/p95/p99 latency
-//
 // Dataset sizes scale down from the paper's 16-node cluster by -scale
 // (RMAT vertex counts) and -tree-scale (tree node counts); the defaults
 // (1000 / 256) fit a laptop. Absolute times therefore differ from the
 // paper; the comparisons within each table are the reproduction target.
 //
-// Serving mode (-clients N) replaces the one-query-at-a-time figure
-// measurements with a throughput benchmark: records in the -json output
-// gain clients/qps/p50_nanos/p95_nanos/p99_nanos columns, -metrics-out
-// writes the final serving engine's Prometheus text exposition (validated
-// by `rasql prom-verify`), and -metrics-listen serves it over HTTP while
-// the benchmark runs.
+// Serving performance is measured by benchmarks/ (see its README), which
+// drives the real rasqld binary.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"time"
 
-	rasql "github.com/rasql/rasql-go"
 	"github.com/rasql/rasql-go/internal/bench"
 	"github.com/rasql/rasql-go/internal/cli"
 )
@@ -57,11 +44,6 @@ func main() {
 		quiet     = flag.Bool("quiet", false, "suppress progress lines")
 		jsonOut   = flag.String("json", "BENCH_fixpoint.json", "write per-experiment machine-readable results to this file (empty to disable)")
 		chaosSpec = flag.String("chaos", "", "fault injection for every measurement: seed=N,rate=P[,attempts=K]")
-		clients   = flag.Int("clients", 0, "serving mode: closed-loop client goroutines sharing one engine (0 = figure mode)")
-		httpMode  = flag.Bool("server", false, "serving mode: drive a rasqld HTTP server over loopback instead of calling the engine in-process (records get server-* experiment ids plus plan-cache and cold-path columns)")
-		duration  = flag.Duration("duration", 5*time.Second, "serving mode: how long each experiment's clients run")
-		promOut   = flag.String("metrics-out", "", "serving mode: write the final engine's Prometheus exposition to this file")
-		promLn    = flag.String("metrics-listen", "", "serving mode: serve Prometheus metrics over HTTP on this address")
 	)
 	flag.Parse()
 
@@ -88,15 +70,6 @@ func main() {
 		ids = strings.Split(*run, ",")
 	default:
 		fmt.Fprintln(os.Stderr, "rasql-bench: pass -all or -run <ids>; available:", strings.Join(bench.Order, ", "))
-		os.Exit(2)
-	}
-
-	if *clients > 0 {
-		serveMain(r, ids, *clients, *duration, *httpMode, *promOut, *promLn, *jsonOut, *md, *quiet)
-		return
-	}
-	if *httpMode {
-		fmt.Fprintln(os.Stderr, "rasql-bench: -server needs -clients N")
 		os.Exit(2)
 	}
 
@@ -151,114 +124,6 @@ func main() {
 	}
 
 	writeRecords(*jsonOut, records, *quiet)
-}
-
-// serveMain runs the closed-loop concurrent-clients mode: for each selected
-// experiment, N client goroutines share one engine and the emitted record
-// carries throughput (qps) and latency percentiles alongside the usual
-// cluster counters. With httpMode the clients are real HTTP clients against
-// the rasqld serving layer; records then carry server-* experiment ids plus
-// the plan-cache and cold-path columns.
-func serveMain(r *bench.Runner, ids []string, clients int, duration time.Duration, httpMode bool, promOut, promLn, jsonOut string, md, quiet bool) {
-	var cur atomic.Pointer[rasql.MetricsRegistry]
-	if promLn != "" {
-		addr, err := listenMetrics(promLn, &cur)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rasql-bench:", err)
-			os.Exit(1)
-		}
-		if !quiet {
-			fmt.Fprintf(os.Stderr, "metrics: listening on http://%s/metrics\n", addr)
-		}
-	}
-	var records []bench.Record
-	for _, id := range ids {
-		id = strings.TrimSpace(id)
-		var before runtime.MemStats
-		runtime.ReadMemStats(&before)
-		r.TakeTotals() // drop counters attributed to prior experiments
-		serve := r.Serve
-		record := id
-		if httpMode {
-			serve = r.ServeHTTP
-			record = "server-" + id
-		}
-		tbl, res, err := serve(id, clients, duration, func(reg *rasql.MetricsRegistry) { cur.Store(reg) })
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rasql-bench: %s: %v\n", id, err)
-			os.Exit(1)
-		}
-		var after runtime.MemStats
-		runtime.ReadMemStats(&after)
-		m := r.TakeTotals()
-		records = append(records, bench.Record{
-			Experiment:          record,
-			WallNanos:           int64(res.Duration),
-			SimNanos:            m.SimNanos,
-			ShuffleBytes:        m.ShuffleBytes,
-			ShuffleRecords:      m.ShuffleRecords,
-			Allocs:              after.Mallocs - before.Mallocs,
-			TaskRetries:         m.TaskRetries,
-			RowsReplayed:        m.RowsReplayed,
-			RecoveredIterations: m.RecoveredIterations,
-			StaleReads:          m.StaleReads,
-			SupersededRows:      m.SupersededRows,
-			BarrierWaitNanos:    m.BarrierWaitNanos,
-			Clients:             res.Clients,
-			DurationNanos:       int64(res.Duration),
-			Queries:             res.Queries,
-			QPS:                 res.QPS,
-			P50Nanos:            int64(res.P50),
-			P95Nanos:            int64(res.P95),
-			P99Nanos:            int64(res.P99),
-			ColdP50Nanos:        int64(res.ColdP50),
-			WarmP50Nanos:        int64(res.WarmP50),
-			PlanCacheHits:       res.PlanCacheHits,
-			PlanCacheMisses:     res.PlanCacheMisses,
-		})
-		if md {
-			fmt.Println(tbl.Markdown())
-		} else {
-			fmt.Println(tbl.String())
-		}
-		r.FreeDatasets()
-	}
-	if promOut != "" {
-		reg := cur.Load()
-		f, err := os.Create(promOut)
-		if err == nil {
-			err = reg.WritePrometheus(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rasql-bench: write %s: %v\n", promOut, err)
-			os.Exit(1)
-		}
-		if !quiet {
-			fmt.Fprintf(os.Stderr, "wrote %s\n", promOut)
-		}
-	}
-	writeRecords(jsonOut, records, quiet)
-}
-
-// listenMetrics serves the Prometheus exposition of whichever registry cur
-// currently points at (serve mode swaps it as experiments hand over).
-func listenMetrics(addr string, cur *atomic.Pointer[rasql.MetricsRegistry]) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if reg := cur.Load(); reg != nil {
-			_ = reg.WritePrometheus(w)
-		}
-	})}
-	//rasql:detach -- process-lifetime metrics endpoint; dies with the benchmark process
-	go srv.Serve(ln)
-	return ln.Addr().String(), nil
 }
 
 // writeRecords emits the machine-readable per-experiment results.

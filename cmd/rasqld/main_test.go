@@ -69,6 +69,7 @@ func TestSIGTERMRightAfterAddressLineDrains(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		cmd := exec.Command(os.Args[0], "-demo", "-listen", "127.0.0.1:0")
 		cmd.Env = append(os.Environ(), "RASQLD_TEST_MAIN=1")
+		dieWithParent(cmd)
 		stderr, err := cmd.StderrPipe()
 		if err != nil {
 			t.Fatal(err)

@@ -12,20 +12,11 @@
 //     makes immediate buffer recycling behind them safe;
 //   - pooldiscipline: every sync.Pool Get is paired with a Put on every
 //     return path, and the pooled value is not used after Put;
-//   - workeraffinity: functions annotated //rasql:affinity=worker (the
-//     shuffle's lock-free Add) are only called from per-worker task bodies
-//     or other worker-affine functions, never from fresh goroutines;
 //   - guardedby: struct fields annotated //rasql:guardedby=<mutex-field>
 //     are only touched while the named mutex on the same struct is provably
 //     held — acquired in the same function, or the caller is annotated
 //     //rasql:locked=<mutex-field>. Reads may hold the read lock; writes
 //     need the write lock;
-//   - lockorder: the inter-procedural acquired-while-held graph is acyclic,
-//     so no two code paths can acquire the same pair of locks in opposite
-//     orders and deadlock;
-//   - atomicmix: a variable or field touched through sync/atomic anywhere
-//     in the program is never read or written plainly elsewhere, and values
-//     of sync/atomic struct types are never copied;
 //   - noalloc: functions annotated //rasql:noalloc (the data plane's hot
 //     path) reach no heap-allocation site, transitively through in-module
 //     calls, on a shared whole-program call graph with a conservative
@@ -44,10 +35,11 @@
 // Findings are suppressed with a justification comment on (or immediately
 // above) the offending line:
 //
-//	sh.Add(seed, -1) //rasql:allow workeraffinity -- driver-side seed write before any task runs
+//	bp := getEncBuf() //rasql:allow pooldiscipline -- ownership moves to encBucket; FetchTarget recycles
 //
-// The justification after `--` is mandatory; a bare allow is itself a
-// diagnostic.
+// The justification after `--` is mandatory, and every name must be a
+// registered analyzer; a bare allow, or one naming an unknown analyzer, is
+// itself a diagnostic.
 package analysis
 
 import (
@@ -73,8 +65,8 @@ type Analyzer struct {
 	// only report at program scope.
 	Run func(*Pass)
 	// Prepare, if set, runs over every package before any reporting pass
-	// and records cross-package evidence (lock-acquisition edges, atomic
-	// access sites) into the pass Index. In unitchecker mode it runs over
+	// and records cross-package evidence (call-graph edges, allocation
+	// sites) into the pass Index. In unitchecker mode it runs over
 	// the current unit on top of the dependency facts, and what it records
 	// is exported as this unit's facts.
 	Prepare func(*Pass)
@@ -124,5 +116,5 @@ func (d Diagnostic) String() string {
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Simclock, NoRetain, PoolDiscipline, WorkerAffinity, GuardedBy, LockOrder, AtomicMix, NoAlloc, GoLifecycle}
+	return []*Analyzer{Simclock, NoRetain, PoolDiscipline, GuardedBy, NoAlloc, GoLifecycle}
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -14,9 +15,6 @@ import (
 //	//rasql:noretain buf            — on a func: the named slice params (all
 //	                                  params when none are named) must not be
 //	                                  retained anywhere heap-reachable
-//	//rasql:affinity=worker         — on a func: call sites must be worker-
-//	                                  affine (a Task.Run body or another
-//	                                  annotated function)
 //	//rasql:pool-get                — on a func: it is a sync.Pool Get
 //	                                  accessor; its result is a pooled value
 //	//rasql:pool-put                — on a func: it is a sync.Pool Put
@@ -50,7 +48,8 @@ import (
 //	                                  functions (checked by `rasql-lint
 //	                                  -allocdrift`)
 //	//rasql:allow <names> -- <why>  — on or above a line: suppress the named
-//	                                  analyzers there, with justification
+//	                                  (registered) analyzers there, with
+//	                                  justification
 //
 // Two kinds of shared mutable state are deliberately exempt from guardedby
 // rather than annotated:
@@ -62,8 +61,10 @@ import (
 //   - write-only atomic sinks (the cluster's burnSink): an atomic value
 //     that is only ever written and never read cannot produce an
 //     observable race, so a guarding mutex would change nothing. The
-//     atomicmix analyzer still covers such variables — any plain
-//     (non-atomic) access anywhere in the program is a diagnostic.
+//     engine uses only typed atomics (atomic.Uint64 and friends), which
+//     have no plain spelling to mix up; go vet's copylocks check rejects
+//     copies of them, and the -race suites catch any other unsynchronized
+//     access.
 
 // FuncAnnots are the annotations attached to one function declaration.
 type FuncAnnots struct {
@@ -74,8 +75,6 @@ type FuncAnnots struct {
 	// HasNoRetain distinguishes "annotated with no params" from
 	// "not annotated".
 	HasNoRetain bool
-	// WorkerAffinity marks //rasql:affinity=worker.
-	WorkerAffinity bool
 	// PoolGet and PoolPut mark sync.Pool accessor wrappers.
 	PoolGet, PoolPut bool
 	// Locked lists the receiver mutex fields named by //rasql:locked=;
@@ -88,7 +87,7 @@ type FuncAnnots struct {
 }
 
 func (a *FuncAnnots) empty() bool {
-	return a == nil || (!a.HasNoRetain && !a.WorkerAffinity && !a.PoolGet && !a.PoolPut && len(a.Locked) == 0 && !a.NoAlloc)
+	return a == nil || (!a.HasNoRetain && !a.PoolGet && !a.PoolPut && len(a.Locked) == 0 && !a.NoAlloc)
 }
 
 // NoRetainCovers reports whether the annotation covers the parameter name.
@@ -107,13 +106,6 @@ func (a *FuncAnnots) NoRetainCovers(param string) bool {
 	return false
 }
 
-// allowSite is one //rasql:allow comment occurrence.
-type allowSite struct {
-	analyzers []string
-	reason    string
-	pos       token.Pos
-}
-
 // Index is the cross-package annotation table: function annotations keyed
 // by qualified name, package-level determinism opt-ins, and per-line
 // suppressions. In whole-program mode it is built from every loaded
@@ -127,31 +119,20 @@ type Index struct {
 	fields map[string]string
 	// allows maps filename -> line -> analyzer names suppressed there.
 	allows map[string]map[int][]string
-	// malformed collects allow comments missing their justification.
-	malformed []allowSite
+	// malformed collects the allow and detach comments the framework
+	// rejects, already rendered as RL000 diagnostics.
+	malformed []Diagnostic
 	// detaches maps filename -> line -> true for //rasql:detach comments
 	// (the golifecycle escape hatch; covers the comment line and the next).
 	detaches map[string]map[int]bool
-	// malformedDetach collects detach comments missing their justification.
-	malformedDetach []token.Pos
 	// lifecycle holds packages opted into golifecycle via //rasql:lifecycle
 	// (engine packages are scoped by LifecyclePrefixes instead).
 	lifecycle map[string]bool
 
-	// The program-scope evidence below is recorded by analyzer Prepare
-	// hooks (local entries carry a usable token.Pos) and merged from
+	// The program-scope evidence below is recorded by the call-graph
+	// Prepare hook (local entries carry a usable token.Pos) and merged from
 	// dependency facts (position survives only as a string).
 
-	// acquires maps a function key to every lock class it may acquire,
-	// transitively through calls.
-	acquires map[string][]string
-	// lockEdges are acquired-while-held observations: To was acquired at
-	// Pos while From was held.
-	lockEdges []LockEdge
-	// atomicSites and plainSites record, per variable/field key, where it
-	// was accessed through sync/atomic and where it was accessed plainly.
-	atomicSites map[string][]Site
-	plainSites  map[string][]Site
 	// allocSites maps a function key to the potential heap allocations in
 	// its own body; callEdges maps it to its static in-module call sites.
 	// Together they form the call graph the noalloc analyzer walks.
@@ -170,24 +151,6 @@ type Index struct {
 	preparedCG map[string]bool
 
 	siteSeen map[string]bool
-}
-
-// Site is one recorded access, addressable across packages by its
-// formatted position; Pos is token.NoPos for sites merged from facts.
-type Site struct {
-	PosStr string
-	Pos    token.Pos
-	Local  bool
-}
-
-// LockEdge is one acquired-while-held observation. Via names the call
-// chain for inter-procedural edges ("" for direct acquisitions).
-type LockEdge struct {
-	From, To string
-	PosStr   string
-	Via      string
-	Pos      token.Pos
-	Local    bool
 }
 
 // AllocSite is one potential heap allocation recorded by the call-graph
@@ -227,9 +190,6 @@ func NewIndex() *Index {
 		allows:        map[string]map[int][]string{},
 		detaches:      map[string]map[int]bool{},
 		lifecycle:     map[string]bool{},
-		acquires:      map[string][]string{},
-		atomicSites:   map[string][]Site{},
-		plainSites:    map[string][]Site{},
 		allocSites:    map[string][]AllocSite{},
 		callEdges:     map[string][]CallSite{},
 		wgDone:        map[string]*WgSummary{},
@@ -280,56 +240,9 @@ func (ix *Index) DeclAnnots(key string) *FuncAnnots { return ix.funcs[key] }
 // the simclock restriction.
 func (ix *Index) Deterministic(pkgPath string) bool { return ix.deterministic[pkgPath] }
 
-// MarkDeterministic records a package as clock-restricted (used when
-// merging facts and for the built-in engine package list).
-func (ix *Index) MarkDeterministic(pkgPath string) { ix.deterministic[pkgPath] = true }
-
 // GuardedBy returns the guarding mutex field name for a field key
 // ("pkgpath.Struct.Field"), or "" when the field carries no annotation.
 func (ix *Index) GuardedBy(fieldKey string) string { return ix.fields[fieldKey] }
-
-// Acquires returns the transitive lock-acquisition set recorded for a
-// function key (nil when unknown).
-func (ix *Index) Acquires(funcKey string) []string { return ix.acquires[funcKey] }
-
-// SetAcquires records a function's transitive lock-acquisition set.
-func (ix *Index) SetAcquires(funcKey string, locks []string) {
-	if len(locks) > 0 {
-		ix.acquires[funcKey] = locks
-	}
-}
-
-// AddLockEdge records one acquired-while-held observation, deduplicated
-// by (from, to, position).
-func (ix *Index) AddLockEdge(e LockEdge) {
-	k := "edge\x00" + e.From + "\x00" + e.To + "\x00" + e.PosStr
-	if ix.siteSeen[k] {
-		return
-	}
-	ix.siteSeen[k] = true
-	ix.lockEdges = append(ix.lockEdges, e)
-}
-
-// LockEdges returns every recorded acquired-while-held edge.
-func (ix *Index) LockEdges() []LockEdge { return ix.lockEdges }
-
-// AddAtomicSite / AddPlainSite record one access to the keyed variable,
-// deduplicated by position.
-func (ix *Index) AddAtomicSite(key string, s Site) { ix.addSite(ix.atomicSites, "a", key, s) }
-func (ix *Index) AddPlainSite(key string, s Site)  { ix.addSite(ix.plainSites, "p", key, s) }
-
-func (ix *Index) addSite(m map[string][]Site, kind, key string, s Site) {
-	k := kind + "\x00" + key + "\x00" + s.PosStr
-	if ix.siteSeen[k] {
-		return
-	}
-	ix.siteSeen[k] = true
-	m[key] = append(m[key], s)
-}
-
-// AtomicSites and PlainSites expose the recorded access maps.
-func (ix *Index) AtomicSites() map[string][]Site { return ix.atomicSites }
-func (ix *Index) PlainSites() map[string][]Site  { return ix.plainSites }
 
 // AddAllocSite records one potential allocation inside the keyed function,
 // deduplicated by position and description (facts are cumulative, so the
@@ -537,8 +450,6 @@ func parseFuncAnnots(doc *ast.CommentGroup) *FuncAnnots {
 		case "noretain":
 			ann.HasNoRetain = true
 			ann.NoRetain = append(ann.NoRetain, fields[1:]...)
-		case "affinity=worker":
-			ann.WorkerAffinity = true
 		case "pool-get":
 			ann.PoolGet = true
 		case "pool-put":
@@ -556,23 +467,45 @@ func parseFuncAnnots(doc *ast.CommentGroup) *FuncAnnots {
 
 // recordAllow parses one //rasql:allow comment. The comment suppresses the
 // named analyzers on its own line (end-of-line form) and on the following
-// line (standalone form).
+// line (standalone form). Every name must be a registered analyzer, so an
+// allow cannot outlive the check it waives.
 func (ix *Index) recordAllow(fset *token.FileSet, c *ast.Comment) {
 	body := strings.TrimPrefix(strings.TrimSpace(c.Text), "//rasql:allow")
 	names, reason, found := strings.Cut(body, "--")
-	site := allowSite{analyzers: strings.Fields(names), reason: strings.TrimSpace(reason), pos: c.Pos()}
-	if !found || site.reason == "" || len(site.analyzers) == 0 {
-		ix.malformed = append(ix.malformed, site)
+	analyzers := strings.Fields(names)
+	p := fset.Position(c.Pos())
+	if !found || strings.TrimSpace(reason) == "" || len(analyzers) == 0 {
+		ix.reject(p, "//rasql:allow needs analyzer names and a `-- justification`")
 		return
 	}
-	p := fset.Position(c.Pos())
+	for _, name := range analyzers {
+		if !registered(name) {
+			ix.reject(p, fmt.Sprintf("//rasql:allow names %q, which is not a registered analyzer", name))
+			return
+		}
+	}
 	lines := ix.allows[p.Filename]
 	if lines == nil {
 		lines = map[int][]string{}
 		ix.allows[p.Filename] = lines
 	}
-	lines[p.Line] = append(lines[p.Line], site.analyzers...)
-	lines[p.Line+1] = append(lines[p.Line+1], site.analyzers...)
+	lines[p.Line] = append(lines[p.Line], analyzers...)
+	lines[p.Line+1] = append(lines[p.Line+1], analyzers...)
+}
+
+// registered reports whether name is an analyzer of the suite.
+func registered(name string) bool {
+	for _, a := range All() {
+		if a.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// reject records a malformed annotation as an RL000 diagnostic.
+func (ix *Index) reject(p token.Position, msg string) {
+	ix.malformed = append(ix.malformed, Diagnostic{Pos: p, Analyzer: "rasql-lint", Code: "RL000", Message: msg})
 }
 
 // recordDetach parses one //rasql:detach comment. Like allow, it covers
@@ -581,11 +514,11 @@ func (ix *Index) recordAllow(fset *token.FileSet, c *ast.Comment) {
 func (ix *Index) recordDetach(fset *token.FileSet, c *ast.Comment) {
 	body := strings.TrimPrefix(strings.TrimSpace(c.Text), "//rasql:detach")
 	_, reason, found := strings.Cut(body, "--")
+	p := fset.Position(c.Pos())
 	if !found || strings.TrimSpace(reason) == "" {
-		ix.malformedDetach = append(ix.malformedDetach, c.Pos())
+		ix.reject(p, "//rasql:detach needs a `-- justification`")
 		return
 	}
-	p := fset.Position(c.Pos())
 	lines := ix.detaches[p.Filename]
 	if lines == nil {
 		lines = map[int]bool{}
@@ -612,16 +545,12 @@ func (ix *Index) Allowed(analyzer string, pos token.Position) bool {
 // dependencies' facts alongside its own, so evidence reaches indirect
 // dependents no matter how cmd/go wires the vetx graph.
 type Facts struct {
-	Funcs         map[string]*FuncAnnots      `json:"funcs,omitempty"`
-	Deterministic []string                    `json:"deterministic,omitempty"`
-	Fields        map[string]string           `json:"fields,omitempty"`
-	Acquires      map[string][]string         `json:"acquires,omitempty"`
-	LockEdges     []LockEdgeFact              `json:"lockEdges,omitempty"`
-	AtomicSites   map[string][]string         `json:"atomicSites,omitempty"`
-	PlainSites    map[string][]string         `json:"plainSites,omitempty"`
-	AllocSites    map[string][]AllocSiteFact  `json:"allocSites,omitempty"`
-	CallEdges     map[string][]CallSiteFact   `json:"callEdges,omitempty"`
-	WgDone        map[string]*WgSummary       `json:"wgDone,omitempty"`
+	Funcs         map[string]*FuncAnnots     `json:"funcs,omitempty"`
+	Deterministic []string                   `json:"deterministic,omitempty"`
+	Fields        map[string]string          `json:"fields,omitempty"`
+	AllocSites    map[string][]AllocSiteFact `json:"allocSites,omitempty"`
+	CallEdges     map[string][]CallSiteFact  `json:"callEdges,omitempty"`
+	WgDone        map[string]*WgSummary      `json:"wgDone,omitempty"`
 }
 
 // AllocSiteFact and CallSiteFact are the serialized forms of AllocSite and
@@ -636,43 +565,15 @@ type CallSiteFact struct {
 	Pos    string `json:"pos"`
 }
 
-// LockEdgeFact is the serialized form of a LockEdge (positions survive
-// only as strings across the facts boundary).
-type LockEdgeFact struct {
-	From string `json:"from"`
-	To   string `json:"to"`
-	Pos  string `json:"pos"`
-	Via  string `json:"via,omitempty"`
-}
-
 // ExportFacts extracts the cumulative facts held by the index: this
 // package's annotations and evidence plus everything merged from its
 // dependencies.
 func (ix *Index) ExportFacts(pkgPath string) Facts {
-	f := Facts{
-		Funcs:       ix.funcs,
-		Fields:      ix.fields,
-		Acquires:    ix.acquires,
-		AtomicSites: map[string][]string{},
-		PlainSites:  map[string][]string{},
-	}
+	f := Facts{Funcs: ix.funcs, Fields: ix.fields}
 	for p := range ix.deterministic {
 		f.Deterministic = append(f.Deterministic, p)
 	}
 	sort.Strings(f.Deterministic)
-	for _, e := range ix.lockEdges {
-		f.LockEdges = append(f.LockEdges, LockEdgeFact{From: e.From, To: e.To, Pos: e.PosStr, Via: e.Via})
-	}
-	for k, sites := range ix.atomicSites {
-		for _, s := range sites {
-			f.AtomicSites[k] = append(f.AtomicSites[k], s.PosStr)
-		}
-	}
-	for k, sites := range ix.plainSites {
-		for _, s := range sites {
-			f.PlainSites[k] = append(f.PlainSites[k], s.PosStr)
-		}
-	}
 	f.AllocSites = map[string][]AllocSiteFact{}
 	for k, sites := range ix.allocSites {
 		for _, s := range sites {
@@ -702,22 +603,6 @@ func (ix *Index) MergeFacts(f Facts) {
 	for k, v := range f.Fields {
 		ix.fields[k] = v
 	}
-	for k, v := range f.Acquires {
-		ix.acquires[k] = v
-	}
-	for _, e := range f.LockEdges {
-		ix.AddLockEdge(LockEdge{From: e.From, To: e.To, PosStr: e.Pos, Via: e.Via})
-	}
-	for k, sites := range f.AtomicSites {
-		for _, pos := range sites {
-			ix.AddAtomicSite(k, Site{PosStr: pos})
-		}
-	}
-	for k, sites := range f.PlainSites {
-		for _, pos := range sites {
-			ix.AddPlainSite(k, Site{PosStr: pos})
-		}
-	}
 	for k, sites := range f.AllocSites {
 		for _, s := range sites {
 			ix.AddAllocSite(k, AllocSite{What: s.What, PosStr: s.Pos})
@@ -733,26 +618,11 @@ func (ix *Index) MergeFacts(f Facts) {
 	}
 }
 
-// MalformedAllows returns diagnostics for allow and detach comments
-// missing their `-- justification`, sorted by position.
-func (ix *Index) MalformedAllows(fset *token.FileSet) []Diagnostic {
-	var out []Diagnostic
-	for _, m := range ix.malformed {
-		out = append(out, Diagnostic{
-			Pos:      fset.Position(m.pos),
-			Analyzer: "rasql-lint",
-			Code:     "RL000",
-			Message:  "//rasql:allow needs analyzer names and a `-- justification`",
-		})
-	}
-	for _, pos := range ix.malformedDetach {
-		out = append(out, Diagnostic{
-			Pos:      fset.Position(pos),
-			Analyzer: "rasql-lint",
-			Code:     "RL000",
-			Message:  "//rasql:detach needs a `-- justification`",
-		})
-	}
+// MalformedAllows returns diagnostics for allow and detach comments that
+// lack their `-- justification` or name an unregistered analyzer, sorted by
+// position.
+func (ix *Index) MalformedAllows() []Diagnostic {
+	out := append([]Diagnostic(nil), ix.malformed...)
 	sort.Slice(out, func(i, j int) bool { return positionLess(out[i].Pos, out[j].Pos) })
 	return out
 }

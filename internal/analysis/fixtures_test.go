@@ -23,20 +23,8 @@ func TestPoolDisciplineFixture(t *testing.T) {
 	analysistest.Run(t, "testdata", "pooldiscipline", analysis.PoolDiscipline)
 }
 
-func TestWorkerAffinityFixture(t *testing.T) {
-	analysistest.Run(t, "testdata", "workeraffinity", analysis.WorkerAffinity)
-}
-
 func TestGuardedByFixture(t *testing.T) {
 	analysistest.Run(t, "testdata", "guardedby", analysis.GuardedBy)
-}
-
-func TestLockOrderFixture(t *testing.T) {
-	analysistest.Run(t, "testdata", "lockorder", analysis.LockOrder)
-}
-
-func TestAtomicMixFixture(t *testing.T) {
-	analysistest.Run(t, "testdata", "atomicmix", analysis.AtomicMix)
 }
 
 func TestNoAllocFixture(t *testing.T) {
@@ -60,7 +48,8 @@ func TestGoLifecycleFixtureVet(t *testing.T) {
 }
 
 // TestAllowFixture runs no analyzer at all: malformed //rasql:allow
-// comments are diagnosed by the framework itself.
+// comments, and allows naming an unregistered analyzer, are diagnosed by
+// the framework itself.
 func TestAllowFixture(t *testing.T) {
 	analysistest.Run(t, "testdata", "allow")
 }

@@ -5,21 +5,21 @@ import (
 	"go/types"
 )
 
-// Shared mutex-recognition machinery for the concurrency analyzers
-// (guardedby, lockorder). Both scan function bodies for calls of the form
+// Mutex-recognition machinery for guardedby, plus the field and lock-class
+// keys it shares with the call-graph analyzers. guardedby scans function
+// bodies for calls of the form
 //
 //	<expr>.Lock() / RLock() / Unlock() / RUnlock()
 //
-// where <expr> has type sync.Mutex or sync.RWMutex, and reconstruct the
+// where <expr> has type sync.Mutex or sync.RWMutex, and reconstructs the
 // lock state with a position-ordered linear scan: events are sorted by
 // source position and replayed in order, which models the engine's
 // straight-line "Lock … access … Unlock" and "Lock; defer Unlock" shapes
 // exactly. Deferred unlocks never release — the lock is held to the end of
-// the function, which is the conservative direction for both analyzers.
+// the function, which is the conservative direction.
 
 // mutexOp classifies one Lock/RLock/Unlock/RUnlock call.
 type mutexOp struct {
-	call *ast.CallExpr
 	// recv is the mutex-valued expression the method is called on
 	// (e.g. the `c.mu` of `c.mu.Lock()`).
 	recv ast.Expr
@@ -48,7 +48,7 @@ func asMutexOp(pass *Pass, stack []ast.Node, call *ast.CallExpr) (mutexOp, bool)
 	if !isMutexType(pass.typeOf(sel.X)) {
 		return mutexOp{}, false
 	}
-	op := mutexOp{call: call, recv: sel.X, name: sel.Sel.Name}
+	op := mutexOp{recv: sel.X, name: sel.Sel.Name}
 	if len(stack) >= 2 {
 		if d, ok := stack[len(stack)-2].(*ast.DeferStmt); ok && d.Call == call {
 			op.deferred = true
@@ -170,21 +170,6 @@ func structUnder(t types.Type) *types.Struct {
 	}
 	st, _ := t.(*types.Struct)
 	return st
-}
-
-// enclosingFuncKey returns the index key of the innermost enclosing
-// function declaration on the ancestor stack ("" inside func literals,
-// whose identity is not addressable across packages).
-func enclosingFuncKey(pass *Pass, stack []ast.Node) string {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch n := stack[i].(type) {
-		case *ast.FuncLit:
-			return ""
-		case *ast.FuncDecl:
-			return FuncKey(pass.Pkg.Path(), declRecvName(n), n.Name.Name)
-		}
-	}
-	return ""
 }
 
 // walkWithStack runs fn over every node of root with the ancestor chain

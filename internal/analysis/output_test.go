@@ -15,9 +15,9 @@ var outputDiags = []Diagnostic{
 	},
 	{
 		Pos:      token.Position{Filename: "cluster/pool.go", Line: 9, Column: 2},
-		Analyzer: "atomicmix",
-		Code:     "RL007",
-		Message:  `plain access of "quoted", which is accessed via sync/atomic at pool.go:3:1; every access must go through sync/atomic`,
+		Analyzer: "rasql-lint",
+		Code:     "RL000",
+		Message:  `//rasql:allow names "quoted", which is not a registered analyzer`,
 	},
 	{
 		Pos:      token.Position{Filename: "types/encode.go", Line: 151, Column: 9},
@@ -39,7 +39,7 @@ func TestRenderHumanGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := "cluster/shuffle.go:42:7: guardedby: read of n (guarded by mu) without holding c.mu\n" +
-		"cluster/pool.go:9:2: atomicmix: plain access of \"quoted\", which is accessed via sync/atomic at pool.go:3:1; every access must go through sync/atomic\n" +
+		"cluster/pool.go:9:2: rasql-lint: //rasql:allow names \"quoted\", which is not a registered analyzer\n" +
 		"types/encode.go:151:9: noalloc: types.DecodeRowsAppend is annotated //rasql:noalloc but calls fmt.Sprintf, not known to be allocation-free\n" +
 		"cluster/relaxed.go:270:3: golifecycle: goroutine is not join-accounted: no WaitGroup.Done on its exit paths and no //rasql:detach justification\n"
 	if got := b.String(); got != want {
@@ -65,9 +65,9 @@ func TestRenderJSONGolden(t *testing.T) {
     "file": "cluster/pool.go",
     "line": 9,
     "col": 2,
-    "analyzer": "atomicmix",
-    "code": "RL007",
-    "message": "plain access of \"quoted\", which is accessed via sync/atomic at pool.go:3:1; every access must go through sync/atomic"
+    "analyzer": "rasql-lint",
+    "code": "RL000",
+    "message": "//rasql:allow names \"quoted\", which is not a registered analyzer"
   },
   {
     "file": "types/encode.go",

@@ -6,7 +6,7 @@ import (
 )
 
 // BuildIndex scans every loaded package's annotations into one
-// whole-program index and seeds the built-in deterministic package list.
+// whole-program index.
 func BuildIndex(fset *token.FileSet, pkgs []*LoadedPackage) *Index {
 	ix := NewIndex()
 	for _, p := range pkgs {
@@ -88,7 +88,7 @@ func reportInto(fset *token.FileSet, ix *Index, a *Analyzer, out *[]Diagnostic) 
 // allow comments are reported alongside analyzer findings.
 func Run(fset *token.FileSet, pkgs []*LoadedPackage, analyzers []*Analyzer) []Diagnostic {
 	ix := BuildIndex(fset, pkgs)
-	out := ix.MalformedAllows(fset)
+	out := ix.MalformedAllows()
 	for _, p := range pkgs {
 		PreparePackage(fset, p, ix, analyzers)
 	}

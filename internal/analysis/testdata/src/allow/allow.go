@@ -17,3 +17,8 @@ func wellFormed() {
 	//rasql:allow simclock -- fixture: carries its justification
 	_ = 0
 }
+
+func unknownAnalyzer() {
+	//rasql:allow simclock nosuchcheck -- fixture: one name is not registered // want `names "nosuchcheck", which is not a registered analyzer`
+	_ = 0
+}

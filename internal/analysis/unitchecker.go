@@ -82,10 +82,9 @@ func RunUnit(cfgFile string, w io.Writer) int {
 	}
 	ix.ScanPackage(fset, cfg.ImportPath, files)
 
-	// Type-check before exporting facts: the program-scope analyzers
-	// (lockorder, atomicmix) derive their facts from type information, so
-	// their Prepare hooks must run between the typecheck and the facts
-	// write. On a tolerated typecheck failure the unit still exports its
+	// Type-check before exporting facts: the call-graph analyzers (noalloc,
+	// golifecycle) derive their facts from type information, so their
+	// Prepare hook must run between the typecheck and the facts write. On a tolerated typecheck failure the unit still exports its
 	// annotation facts so dependents keep working.
 	resolve := func(path string) string {
 		if mapped, ok := cfg.ImportMap[path]; ok {
@@ -124,7 +123,7 @@ func RunUnit(cfgFile string, w io.Writer) int {
 		return 0
 	}
 
-	diags := ix.MalformedAllows(fset)
+	diags := ix.MalformedAllows()
 	diags = append(diags, RunPackage(fset, loaded, ix, All())...)
 	diags = append(diags, RunProgramAnalyzers(fset, ix, All())...)
 	sort.Slice(diags, func(i, j int) bool { return positionLess(diags[i].Pos, diags[j].Pos) })

@@ -239,24 +239,6 @@ type Record struct {
 	SupersededRows   int64   `json:"superseded_rows"`
 	BarrierWaitNanos int64   `json:"barrier_wait_nanos"`
 	Curves           []Curve `json:"curves,omitempty"`
-	// Serving-mode columns: populated only by -clients runs (closed-loop
-	// concurrent clients on one shared engine), zero otherwise. Percentiles
-	// come from the engine recorder's query-latency histogram.
-	Clients       int     `json:"clients,omitempty"`
-	DurationNanos int64   `json:"duration_nanos,omitempty"`
-	Queries       uint64  `json:"queries,omitempty"`
-	QPS           float64 `json:"qps,omitempty"`
-	P50Nanos      int64   `json:"p50_nanos,omitempty"`
-	P95Nanos      int64   `json:"p95_nanos,omitempty"`
-	P99Nanos      int64   `json:"p99_nanos,omitempty"`
-	// HTTP serving-mode columns: populated only by -server runs (real HTTP
-	// clients against the rasqld serving layer). ColdP50Nanos is the median
-	// first-execution latency (plan-cache miss, compile included); the
-	// cache counters are the server plan cache's totals over the run.
-	ColdP50Nanos    int64 `json:"cold_p50_nanos,omitempty"`
-	WarmP50Nanos    int64 `json:"warm_p50_nanos,omitempty"`
-	PlanCacheHits   int64 `json:"plan_cache_hits,omitempty"`
-	PlanCacheMisses int64 `json:"plan_cache_misses,omitempty"`
 }
 
 // CurvePoint is one fixpoint iteration of a convergence curve.

@@ -94,7 +94,6 @@ func BenchmarkShuffleRoundTrip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sh := c.NewShuffle(targets)
 		for w := 0; w < 4; w++ {
-			//rasql:allow workeraffinity -- single-goroutine benchmark writes every shard sequentially; no concurrent producers
 			sh.Add(out, w)
 		}
 		n := 0

@@ -182,7 +182,8 @@ func burn(ops int) {
 // burn's hash loop. It is package-level shared mutable state, yet exempt
 // from a guardedby mutex: it is an atomic value that is only ever written
 // (atomically, by concurrent tasks) and never read, so no lock could change
-// any observable behaviour. The atomicmix analyzer still covers it — any
-// future plain (non-atomic) access anywhere in the engine is a diagnostic.
-// See internal/analysis/annotations.go for the exemption rationale.
+// any observable behaviour. As a typed atomic it has no plain spelling to
+// mix up; go vet's copylocks check rejects copies of it, and the -race
+// suites catch any other unsynchronized access. See
+// internal/analysis/annotations.go for the exemption rationale.
 var burnSink atomic.Uint64

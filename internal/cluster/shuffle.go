@@ -48,13 +48,11 @@ func (c *QueryContext) NewShuffle(targets int) *Shuffle {
 // target partition t, produced on the given worker (-1 for the driver).
 // Rows are encoded into pooled buffers immediately — the map-side shuffle
 // write — and the bytes are counted here, once per shuffled bucket. Safe for
-// concurrent map tasks because each producer owns its shard exclusively —
-// which is exactly why Add is worker-affine: it must run on the goroutine
-// that owns the producer's shard (a Task.Run body), never a fresh one.
+// concurrent map tasks because each producer owns its shard exclusively: at
+// most one goroutine at a time may Add for a given producer.
 // Add is also the map-side hot loop: encoding reuses pooled buffers and
 // bucket appends amortize, so per-bucket work touches no allocator.
 //
-//rasql:affinity=worker
 //rasql:noalloc
 func (s *Shuffle) Add(out [][]types.Row, producer int) {
 	sh := &s.shards[producer+1]

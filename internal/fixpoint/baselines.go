@@ -76,7 +76,6 @@ func DistributedSQLNaive(clique *analyze.Clique, ctx *exec.Context, c *cluster.Q
 		}
 		is := tr.BeginIteration(iter)
 		sh := c.NewShuffle(parts)
-		//rasql:allow workeraffinity -- driver-side seed write (producer -1) before any map task starts; the driver shard has exactly one writer
 		sh.Add(seed, -1) // the base branch of the UNION, re-scanned
 
 		mapTasks := make([]cluster.Task, parts)

@@ -584,7 +584,6 @@ func runCombined(plan *Plan, state *viewState, kernels []*ruleKernel, seed [][]t
 	traceOn := tr.Enabled()
 
 	sh := c.NewShuffle(parts)
-	//rasql:allow workeraffinity -- driver-side seed write (producer -1) before any worker task starts; the driver shard has exactly one writer
 	sh.Add(seed, -1)
 
 	var pending atomic.Int64
@@ -721,11 +720,13 @@ func runDecomposed(plan *Plan, state *viewState, kernels []*ruleKernel, seed [][
 					mu.Unlock()
 					return
 				}
+				// Sibling partitions are still merging, so the guard and the
+				// error extrapolate from this partition alone.
 				if local > opt.maxIter() || (opt.MaxRows > 0 && len(state.rows(p))*parts > opt.MaxRows) {
 					failed.Store(true)
 					mu.Lock()
 					if firstErr == nil {
-						firstErr = &ErrNonTermination{Iterations: local, Rows: state.len()}
+						firstErr = &ErrNonTermination{Iterations: local, Rows: len(state.rows(p)) * parts}
 					}
 					mu.Unlock()
 					return

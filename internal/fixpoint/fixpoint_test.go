@@ -288,6 +288,22 @@ func TestNonTerminationGuardDistributed(t *testing.T) {
 	}
 }
 
+// TestDecomposedNonTerminationGuard trips the iteration guard inside a
+// decomposed TC while sibling partitions are still merging, so the error it
+// builds must read only its own partition (make race runs it under -race).
+func TestDecomposedNonTerminationGuard(t *testing.T) {
+	edges := relation.New("edge", gen.PlainEdgeSchema())
+	for i := int64(0); i < 64; i++ {
+		edges.Append(types.Row{types.Int(i), types.Int(i + 1)})
+	}
+	prog := analyzeQ(t, queries.TC, testCatalog(edges))
+	_, err := Distributed(prog.Clique, exec.NewContext(), testCluster(),
+		DistOptions{Options: Options{MaxIterations: 1}, StageCombination: true})
+	if _, ok := err.(*ErrNonTermination); !ok {
+		t.Fatalf("err = %v, want ErrNonTermination", err)
+	}
+}
+
 func TestVolcanoMatchesFused(t *testing.T) {
 	edges := gen.RMATDefault(128, gen.Rng(31))
 	for _, combine := range []bool{true, false} {

@@ -9,8 +9,8 @@ import (
 )
 
 // Strict parser for the Prometheus text exposition format — the validation
-// side of WritePrometheus. The CI metrics-smoke job round-trips every
-// scrape through it, so exposition bugs (unsorted buckets, a missing +Inf,
+// side of WritePrometheus. The serve-smoke check round-trips rasqld's
+// exposition through it, so exposition bugs (unsorted buckets, a missing +Inf,
 // a sample without a TYPE header) fail the build instead of failing the
 // first real scrape.
 //

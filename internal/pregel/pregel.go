@@ -248,7 +248,6 @@ func Run(c *cluster.QueryContext, edges *relation.Relation, alg Algorithm, opt O
 				t := partOf(r[0].AsInt(), g.parts)
 				buckets[t] = append(buckets[t], r)
 			}
-			//rasql:allow workeraffinity -- driver loop writes each producer shard sequentially between stages; no task is running, so the one-writer-per-shard invariant holds
 			sh.Add(buckets, c.DefaultOwner(producer))
 		}
 		applyTasks := make([]cluster.Task, g.parts)

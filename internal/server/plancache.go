@@ -119,21 +119,6 @@ func (pc *PlanCache) Invalidate(current uint64) {
 	pc.entries.Set(int64(pc.lru.Len()))
 }
 
-// Reset drops every cached plan (each counted as an eviction). The serving
-// path never calls this; the benchmark uses it to re-measure the cold path
-// after the first pass has populated the cache.
-func (pc *PlanCache) Reset() {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	for pc.lru.Len() > 0 {
-		tail := pc.lru.Back()
-		pc.lru.Remove(tail)
-		delete(pc.byKey, tail.Value.(*cacheEntry).key)
-		pc.evictions.Inc()
-	}
-	pc.entries.Set(0)
-}
-
 // Len returns the number of cached plans.
 func (pc *PlanCache) Len() int {
 	pc.mu.Lock()
