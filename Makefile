@@ -119,12 +119,14 @@ bench-pair:
 		jq -s -r --arg side $$side '[.[].metrics | map_values(.value)] | (.[0] | keys[]) as $$m | [.[][$$m]] | sort | "\($$side) \($$m): q1 \(.[(length - 1) / 4 | floor]) median \(.[(length - 1) / 2 | floor]) q3 \(.[(length - 1) * 3 / 4 | floor])"' .bench_build/pair/$$side.*.json || exit 1; \
 	done
 
-# Hand-off check: fails if a server, benchmark driver or re-exec'd rasqld
-# test child is still running. pgrep -x matches the process name exactly;
-# pgrep -f would match the shell running this recipe.
+# Hand-off check: fails if a server, benchmark driver, test binary (any
+# *.test, the re-exec'd rasqld child included), go command or CLI is still
+# running. pgrep -x matches the process name exactly, as a regular
+# expression over names the kernel truncates to 15 characters (pgrep refuses
+# longer patterns); pgrep -f would match the shell running this recipe.
 no-strays:
-	@for p in rasqld rasqlbench rasqld.test; do \
-		if pgrep -x $$p; then echo "no-strays: $$p is still running" >&2; exit 1; fi; \
+	@for p in rasqld rasqlbench '.*\.test' go rasql rasql-bench; do \
+		if pgrep -x "$$p"; then echo "no-strays: $$p is still running" >&2; exit 1; fi; \
 	done
 
 # Requires golangci-lint (https://golangci-lint.run); CI installs it via

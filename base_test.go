@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	rasql "github.com/rasql/rasql-go"
+	"github.com/rasql/rasql-go/internal/fixpoint"
 	"github.com/rasql/rasql-go/internal/gen"
 	"github.com/rasql/rasql-go/queries"
 )
@@ -183,16 +184,60 @@ func TestPreparedBaseDDLChurn(t *testing.T) {
 	}
 }
 
+// TestPreparedWorkspaceAfterFailure: every execution borrows its working
+// memory from the plan and returns it on every path, so a failed execution
+// (the iteration guard trips mid-recursion) and a cancelled one must leave
+// nothing behind that a later execution could read: the next two runs
+// answer like the local oracle, and the shared base is untouched.
+func TestPreparedWorkspaceAfterFailure(t *testing.T) {
+	for _, tc := range baseCases()[:2] {
+		t.Run(tc.name, func(t *testing.T) {
+			want := oracleQuery(t, tc.query, tc.edges)
+			eng := rasql.New(baseConfig())
+			eng.MustRegister(tc.edges.Clone())
+			p, err := eng.Prepare(tc.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var nt *fixpoint.ErrNonTermination
+			if _, err := eng.ExecPrepared(context.Background(), p, &rasql.ExecOptions{MaxIterations: 1}); !errors.As(err, &nt) {
+				t.Fatalf("MaxIterations 1: err = %v, want *ErrNonTermination", err)
+			}
+			before := rasql.BaseFingerprint(p, baseWorkers)
+			cancelled, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := eng.ExecPrepared(cancelled, p, nil); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled context: err = %v, want context.Canceled", err)
+			}
+			for i := 0; i < 2; i++ {
+				got, err := eng.ExecPrepared(context.Background(), p, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.EqualAsSet(want) {
+					t.Errorf("run %d after the failures diverged from the oracle (%d vs %d rows)", i, got.Len(), want.Len())
+				}
+			}
+			if after := rasql.BaseFingerprint(p, baseWorkers); before == 0 || after != before {
+				t.Errorf("the shared base changed: fingerprint %x -> %x", before, after)
+			}
+		})
+	}
+}
+
 // TestCCRMATPreparedAllocBudget: once a prepared CC plan has published its
 // base, the next execution over the cc-rmat benchmark graph (RMAT-2000,
-// symmetrized, 40K edges) pays only for the recursion, about 6K
-// allocations. Rebuilding the base — 40K projected seed rows, the
-// partitioned edge tables — brings it to about 56K.
+// symmetrized, 40K edges) pays only for the recursion: about 5K
+// allocations and 1.6 MiB, because it also borrows the working memory —
+// projection scratch, combiner and shuffle receive memory — that the
+// previous execution sized. Rebuilding the base — 40K projected seed rows,
+// the partitioned edge tables — brings it to about 56K allocations, and
+// rebuilding the working memory to about 24 MiB.
 func TestCCRMATPreparedAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations are not the engine's")
 	}
-	const budget = 15000
+	const budget, byteBudget = 15000, 4 << 20
 	eng := rasql.New(rasql.Config{})
 	eng.MustRegister(gen.Symmetrized(gen.Unweighted(gen.RMATDefault(2000, gen.Rng(1)))))
 	p, err := eng.Prepare(queries.CC)
@@ -204,14 +249,17 @@ func TestCCRMATPreparedAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // build and publish the base; warm the shuffle buffer pool
+	run() // build and publish the base; size the workspace; warm the shuffle buffer pool
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	run()
 	runtime.ReadMemStats(&after)
-	if got := after.Mallocs - before.Mallocs; got > budget {
+	got, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	if got > budget {
 		t.Errorf("a prepared CC execution made %d allocations, budget %d", got, budget)
-	} else {
-		t.Logf("a prepared CC execution made %d allocations (budget %d)", got, budget)
 	}
+	if bytes > byteBudget {
+		t.Errorf("a prepared CC execution allocated %d KiB, budget %d KiB", bytes>>10, byteBudget>>10)
+	}
+	t.Logf("a prepared CC execution made %d allocations of %d KiB (budgets %d, %d KiB)", got, bytes>>10, budget, byteBudget>>10)
 }

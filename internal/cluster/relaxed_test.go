@@ -130,7 +130,7 @@ func TestRelaxedStaleReadAccounting(t *testing.T) {
 }
 
 // TestRelaxedSameWorkerHandOverOwnsRows drives deliver directly: a producer
-// that reuses its output storage every round (the fixpoint projector's
+// that reuses its output storage every round (the fixpoint workspace's
 // scratch) runs two rounds before the consumer on the same worker drains its
 // inbox, and the first round's rows must still be what was delivered.
 func TestRelaxedSameWorkerHandOverOwnsRows(t *testing.T) {

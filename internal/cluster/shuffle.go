@@ -13,7 +13,7 @@ import (
 // worker's shard, so Add needs no lock — the cluster runs one goroutine per
 // worker, and the stage barrier publishes all shards to the reduce side.
 // Rows are serialized once, at Add time (Spark likewise writes shuffle files
-// map-side), into pooled buffers that FetchTarget recycles after decoding.
+// map-side), into pooled buffers that FetchTargetInto recycles after decoding.
 // Consequently each target may be fetched at most once, which matches the
 // one-reduce-task-per-partition execution model.
 type Shuffle struct {
@@ -73,8 +73,16 @@ func (s *Shuffle) Add(out [][]types.Row, producer int) {
 }
 
 // FetchTarget materializes all rows destined for target partition t on the
-// given reduce worker. Every bucket pays the deserialize half of the round
-// trip (the serialize half was paid at Add), and cross-worker buckets
+// given reduce worker, into storage the caller owns from then on.
+func (s *Shuffle) FetchTarget(t, onWorker int) []types.Row {
+	return s.FetchTargetInto(nil, nil, t, onWorker)
+}
+
+// FetchTargetInto is FetchTarget decoding into receive memory the caller
+// reuses: the rows are appended to out and their values carved out of slab,
+// so they live until the caller resets slab. A nil slab decodes each bucket
+// into storage of its own. Every bucket pays the deserialize half of the
+// round trip (the serialize half was paid at Add), and cross-worker buckets
 // additionally count as network traffic (and incur the configured
 // communication penalty). The bucket buffers are recycled, so each target
 // may be fetched at most once — except under chaos, where the encoded
@@ -82,7 +90,7 @@ func (s *Shuffle) Add(out [][]types.Row, producer int) {
 // map-side shuffle files survive a reduce-task failure on a real cluster
 // too); the re-decoded rows then count as replayed work, and the fetch
 // itself is a fault point.
-func (s *Shuffle) FetchTarget(t, onWorker int) []types.Row {
+func (s *Shuffle) FetchTargetInto(out []types.Row, slab *types.RowSlab, t, onWorker int) []types.Row {
 	chaos := s.c.chaos
 	if chaos != nil {
 		chaos.fetchPoint(onWorker)
@@ -94,9 +102,11 @@ func (s *Shuffle) FetchTarget(t, onWorker int) []types.Row {
 		}
 	}
 	if total == 0 {
-		return nil
+		return out
 	}
-	out := make([]types.Row, 0, total)
+	if out == nil {
+		out = make([]types.Row, 0, total)
+	}
 	for i := range s.shards {
 		for _, b := range s.shards[i].buckets[t] {
 			buf := *b.buf
@@ -109,7 +119,7 @@ func (s *Shuffle) FetchTarget(t, onWorker int) []types.Row {
 				}
 			}
 			var err error
-			out, err = types.DecodeRowsAppend(out, buf)
+			out, err = types.DecodeRowsInto(out, slab, buf)
 			if err != nil {
 				panic("cluster: shuffle wire corruption: " + err.Error())
 			}

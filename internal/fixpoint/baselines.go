@@ -50,7 +50,7 @@ func DistributedSQLNaive(clique *analyze.Clique, ctx *exec.Context, c *cluster.Q
 	plan, kernels, seed := base.plan, base.kernels, base.seed
 	v := plan.View
 	parts := c.Partitions()
-	pr := newProjector(plan, parts)
+	ws := newWorkspace(plan, parts)
 
 	// state[p] holds the current full relation partition; each iteration
 	// builds a fresh copy (immutable SQL results).
@@ -86,7 +86,7 @@ func DistributedSQLNaive(clique *analyze.Clique, ctx *exec.Context, c *cluster.Q
 					return
 				}
 				// The whole accumulated relation feeds the join.
-				sh.Add(pr.run(c, kernels, deltaBatch{Rows: state[p]}, p, w), w)
+				sh.Add(ws.run(c, kernels, deltaBatch{Rows: state[p]}, p, w), w)
 			}}
 		}
 		c.RunStage("sqlnaive.map", mapTasks)

@@ -1,6 +1,7 @@
 package fixpoint
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -120,6 +121,27 @@ type Base struct {
 	kernels []*ruleKernel
 	// seed[p] is partition p's base case, in one slab per partition.
 	seed [][]types.Row
+	// free parks up to GOMAXPROCS workspaces of finished executions, already
+	// sized to the plan's steps, for the next executions to borrow.
+	free chan *workspace
+}
+
+// takeWorkspace borrows a parked workspace, or builds a fresh one.
+func (b *Base) takeWorkspace() *workspace {
+	select {
+	case ws := <-b.free:
+		return ws
+	default:
+		return newWorkspace(b.plan, len(b.seed))
+	}
+}
+
+// putWorkspace parks ws, or drops it when the free list is full.
+func (b *Base) putWorkspace(ws *workspace) {
+	select {
+	case b.free <- ws:
+	default:
+	}
 }
 
 // BaseSlot holds the Base of one compiled recursive program. The zero value
@@ -190,16 +212,17 @@ func buildBase(clique *analyze.Clique, ctx *exec.Context, c *cluster.QueryContex
 			seed[p] = append(seed[p], r)
 		}
 	}
+	var comb types.Combiner
 	for p, rows := range seed {
 		// Algorithm 5's map-side combine on the base branch: an extremum
 		// keeps one row per group. (Additive contributions that cancel to
 		// zero would drop a group Merge keeps, so sum/count stay uncombined.)
 		if v.IsAgg() && !v.Agg.Additive() {
-			rows = types.PartialAggregateOwned(rows, v.GroupIdx, v.AggIdx, v.Agg)
+			rows = comb.Combine(rows, v.GroupIdx, v.AggIdx, v.Agg)
 		}
 		seed[p] = types.CloneRows(rows)
 	}
-	return &Base{plan: plan, kernels: kernels, seed: seed}, nil
+	return &Base{plan: plan, kernels: kernels, seed: seed, free: make(chan *workspace, runtime.GOMAXPROCS(0))}, nil
 }
 
 // replanShuffled rebuilds the plan with decomposition disabled; the rules
@@ -316,19 +339,21 @@ func recoverableTask(c *cluster.QueryContext, state *viewState, t cluster.Task) 
 
 func runDistributed(base *Base, ctx *exec.Context, c *cluster.QueryContext, opt DistOptions) (*Result, error) {
 	plan, kernels, seed := base.plan, base.kernels, base.seed
+	ws := base.takeWorkspace()
+	defer base.putWorkspace(ws)
 	state := newViewState(c, plan.View)
 	if opt.Mode != ModeBSP {
 		// Every plan shape shares the one relaxed delta-routing kernel; the
 		// plan still decides partitioning and join strategy.
-		return runRelaxed(plan, state, kernels, seed, c, opt)
+		return runRelaxed(ws, state, kernels, seed, c, opt)
 	}
 	if plan.Decomposed {
-		return runDecomposed(plan, state, kernels, seed, c, opt)
+		return runDecomposed(ws, state, kernels, seed, c, opt)
 	}
 	if opt.StageCombination {
-		return runCombined(plan, state, kernels, seed, c, opt)
+		return runCombined(ws, state, kernels, seed, c, opt)
 	}
-	return runTwoStage(plan, state, kernels, seed, ctx, c, opt)
+	return runTwoStage(ws, state, kernels, seed, ctx, c, opt)
 }
 
 // makeKernels builds the per-rule kernels: cached co-partitioned hash
@@ -360,12 +385,13 @@ func makeKernels(plan *Plan, ctx *exec.Context, c *cluster.QueryContext, opt Dis
 	return kernels, nil
 }
 
-// project evaluates rule heads over kernel emissions, bucketing output rows
-// by the view partition key, with map-side partial aggregation (Algorithm
-// 5 line 5). Head expressions are compiled to closures once per rule and
-// every byte a step needs comes out of the partition's reusable scratch —
-// the allocation-shape half of whole-stage code generation.
-type projector struct {
+// workspace is one execution's working memory, borrowed from its Base. run
+// evaluates rule heads over kernel emissions, bucketing output rows by the
+// view partition key, with map-side partial aggregation (Algorithm 5 line
+// 5). Head expressions are compiled to closures once and every byte a step
+// needs, shuffled input included, comes out of the partition's reusable
+// scratch — the allocation-shape half of whole-stage code generation.
+type workspace struct {
 	plan  *Plan
 	parts int
 	// heads[rule][col] is the compiled projection.
@@ -375,27 +401,30 @@ type projector struct {
 	scratch []stepScratch
 }
 
-// stepScratch is the memory one projector.run call works in, reused by the
+// stepScratch is the memory one workspace.run call works in, reused by the
 // next call for the same partition: a run's output is valid only until then.
 type stepScratch struct {
-	arena  types.RowSlab   // output rows, increment clones, probe keys
-	out    [][]types.Row   // output buckets by target partition
-	stream []types.Row     // the delta as one rule consumes it
-	env    expr.Env        // the fused kernel's join environment
-	keys   [][]types.Value // the fused kernel's probe key per join step
+	arena    types.RowSlab   // output rows, increment clones, probe keys
+	out      [][]types.Row   // output buckets by target partition
+	stream   []types.Row     // the delta as one rule consumes it
+	env      expr.Env        // the fused kernel's join environment
+	keys     [][]types.Value // the fused kernel's probe key per join step
+	comb     types.Combiner  // the map-side combine of the output buckets
+	recv     []types.Row     // shuffled input, its values carved from recvSlab
+	recvSlab types.RowSlab
 }
 
-func newProjector(plan *Plan, parts int) *projector {
-	pr := &projector{plan: plan, parts: parts, scratch: make([]stepScratch, parts)}
-	pr.heads = make([][]func(expr.Env) types.Value, len(plan.Rules))
+func newWorkspace(plan *Plan, parts int) *workspace {
+	ws := &workspace{plan: plan, parts: parts, scratch: make([]stepScratch, parts)}
+	ws.heads = make([][]func(expr.Env) types.Value, len(plan.Rules))
 	for i, rp := range plan.Rules {
 		fns := make([]func(expr.Env) types.Value, len(rp.Rule.Head))
 		for j, h := range rp.Rule.Head {
 			fns[j] = compileExpr(h)
 		}
-		pr.heads[i] = fns
+		ws.heads[i] = fns
 	}
-	return pr
+	return ws
 }
 
 // compileExpr flattens the common expression shapes into direct closures,
@@ -427,12 +456,12 @@ func compileExpr(e expr.Expr) func(expr.Env) types.Value {
 // run derives one step's output for partition part from its delta. The
 // buckets and their rows live in the partition's scratch: the caller must
 // encode, merge or copy them before the next run for the same partition.
-func (pr *projector) run(c *cluster.QueryContext, kernels []*ruleKernel, delta deltaBatch, part, worker int) [][]types.Row {
-	v := pr.plan.View
-	sc := &pr.scratch[part]
+func (ws *workspace) run(c *cluster.QueryContext, kernels []*ruleKernel, delta deltaBatch, part, worker int) [][]types.Row {
+	v := ws.plan.View
+	sc := &ws.scratch[part]
 	sc.arena.Reset()
 	if sc.out == nil {
-		sc.out = make([][]types.Row, pr.parts)
+		sc.out = make([][]types.Row, ws.parts)
 	}
 	out := sc.out
 	for t := range out {
@@ -440,12 +469,12 @@ func (pr *projector) run(c *cluster.QueryContext, kernels []*ruleKernel, delta d
 	}
 	width := v.Schema.Len()
 	for ki, k := range kernels {
-		rp := pr.plan.Rules[ki]
+		rp := ws.plan.Rules[ki]
 		stream := delta.streamRows(rp, aggIdxOf(v), sc)
 		if len(stream) == 0 {
 			continue
 		}
-		head := pr.heads[ki]
+		head := ws.heads[ki]
 		k.run(c, stream, part, worker, sc, func(env expr.Env) {
 			row := sc.arena.Alloc(width)
 			for i, h := range head {
@@ -454,17 +483,26 @@ func (pr *projector) run(c *cluster.QueryContext, kernels []*ruleKernel, delta d
 			if v.Agg == types.AggCount {
 				row[v.AggIdx] = types.CountContribution(row[v.AggIdx])
 			}
-			t := int(types.HashRowKey(row, pr.plan.PartKey) % uint64(pr.parts))
+			t := int(types.HashRowKey(row, ws.plan.PartKey) % uint64(ws.parts))
 			out[t] = append(out[t], row)
 		})
 	}
 	if v.IsAgg() {
 		for t := range out {
 			// Output rows are scratch-owned and private to this call.
-			out[t] = types.PartialAggregateOwned(out[t], v.GroupIdx, v.AggIdx, v.Agg)
+			out[t] = sc.comb.Combine(out[t], v.GroupIdx, v.AggIdx, v.Agg)
 		}
 	}
 	return out
+}
+
+// fetch decodes partition part's shuffled input into its receive memory,
+// valid until the partition's next fetch: Merge copies every row it keeps.
+func (ws *workspace) fetch(sh *cluster.Shuffle, part, worker int) []types.Row {
+	sc := &ws.scratch[part]
+	sc.recvSlab.Reset()
+	sc.recv = sh.FetchTargetInto(sc.recv[:0], &sc.recvSlab, part, worker)
+	return sc.recv
 }
 
 func aggIdxOf(v *analyze.RecView) int {
@@ -477,9 +515,8 @@ func aggIdxOf(v *analyze.RecView) int {
 // runTwoStage is Algorithm 4/5: a Map stage (join + partial aggregate +
 // shuffle) and a Reduce stage (merge into the all relation, emit delta) per
 // iteration.
-func runTwoStage(plan *Plan, state *viewState, kernels []*ruleKernel, seed [][]types.Row, ctx *exec.Context, c *cluster.QueryContext, opt DistOptions) (*Result, error) {
-	parts := state.partitions()
-	pr := newProjector(plan, parts)
+func runTwoStage(ws *workspace, state *viewState, kernels []*ruleKernel, seed [][]types.Row, ctx *exec.Context, c *cluster.QueryContext, opt DistOptions) (*Result, error) {
+	plan, parts := ws.plan, state.partitions()
 	deltas := make([]deltaBatch, parts)
 	tr := opt.Tracer
 
@@ -541,7 +578,7 @@ func runTwoStage(plan *Plan, state *viewState, kernels []*ruleKernel, seed [][]t
 				// it remotely — the inter-iteration locality loss the
 				// paper's partition-aware scheduling removes.
 				d.Rows = c.Fetch(d.Rows, state.owner(p), w)
-				sh.Add(pr.run(c, kernels, d, p, w), w)
+				sh.Add(ws.run(c, kernels, d, p, w), w)
 			}})
 		}
 		c.RunStage("fixpoint.map", mapTasks)
@@ -551,7 +588,7 @@ func runTwoStage(plan *Plan, state *viewState, kernels []*ruleKernel, seed [][]t
 		for i := range redTasks {
 			p := i
 			redTasks[i] = recoverableTask(c, state, cluster.Task{Part: p, Preferred: state.owner(p), Run: func(w int) {
-				rows := sh.FetchTarget(p, w)
+				rows := ws.fetch(sh, p, w)
 				// State lives on its owner; a task placed elsewhere must
 				// move the data there (the hybrid scheduler pays this).
 				if w != state.owner(p) {
@@ -577,9 +614,8 @@ func runTwoStage(plan *Plan, state *viewState, kernels []*ruleKernel, seed [][]t
 // partially aggregates it, and emits the next shuffle — made possible by
 // partition-aware scheduling keeping state, base partition and shuffle
 // output on the same worker.
-func runCombined(plan *Plan, state *viewState, kernels []*ruleKernel, seed [][]types.Row, c *cluster.QueryContext, opt DistOptions) (*Result, error) {
-	parts := state.partitions()
-	pr := newProjector(plan, parts)
+func runCombined(ws *workspace, state *viewState, kernels []*ruleKernel, seed [][]types.Row, c *cluster.QueryContext, opt DistOptions) (*Result, error) {
+	plan, parts := ws.plan, state.partitions()
 	tr := opt.Tracer
 	traceOn := tr.Enabled()
 
@@ -622,7 +658,7 @@ func runCombined(plan *Plan, state *viewState, kernels []*ruleKernel, seed [][]t
 		for i := range tasks {
 			p := i
 			tasks[i] = recoverableTask(c, state, cluster.Task{Part: p, Preferred: state.owner(p), Run: func(w int) {
-				rows := sh.FetchTarget(p, w)
+				rows := ws.fetch(sh, p, w)
 				if w != state.owner(p) {
 					rows = c.Fetch(rows, w, state.owner(p))
 				}
@@ -641,7 +677,7 @@ func runCombined(plan *Plan, state *viewState, kernels []*ruleKernel, seed [][]t
 				if d.empty() {
 					return
 				}
-				out := pr.run(c, kernels, d, p, w)
+				out := ws.run(c, kernels, d, p, w)
 				for _, bucket := range out {
 					if len(bucket) > 0 {
 						pending.Add(1)
@@ -668,9 +704,8 @@ func runCombined(plan *Plan, state *viewState, kernels []*ruleKernel, seed [][]t
 // carried by every rule head and all base relations broadcast, each
 // partition iterates to its own fixpoint with no synchronization or
 // shuffling at all — a single stage for the whole recursion.
-func runDecomposed(plan *Plan, state *viewState, kernels []*ruleKernel, seed [][]types.Row, c *cluster.QueryContext, opt DistOptions) (*Result, error) {
-	parts := state.partitions()
-	pr := newProjector(plan, parts)
+func runDecomposed(ws *workspace, state *viewState, kernels []*ruleKernel, seed [][]types.Row, c *cluster.QueryContext, opt DistOptions) (*Result, error) {
+	plan, parts := ws.plan, state.partitions()
 	tr := opt.Tracer
 	traceOn := tr.Enabled()
 	var maxIters atomic.Int64
@@ -731,7 +766,7 @@ func runDecomposed(plan *Plan, state *viewState, kernels []*ruleKernel, seed [][
 					mu.Unlock()
 					return
 				}
-				out := pr.run(c, kernels, d, p, w)
+				out := ws.run(c, kernels, d, p, w)
 				// All output stays in this partition by construction;
 				// anything else is a planner bug.
 				var mine []types.Row

@@ -120,9 +120,8 @@ type relaxedRound struct {
 // detection. Per-iteration shuffle-volume telemetry is not sliced per
 // round (rounds interleave, so byte attribution is ambiguous); the region
 // totals still land in the cluster metrics.
-func runRelaxed(plan *Plan, state *viewState, kernels []*ruleKernel, seed [][]types.Row, c *cluster.QueryContext, opt DistOptions) (*Result, error) {
-	parts := state.partitions()
-	pr := newProjector(plan, parts)
+func runRelaxed(ws *workspace, state *viewState, kernels []*ruleKernel, seed [][]types.Row, c *cluster.QueryContext, opt DistOptions) (*Result, error) {
+	plan, parts := ws.plan, state.partitions()
 	tr := opt.Tracer
 	traceOn := tr.Enabled()
 
@@ -212,7 +211,7 @@ func runRelaxed(plan *Plan, state *viewState, kernels []*ruleKernel, seed [][]ty
 			}
 			var out [][]types.Row
 			if !d.empty() {
-				out = pr.run(c, kernels, d, part, worker)
+				out = ws.run(c, kernels, d, part, worker)
 			}
 			if traceOn {
 				record(round, d, stale, superseded, t0, tr.Now())

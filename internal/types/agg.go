@@ -115,22 +115,26 @@ func CountContribution(v Value) Value {
 	return Int(1)
 }
 
-// PartialAggregate combines rows sharing the same group key before they are
-// shuffled (the paper's Algorithm 5, line 5). key indexes the group
-// columns; valIdx is the aggregate value column. Order of output groups is
-// unspecified. Input rows are not mutated.
-func PartialAggregate(rows []Row, key []int, valIdx int, kind AggKind) []Row {
-	return partialAggregate(rows, key, valIdx, kind, false)
+// Combiner is the map-side combine of the paper's Algorithm 5, line 5,
+// with its group index kept across calls: a reused Combiner allocates only
+// for a call with more groups than any before it. Each call first deletes
+// the previous call's keys — O(its groups), where clear costs O(peak map
+// capacity) — so small deltas after one large step stay cheap. The zero
+// value is ready to use; a Combiner is not safe for concurrent use.
+type Combiner struct {
+	packed map[PackedKey]int // numeric keys of up to three columns
+	strs   map[string]int    // the KeyString fallback
+	pkeys  []PackedKey       // the keys the last call inserted, for the reset
+	skeys  []string
 }
 
-// PartialAggregateOwned is PartialAggregate for callers that own the input:
-// surviving rows are updated in place instead of cloned, and the slice is
-// compacted in place, so the result is a prefix of rows' own backing array.
-func PartialAggregateOwned(rows []Row, key []int, valIdx int, kind AggKind) []Row {
-	return partialAggregate(rows, key, valIdx, kind, true)
-}
-
-func partialAggregate(rows []Row, key []int, valIdx int, kind AggKind, owned bool) []Row {
+// Combine folds rows sharing the key columns into the first row of each
+// group, combining column valIdx with kind. The caller must own rows:
+// survivors are updated in place and compacted into a prefix of rows' own
+// backing array, which is returned in first-appearance order.
+func (c *Combiner) Combine(rows []Row, key []int, valIdx int, kind AggKind) []Row {
+	c.pkeys = forget(c.packed, c.pkeys)
+	c.skeys = forget(c.strs, c.skeys)
 	if len(rows) == 0 {
 		return rows
 	}
@@ -146,43 +150,44 @@ func partialAggregate(rows []Row, key []int, valIdx int, kind AggKind, owned boo
 			}
 		}
 	}
-	// An owner's slice is compacted in place (the write index never passes
-	// the read index); anyone else's may alias cached storage, so the
-	// survivors get a fresh backing.
-	out := rows[:0:0]
-	if owned {
-		out = rows[:0]
-	}
+	out := rows[:0] // the write index never passes the read index
 	if packable {
-		groups := make(map[PackedKey]int, len(rows))
+		if c.packed == nil {
+			c.packed = make(map[PackedKey]int, len(rows))
+		}
 		for _, r := range rows {
 			k, _ := PackRow(r, key)
-			if i, hit := groups[k]; hit {
+			if i, hit := c.packed[k]; hit {
 				out[i][valIdx] = kind.Combine(out[i][valIdx], r[valIdx])
 				continue
 			}
-			groups[k] = len(out)
-			if owned {
-				out = append(out, r)
-			} else {
-				out = append(out, r.Clone())
-			}
+			c.packed[k] = len(out)
+			c.pkeys = append(c.pkeys, k)
+			out = append(out, r)
 		}
 		return out
 	}
-	groups := make(map[string]int, len(rows))
+	if c.strs == nil {
+		c.strs = make(map[string]int, len(rows))
+	}
 	for _, r := range rows {
 		k := KeyString(r, key)
-		if i, ok := groups[k]; ok {
+		if i, hit := c.strs[k]; hit {
 			out[i][valIdx] = kind.Combine(out[i][valIdx], r[valIdx])
 			continue
 		}
-		groups[k] = len(out)
-		if owned {
-			out = append(out, r)
-		} else {
-			out = append(out, r.Clone())
-		}
+		c.strs[k] = len(out)
+		c.skeys = append(c.skeys, k)
+		out = append(out, r)
 	}
 	return out
+}
+
+// forget deletes keys from m and returns keys emptied for reuse.
+func forget[K comparable](m map[K]int, keys []K) []K {
+	for _, k := range keys {
+		delete(m, k)
+	}
+	clear(keys)
+	return keys[:0]
 }

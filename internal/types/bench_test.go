@@ -34,7 +34,7 @@ func BenchmarkAppendRowsReused(b *testing.B) {
 	}
 }
 
-//rasql:allocpin types.DecodeRowsAppend types.decodeRowInto
+//rasql:allocpin types.DecodeRowsAppend types.DecodeRowsInto types.decodeRowInto
 func BenchmarkDecodeRows(b *testing.B) {
 	rows := benchRows(1024)
 	buf := EncodeRows(rows)
@@ -46,6 +46,42 @@ func BenchmarkDecodeRows(b *testing.B) {
 			b.Fatalf("decode: %v (%d rows)", err, len(got))
 		}
 	}
+}
+
+// BenchmarkCombinerLongTail: one 100K-group step, then a long tail of
+// 1-group steps — the shape of a recursion whose frontier collapses. The
+// reused Combiner's reset deletes only the last call's keys, so its tail
+// calls must stay within 2× of a fresh Combiner's, not pay peak-sized
+// clears.
+func BenchmarkCombinerLongTail(b *testing.B) {
+	big := make([]Row, 100_000)
+	for i := range big {
+		big[i] = Row{Int(int64(i)), Int(1)}
+	}
+	tail := []Row{{Int(7), Int(3)}, {Int(7), Int(2)}}
+	step := func(c *Combiner) {
+		rows := append(tail[:0:0], tail...)
+		if out := c.Combine(rows, []int{0}, 1, AggMin); len(out) != 1 {
+			b.Fatalf("%d groups, want 1", len(out))
+		}
+	}
+	b.Run("reused", func(b *testing.B) {
+		var c Combiner
+		c.Combine(big, []int{0}, 1, AggMin)
+		step(&c) // the one reset that forgets the big step's keys
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step(&c)
+		}
+	})
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var c Combiner
+			step(&c)
+		}
+	})
 }
 
 //rasql:allocpin types.AppendKey types.AppendRowKey types.AppendKeyValues types.appendKeyValue types.HashBytes

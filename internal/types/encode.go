@@ -127,18 +127,27 @@ func DecodeRows(buf []byte) ([]Row, error) {
 }
 
 // DecodeRowsAppend decodes a batch produced by EncodeRows/AppendRows,
-// appending the rows to dst. Row storage is carved out of chunked value
-// slabs, so decoding allocates per chunk rather than per row; the input
-// buffer is not retained (string payloads are copied), so callers may
-// recycle it immediately — the noretain analyzer enforces that contract on
-// this function's body. The noalloc annotation pins the steady state —
-// per row, decoding touches no allocator; the justified exceptions below
-// are the amortized slab refills, the nil-dst convenience path, and the
-// corrupt-wire error paths.
+// appending the rows to dst, into storage of their own.
 //
 //rasql:noretain buf
 //rasql:noalloc
 func DecodeRowsAppend(dst []Row, buf []byte) ([]Row, error) {
+	return DecodeRowsInto(dst, nil, buf)
+}
+
+// DecodeRowsInto decodes a batch produced by EncodeRows/AppendRows,
+// appending the rows to dst and carving their values out of slab, so a
+// caller that resets and reuses both decodes without allocating; a nil
+// slab gets storage of its own. The input buffer is not retained (string
+// payloads are copied), so callers may recycle it immediately — the
+// noretain analyzer enforces that contract on this function's body. The
+// noalloc annotation pins the steady state — per row, decoding touches no
+// allocator; the justified exceptions below are the one-shot paths (nil
+// dst, nil slab) and the corrupt-wire error paths.
+//
+//rasql:noretain buf
+//rasql:noalloc
+func DecodeRowsInto(dst []Row, slab *RowSlab, buf []byte) ([]Row, error) {
 	n, sz := binary.Uvarint(buf)
 	if sz <= 0 {
 		//rasql:allow noalloc -- cold path: corrupt wire data aborts the decode
@@ -156,7 +165,17 @@ func DecodeRowsAppend(dst []Row, buf []byte) ([]Row, error) {
 		//rasql:allow noalloc -- one-time: only the nil-dst convenience path sizes a fresh slice
 		dst = make([]Row, 0, n)
 	}
-	var slab []Value
+	if slab == nil {
+		// Reserve n × the first row's width, exact for the engine's
+		// uniform-width batches, capped by the bytes left: every value
+		// costs at least its kind byte, so a header cannot size it.
+		var own RowSlab
+		slab = &own
+		if w, wsz := binary.Uvarint(buf[sz:]); wsz > 0 {
+			left := uint64(len(buf) - sz)
+			slab.Reserve(int(min(n*min(w, left), left)))
+		}
+	}
 	for i := uint64(0); i < n; i++ {
 		width, wsz := binary.Uvarint(buf[pos:])
 		if wsz <= 0 {
@@ -169,24 +188,7 @@ func DecodeRowsAppend(dst []Row, buf []byte) ([]Row, error) {
 			//rasql:allow noalloc -- cold path: corrupt wire data aborts the decode
 			return nil, fmt.Errorf("types: row %d: width %d exceeds buffer", i, width)
 		}
-		w := int(width)
-		if len(slab) < w {
-			// Chunks stay under the runtime's 32KB large-object threshold
-			// (512 Values ≈ 20KB) so slab allocation rides the fast path;
-			// the tail chunk shrinks to the remaining need (exact for
-			// uniform-width batches).
-			c := 512
-			if rem := int(n-i) * w; rem < c {
-				c = rem
-			}
-			if c < w {
-				c = w
-			}
-			//rasql:allow noalloc -- amortized: one slab refill per 512 values, not per row
-			slab = make([]Value, c)
-		}
-		r := Row(slab[:w:w])
-		slab = slab[w:]
+		r := slab.Alloc(int(width))
 		used, err := decodeRowInto(r, buf[pos:])
 		if err != nil {
 			//rasql:allow noalloc -- cold path: corrupt wire data aborts the decode

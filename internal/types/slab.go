@@ -4,7 +4,7 @@ package types
 // carved out of chunks that start small, double up to a cap and never move,
 // so a handed-out row stays valid until the owner calls Reset (or drops the
 // slab). An append-only owner (the SetRDD/AggRDD partition state) never
-// resets; a per-step owner (the fixpoint projector's scratch) resets at the
+// resets; a per-step owner (the fixpoint workspace's scratch) resets at the
 // start of each step and re-carves the chunks it already holds, so the
 // steady state allocates nothing. The zero value is ready to use; a slab is
 // not safe for concurrent use.
@@ -47,6 +47,15 @@ func (s *RowSlab) Alloc(n int) Row {
 	s.chunks = append(s.chunks, make([]Value, size))
 	s.off = n
 	return s.chunks[s.cur][:n:n]
+}
+
+// Reserve gives an empty slab one chunk of exactly n values: a one-shot
+// owner that knows its size allocates once.
+func (s *RowSlab) Reserve(n int) {
+	if len(s.chunks) == 0 && n > 0 {
+		//rasql:allow noalloc -- one-time: the single exactly-sized chunk a one-shot decode carves from
+		s.chunks = append(s.chunks, make([]Value, n))
+	}
 }
 
 // Clone copies r into the slab.

@@ -258,54 +258,63 @@ func TestAllNumeric(t *testing.T) {
 }
 
 func TestPartialAggregateStringKeysFallback(t *testing.T) {
-	rows := []Row{
-		{Str("a"), Int(1)}, {Str("a"), Int(2)}, {Str("b"), Int(5)},
-	}
-	out := PartialAggregate(rows, []int{0}, 1, AggSum)
-	if len(out) != 2 {
-		t.Fatalf("groups = %d", len(out))
-	}
-	for _, r := range out {
-		if r[0].S == "a" && !r[1].Equal(Int(3)) {
-			t.Errorf("sum(a) = %v", r[1])
-		}
-	}
-	// Inputs must be untouched in the unowned variant even on fallback.
-	if !rows[0][1].Equal(Int(1)) {
-		t.Error("input mutated")
-	}
-	// Owned variant may reuse rows.
-	out = PartialAggregateOwned([]Row{{Str("a"), Int(1)}, {Str("a"), Int(2)}}, []int{0}, 1, AggSum)
-	if len(out) != 1 || !out[0][1].Equal(Int(3)) {
-		t.Errorf("owned sum = %v", out)
+	var c Combiner
+	out := c.Combine([]Row{{Str("a"), Int(1)}, {Str("a"), Int(2)}, {Str("b"), Int(5)}}, []int{0}, 1, AggSum)
+	if len(out) != 2 || !out[0].Equal(Row{Str("a"), Int(3)}) || !out[1].Equal(Row{Str("b"), Int(5)}) {
+		t.Errorf("string-key sum = %v", out)
 	}
 }
 
-// The owned variant compacts the caller's slice in place — on the packed
-// path and on the string-key fallback — so a reused bucket keeps its backing
-// array; the unowned variant must leave the caller's slice alone.
+// Combine compacts the caller's slice in place — on the packed path and on
+// the string-key fallback — so a reused bucket keeps its backing array.
 func TestPartialAggregateOwnedCompactsInPlace(t *testing.T) {
 	for _, key := range []func(int) Value{
 		func(k int) Value { return Int(int64(k)) },
 		func(k int) Value { return Str(string(rune('a' + k))) },
 	} {
-		mk := func() []Row {
-			return []Row{{key(0), Int(1)}, {key(1), Int(5)}, {key(0), Int(2)}, {key(2), Int(7)}, {key(1), Int(1)}}
-		}
-		rows := mk()
-		out := PartialAggregateOwned(rows, []int{0}, 1, AggSum)
+		rows := []Row{{key(0), Int(1)}, {key(1), Int(5)}, {key(0), Int(2)}, {key(2), Int(7)}, {key(1), Int(1)}}
+		var c Combiner
+		out := c.Combine(rows, []int{0}, 1, AggSum)
 		want := []Row{{key(0), Int(3)}, {key(1), Int(6)}, {key(2), Int(7)}}
 		if len(out) != len(want) || &out[0] != &rows[0] {
-			t.Fatalf("owned: %d groups, in place = %v", len(out), len(out) > 0 && &out[0] == &rows[0])
+			t.Fatalf("%d groups, in place = %v", len(out), len(out) > 0 && &out[0] == &rows[0])
 		}
 		for i := range want {
 			if !out[i].Equal(want[i]) {
-				t.Errorf("owned group %d = %v, want %v", i, out[i], want[i])
+				t.Errorf("group %d = %v, want %v", i, out[i], want[i])
 			}
 		}
-		rows = mk()
-		if out = PartialAggregate(rows, []int{0}, 1, AggSum); &out[0] == &rows[0] || !rows[2].Equal(Row{key(0), Int(2)}) {
-			t.Errorf("unowned variant wrote into its input: %v", rows)
+	}
+}
+
+// TestCombinerReuse: one Combiner carried across packable keys, string keys
+// (the KeyString fallback) and empty input gives the same groups and values
+// as a fresh Combiner for every aggregate a recursive view may carry — the
+// previous call's keys must never leak into the next call's groups.
+func TestCombinerReuse(t *testing.T) {
+	inputs := [][]Row{
+		{{Int(1), Int(5)}, {Int(2), Int(7)}, {Int(1), Int(3)}, {Int(3), Int(1)}, {Int(2), Int(9)}},
+		{{Str("x"), Int(4)}, {Str("y"), Int(2)}, {Str("x"), Int(6)}},
+		nil,
+		{{Int(2), Int(1)}, {Int(2), Int(8)}, {Int(4), Int(3)}},
+		{{Null(), Int(2)}, {Null(), Int(3)}, {Int(1), Int(4)}}, // NULL keys fall back too
+		{},
+		{{Int(1), Int(5)}, {Int(3), Int(2)}, {Int(1), Int(1)}},
+	}
+	for _, kind := range []AggKind{AggMin, AggMax, AggSum, AggCount} {
+		var reused Combiner
+		for i, in := range inputs {
+			var fresh Combiner
+			want := fresh.Combine(CloneRows(in), []int{0}, 1, kind)
+			got := reused.Combine(CloneRows(in), []int{0}, 1, kind)
+			if len(got) != len(want) {
+				t.Fatalf("%v input %d: %d groups reused, %d fresh", kind, i, len(got), len(want))
+			}
+			for j := range want {
+				if !got[j].Equal(want[j]) {
+					t.Errorf("%v input %d group %d: reused %v, fresh %v", kind, i, j, got[j], want[j])
+				}
+			}
 		}
 	}
 }
