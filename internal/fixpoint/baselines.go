@@ -2,14 +2,11 @@ package fixpoint
 
 import (
 	"sort"
-	"strings"
-	"sync"
+	"sync/atomic"
 
 	"github.com/rasql/rasql-go/internal/cluster"
-	"github.com/rasql/rasql-go/internal/relation"
 	"github.com/rasql/rasql-go/internal/sql/analyze"
 	"github.com/rasql/rasql-go/internal/sql/exec"
-	"github.com/rasql/rasql-go/internal/trace"
 	"github.com/rasql/rasql-go/internal/types"
 )
 
@@ -45,125 +42,65 @@ func DistributedSQLNaive(clique *analyze.Clique, ctx *exec.Context, c *cluster.Q
 	if err != nil {
 		return nil, err
 	}
-	// The base branch of the UNION is re-scanned every iteration; its rows
-	// are evaluated once here and re-shuffled every round.
-	plan, kernels, seed := base.plan, base.kernels, base.seed
-	v := plan.View
-	parts := c.Partitions()
-	ws := newWorkspace(plan, parts)
-
+	v := base.plan.View
 	// state[p] holds the current full relation partition; each iteration
 	// builds a fresh copy (immutable SQL results).
-	state := make([][]types.Row, parts)
-	tr := opt.Tracer
-	iter := 0
-	for {
-		iter++
-		c.Metrics.Iterations.Add(1)
-		if iter > opt.maxIter() {
-			return nil, &ErrNonTermination{Iterations: iter, Rows: rowsTotal(state)}
-		}
-		if iter > 1 {
+	state := make([][]types.Row, c.Partitions())
+	x := newExecution(base, base.takeWorkspace(), c, opt, nil, func(p int) []types.Row { return state[p] })
+	x.mode = "sql-naive"
+	// Every iteration is a fresh job over the whole relation. The base branch
+	// of the UNION is evaluated once (buildBase) and re-shuffled every round,
+	// so iteration 0, over the empty relation, derives the base case as the
+	// semi-naive runners' seed does. Naive SQL has no delta: the loop stops
+	// when a job's result equals the previous one, and the frontier a tracer
+	// sees is the relation's growth, so the curve compares with semi-naive
+	// runs.
+	var changed atomic.Bool
+	pass := func(iter int) (int, error) {
+		if iter > 0 {
 			// A fresh job: rebuild join state every iteration.
-			if kernels, err = makeKernels(plan, ctx, c, opt); err != nil {
-				return nil, err
+			if x.kernels, err = makeKernels(base.plan, ctx, c, opt); err != nil {
+				return 0, err
 			}
 		}
-
-		var mark shuffleMark
-		if tr.Enabled() {
-			mark = markShuffle(c)
-		}
-		is := tr.BeginIteration(iter)
-		sh := c.NewShuffle(parts)
-		sh.Add(seed, -1) // the base branch of the UNION, re-scanned
-
-		mapTasks := make([]cluster.Task, parts)
-		for i := range mapTasks {
-			p := i
-			mapTasks[i] = cluster.Task{Part: p, Preferred: c.DefaultOwner(p), Run: func(w int) {
-				if len(state[p]) == 0 {
-					return
+		changed.Store(false)
+		grown := x.traced(iter, func() {
+			sh := c.NewShuffle(x.parts)
+			sh.Add(x.seed, -1) // the base branch of the UNION, re-scanned
+			c.RunStage("sqlnaive.map", x.tasks(func(p, w int) {
+				if len(state[p]) > 0 {
+					// The whole accumulated relation feeds the join.
+					sh.Add(x.ws.run(c, x.kernels, deltaBatch{Rows: state[p]}, p, w), w)
 				}
-				// The whole accumulated relation feeds the join.
-				sh.Add(ws.run(c, kernels, deltaBatch{Rows: state[p]}, p, w), w)
-			}}
-		}
-		c.RunStage("sqlnaive.map", mapTasks)
-
-		next := make([][]types.Row, parts)
-		var mu sync.Mutex
-		changedAny := false
-		redTasks := make([]cluster.Task, parts)
-		for i := range redTasks {
-			p := i
-			redTasks[i] = cluster.Task{Part: p, Preferred: c.DefaultOwner(p), Run: func(w int) {
+			}))
+			next := make([][]types.Row, x.parts)
+			c.RunStage("sqlnaive.reduce", x.tasks(func(p, w int) {
 				rows := sh.FetchTarget(p, w)
 				// Shuffle bucket order varies with task placement across
 				// iterations; floating-point sums must accumulate in a
-				// deterministic order or the convergence test (exact
-				// state equality, as a real SQL loop would use) never
-				// fires. Sort before aggregating.
+				// deterministic order or the convergence test (exact state
+				// equality, as a real SQL loop would use) never fires. Sort
+				// before aggregating.
 				sort.Slice(rows, func(i, j int) bool { return rows[i].Compare(rows[j]) < 0 })
-				fresh := aggregateFull(v, rows)
-				next[p] = fresh
-				if !sameRows(v, state[p], fresh) {
-					mu.Lock()
-					changedAny = true
-					mu.Unlock()
+				next[p] = aggregateFull(v, rows)
+				if !sameRows(state[p], next[p]) {
+					changed.Store(true)
 				}
-			}}
+				x.front.addNews(max(len(next[p])-len(state[p]), 0))
+			}))
+			state = next
+		})
+		if changed.Load() {
+			// Improved groups change the relation without growing it.
+			return max(grown, 1), nil
 		}
-		c.RunStage("sqlnaive.reduce", redTasks)
-		if tr.Enabled() {
-			// Naive SQL has no delta; report relation growth against the
-			// previous iteration so the curve compares with semi-naive runs.
-			grown := rowsTotal(next) - rowsTotal(state)
-			if grown < 0 {
-				grown = 0
-			}
-			ev := trace.IterationEvent{
-				Mode: "sql-naive", DeltaRows: grown, NewKeys: grown,
-				AllRows:        rowsTotal(next),
-				ShuffleBytes:   c.Metrics.ShuffleBytes.Load() - mark.bytes,
-				ShuffleRecords: c.Metrics.ShuffleRecords.Load() - mark.recs,
-				PartRows:       partLens(next),
-			}
-			is.End(ev)
-		}
-		state = next
-		if !changedAny {
-			break
-		}
-		if opt.MaxRows > 0 && rowsTotal(state) > opt.MaxRows {
-			return nil, &ErrNonTermination{Iterations: iter, Rows: rowsTotal(state)}
-		}
+		return 0, nil
 	}
-
-	out := relation.New(v.Name, v.Schema)
-	for p := 0; p < parts; p++ {
-		out.Rows = append(out.Rows, c.Fetch(state[p], c.DefaultOwner(p), -1)...)
+	seeded, err := pass(0)
+	if err != nil {
+		return nil, err
 	}
-	return &Result{
-		Relations:  map[string]*relation.Relation{strings.ToLower(v.Name): out},
-		Iterations: iter,
-	}, nil
-}
-
-func rowsTotal(state [][]types.Row) int {
-	n := 0
-	for _, p := range state {
-		n += len(p)
-	}
-	return n
-}
-
-func partLens(state [][]types.Row) []int {
-	out := make([]int, len(state))
-	for p, rows := range state {
-		out[p] = len(rows)
-	}
-	return out
+	return x.finish(x.iterate(seeded, x.total, pass))
 }
 
 // aggregateFull applies the view's γ (group aggregate or set dedup) to a
@@ -198,7 +135,7 @@ func aggregateFull(v *analyze.RecView, rows []types.Row) []types.Row {
 
 // sameRows compares two partition states as sets (groups compare with
 // their aggregate values).
-func sameRows(v *analyze.RecView, a, b []types.Row) bool {
+func sameRows(a, b []types.Row) bool {
 	if len(a) != len(b) {
 		return false
 	}

@@ -2,12 +2,9 @@ package fixpoint
 
 import (
 	"runtime"
-	"strings"
-	"sync"
 	"sync/atomic"
 
 	"github.com/rasql/rasql-go/internal/cluster"
-	"github.com/rasql/rasql-go/internal/relation"
 	"github.com/rasql/rasql-go/internal/sql/analyze"
 	"github.com/rasql/rasql-go/internal/sql/ast"
 	"github.com/rasql/rasql-go/internal/sql/exec"
@@ -250,16 +247,15 @@ func replanShuffled(clique *analyze.Clique) *Plan {
 
 // viewState wraps SetRDD/AggRDD behind one merge interface.
 type viewState struct {
-	v   *analyze.RecView
 	set *cluster.SetRDD
 	agg *cluster.AggRDD
 }
 
 func newViewState(c *cluster.QueryContext, v *analyze.RecView) *viewState {
 	if v.IsAgg() {
-		return &viewState{v: v, agg: c.NewAggRDD(v.Schema, v.GroupIdx, v.AggIdx, v.Agg)}
+		return &viewState{agg: c.NewAggRDD(v.Schema, v.GroupIdx, v.AggIdx, v.Agg)}
 	}
-	return &viewState{v: v, set: c.NewSetRDD(v.Schema)}
+	return &viewState{set: c.NewSetRDD(v.Schema)}
 }
 
 func (s *viewState) merge(part int, rows []types.Row) deltaBatch {
@@ -268,27 +264,6 @@ func (s *viewState) merge(part int, rows []types.Row) deltaBatch {
 	}
 	d := s.agg.Merge(part, rows)
 	return deltaBatch{Rows: d.Rows, Incs: d.Incs, News: d.News}
-}
-
-func (s *viewState) len() int {
-	if s.set != nil {
-		return s.set.Len()
-	}
-	return s.agg.Len()
-}
-
-func (s *viewState) owner(part int) int {
-	if s.set != nil {
-		return s.set.Owner[part]
-	}
-	return s.agg.Owner[part]
-}
-
-func (s *viewState) partitions() int {
-	if s.set != nil {
-		return s.set.NumPartitions()
-	}
-	return s.agg.NumPartitions()
 }
 
 func (s *viewState) rows(part int) []types.Row {
@@ -319,41 +294,26 @@ func (s *viewState) restore(cp stateCheckpoint) {
 	s.agg.Restore(cp.agg)
 }
 
-// recoverableTask wraps a stage task that merges into the view state. Under
-// an enabled fault injector it snapshots the partition at stage-construction
-// time (the driver builds tasks before any attempt runs, so the snapshot is
-// valid even when the fault fires before the body) and registers a Rollback
-// that restores it — the Section 6.1 recovery: the accumulated all relation
-// is its own checkpoint, and a failed attempt replays only the current
-// iteration's work on that partition.
-func recoverableTask(c *cluster.QueryContext, state *viewState, t cluster.Task) cluster.Task {
-	if c.ChaosEnabled() {
-		cp := state.checkpoint(t.Part)
-		t.Rollback = func() {
-			state.restore(cp)
-			c.Metrics.RecoveredIterations.Add(1)
-		}
-	}
-	return t
-}
-
 func runDistributed(base *Base, ctx *exec.Context, c *cluster.QueryContext, opt DistOptions) (*Result, error) {
-	plan, kernels, seed := base.plan, base.kernels, base.seed
 	ws := base.takeWorkspace()
 	defer base.putWorkspace(ws)
-	state := newViewState(c, plan.View)
-	if opt.Mode != ModeBSP {
+	state := newViewState(c, base.plan.View)
+	x := newExecution(base, ws, c, opt, state, state.rows)
+	var iters int
+	var err error
+	switch {
+	case opt.Mode != ModeBSP:
 		// Every plan shape shares the one relaxed delta-routing kernel; the
 		// plan still decides partitioning and join strategy.
-		return runRelaxed(ws, state, kernels, seed, c, opt)
+		iters, err = x.relaxed()
+	case base.plan.Decomposed:
+		iters, err = x.decomposed()
+	case opt.StageCombination:
+		iters, err = x.combined()
+	default:
+		iters, err = x.twoStage(ctx)
 	}
-	if plan.Decomposed {
-		return runDecomposed(ws, state, kernels, seed, c, opt)
-	}
-	if opt.StageCombination {
-		return runCombined(ws, state, kernels, seed, c, opt)
-	}
-	return runTwoStage(ws, state, kernels, seed, ctx, c, opt)
+	return x.finish(iters, err)
 }
 
 // makeKernels builds the per-rule kernels: cached co-partitioned hash
@@ -512,320 +472,152 @@ func aggIdxOf(v *analyze.RecView) int {
 	return 0
 }
 
-// runTwoStage is Algorithm 4/5: a Map stage (join + partial aggregate +
+// twoStage is Algorithm 4/5: a Map stage (join + partial aggregate +
 // shuffle) and a Reduce stage (merge into the all relation, emit delta) per
 // iteration.
-func runTwoStage(ws *workspace, state *viewState, kernels []*ruleKernel, seed [][]types.Row, ctx *exec.Context, c *cluster.QueryContext, opt DistOptions) (*Result, error) {
-	plan, parts := ws.plan, state.partitions()
-	deltas := make([]deltaBatch, parts)
-	tr := opt.Tracer
-
+func (x *execution) twoStage(ctx *exec.Context) (int, error) {
+	c := x.c
+	x.mode = "dsn-two-stage"
+	deltas := make([]deltaBatch, x.parts)
 	// Seed: merge the base case in one reduce-like stage.
-	seedSpan := tr.BeginIteration(0)
-	seedTasks := make([]cluster.Task, parts)
-	for i := range seedTasks {
-		p := i
-		seedTasks[i] = recoverableTask(c, state, cluster.Task{Part: p, Preferred: state.owner(p), Run: func(w int) {
-			rows := c.Fetch(seed[p], -1, w)
-			deltas[p] = state.merge(p, rows)
-			c.ChaosPostMerge(w)
-		}})
-	}
-	c.RunStage("fixpoint.seed", seedTasks)
-	if tr.Enabled() {
-		ev := iterEvent("dsn-two-stage", state, nil, shuffleMark{})
-		countDeltas(&ev, deltas)
-		seedSpan.End(ev)
-	}
-
-	iter := 0
-	for {
-		if allEmpty(deltas) {
-			break
-		}
-		iter++
-		c.Metrics.Iterations.Add(1)
-		if err := checkCancel(opt.Context, iter-1); err != nil {
-			return nil, err
-		}
-		if iter > opt.maxIter() || (opt.MaxRows > 0 && state.len() > opt.MaxRows) {
-			return nil, &ErrNonTermination{Iterations: iter, Rows: state.len()}
-		}
-		if opt.RebuildJoinState {
+	seeded := x.traced(0, func() {
+		c.RunStage("fixpoint.seed", x.tasks(func(p, w int) {
+			deltas[p] = x.merge(&x.front, p, w, c.Fetch(x.seed[p], -1, w))
+		}))
+	})
+	var sh *cluster.Shuffle
+	reduce := func(p, w int) { deltas[p] = x.merge(&x.front, p, w, x.receive(sh, p, w)) }
+	return x.iterate(seeded, x.total, func(iter int) (int, error) {
+		if x.opt.RebuildJoinState {
 			var err error
-			kernels, err = makeKernels(plan, ctx, c, opt)
-			if err != nil {
-				return nil, err
+			if x.kernels, err = makeKernels(x.ws.plan, ctx, c, x.opt); err != nil {
+				return 0, err
 			}
 		}
-		var mark shuffleMark
-		if tr.Enabled() {
-			mark = markShuffle(c)
-		}
-		is := tr.BeginIteration(iter)
-		sh := c.NewShuffle(parts)
-		mapTasks := make([]cluster.Task, 0, parts)
-		for p := 0; p < parts; p++ {
-			if deltas[p].empty() {
-				continue
-			}
-			p := p
-			d := deltas[p]
-			mapTasks = append(mapTasks, cluster.Task{Part: p, Preferred: state.owner(p), Run: func(w int) {
-				// The delta RDD was produced by the previous Reduce stage
-				// on the state owner; a Map task placed elsewhere (the
-				// default scheduler's locality-oblivious pickup) fetches
-				// it remotely — the inter-iteration locality loss the
-				// paper's partition-aware scheduling removes.
-				d.Rows = c.Fetch(d.Rows, state.owner(p), w)
-				sh.Add(ws.run(c, kernels, d, p, w), w)
-			}})
-		}
-		c.RunStage("fixpoint.map", mapTasks)
-
-		next := make([]deltaBatch, parts)
-		redTasks := make([]cluster.Task, parts)
-		for i := range redTasks {
-			p := i
-			redTasks[i] = recoverableTask(c, state, cluster.Task{Part: p, Preferred: state.owner(p), Run: func(w int) {
-				rows := ws.fetch(sh, p, w)
-				// State lives on its owner; a task placed elsewhere must
-				// move the data there (the hybrid scheduler pays this).
-				if w != state.owner(p) {
-					rows = c.Fetch(rows, w, state.owner(p))
-				}
-				next[p] = state.merge(p, rows)
-				c.ChaosPostMerge(w)
-			}})
-		}
-		c.RunStage("fixpoint.reduce", redTasks)
-		deltas = next
-		if tr.Enabled() {
-			ev := iterEvent("dsn-two-stage", state, c, mark)
-			countDeltas(&ev, deltas)
-			is.End(ev)
-		}
-	}
-	return collect(plan, state, c, iter)
-}
-
-// runCombined is Algorithm 6: one ShuffleMap stage per iteration that
-// merges the incoming shuffle data, derives the new delta, joins and
-// partially aggregates it, and emits the next shuffle — made possible by
-// partition-aware scheduling keeping state, base partition and shuffle
-// output on the same worker.
-func runCombined(ws *workspace, state *viewState, kernels []*ruleKernel, seed [][]types.Row, c *cluster.QueryContext, opt DistOptions) (*Result, error) {
-	plan, parts := ws.plan, state.partitions()
-	tr := opt.Tracer
-	traceOn := tr.Enabled()
-
-	sh := c.NewShuffle(parts)
-	sh.Add(seed, -1)
-
-	var pending atomic.Int64
-	// Per-pass frontier counters, accumulated by the merge tasks (the
-	// combined runner never materializes its deltas on the driver).
-	var dRows, dNews, dImp atomic.Int64
-	pending.Store(1) // seed data
-	iter := 0
-	for pending.Load() > 0 {
-		iter++
-		// The first pass merges the base case — the seed stage of the
-		// two-stage runner — so iterations count from the second pass to
-		// keep the metric comparable across execution modes.
-		if iter > 1 {
-			c.Metrics.Iterations.Add(1)
-		}
-		if err := checkCancel(opt.Context, iter-1); err != nil {
-			return nil, err
-		}
-		if iter > opt.maxIter() || (opt.MaxRows > 0 && state.len() > opt.MaxRows) {
-			return nil, &ErrNonTermination{Iterations: iter, Rows: state.len()}
-		}
-		var mark shuffleMark
-		if traceOn {
-			mark = markShuffle(c)
-			dRows.Store(0)
-			dNews.Store(0)
-			dImp.Store(0)
-		}
-		// Pass 1 is the base-case merge, so its telemetry lands on
-		// iteration 0 — aligned with the two-stage runner's seed stage.
-		is := tr.BeginIteration(iter - 1)
-		next := c.NewShuffle(parts)
-		pending.Store(0)
-		tasks := make([]cluster.Task, parts)
-		for i := range tasks {
-			p := i
-			tasks[i] = recoverableTask(c, state, cluster.Task{Part: p, Preferred: state.owner(p), Run: func(w int) {
-				rows := ws.fetch(sh, p, w)
-				if w != state.owner(p) {
-					rows = c.Fetch(rows, w, state.owner(p))
-				}
-				d := state.merge(p, rows)
-				// The post-merge fault point models an executor dying after
-				// mutating the cached state but before publishing output —
-				// the case where recovery must restore the iteration
-				// checkpoint before the replay (Section 6.1).
-				c.ChaosPostMerge(w)
-				if traceOn {
-					rows, news, imp := countDelta(d)
-					dRows.Add(int64(rows))
-					dNews.Add(int64(news))
-					dImp.Add(int64(imp))
-				}
+		return x.traced(iter, func() {
+			sh = c.NewShuffle(x.parts)
+			mapTasks := make([]cluster.Task, 0, x.parts)
+			for p, d := range deltas {
 				if d.empty() {
-					return
+					continue
 				}
-				out := ws.run(c, kernels, d, p, w)
-				for _, bucket := range out {
-					if len(bucket) > 0 {
-						pending.Add(1)
-						break
-					}
-				}
-				next.Add(out, w)
-			}})
-		}
-		c.RunStage("fixpoint.shufflemap", tasks)
-		if traceOn {
-			ev := iterEvent("dsn-combined", state, c, mark)
-			ev.DeltaRows = int(dRows.Load())
-			ev.NewKeys = int(dNews.Load())
-			ev.Improved = int(dImp.Load())
-			is.End(ev)
-		}
-		sh = next
-	}
-	return collect(plan, state, c, iter-1)
+				p, d := p, d
+				mapTasks = append(mapTasks, cluster.Task{Part: p, Preferred: c.DefaultOwner(p), Run: func(w int) {
+					// The delta RDD was produced by the previous Reduce stage
+					// on the state owner; a Map task placed elsewhere (the
+					// default scheduler's locality-oblivious pickup) fetches
+					// it remotely — the inter-iteration locality loss the
+					// paper's partition-aware scheduling removes.
+					d.Rows = c.Fetch(d.Rows, c.DefaultOwner(p), w)
+					sh.Add(x.ws.run(c, x.kernels, d, p, w), w)
+				}})
+			}
+			c.RunStage("fixpoint.map", mapTasks)
+			c.RunStage("fixpoint.reduce", x.tasks(reduce))
+		}), nil
+	})
 }
 
-// runDecomposed is the Section 7.2 execution: with the partition key
-// carried by every rule head and all base relations broadcast, each
-// partition iterates to its own fixpoint with no synchronization or
-// shuffling at all — a single stage for the whole recursion.
-func runDecomposed(ws *workspace, state *viewState, kernels []*ruleKernel, seed [][]types.Row, c *cluster.QueryContext, opt DistOptions) (*Result, error) {
-	plan, parts := ws.plan, state.partitions()
-	tr := opt.Tracer
-	traceOn := tr.Enabled()
-	var maxIters atomic.Int64
-	var dRows, dNews, dImp atomic.Int64
-	var failed atomic.Bool
-	var mu sync.Mutex
-	var firstErr error
+// combined is Algorithm 6: one ShuffleMap stage per iteration that merges
+// the incoming shuffle data, derives the new delta, joins and partially
+// aggregates it, and emits the next shuffle — made possible by
+// partition-aware scheduling keeping state, base partition and shuffle
+// output on the same worker. Iteration k's stage merges the k-th delta and
+// runs the map side of iteration k+1; iteration 0's merges the base case.
+func (x *execution) combined() (int, error) {
+	c := x.c
+	x.mode = "dsn-combined"
+	sh := c.NewShuffle(x.parts)
+	sh.Add(x.seed, -1)
+	var next *cluster.Shuffle
+	var emitted atomic.Bool
+	shufflemap := func(p, w int) {
+		d := x.merge(&x.front, p, w, x.receive(sh, p, w))
+		if d.empty() {
+			return
+		}
+		out := x.ws.run(c, x.kernels, d, p, w)
+		for _, bucket := range out {
+			if len(bucket) > 0 {
+				emitted.Store(true)
+				break
+			}
+		}
+		next.Add(out, w)
+	}
+	pending := true
+	pass := func(iter int) (int, error) {
+		return x.traced(iter, func() {
+			if !pending {
+				// The last map side emitted nothing, so this iteration's
+				// delta is empty without a stage.
+				return
+			}
+			next = c.NewShuffle(x.parts)
+			emitted.Store(false)
+			c.RunStage("fixpoint.shufflemap", x.tasks(shufflemap))
+			sh, pending = next, emitted.Load()
+		}), nil
+	}
+	seeded, _ := pass(0)
+	return x.iterate(seeded, x.total, pass)
+}
 
-	// Decomposed execution has no global iteration barrier — each partition
-	// races to its own fixpoint inside one stage — so the telemetry is a
-	// single summary event spanning the stage, numbered with the deepest
-	// partition's iteration count.
+// decomposed is the Section 7.2 execution: with the partition key carried
+// by every rule head and all base relations broadcast, each partition
+// iterates to its own fixpoint with no synchronization or shuffling at all —
+// a single stage for the whole recursion. Its one iteration event spans the
+// stage, numbered with the deepest partition's count.
+func (x *execution) decomposed() (int, error) {
+	c, tr := x.c, x.opt.Tracer
+	x.mode = "dsn-decomposed"
+	iters := make([]int, x.parts)
+	var fail failure
+	var mark shuffleMark
+	if tr.Enabled() {
+		mark = markShuffle(c)
+	}
 	is := tr.BeginIteration(0)
-	tasks := make([]cluster.Task, parts)
-	for i := range tasks {
-		p := i
-		tasks[i] = recoverableTask(c, state, cluster.Task{Part: p, Preferred: state.owner(p), Run: func(w int) {
-			rows := c.Fetch(seed[p], -1, w)
-			d := state.merge(p, rows)
-			// A decomposed task runs its whole local fixpoint in one
-			// attempt, so a fault anywhere rolls the partition back to its
-			// (empty) stage checkpoint and replays the fixpoint from the
-			// seed — the whole-task replay a lineage-free executor loss
-			// forces.
-			c.ChaosPostMerge(w)
-			local := 0
-			// Per-attempt telemetry, published only when the attempt
-			// completes, so rounds rolled back by a fault are not counted
-			// twice by the replay.
-			var tRows, tNews, tImp int
-			for !d.empty() {
-				if traceOn {
-					n, nw, im := countDelta(d)
-					tRows += n
-					tNews += nw
-					tImp += im
-				}
-				local++
-				// Decomposed partitions have no global barrier, so each local
-				// round boundary is this partition's iteration boundary.
-				if err := checkCancel(opt.Context, local-1); err != nil {
-					failed.Store(true)
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				// Sibling partitions are still merging, so the guard and the
-				// error extrapolate from this partition alone.
-				if local > opt.maxIter() || (opt.MaxRows > 0 && len(state.rows(p))*parts > opt.MaxRows) {
-					failed.Store(true)
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = &ErrNonTermination{Iterations: local, Rows: len(state.rows(p)) * parts}
-					}
-					mu.Unlock()
-					return
-				}
-				out := ws.run(c, kernels, d, p, w)
-				// All output stays in this partition by construction;
-				// anything else is a planner bug.
-				var mine []types.Row
-				for t, bucket := range out {
-					if len(bucket) > 0 && t != p {
-						panic("fixpoint: decomposed plan leaked rows across partitions")
-					}
-					if t == p {
-						mine = bucket
-					}
-				}
-				d = state.merge(p, mine)
-				c.ChaosPostMerge(w)
-			}
-			if traceOn {
-				dRows.Add(int64(tRows))
-				dNews.Add(int64(tNews))
-				dImp.Add(int64(tImp))
-			}
-			for {
-				cur := maxIters.Load()
-				if int64(local) <= cur || maxIters.CompareAndSwap(cur, int64(local)) {
-					break
+	c.RunStage("fixpoint.decomposed", x.tasks(func(p, w int) {
+		// A decomposed task runs its whole local fixpoint in one attempt, so
+		// a fault anywhere rolls the partition back to its (empty) stage
+		// checkpoint and replays the fixpoint from the seed — the whole-task
+		// replay a lineage-free executor loss forces. The attempt's frontier
+		// is published only when it completes, so a replay counts once.
+		f := frontier{split: x.front.split}
+		d := x.merge(&f, p, w, c.Fetch(x.seed[p], -1, w))
+		// Sibling partitions are still merging, so the guard extrapolates
+		// from this partition alone.
+		n, err := x.iterate(len(d.Rows), func() int { return len(x.rows(p)) * x.parts }, func(int) (int, error) {
+			out := x.ws.run(c, x.kernels, d, p, w)
+			// All output stays in this partition by construction; anything
+			// else is a planner bug.
+			for t, bucket := range out {
+				if len(bucket) > 0 && t != p {
+					panic("fixpoint: decomposed plan leaked rows across partitions")
 				}
 			}
-		}})
-	}
-	c.RunStage("fixpoint.decomposed", tasks)
-	if failed.Load() {
-		return nil, firstErr
-	}
-	c.Metrics.Iterations.Add(maxIters.Load())
-	if traceOn {
-		ev := iterEvent("dsn-decomposed", state, nil, shuffleMark{})
-		ev.DeltaRows = int(dRows.Load())
-		ev.NewKeys = int(dNews.Load())
-		ev.Improved = int(dImp.Load())
-		is.EndAt(int(maxIters.Load()), ev)
-	}
-	return collect(plan, state, c, int(maxIters.Load()))
-}
-
-func allEmpty(ds []deltaBatch) bool {
-	for _, d := range ds {
-		if !d.empty() {
-			return false
+			d = x.merge(&f, p, w, out[p])
+			return len(d.Rows), nil
+		})
+		iters[p] = n
+		if err != nil {
+			fail.set(err)
+			return
 		}
+		x.front.addAll(&f)
+	}))
+	deepest := 0
+	for _, n := range iters {
+		deepest = max(deepest, n)
 	}
-	return true
-}
-
-// collect gathers the final state onto the driver.
-func collect(plan *Plan, state *viewState, c *cluster.QueryContext, iters int) (*Result, error) {
-	out := relation.New(plan.View.Name, plan.View.Schema)
-	for p := 0; p < state.partitions(); p++ {
-		out.Rows = append(out.Rows, c.Fetch(state.rows(p), state.owner(p), -1)...)
+	if err := fail.err(); err != nil {
+		return deepest, err
 	}
-	return &Result{
-		Relations:  map[string]*relation.Relation{strings.ToLower(plan.View.Name): out},
-		Iterations: iters,
-	}, nil
+	if tr.Enabled() {
+		ev := x.event(mark)
+		x.front.take(&ev)
+		is.EndAt(deepest, ev)
+	}
+	return deepest, nil
 }

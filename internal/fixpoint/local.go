@@ -318,11 +318,8 @@ func Local(clique *analyze.Clique, ctx *exec.Context, opt Options) (*Result, err
 			break
 		}
 		iter++
-		if err := checkCancel(opt.Context, iter-1); err != nil {
+		if err := opt.guard(iter, totalRows(views)); err != nil {
 			return nil, err
-		}
-		if iter > opt.maxIter() || (opt.MaxRows > 0 && totalRows(views) > opt.MaxRows) {
-			return nil, &ErrNonTermination{Iterations: iter, Rows: totalRows(views)}
 		}
 
 		is := tr.BeginIteration(iter)

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"github.com/rasql/rasql-go/internal/cluster"
 	"github.com/rasql/rasql-go/internal/sql/analyze"
@@ -112,7 +111,7 @@ type relaxedRound struct {
 	started                      bool
 }
 
-// runRelaxed is the shared barrier-relaxed evaluator: every plan shape
+// relaxed is the shared barrier-relaxed evaluator: every plan shape
 // (two-stage, combined, decomposed, shuffled) collapses onto one
 // delta-routing kernel — merge the drained batch into the partition's
 // state, derive the next delta, and route the output buckets — with the
@@ -120,27 +119,14 @@ type relaxedRound struct {
 // detection. Per-iteration shuffle-volume telemetry is not sliced per
 // round (rounds interleave, so byte attribution is ambiguous); the region
 // totals still land in the cluster metrics.
-func runRelaxed(ws *workspace, state *viewState, kernels []*ruleKernel, seed [][]types.Row, c *cluster.QueryContext, opt DistOptions) (*Result, error) {
-	plan, parts := ws.plan, state.partitions()
-	tr := opt.Tracer
-	traceOn := tr.Enabled()
-
+func (x *execution) relaxed() (int, error) {
+	c, tr := x.c, x.opt.Tracer
+	x.mode = "dsn-" + x.opt.modeLabel()
 	gate := -1 // async: no staleness gate
-	if opt.Mode == ModeSSP {
-		gate = opt.stalenessBound()
+	if x.opt.Mode == ModeSSP {
+		gate = x.opt.stalenessBound()
 	}
-
-	var failed atomic.Bool
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		failed.Store(true)
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
+	var fail failure
 
 	var telMu sync.Mutex
 	var rounds []relaxedRound
@@ -168,31 +154,33 @@ func runRelaxed(ws *workspace, state *viewState, kernels []*ruleKernel, seed [][
 
 	stats := c.RunRelaxed(cluster.RelaxedOptions{
 		Name:      "fixpoint.relaxed",
-		Parts:     parts,
-		Owner:     state.owner,
+		Parts:     x.parts,
+		Owner:     c.DefaultOwner,
 		Staleness: gate,
 		Checkpoint: func(part int) func() {
-			cp := state.checkpoint(part)
-			return func() { state.restore(cp) }
+			cp := x.state.checkpoint(part)
+			return func() { x.state.restore(cp) }
 		},
 		Process: func(part, worker int, rows []types.Row, round int64, stale int) [][]types.Row {
-			if failed.Load() {
+			if fail.failed.Load() {
 				// A guard already tripped: drain the remaining credit so the
 				// region quiesces without doing further work.
 				return nil
 			}
-			// Relaxed execution has no global barrier; each partition round
-			// is its own iteration boundary, so a cancelled context stops the
-			// region before this round's merge mutates the state.
-			if err := checkCancel(opt.Context, int(round)); err != nil {
-				fail(err)
+			// A partition's round r merges its r-th batch and runs the next
+			// map side, as the combined runner's iteration r does, so it
+			// takes that iteration's guard before the merge mutates the
+			// state. Other owners are still merging, so the row bound
+			// extrapolates from this partition like the decomposed runner.
+			if err := x.opt.guard(int(round), len(x.rows(part))*x.parts); err != nil {
+				fail.set(err)
 				return nil
 			}
 			var t0 int64
-			if traceOn {
+			if tr.Enabled() {
 				t0 = tr.Now()
 			}
-			d := state.merge(part, rows)
+			d := x.state.merge(part, rows)
 			// Post-merge fault point: an executor dying after mutating the
 			// cached state rolls back to the Checkpoint snapshot and replays
 			// this processing step (Section 6.1), exactly like a BSP merge
@@ -202,60 +190,43 @@ func runRelaxed(ws *workspace, state *viewState, kernels []*ruleKernel, seed [][
 			if superseded > 0 {
 				c.Metrics.SupersededRows.Add(int64(superseded))
 			}
-			// state.len() sums every partition and is not safe while other
-			// owners mutate theirs, so the row guard extrapolates from this
-			// partition like the decomposed runner.
-			if round > int64(opt.maxIter()) || (opt.MaxRows > 0 && len(state.rows(part))*parts > opt.MaxRows) {
-				fail(&ErrNonTermination{Iterations: int(round), Rows: len(state.rows(part)) * parts})
+			// A later round comes only if a batch is routed back here, so
+			// the row bound is checked again on what this merge grew.
+			if err := x.opt.guard(int(round), len(x.rows(part))*x.parts); err != nil {
+				fail.set(err)
 				return nil
 			}
 			var out [][]types.Row
 			if !d.empty() {
-				out = ws.run(c, kernels, d, part, worker)
+				out = x.ws.run(c, x.kernels, d, part, worker)
 			}
-			if traceOn {
+			if tr.Enabled() {
 				record(round, d, stale, superseded, t0, tr.Now())
 			}
 			return out
 		},
-	}, seed)
+	}, x.seed)
 
-	if failed.Load() {
-		return nil, firstErr
-	}
 	// Round 0 is the base-case merge, so the deepest clock exceeds the
 	// iteration count by one — aligned with the BSP runners' convention.
-	iters := int(stats.MaxClock) - 1
-	if iters < 0 {
-		iters = 0
+	iters := max(int(stats.MaxClock)-1, 0)
+	if err := fail.err(); err != nil {
+		return iters, err
 	}
-	if iters > 0 {
-		c.Metrics.Iterations.Add(int64(iters))
-	}
-	if traceOn {
-		mode := "dsn-" + opt.Mode.String()
-		if opt.Mode == ModeSSP {
-			mode = "dsn-ssp(" + strconv.Itoa(gate) + ")"
+	all := 0
+	for i, r := range rounds {
+		all += r.newKeys
+		ev := trace.IterationEvent{
+			Iter: i, Mode: x.mode,
+			DeltaRows: r.deltaRows, AllRows: all,
+			NewKeys: r.newKeys, Improved: r.improved,
+			Relaxed: true, StaleRows: r.stale, SupersededRows: r.superseded,
+			StartNS: r.startNS, EndNS: r.endNS,
 		}
-		all := 0
-		for i := range rounds {
-			r := rounds[i]
-			all += r.newKeys
-			ev := trace.IterationEvent{
-				Iter: i, Mode: mode,
-				DeltaRows: r.deltaRows, AllRows: all,
-				NewKeys: r.newKeys, Improved: r.improved,
-				Relaxed: true, StaleRows: r.stale, SupersededRows: r.superseded,
-				StartNS: r.startNS, EndNS: r.endNS,
-			}
-			if i == len(rounds)-1 {
-				ev.PartRows = make([]int, parts)
-				for p := range ev.PartRows {
-					ev.PartRows[p] = len(state.rows(p))
-				}
-			}
-			tr.EmitIteration(ev)
+		if i == len(rounds)-1 {
+			ev.PartRows = x.event(shuffleMark{}).PartRows
 		}
+		tr.EmitIteration(ev)
 	}
-	return collect(plan, state, c, iters)
+	return iters, nil
 }

@@ -21,38 +21,6 @@ func markShuffle(c *cluster.QueryContext) shuffleMark {
 	}
 }
 
-// iterEvent builds the state- and cluster-derived half of an iteration
-// event: all-relation size, per-partition skew profile, shuffle deltas.
-// Delta counts are filled in by the caller (countDeltas or task-side
-// accumulators, depending on where the evaluator sees its frontier).
-func iterEvent(mode string, state *viewState, c *cluster.QueryContext, m shuffleMark) trace.IterationEvent {
-	ev := trace.IterationEvent{Mode: mode}
-	if state != nil {
-		ev.AllRows = state.len()
-		ev.PartRows = make([]int, state.partitions())
-		for p := range ev.PartRows {
-			ev.PartRows[p] = len(state.rows(p))
-		}
-	}
-	if c != nil {
-		ev.ShuffleBytes = c.Metrics.ShuffleBytes.Load() - m.bytes
-		ev.ShuffleRecords = c.Metrics.ShuffleRecords.Load() - m.recs
-	}
-	return ev
-}
-
-// countDeltas folds per-partition frontier batches into the event's delta
-// counts. A batch without News flags is a set frontier: every row is a
-// first derivation.
-func countDeltas(ev *trace.IterationEvent, deltas []deltaBatch) {
-	for _, d := range deltas {
-		rows, news, improved := countDelta(d)
-		ev.DeltaRows += rows
-		ev.NewKeys += news
-		ev.Improved += improved
-	}
-}
-
 // localIterEvent summarizes the single-threaded evaluator's frontier: the
 // per-view deltas just produced and the accumulated state size.
 func localIterEvent(mode string, views []*localView) trace.IterationEvent {
