@@ -84,12 +84,14 @@ serve-smoke:
 
 # The repository's benchmark (benchmarks/README.md), one workload the way the
 # pipeline runs it: make bench WORKLOAD=cc-rmat SEED=2. TRACE=1 reports the
-# per-layer metrics instead of the end-to-end ones.
+# per-layer metrics instead of the end-to-end ones. Both bench recipes end
+# with no-strays, so a server or driver the run left behind fails it.
 WORKLOAD ?= tc-grid
 SEED ?= 1
 TRACE ?= 0
 bench:
 	bash benchmarks/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 20 --trace $(TRACE)
+	@$(MAKE) --no-print-directory no-strays
 
 # Paired runs, for a claim smaller than the run-to-run spread (under 10%):
 # PAIRS pairs of PARENT (a git ref, exported with git archive; required) and
@@ -118,6 +120,7 @@ bench-pair:
 	for side in parent change; do \
 		jq -s -r --arg side $$side '[.[].metrics | map_values(.value)] | (.[0] | keys[]) as $$m | [.[][$$m]] | sort | "\($$side) \($$m): q1 \(.[(length - 1) / 4 | floor]) median \(.[(length - 1) / 2 | floor]) q3 \(.[(length - 1) * 3 / 4 | floor])"' .bench_build/pair/$$side.*.json || exit 1; \
 	done
+	@$(MAKE) --no-print-directory no-strays
 
 # Hand-off check: fails if a server, benchmark driver, test binary (any
 # *.test, the re-exec'd rasqld child included), go command or CLI is still

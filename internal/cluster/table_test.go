@@ -1,0 +1,193 @@
+package cluster
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+
+	"github.com/rasql/rasql-go/internal/types"
+)
+
+// naiveGroups groups rows by their normalized key (the encoding SetRDD and
+// AggRDD key on, under which Int(3) and Float(3.0) coincide and NULL equals
+// NULL, as Value.Equal has it), keeping input order within a group.
+func naiveGroups(rows []types.Row, cols []int) (order []string, groups map[string][]types.Row) {
+	groups = map[string][]types.Row{}
+	for _, r := range rows {
+		k := types.KeyString(r, cols)
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], r)
+	}
+	return order, groups
+}
+
+func keyValues(r types.Row, cols []int) []types.Value {
+	vals := make([]types.Value, len(cols))
+	for i, c := range cols {
+		vals[i] = r[c]
+	}
+	return vals
+}
+
+func tableCases() []struct {
+	name string
+	rows []types.Row
+	cols []int
+} {
+	ints := make([]types.Row, 0, 40)
+	for i := 0; i < 40; i++ {
+		ints = append(ints, types.Row{types.Int(int64(i % 7)), types.Int(int64(i))})
+	}
+	unique := make([]types.Row, 0, 50)
+	for i := 0; i < 50; i++ {
+		unique = append(unique, types.Row{types.Int(int64(i)), types.Str(fmt.Sprint("v", i))})
+	}
+	twoCol := make([]types.Row, 0, 60)
+	for i := 0; i < 60; i++ {
+		twoCol = append(twoCol, types.Row{types.Int(int64(i % 3)), types.Float(float64(i)), types.Str([]string{"a", "b"}[i%2])})
+	}
+	return []struct {
+		name string
+		rows []types.Row
+		cols []int
+	}{
+		{"int keys", ints, []int{0}},
+		{"int keys, second column", ints, []int{1}},
+		{"numerics collapse", []types.Row{
+			{types.Int(3), types.Str("a")},
+			{types.Float(3.0), types.Str("b")},
+			{types.Int(4), types.Str("c")},
+			{types.Float(3.5), types.Str("d")},
+			{types.Int(3), types.Str("e")},
+		}, []int{0}},
+		{"strings", []types.Row{
+			{types.Str("x"), types.Int(1)},
+			{types.Str(""), types.Int(2)},
+			{types.Str("y"), types.Int(3)},
+			{types.Str("x"), types.Int(4)},
+			{types.Str(""), types.Int(5)},
+		}, []int{0}},
+		{"nulls", []types.Row{
+			{types.Null(), types.Int(1)},
+			{types.Int(0), types.Int(2)},
+			{types.Null(), types.Int(3)},
+			{types.Str(""), types.Int(4)},
+		}, []int{0}},
+		{"two-column keys", twoCol, []int{2, 0}},
+		{"empty input", nil, []int{0}},
+		{"one key per row", unique, []int{0}},
+	}
+}
+
+func TestRowTableBucketsMatchNaiveGrouping(t *testing.T) {
+	for _, tc := range tableCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			tab := BuildRowTable(tc.rows, tc.cols)
+			order, groups := naiveGroups(tc.rows, tc.cols)
+			if tab.Len() != len(order) {
+				t.Fatalf("Len = %d, want %d distinct keys", tab.Len(), len(order))
+			}
+			for _, k := range order {
+				want := groups[k]
+				got := tab.ProbeRow(want[0], tc.cols)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("bucket %q = %v, want %v (input order)", k, got, want)
+				}
+			}
+			// Rows() holds every input row once, each bucket one
+			// contiguous run.
+			rows := tab.Rows()
+			if len(rows) != len(tc.rows) {
+				t.Fatalf("Rows() has %d rows, want %d", len(rows), len(tc.rows))
+			}
+			runs := 0
+			for i, r := range rows {
+				if i == 0 || types.KeyString(r, tc.cols) != types.KeyString(rows[i-1], tc.cols) {
+					runs++
+				}
+			}
+			if runs != len(order) {
+				t.Errorf("Rows() has %d key runs, want one per key (%d)", runs, len(order))
+			}
+		})
+	}
+}
+
+func TestRowTableProbesAgree(t *testing.T) {
+	for _, tc := range tableCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			tab := BuildRowTable(tc.rows, tc.cols)
+			for _, r := range tc.rows {
+				byRow := tab.ProbeRow(r, tc.cols)
+				byVals := tab.ProbeValues(keyValues(r, tc.cols))
+				if len(byRow) == 0 || !reflect.DeepEqual(byRow, byVals) {
+					t.Errorf("probe %v: ProbeRow = %v, ProbeValues = %v", r, byRow, byVals)
+				}
+			}
+			miss := make([]types.Value, len(tc.cols))
+			for i := range miss {
+				miss[i] = types.Str("no such key")
+			}
+			if got := tab.ProbeValues(miss); got != nil {
+				t.Errorf("ProbeValues(miss) = %v, want nil", got)
+			}
+			missRow := make(types.Row, 3)
+			for i := range missRow {
+				missRow[i] = types.Str("no such key")
+			}
+			if got := tab.ProbeRow(missRow, tc.cols); got != nil {
+				t.Errorf("ProbeRow(miss) = %v, want nil", got)
+			}
+		})
+	}
+}
+
+func TestRowTableOwnsItsRows(t *testing.T) {
+	for _, tc := range tableCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			saved := types.CloneRows(tc.rows)
+			in := types.CloneRows(tc.rows)
+			tab := BuildRowTable(in, tc.cols)
+			want := make([][]types.Row, len(saved))
+			for i, r := range saved {
+				want[i] = types.CloneRows(tab.ProbeRow(r, tc.cols))
+			}
+			for _, r := range in {
+				for j := range r {
+					r[j] = types.Str("overwritten")
+				}
+			}
+			for i, r := range saved {
+				if got := tab.ProbeRow(r, tc.cols); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("after overwriting the input, probe %v = %v, want %v", r, got, want[i])
+				}
+			}
+		})
+	}
+}
+
+// A build allocates a fixed number of times: the slab and offset layout
+// replaced one bucket slice per key. Each side takes the least of three
+// measurements, so a stray allocation elsewhere in the process does not
+// count.
+func TestRowTableBuildAllocsIndependentOfKeys(t *testing.T) {
+	const n = 10000
+	build := func(keys int) float64 {
+		rows := make([]types.Row, n)
+		for i := range rows {
+			rows[i] = types.Row{types.Int(int64(i % keys)), types.Int(int64(i))}
+		}
+		least := math.Inf(1)
+		for range 3 {
+			least = min(least, testing.AllocsPerRun(10, func() { BuildRowTable(rows, []int{0}) }))
+		}
+		return least
+	}
+	few, many := build(10), build(n)
+	if few != many {
+		t.Errorf("BuildRowTable allocs: %v at 10 keys, %v at %d keys; want equal", few, many, n)
+	}
+}

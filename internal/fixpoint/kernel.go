@@ -56,8 +56,8 @@ type copartBase struct {
 	buildCols []int
 	// tables[p] is partition p's hash table (shuffle-hash mode).
 	tables []*cluster.RowTable
-	// sorted[p] holds partition p's rows ordered by join key, with keys
-	// aligned (sort-merge mode).
+	// sorted[p] holds a copy of partition p's rows ordered by join key, in
+	// one value slab like a RowTable's, with keys aligned (sort-merge mode).
 	sorted [][]types.Row
 	keys   [][]string
 	owner  []int
@@ -92,7 +92,7 @@ func buildCopart(c *cluster.QueryContext, rows []types.Row, buildCols []int, joi
 					ks[j] = types.KeyString(r, buildCols)
 				}
 				sort.Sort(&keyedRows{rows: rs, keys: ks})
-				cb.sorted[p] = rs
+				cb.sorted[p] = types.CloneRows(rs)
 				cb.keys[p] = ks
 				return
 			}
