@@ -11,8 +11,10 @@ test:
 vet:
 	$(GO) vet ./...
 
+# The race detector over every package with shared mutable state: it is what
+# holds the mutex discipline (DESIGN.md §10).
 race:
-	$(GO) test -race ./internal/fixpoint/... ./internal/cluster/... .
+	$(GO) test -race ./internal/fixpoint/... ./internal/cluster/... ./internal/obs/... ./internal/trace/... ./internal/sql/catalog/... ./internal/server/... .
 
 # Differential proof of the concurrency model (DESIGN.md §10): one shared
 # engine, many goroutines, results must match a sequential oracle.

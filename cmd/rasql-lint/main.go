@@ -1,11 +1,9 @@
-// Command rasql-lint checks the engine-source invariants that keep the
-// allocation-free data plane honest and the engine safe for concurrent
-// queries: deterministic clocks (simclock), non-retention of decode
-// buffers (noretain), sync.Pool Get/Put pairing (pooldiscipline),
-// mutex-guarded field access (guardedby), allocation-free hot paths
-// (noalloc), and join-accounted goroutines (golifecycle). See the
-// internal/analysis package documentation for the invariants and the
-// //rasql: annotation language.
+// Command rasql-lint checks the engine-source invariants that keep query
+// results reproducible and the allocation-free data plane honest:
+// deterministic clocks (simclock), non-retention of decode buffers
+// (noretain), sync.Pool Get/Put pairing (pooldiscipline), and
+// allocation-free hot paths (noalloc). See the internal/analysis package
+// documentation for the invariants and the //rasql: annotation language.
 //
 // Two modes:
 //
@@ -118,7 +116,7 @@ func main() {
 // the RL series (engine-source invariants, this tool) and the RV series
 // (`rasql vet` query-plan lints), each with its owning check and doc line.
 func printCodes() {
-	fmt.Printf("%-6s %-16s %s\n", "RL000", "rasql-lint", "malformed //rasql:allow or //rasql:detach annotation, or an allow naming an unregistered analyzer (framework check, always on)")
+	fmt.Printf("%-6s %-16s %s\n", "RL000", "rasql-lint", "malformed //rasql:allow annotation, or an allow naming an unregistered analyzer (framework check, always on)")
 	byCode := analysis.All()
 	sort.Slice(byCode, func(i, j int) bool { return byCode[i].Code < byCode[j].Code })
 	for _, a := range byCode {

@@ -107,7 +107,8 @@ func main() {
 	}
 	hs := &http.Server{Handler: srv.Handler()}
 	errCh := make(chan error, 1)
-	//rasql:detach -- Serve returns into errCh when Shutdown closes the listener; main consumes it before exiting
+	// Serve returns into errCh when Shutdown closes the listener; main
+	// consumes it before exiting.
 	go func() { errCh <- hs.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "rasqld: serving %d tables on http://%s (catalog v%d)\n",
 		len(eng.Catalog().Names()), ln.Addr(), eng.CatalogVersion())

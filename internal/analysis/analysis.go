@@ -12,18 +12,14 @@
 //     makes immediate buffer recycling behind them safe;
 //   - pooldiscipline: every sync.Pool Get is paired with a Put on every
 //     return path, and the pooled value is not used after Put;
-//   - guardedby: struct fields annotated //rasql:guardedby=<mutex-field>
-//     are only touched while the named mutex on the same struct is provably
-//     held — acquired in the same function, or the caller is annotated
-//     //rasql:locked=<mutex-field>. Reads may hold the read lock; writes
-//     need the write lock;
 //   - noalloc: functions annotated //rasql:noalloc (the data plane's hot
 //     path) reach no heap-allocation site, transitively through in-module
-//     calls, on a shared whole-program call graph with a conservative
-//     escape classifier;
-//   - golifecycle: every `go` statement in engine packages is
-//     join-accounted — WaitGroup.Add before the spawn, Done deferred on
-//     every exit path — or carries a //rasql:detach justification.
+//     calls, on a whole-program call graph with a conservative escape
+//     classifier.
+//
+// Mutex discipline and goroutine joins are not checked here: the -race
+// suites, go vet's copylocks check and the goroutine-baseline tests
+// (TestCancelAllEvaluatorModes, TestServerDrain) carry them.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Reportf) but is built on the standard library alone:
@@ -116,5 +112,5 @@ func (d Diagnostic) String() string {
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Simclock, NoRetain, PoolDiscipline, GuardedBy, NoAlloc, GoLifecycle}
+	return []*Analyzer{Simclock, NoRetain, PoolDiscipline, NoAlloc}
 }

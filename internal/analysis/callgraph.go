@@ -7,18 +7,15 @@ import (
 	"strings"
 )
 
-// The shared call-graph layer: one Prepare pass, declared by both the
-// noalloc and golifecycle analyzers, that records for every function
-// declaration in the package
+// The call-graph layer: the noalloc analyzer's Prepare pass, which records
+// for every function declaration in the package
 //
 //   - its potential heap-allocation sites (a conservative, syntactic
-//     escape classifier — see the rules on classifyCall and friends),
+//     escape classifier — see the rules on classifyCall and friends), and
 //   - its static in-module call sites (the edges noalloc walks
-//     transitively), and
-//   - its sync.WaitGroup.Done summary (the one-hop evidence golifecycle
-//     uses to account `go worker(&wg)`-shaped spawns).
+//     transitively).
 //
-// All three are exported as vetx facts, so both driver modes see the same
+// Both are exported as vetx facts, so both driver modes see the same
 // whole-program graph: standalone mode prepares every package in
 // dependency order, unitchecker mode merges dependency facts before
 // preparing the current unit.
@@ -56,13 +53,10 @@ var noallocSafeFuncs = map[string]bool{
 	"bytes.HasPrefix": true, "bytes.HasSuffix": true,
 }
 
-// prepareCallGraph records alloc sites, call edges and WaitGroup summaries
-// for every function of the package. Both analyzers built on the graph
-// declare it as their Prepare hook; the index guard makes the second
-// declaration a no-op, so running either analyzer alone still builds the
-// full graph.
+// prepareCallGraph records alloc sites and call edges for every function
+// of the package.
 func prepareCallGraph(pass *Pass) {
-	if pass.Pkg == nil || !pass.Index.callGraphPrepare(pass.Pkg.Path()) {
+	if pass.Pkg == nil {
 		return
 	}
 	for _, f := range pass.Files {
@@ -109,22 +103,6 @@ func scanFuncGraph(pass *Pass, fd *ast.FuncDecl) {
 			}
 		}
 	})
-	// WaitGroup.Done summary: the function's own direct (or deferred-
-	// closure) Dones, recorded sparsely.
-	wg := &WgSummary{}
-	for _, op := range collectWgOps(pass, fd.Body) {
-		if op.name != "Done" {
-			continue
-		}
-		if op.deferred {
-			wg.DeferredDone = append(wg.DeferredDone, op.class)
-		} else {
-			wg.PlainDone = append(wg.PlainDone, op.class)
-		}
-	}
-	if len(wg.DeferredDone)+len(wg.PlainDone) > 0 {
-		pass.Index.SetWgSummary(key, wg)
-	}
 }
 
 // classifyCall handles conversions, builtins, and function calls.
@@ -541,92 +519,25 @@ func moduleRoot(path string) string {
 	return parts[0]
 }
 
-// wgRecord is one direct sync.WaitGroup method call inside a function or
-// closure body.
-type wgRecord struct {
-	class    string
-	name     string
-	deferred bool
-	pos      token.Pos
+// typeOf resolves an expression's type, nil when unknown.
+func (p *Pass) typeOf(e ast.Expr) types.Type {
+	if tv, ok := p.Info.Types[e]; ok {
+		return tv.Type
+	}
+	return nil
 }
 
-// collectWgOps gathers the WaitGroup operations that belong to root's own
-// frame: calls outside any nested closure, plus calls inside a directly
-// deferred closure (defer func(){ ...; wg.Done() }()), which run on
-// every exit path like a direct defer.
-func collectWgOps(pass *Pass, root ast.Node) []wgRecord {
-	var out []wgRecord
-	walkWithStack(root, func(stack []ast.Node, n ast.Node) {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return
+// walkWithStack runs fn over every node of root with the ancestor chain
+// (outermost first, current node last).
+func walkWithStack(root ast.Node, fn func(stack []ast.Node, n ast.Node)) {
+	var stack []ast.Node
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
 		}
-		class, name, isWg := wgOp(pass, call)
-		if !isWg {
-			return
-		}
-		include, deferred := frameOpContext(stack)
-		if !include {
-			return
-		}
-		out = append(out, wgRecord{class: class, name: name, deferred: deferred, pos: call.Pos()})
+		stack = append(stack, n)
+		fn(stack, n)
+		return true
 	})
-	return out
-}
-
-// frameOpContext decides whether a call on the ancestor stack executes in
-// the root frame, and whether it is deferred.
-func frameOpContext(stack []ast.Node) (include, deferred bool) {
-	nearest := -1
-	for i := len(stack) - 2; i >= 0; i-- {
-		if _, ok := stack[i].(*ast.FuncLit); ok {
-			nearest = i
-			break
-		}
-	}
-	if nearest == -1 {
-		if len(stack) >= 2 {
-			if d, ok := stack[len(stack)-2].(*ast.DeferStmt); ok {
-				return true, d.Call == stack[len(stack)-1]
-			}
-		}
-		return true, false
-	}
-	if nearest >= 2 {
-		if c, ok := stack[nearest-1].(*ast.CallExpr); ok && c.Fun == stack[nearest] {
-			if d, ok := stack[nearest-2].(*ast.DeferStmt); ok && d.Call == c {
-				return true, true
-			}
-		}
-	}
-	return false, false
-}
-
-// wgOp recognizes a sync.WaitGroup Add/Done/Wait call, returning the
-// waitgroup's lock class (see lockClass).
-func wgOp(pass *Pass, call *ast.CallExpr) (class, name string, ok bool) {
-	sel, selOk := call.Fun.(*ast.SelectorExpr)
-	if !selOk {
-		return "", "", false
-	}
-	switch sel.Sel.Name {
-	case "Add", "Done", "Wait":
-	default:
-		return "", "", false
-	}
-	if !isWaitGroupType(pass.typeOf(sel.X)) {
-		return "", "", false
-	}
-	return lockClass(pass, sel.X), sel.Sel.Name, true
-}
-
-func isWaitGroupType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "sync" && n.Obj().Name() == "WaitGroup"
 }

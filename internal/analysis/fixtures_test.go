@@ -23,28 +23,16 @@ func TestPoolDisciplineFixture(t *testing.T) {
 	analysistest.Run(t, "testdata", "pooldiscipline", analysis.PoolDiscipline)
 }
 
-func TestGuardedByFixture(t *testing.T) {
-	analysistest.Run(t, "testdata", "guardedby", analysis.GuardedBy)
-}
-
 func TestNoAllocFixture(t *testing.T) {
 	analysistest.Run(t, "testdata", "noalloc", analysis.NoAlloc)
 }
 
-func TestGoLifecycleFixture(t *testing.T) {
-	analysistest.Run(t, "testdata", "golifecycle", analysis.GoLifecycle)
-}
-
-// The vet-driver twins re-run the call-graph fixtures through the
+// The vet-driver twin re-runs the call-graph fixture through the
 // unitchecker plumbing (vet.cfg parse, facts write, full-suite run), so the
 // two driver modes are pinned to agree on every diagnostic variant.
 
 func TestNoAllocFixtureVet(t *testing.T) {
 	analysistest.RunVet(t, "testdata", "noalloc")
-}
-
-func TestGoLifecycleFixtureVet(t *testing.T) {
-	analysistest.RunVet(t, "testdata", "golifecycle")
 }
 
 // TestAllowFixture runs no analyzer at all: malformed //rasql:allow

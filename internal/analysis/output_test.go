@@ -8,12 +8,6 @@ import (
 
 var outputDiags = []Diagnostic{
 	{
-		Pos:      token.Position{Filename: "cluster/shuffle.go", Line: 42, Column: 7},
-		Analyzer: "guardedby",
-		Code:     "RL005",
-		Message:  "read of n (guarded by mu) without holding c.mu",
-	},
-	{
 		Pos:      token.Position{Filename: "cluster/pool.go", Line: 9, Column: 2},
 		Analyzer: "rasql-lint",
 		Code:     "RL000",
@@ -25,12 +19,6 @@ var outputDiags = []Diagnostic{
 		Code:     "RL008",
 		Message:  "types.DecodeRowsAppend is annotated //rasql:noalloc but calls fmt.Sprintf, not known to be allocation-free",
 	},
-	{
-		Pos:      token.Position{Filename: "cluster/relaxed.go", Line: 270, Column: 3},
-		Analyzer: "golifecycle",
-		Code:     "RL009",
-		Message:  "goroutine is not join-accounted: no WaitGroup.Done on its exit paths and no //rasql:detach justification",
-	},
 }
 
 func TestRenderHumanGolden(t *testing.T) {
@@ -38,10 +26,8 @@ func TestRenderHumanGolden(t *testing.T) {
 	if err := RenderHuman(&b, outputDiags); err != nil {
 		t.Fatal(err)
 	}
-	want := "cluster/shuffle.go:42:7: guardedby: read of n (guarded by mu) without holding c.mu\n" +
-		"cluster/pool.go:9:2: rasql-lint: //rasql:allow names \"quoted\", which is not a registered analyzer\n" +
-		"types/encode.go:151:9: noalloc: types.DecodeRowsAppend is annotated //rasql:noalloc but calls fmt.Sprintf, not known to be allocation-free\n" +
-		"cluster/relaxed.go:270:3: golifecycle: goroutine is not join-accounted: no WaitGroup.Done on its exit paths and no //rasql:detach justification\n"
+	want := "cluster/pool.go:9:2: rasql-lint: //rasql:allow names \"quoted\", which is not a registered analyzer\n" +
+		"types/encode.go:151:9: noalloc: types.DecodeRowsAppend is annotated //rasql:noalloc but calls fmt.Sprintf, not known to be allocation-free\n"
 	if got := b.String(); got != want {
 		t.Errorf("human output mismatch:\ngot:\n%s\nwant:\n%s", got, want)
 	}
@@ -53,14 +39,6 @@ func TestRenderJSONGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := `[
-  {
-    "file": "cluster/shuffle.go",
-    "line": 42,
-    "col": 7,
-    "analyzer": "guardedby",
-    "code": "RL005",
-    "message": "read of n (guarded by mu) without holding c.mu"
-  },
   {
     "file": "cluster/pool.go",
     "line": 9,
@@ -76,14 +54,6 @@ func TestRenderJSONGolden(t *testing.T) {
     "analyzer": "noalloc",
     "code": "RL008",
     "message": "types.DecodeRowsAppend is annotated //rasql:noalloc but calls fmt.Sprintf, not known to be allocation-free"
-  },
-  {
-    "file": "cluster/relaxed.go",
-    "line": 270,
-    "col": 3,
-    "analyzer": "golifecycle",
-    "code": "RL009",
-    "message": "goroutine is not join-accounted: no WaitGroup.Done on its exit paths and no //rasql:detach justification"
   }
 ]
 `

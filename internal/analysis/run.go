@@ -16,9 +16,7 @@ func BuildIndex(fset *token.FileSet, pkgs []*LoadedPackage) *Index {
 }
 
 // PreparePackage runs every Prepare hook over one package, recording
-// program-scope evidence into the index. Packages must be prepared in
-// dependency order so inter-procedural summaries (transitive lock
-// acquisitions) see their callees' entries.
+// program-scope evidence into the index for the program-scope hooks.
 func PreparePackage(fset *token.FileSet, pkg *LoadedPackage, ix *Index, analyzers []*Analyzer) {
 	for _, a := range analyzers {
 		if a.Prepare == nil {

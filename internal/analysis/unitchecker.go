@@ -82,10 +82,11 @@ func RunUnit(cfgFile string, w io.Writer) int {
 	}
 	ix.ScanPackage(fset, cfg.ImportPath, files)
 
-	// Type-check before exporting facts: the call-graph analyzers (noalloc,
-	// golifecycle) derive their facts from type information, so their
-	// Prepare hook must run between the typecheck and the facts write. On a tolerated typecheck failure the unit still exports its
-	// annotation facts so dependents keep working.
+	// Type-check before exporting facts: the call-graph analyzer (noalloc)
+	// derives its facts from type information, so its Prepare hook must
+	// run between the typecheck and the facts write. On a tolerated
+	// typecheck failure the unit still exports its annotation facts so
+	// dependents keep working.
 	resolve := func(path string) string {
 		if mapped, ok := cfg.ImportMap[path]; ok {
 			path = mapped

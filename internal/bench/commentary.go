@@ -73,11 +73,15 @@ idealized native Giraph carry the same constant-factor caveat as Figure 8.`,
 	"fig10": `**Paper:** RaSQL is at least 2x faster than GraphX (4x-6x at
 300M nodes); Spark-SQL-SN beats Spark-SQL-Naive by ~2x but still trails
 RaSQL by 4x+.
-**Measured:** the full ordering reproduces: RaSQL < GraphX < SQL-SN <
-SQL-Naive on all three queries. The SQL loops lose exactly where the paper
-says they do — every iteration is an independent job that rebuilds join
-state, re-broadcasts, and (for Naive) re-joins and re-aggregates the whole
-accumulated relation.`,
+**Measured:** the paper's RaSQL-over-GraphX ordering does not reproduce
+here: the GraphX model is faster than RaSQL on most rows, by about 1.4-2.8x.
+It keeps vertex values in float64 arrays and int64-keyed maps, while RaSQL
+moves generic rows. The rest of the ordering holds: RaSQL < SQL-SN <
+SQL-Naive on all three queries, though SQL-SN trails RaSQL by less than the
+paper's 4x. The SQL loops lose exactly where the paper says they do — every
+iteration is an independent job that rebuilds join state, re-broadcasts,
+and (for Naive) re-joins and re-aggregates the whole accumulated
+relation.`,
 
 	"fig11": `**Paper:** shuffle-hash join always beats sort-merge (the
 build side is hashed once and cached across iterations); the gap grows with

@@ -50,7 +50,6 @@ func BenchmarkSetRDDInsert(b *testing.B) {
 	}
 }
 
-//rasql:allocpin cluster.keyIndex.encRowKey cluster.keyIndex.get cluster.keyIndex.getOrInsert
 func BenchmarkSetRDDDedup(b *testing.B) {
 	c := newTestCluster(1, 1)
 	rows := benchClusterRows(4096)
@@ -65,7 +64,6 @@ func BenchmarkSetRDDDedup(b *testing.B) {
 	}
 }
 
-//rasql:allocpin cluster.keyIndex.encKey
 func BenchmarkAggRDDMerge(b *testing.B) {
 	c := newTestCluster(1, 1)
 	// Contributions: many rows folding into few groups keyed on (B, L).
@@ -79,7 +77,6 @@ func BenchmarkAggRDDMerge(b *testing.B) {
 	}
 }
 
-//rasql:allocpin cluster.Shuffle.Add cluster.getEncBuf cluster.putEncBuf
 func BenchmarkShuffleRoundTrip(b *testing.B) {
 	c := newTestQuery(4, 4)
 	rows := benchClusterRows(4096)
@@ -106,12 +103,11 @@ func BenchmarkShuffleRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkDisabledInjector pins the cost of the chaos hooks when chaos is
-// off: the whole stage path (placement, dispatch, fetch-point and post-merge
-// nil checks) must stay at 0 allocs/op, so a production run pays nothing for
-// the fault-injection machinery being compiled in.
-//
-//rasql:allocpin cluster.QueryContext.runQueue cluster.QueryContext.place cluster.startStopwatch cluster.stopwatch.elapsedNanos
+// BenchmarkDisabledInjector times the chaos hooks when chaos is off: the
+// whole stage path (placement, dispatch, fetch-point and post-merge nil
+// checks) stays at 0 allocs/op, so a production run pays nothing for the
+// fault-injection machinery being compiled in (TestDisabledInjectorZeroAllocs
+// asserts it).
 func BenchmarkDisabledInjector(b *testing.B) {
 	c := New(Config{Workers: 4, Partitions: 4, StageOverheadOps: -1, SequentialStages: true}).NewQuery(nil)
 	tasks := make([]Task, 4)
@@ -122,6 +118,81 @@ func BenchmarkDisabledInjector(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.RunStage("noop", tasks)
+	}
+}
+
+// TestSetRDDDedupZeroAllocs pins the key index's probe path: re-merging
+// rows a SetRDD already holds encodes each into the index's scratch buffer,
+// finds it, and touches no allocator.
+//
+//rasql:allocpin cluster.keyIndex.encRowKey cluster.keyIndex.get cluster.keyIndex.getOrInsert
+func TestSetRDDDedupZeroAllocs(t *testing.T) {
+	c := newTestCluster(1, 1)
+	rows := benchClusterRows(1024)
+	s := c.NewSetRDDN(benchSchema(), 1)
+	s.Merge(0, rows)
+	allocs := testing.AllocsPerRun(20, func() {
+		if got := s.Merge(0, rows); len(got) != 0 {
+			t.Fatalf("dedup let %d duplicates through", len(got))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("SetRDD dedup allocates %.1f per merge, want 0", allocs)
+	}
+}
+
+// TestAggRDDMergeZeroAllocs pins the grouped-key probe: contributions that
+// improve no group fold into existing entries without allocating.
+//
+//rasql:allocpin cluster.keyIndex.encKey
+func TestAggRDDMergeZeroAllocs(t *testing.T) {
+	c := newTestCluster(1, 1)
+	rows := benchClusterRows(1024)
+	a := c.NewAggRDDN(benchSchema(), []int{1, 3}, 2, types.AggMin, 1)
+	a.Merge(0, benchClusterRows(1024))
+	allocs := testing.AllocsPerRun(20, func() {
+		a.Merge(0, rows)
+	})
+	if allocs != 0 {
+		t.Errorf("AggRDD merge of non-improving rows allocates %.1f per merge, want 0", allocs)
+	}
+}
+
+// TestShuffleAddZeroAllocs pins the map-side shuffle write on warm
+// buffers: every producer's Add encodes into pooled buffers and appends to
+// bucket lists with spare capacity, and recycling the buckets returns the
+// buffers. The race detector makes sync.Pool drop Puts at random, so under
+// it only pool misses may allocate: New's buffer and its header, per bucket.
+//
+//rasql:allocpin cluster.Shuffle.Add cluster.getEncBuf cluster.putEncBuf
+func TestShuffleAddZeroAllocs(t *testing.T) {
+	const workers, targets = 4, 4
+	c := newTestQuery(workers, targets)
+	out := make([][]types.Row, targets)
+	for i, r := range benchClusterRows(64) {
+		out[i%targets] = append(out[i%targets], r)
+	}
+	sh := c.NewShuffle(targets)
+	run := func() {
+		for w := 0; w < workers; w++ {
+			sh.Add(out, w)
+		}
+		for i := range sh.shards {
+			for t, bs := range sh.shards[i].buckets {
+				for _, b := range bs {
+					putEncBuf(b.buf)
+				}
+				sh.shards[i].buckets[t] = bs[:0]
+			}
+		}
+	}
+	run() // size the bucket lists and warm the pool
+	allocs := testing.AllocsPerRun(100, run)
+	switch {
+	case raceEnabled && allocs > 2*workers*targets:
+		t.Errorf("Shuffle.Add allocates %.1f per round under the race detector, want at most 2 per pool miss", allocs)
+	case !raceEnabled && allocs != 0:
+		t.Errorf("Shuffle.Add on warm buffers allocates %.1f per round, want 0", allocs)
 	}
 }
 

@@ -13,9 +13,11 @@ func chaosTestCluster(chaos ChaosConfig) *QueryContext {
 }
 
 // A disabled injector must be free: the only cost is the nil check RunStage
-// and FetchTarget already pay, and zero allocations on the stage path.
+// and FetchTarget already pay, and zero allocations on the stage path —
+// placement, the per-worker queue and its stopwatch included.
 //
 //rasql:allocpin cluster.QueryContext.ChaosEnabled cluster.QueryContext.ChaosPostMerge
+//rasql:allocpin cluster.QueryContext.runQueue cluster.QueryContext.place cluster.startStopwatch cluster.stopwatch.elapsedNanos
 func TestDisabledInjectorZeroAllocs(t *testing.T) {
 	c := New(Config{Workers: 4, Partitions: 4, StageOverheadOps: -1, SequentialStages: true}).NewQuery(nil)
 	tasks := make([]Task, 4)

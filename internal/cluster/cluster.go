@@ -179,11 +179,10 @@ func burn(ops int) {
 }
 
 // burnSink is a write-only sink that keeps the compiler from eliminating
-// burn's hash loop. It is package-level shared mutable state, yet exempt
-// from a guardedby mutex: it is an atomic value that is only ever written
-// (atomically, by concurrent tasks) and never read, so no lock could change
-// any observable behaviour. As a typed atomic it has no plain spelling to
-// mix up; go vet's copylocks check rejects copies of it, and the -race
-// suites catch any other unsynchronized access. See
-// internal/analysis/annotations.go for the exemption rationale.
+// burn's hash loop. It is package-level shared mutable state, yet needs no
+// mutex: it is an atomic value that is only ever written (atomically, by
+// concurrent tasks) and never read, so no lock could change any observable
+// behaviour. As a typed atomic it has no plain spelling to mix up; go vet's
+// copylocks check rejects copies of it, and the -race suites catch any
+// other unsynchronized access.
 var burnSink atomic.Uint64

@@ -7,10 +7,9 @@ import "sync"
 // buffers instead of allocating fresh ones. DecodeRowsAppend copies string
 // payloads out of its input, which is what makes immediate recycling safe.
 //
-// As a package-level mutable it carries no //rasql:guardedby annotation:
-// sync.Pool is its own synchronization, and the pooldiscipline analyzer
-// enforces the Get/Put pairing instead. See the exemption rationale in
-// internal/analysis/annotations.go.
+// As a package-level mutable it needs no guarding mutex: sync.Pool is its
+// own synchronization, and the pooldiscipline analyzer enforces the Get/Put
+// pairing.
 var encBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)

@@ -96,17 +96,17 @@ type relaxedRouter struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	//rasql:guardedby=mu
+	// guarded by mu
 	inbox [][]relaxedBatch
-	//rasql:guardedby=mu
+	// guarded by mu
 	clock []int64
-	//rasql:guardedby=mu
+	// guarded by mu
 	inflight []bool
-	//rasql:guardedby=mu
+	// guarded by mu
 	outstanding int64
-	//rasql:guardedby=mu
+	// guarded by mu
 	maxLead int64
-	//rasql:guardedby=mu
+	// guarded by mu
 	batches int64
 }
 
@@ -197,7 +197,8 @@ func (q *QueryContext) RunRelaxed(opt RelaxedOptions, seed [][]types.Row) Relaxe
 // producer's worker is handed over in memory, as a copy in one exactly-sized
 // slab.
 //
-//rasql:locked=mu
+// The caller holds rt.mu.
+//
 //rasql:noalloc
 func (rt *relaxedRouter) enqueueLocked(t int, rows []types.Row, stamp int64, producerWorker int) {
 	b := relaxedBatch{n: len(rows), stamp: stamp}
@@ -225,7 +226,8 @@ func (rt *relaxedRouter) enqueueLocked(t int, rows []types.Row, stamp int64, pro
 // staleness gate. gated reports that some owned partition had work but was
 // held back only by the gate — the relaxed analog of barrier wait.
 //
-//rasql:locked=mu
+// The caller holds rt.mu.
+//
 //rasql:noalloc
 func (rt *relaxedRouter) pickLocked(w int) (part int, ok, gated bool) {
 	// The gate compares against the slowest partition that still has work
@@ -372,7 +374,8 @@ func (rt *relaxedRouter) claimSequential() (batches []relaxedBatch, part int, ro
 // completeLocked — the credit that keeps quiescence detection sound — and
 // the partition is marked in-flight so its clock keeps holding the gate.
 //
-//rasql:locked=mu
+// The caller holds rt.mu.
+//
 //rasql:noalloc
 func (rt *relaxedRouter) takeLocked(part int) ([]relaxedBatch, int64, int) {
 	batches := rt.inbox[part]
@@ -396,7 +399,8 @@ func (rt *relaxedRouter) takeLocked(part int) ([]relaxedBatch, int64, int) {
 // credit is released — strictly after the step's own outputs were credited
 // by enqueueLocked, so outstanding can only reach zero at true quiescence.
 //
-//rasql:locked=mu
+// The caller holds rt.mu.
+//
 //rasql:noalloc
 func (rt *relaxedRouter) completeLocked(part int, round, taken int64) {
 	rt.clock[part] = round + 1

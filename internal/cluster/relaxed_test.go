@@ -236,9 +236,7 @@ func TestStageBarrierWaitCounter(t *testing.T) {
 // enqueue, gate-checked pick, take, complete — through a multi-round token
 // chain. Run with -benchmem: the routing state machine itself should
 // contribute (near) nothing on top of the per-batch slices the Process
-// callback builds.
-//
-//rasql:allocpin cluster.relaxedRouter.enqueueLocked cluster.relaxedRouter.pickLocked cluster.relaxedRouter.takeLocked cluster.relaxedRouter.completeLocked
+// callback builds (TestRelaxedRouterZeroAllocs isolates it).
 func BenchmarkRelaxedTokenChain(b *testing.B) {
 	const parts, hops = 4, 64
 	b.ReportAllocs()
@@ -266,4 +264,81 @@ func BenchmarkRelaxedTokenChain(b *testing.B) {
 		}
 		q.Finish()
 	}
+}
+
+// TestRelaxedRouterZeroAllocs isolates the router's locked hot path from
+// the Process callback. Gate-checked pick, take and complete allocate
+// nothing, and so does enqueueLocked into an inbox with spare capacity. But
+// takeLocked hands the drained inbox to the worker and leaves nil behind,
+// so the next batch routed to that partition regrows its inbox: one
+// allocation per enqueue in the steady state of a running region.
+//
+//rasql:allocpin cluster.relaxedRouter.enqueueLocked cluster.relaxedRouter.pickLocked cluster.relaxedRouter.takeLocked cluster.relaxedRouter.completeLocked
+func TestRelaxedRouterZeroAllocs(t *testing.T) {
+	q := relaxedTestQuery(2, 2, true)
+	rt := &relaxedRouter{
+		q:        q,
+		opt:      RelaxedOptions{Parts: 2, Owner: q.DefaultOwner, Staleness: 1},
+		inbox:    make([][]relaxedBatch, 2),
+		clock:    make([]int64, 2),
+		inflight: make([]bool, 2),
+	}
+	rt.cond = sync.NewCond(&rt.mu)
+	rows := []types.Row{{types.Int(1)}, {types.Int(2)}}
+	// Partition 1 belongs to worker 1, so a batch from worker 0 takes the
+	// encoded cross-worker branch; its buffer is recycled as drainRows does.
+	enqueue := func() {
+		rt.enqueueLocked(1, rows, rt.clock[1], 0)
+	}
+	recycle := func(bs []relaxedBatch) {
+		for _, b := range bs {
+			putEncBuf(b.buf)
+		}
+	}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	enqueue()
+	bs := rt.inbox[1]
+	rt.inbox[1] = bs[:0]
+	recycle(bs)
+
+	// Pool misses under the race detector (which drops Puts at random)
+	// add at most New's buffer and its header per enqueue.
+	slack := 0.0
+	if raceEnabled {
+		slack = 2
+	}
+	check := func(what string, allocs, want float64) {
+		t.Helper()
+		if allocs < want || allocs > want+slack {
+			t.Errorf("%s allocates %.1f per run, want %.0f", what, allocs, want)
+		}
+	}
+	check("enqueueLocked into a warm inbox", testing.AllocsPerRun(100, func() {
+		enqueue()
+		bs := rt.inbox[1]
+		rt.inbox[1] = bs[:0]
+		rt.outstanding--
+		recycle(bs)
+	}), 0)
+
+	enqueue()
+	check("pick, take and complete", testing.AllocsPerRun(100, func() {
+		p, ok, _ := rt.pickLocked(1)
+		if !ok || p != 1 {
+			t.Fatalf("pickLocked(1) = %d, %v; want partition 1", p, ok)
+		}
+		bs, round, _ := rt.takeLocked(p)
+		rt.completeLocked(p, round, int64(len(bs)))
+		// Route the same batch back in, restoring its credit.
+		rt.inbox[p] = bs
+		rt.outstanding += int64(len(bs))
+	}), 0)
+	check("a full enqueue, pick, take, complete cycle", testing.AllocsPerRun(100, func() {
+		p, _, _ := rt.pickLocked(1)
+		bs, round, _ := rt.takeLocked(p)
+		enqueue()
+		rt.completeLocked(p, round, int64(len(bs)))
+		recycle(bs)
+	}), 1)
 }

@@ -29,7 +29,8 @@ func ListenAndServe(addr string, reg *Registry) (string, error) {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", Handler(reg))
 	srv := &http.Server{Handler: mux}
-	//rasql:detach -- process-lifetime metrics endpoint: the CLI exits by returning from main, never by draining the server
+	// Process-lifetime metrics endpoint: the CLI exits by returning from
+	// main, never by draining the server.
 	go func() {
 		_ = srv.Serve(ln)
 	}()

@@ -79,11 +79,11 @@ type Recorder struct {
 	inflight  *Gauge
 
 	mu sync.Mutex
-	//rasql:guardedby=mu
+	// guarded by mu
 	recent []QueryStats
-	//rasql:guardedby=mu
+	// guarded by mu
 	next int
-	//rasql:guardedby=mu
+	// guarded by mu
 	logger *slog.Logger
 }
 

@@ -96,9 +96,9 @@ type metric struct {
 // never touch the registry again.
 type Registry struct {
 	mu sync.RWMutex
-	//rasql:guardedby=mu
+	// guarded by mu
 	byName map[string]*metric
-	//rasql:guardedby=mu
+	// guarded by mu
 	ordered []*metric
 }
 

@@ -20,9 +20,9 @@ import (
 // to the query histograms. The counters satisfy hits + misses == lookups.
 type PlanCache struct {
 	mu sync.Mutex
-	//rasql:guardedby=mu
+	// guarded by mu
 	lru *list.List
-	//rasql:guardedby=mu
+	// guarded by mu
 	byKey map[string]*list.Element
 	cap   int
 

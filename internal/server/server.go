@@ -5,10 +5,9 @@
 // with queue-depth telemetry, per-request deadlines that cancel a running
 // fixpoint at an iteration boundary, and graceful drain.
 //
-// The package uses only net/http from the standard library. All goroutines
-// follow the engine's join-accounting discipline.
-//
-//rasql:lifecycle
+// The package uses only net/http from the standard library. Its one
+// goroutine, Drain's watcher, ends once the in-flight requests have drained
+// (TestServerDrain checks the goroutine count).
 package server
 
 import (
@@ -139,7 +138,8 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	done := make(chan struct{})
-	//rasql:detach -- watcher dies as soon as the in-flight WaitGroup drains; Drain's select consumes its signal or abandons it on ctx expiry
+	// The watcher dies as soon as the in-flight WaitGroup drains; Drain's
+	// select consumes its signal or abandons it on ctx expiry.
 	go func() {
 		s.inflight.Wait()
 		close(done)

@@ -260,7 +260,9 @@ func TestServerQueueTimeout(t *testing.T) {
 }
 
 // TestServerDrain: draining flips /readyz, refuses new work with 503 +
-// Retry-After, and Drain returns once in-flight requests finish.
+// Retry-After, and Drain returns once in-flight requests finish. Drain's
+// watcher goroutine must be gone afterwards, whether Drain completed or its
+// context expired first.
 func TestServerDrain(t *testing.T) {
 	eng := chainEngine(t, 50)
 	srv := New(eng, Config{})
@@ -270,11 +272,13 @@ func TestServerDrain(t *testing.T) {
 	if status, _, _ := post(t, ts.URL+"/v1/query", map[string]any{"sql": "SELECT count(*) FROM edge"}); status != http.StatusOK {
 		t.Fatalf("pre-drain query: status %d", status)
 	}
+	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
+	waitForGoroutines(t, "drain", base)
 	status, hdr, _ := post(t, ts.URL+"/v1/query", map[string]any{"sql": "SELECT count(*) FROM edge"})
 	if status != http.StatusServiceUnavailable {
 		t.Errorf("post-drain query: status %d, want 503", status)
@@ -301,5 +305,69 @@ func TestServerDrain(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/healthz while draining: status %d, want 200", resp.StatusCode)
+	}
+	t.Run("aborted", testDrainAborted)
+}
+
+// testDrainAborted covers the drain watcher Drain leaves behind when its
+// context expires with a request still in flight: the watcher must end once
+// that request finishes, taking the goroutine count back to its pre-request
+// value.
+func testDrainAborted(t *testing.T) {
+	eng := chainEngine(t, 5000)
+	srv := New(eng, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// Warm-up request so the client's keep-alive connection (and its
+	// transport goroutines) exists before the baseline count is taken.
+	if status, _, _ := post(t, ts.URL+"/v1/query", map[string]any{"sql": "SELECT count(*) FROM edge"}); status != http.StatusOK {
+		t.Fatalf("warm-up query: status %d", status)
+	}
+	base := runtime.NumGoroutine()
+	body, err := json.Marshal(map[string]any{
+		"sql":      queries.SSSP,
+		"settings": map[string]any{"timeout_ms": 300},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+		if err == nil {
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); srv.adm.active.Value() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("slow query never started executing")
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := srv.Drain(ctx); err == nil {
+		t.Error("Drain returned nil with a request in flight, want an abort error")
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("slow query: %v", err)
+	}
+	waitForGoroutines(t, "aborted drain", base)
+}
+
+// waitForGoroutines fails the test, with every goroutine's stack, unless
+// the goroutine count falls back to base within a few seconds.
+func waitForGoroutines(t *testing.T, what string, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%s: %d goroutines still running, %d before:\n%s", what, runtime.NumGoroutine(), base, buf)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -68,11 +68,11 @@ type session struct {
 	id string
 
 	mu sync.Mutex
-	//rasql:guardedby=mu
+	// guarded by mu
 	settings Settings
-	//rasql:guardedby=mu
+	// guarded by mu
 	stmts map[string]*preparedStmt
-	//rasql:guardedby=mu
+	// guarded by mu
 	nextStmt int
 }
 
@@ -101,9 +101,9 @@ func (s *session) stmt(id string) (*preparedStmt, bool) {
 // sessionRegistry tracks live sessions and exposes the count as a gauge.
 type sessionRegistry struct {
 	mu sync.Mutex
-	//rasql:guardedby=mu
+	// guarded by mu
 	byID map[string]*session
-	//rasql:guardedby=mu
+	// guarded by mu
 	nextID uint64
 	gauge  *obs.Gauge
 }

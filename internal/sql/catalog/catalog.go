@@ -2,7 +2,7 @@
 // visible to query analysis, keyed case-insensitively.
 //
 // A Catalog is safe for concurrent use: an RWMutex guards the two maps
-// (machine-checked by the guardedby analyzer), and concurrent queries take
+// (the -race suites check it), and concurrent queries take
 // snapshot-isolated reads via Clone — each query analyzes against its own
 // frozen copy while CREATE VIEW commits mutate the shared session catalog
 // under the write lock.
@@ -31,15 +31,15 @@ type Catalog struct {
 	// write lock. Lock ordering: mu nests inside nothing — no catalog
 	// method calls out while holding it.
 	mu sync.RWMutex
-	//rasql:guardedby=mu
+	// guarded by mu
 	tables map[string]*relation.Relation
-	//rasql:guardedby=mu
+	// guarded by mu
 	views map[string]*ViewDef
 	// version counts DDL commits (table or view registrations, replacements
 	// and drops). Plan caches key compiled plans on it: any mutation bumps
 	// the version, so a plan compiled against an older catalog can never be
 	// served after DDL changes what its names resolve to.
-	//rasql:guardedby=mu
+	// guarded by mu
 	version uint64
 }
 

