@@ -232,7 +232,9 @@ func TestPreparedWorkspaceAfterFailure(t *testing.T) {
 // projection scratch, combiner and shuffle receive memory — that the
 // previous execution sized. Rebuilding the base — 40K projected seed rows,
 // the partitioned edge tables — brings it to about 56K allocations, and
-// rebuilding the working memory to about 24 MiB.
+// rebuilding the working memory to about 24 MiB. The execution's counts are
+// pinned exactly: 4 iterations, a 1,985-row fixpoint, and 22,390 shuffle
+// records in 139,784 bytes.
 func TestCCRMATPreparedAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations are not the engine's")
@@ -254,6 +256,32 @@ func TestCCRMATPreparedAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	run()
 	runtime.ReadMemStats(&after)
+	// The exact-count fence: the measured execution's iterations and
+	// shuffle volume, and the view's fixpoint size read from one more,
+	// traced, execution. Any change to the plan, the map-side combine or
+	// the wire format moves one of them.
+	s, _ := eng.Observability().Last()
+	tr := rasql.NewIterationsTracer()
+	if _, err := eng.ExecPrepared(context.Background(), p, &rasql.ExecOptions{Tracer: tr}); err != nil {
+		t.Fatal(err)
+	}
+	var viewRows int64
+	if evs := tr.Iterations(); len(evs) > 0 {
+		viewRows = int64(evs[len(evs)-1].AllRows)
+	}
+	for _, c := range []struct {
+		what      string
+		got, want int64
+	}{
+		{"iterations", s.Iterations, 4},
+		{"result rows", viewRows, 1985},
+		{"shuffle bytes", s.ShuffleBytes, 139784},
+		{"shuffle records", s.ShuffleRecords, 22390},
+	} {
+		if c.got != c.want {
+			t.Errorf("a prepared CC execution's %s changed: %d, was %d", c.what, c.got, c.want)
+		}
+	}
 	got, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
 	if got > budget {
 		t.Errorf("a prepared CC execution made %d allocations, budget %d", got, budget)

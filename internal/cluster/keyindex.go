@@ -8,8 +8,8 @@ import (
 
 // keyIndex maps binary row keys (types.AppendKey encodings) to dense ids
 // assigned in insertion order: the i-th distinct key inserted gets id i. It
-// is the allocation-free replacement for the map[string]…/map[PackedKey]…
-// pairs that SetRDD, AggRDD and RowTable used to keep per partition:
+// is the allocation-free replacement for the Go maps that SetRDD, AggRDD
+// and RowTable used to keep per partition:
 //
 //   - key bytes live concatenated in one arena, so inserting copies into
 //     the arena tail instead of allocating a string;

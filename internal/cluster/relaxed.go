@@ -98,6 +98,10 @@ type relaxedRouter struct {
 	cond *sync.Cond
 	// guarded by mu
 	inbox [][]relaxedBatch
+	// spare[p] is partition p's second inbox, so no enqueue regrows one:
+	// takeLocked swaps it in and completeLocked returns the drained one.
+	// guarded by mu
+	spare [][]relaxedBatch
 	// guarded by mu
 	clock []int64
 	// guarded by mu
@@ -124,6 +128,7 @@ func (q *QueryContext) RunRelaxed(opt RelaxedOptions, seed [][]types.Row) Relaxe
 		q:        q,
 		opt:      opt,
 		inbox:    make([][]relaxedBatch, opt.Parts),
+		spare:    make([][]relaxedBatch, opt.Parts),
 		clock:    make([]int64, opt.Parts),
 		inflight: make([]bool, opt.Parts),
 	}
@@ -282,7 +287,7 @@ func (rt *relaxedRouter) runWorker(w int, busyNanos *int64, spans bool) {
 		rows := rt.drainRows(batches, w)
 		out := rt.process(w, part, rows, round, stale, spans)
 		*busyNanos += sw.elapsedNanos()
-		rt.deliver(part, out, round, int64(len(batches)), w)
+		rt.deliver(part, out, round, batches, w)
 	}
 }
 
@@ -314,7 +319,7 @@ func (rt *relaxedRouter) claim(w int, gateStall *int64) (batches []relaxedBatch,
 
 // deliver publishes one finished processing step: its output buckets are
 // credited to their destinations, then the step's input credit is released.
-func (rt *relaxedRouter) deliver(part int, out [][]types.Row, round, taken int64, w int) {
+func (rt *relaxedRouter) deliver(part int, out [][]types.Row, round int64, taken []relaxedBatch, w int) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	for t, bucket := range out {
@@ -340,7 +345,7 @@ func (rt *relaxedRouter) runSequential(busy []int64) {
 		rows := rt.drainRows(batches, w)
 		out := rt.process(w, part, rows, round, stale, spans)
 		busy[w] += sw.elapsedNanos()
-		rt.deliver(part, out, round, int64(len(batches)), w)
+		rt.deliver(part, out, round, batches, w)
 	}
 }
 
@@ -373,13 +378,14 @@ func (rt *relaxedRouter) claimSequential() (batches []relaxedBatch, part int, ro
 // partition's current round. The batches stay counted in outstanding until
 // completeLocked — the credit that keeps quiescence detection sound — and
 // the partition is marked in-flight so its clock keeps holding the gate.
+// The partition's spare becomes its inbox until completeLocked.
 //
 // The caller holds rt.mu.
 //
 //rasql:noalloc
 func (rt *relaxedRouter) takeLocked(part int) ([]relaxedBatch, int64, int) {
 	batches := rt.inbox[part]
-	rt.inbox[part] = nil
+	rt.inbox[part], rt.spare[part] = rt.spare[part], nil
 	rt.inflight[part] = true
 	round := rt.clock[part]
 	stale := 0
@@ -398,14 +404,17 @@ func (rt *relaxedRouter) takeLocked(part int) ([]relaxedBatch, int64, int) {
 // clock advances, its in-flight mark clears, and the consumed batches'
 // credit is released — strictly after the step's own outputs were credited
 // by enqueueLocked, so outstanding can only reach zero at true quiescence.
+// The drained inbox, emptied, becomes the partition's spare.
 //
 // The caller holds rt.mu.
 //
 //rasql:noalloc
-func (rt *relaxedRouter) completeLocked(part int, round, taken int64) {
+func (rt *relaxedRouter) completeLocked(part int, round int64, taken []relaxedBatch) {
 	rt.clock[part] = round + 1
 	rt.inflight[part] = false
-	rt.outstanding -= taken
+	rt.outstanding -= int64(len(taken))
+	clear(taken)
+	rt.spare[part] = taken[:0]
 	rt.batches++
 	rt.cond.Broadcast()
 }

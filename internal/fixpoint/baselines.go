@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"github.com/rasql/rasql-go/internal/cluster"
+	"github.com/rasql/rasql-go/internal/relation"
 	"github.com/rasql/rasql-go/internal/sql/analyze"
 	"github.com/rasql/rasql-go/internal/sql/exec"
 	"github.com/rasql/rasql-go/internal/types"
@@ -104,33 +105,13 @@ func DistributedSQLNaive(clique *analyze.Clique, ctx *exec.Context, c *cluster.Q
 }
 
 // aggregateFull applies the view's γ (group aggregate or set dedup) to a
-// complete derivation multiset.
+// complete derivation multiset the caller owns.
 func aggregateFull(v *analyze.RecView, rows []types.Row) []types.Row {
 	if !v.IsAgg() {
-		seen := make(map[string]struct{}, len(rows))
-		out := make([]types.Row, 0, len(rows))
-		for _, r := range rows {
-			k := types.RowKeyString(r)
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			out = append(out, r)
-		}
-		return out
+		return (&relation.Relation{Rows: rows}).Dedup().Rows
 	}
-	idx := make(map[string]int, len(rows))
-	out := make([]types.Row, 0, len(rows))
-	for _, r := range rows {
-		k := types.KeyString(r, v.GroupIdx)
-		if i, ok := idx[k]; ok {
-			out[i][v.AggIdx] = v.Agg.Combine(out[i][v.AggIdx], r[v.AggIdx])
-			continue
-		}
-		idx[k] = len(out)
-		out = append(out, r.Clone())
-	}
-	return out
+	var c types.Combiner
+	return c.Combine(rows, v.GroupIdx, v.AggIdx, v.Agg)
 }
 
 // sameRows compares two partition states as sets (groups compare with

@@ -348,9 +348,10 @@ func makeKernels(plan *Plan, ctx *exec.Context, c *cluster.QueryContext, opt Dis
 // workspace is one execution's working memory, borrowed from its Base. run
 // evaluates rule heads over kernel emissions, bucketing output rows by the
 // view partition key, with map-side partial aggregation (Algorithm 5 line
-// 5). Head expressions are compiled to closures once and every byte a step
-// needs, shuffled input included, comes out of the partition's reusable
-// scratch — the allocation-shape half of whole-stage code generation.
+// 5) folded in as each row is emitted. Head expressions are compiled to
+// closures once and every byte a step needs, shuffled input included, comes
+// out of the partition's reusable scratch — the allocation-shape half of
+// whole-stage code generation.
 type workspace struct {
 	plan  *Plan
 	parts int
@@ -369,7 +370,7 @@ type stepScratch struct {
 	stream   []types.Row     // the delta as one rule consumes it
 	env      expr.Env        // the fused kernel's join environment
 	keys     [][]types.Value // the fused kernel's probe key per join step
-	comb     types.Combiner  // the map-side combine of the output buckets
+	comb     types.Combiner  // the map-side combine: the group table over out's rows
 	recv     []types.Row     // shuffled input, its values carved from recvSlab
 	recvSlab types.RowSlab
 }
@@ -428,6 +429,12 @@ func (ws *workspace) run(c *cluster.QueryContext, kernels []*ruleKernel, delta d
 		out[t] = out[t][:0]
 	}
 	width := v.Schema.Len()
+	agg := v.IsAgg()
+	var scratch types.Row // an aggregate's head, folded into its group's row
+	if agg {
+		sc.comb.Reset(v.GroupIdx, v.AggIdx, v.Agg)
+		scratch = sc.arena.Alloc(width)
+	}
 	for ki, k := range kernels {
 		rp := ws.plan.Rules[ki]
 		stream := delta.streamRows(rp, aggIdxOf(v), sc)
@@ -436,22 +443,25 @@ func (ws *workspace) run(c *cluster.QueryContext, kernels []*ruleKernel, delta d
 		}
 		head := ws.heads[ki]
 		k.run(c, stream, part, worker, sc, func(env expr.Env) {
-			row := sc.arena.Alloc(width)
+			row := scratch
+			if !agg {
+				row = sc.arena.Alloc(width)
+			}
 			for i, h := range head {
 				row[i] = h(env)
 			}
 			if v.Agg == types.AggCount {
 				row[v.AggIdx] = types.CountContribution(row[v.AggIdx])
 			}
+			if agg {
+				var fresh bool
+				if row, fresh = sc.comb.Fold(row, &sc.arena); !fresh {
+					return
+				}
+			}
 			t := int(types.HashRowKey(row, ws.plan.PartKey) % uint64(ws.parts))
 			out[t] = append(out[t], row)
 		})
-	}
-	if v.IsAgg() {
-		for t := range out {
-			// Output rows are scratch-owned and private to this call.
-			out[t] = sc.comb.Combine(out[t], v.GroupIdx, v.AggIdx, v.Agg)
-		}
 	}
 	return out
 }

@@ -444,3 +444,30 @@ SELECT A, B, C FROM p`
 			dist.Relations["p"].Len(), local.Relations["p"].Len())
 	}
 }
+
+// TestSumSeedKeepsCancellingContributions pins the seed pre-combine's rule
+// that an additive view's base rows stay uncombined. Group 1's base
+// contributions +2 and -2 cancel: combined on the driver they would reach
+// Merge as one zero increment on a fresh group, which derives nothing, so
+// the group would vanish. Merged one by one they open the group and leave
+// it at 0, as every evaluator must.
+func TestSumSeedKeepsCancellingContributions(t *testing.T) {
+	const src = `
+WITH recursive s (K, sum() AS V) AS
+    (SELECT Src, Cost FROM edge) UNION
+    (SELECT edge.Dst, s.V FROM s, edge WHERE s.K = edge.Src AND edge.Dst > 100)
+SELECT K, V FROM s`
+	edges := relation.New("edge", gen.EdgeSchema())
+	for _, e := range [][3]float64{{1, 5, 2}, {1, 6, -2}, {2, 7, 3}} {
+		edges.Append(types.Row{types.Int(int64(e[0])), types.Int(int64(e[1])), types.Float(e[2])})
+	}
+	for name, rel := range runWays(t, src, testCatalog(edges), "s") {
+		got := map[int64]float64{}
+		for _, r := range rel.Rows {
+			got[r[0].AsInt()] = r[1].AsFloat()
+		}
+		if v, ok := got[1]; !ok || v != 0 || len(got) != 2 || got[2] != 3 {
+			t.Errorf("%s: view = %v, want group 1 at 0 and group 2 at 3", name, got)
+		}
+	}
+}

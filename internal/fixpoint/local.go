@@ -598,20 +598,9 @@ func evalRuleNaive(rule *analyze.Rule, state map[string]*relation.Relation, ctx 
 // naiveAggregate applies the view's head aggregate (or set dedup) to a full
 // set of derivations — the γ of γ(T(R)) in the naive loop.
 func naiveAggregate(v *analyze.RecView, emitted []types.Row) *relation.Relation {
-	out := relation.New(v.Name, v.Schema)
+	out := relation.FromRows(v.Name, v.Schema, emitted)
 	if !v.IsAgg() {
-		out.Rows = emitted
 		return out.Dedup()
 	}
-	idx := map[string]int{}
-	for _, r := range emitted {
-		k := types.KeyString(r, v.GroupIdx)
-		if i, ok := idx[k]; ok {
-			out.Rows[i][v.AggIdx] = v.Agg.Combine(out.Rows[i][v.AggIdx], r[v.AggIdx])
-			continue
-		}
-		idx[k] = len(out.Rows)
-		out.Rows = append(out.Rows, r.Clone())
-	}
-	return out
+	return out.Aggregate(v.GroupIdx, v.AggIdx, v.Agg)
 }

@@ -93,7 +93,7 @@ func Check(prog *analyze.Program, ctx *exec.Context, maxIter int) (*Report, erro
 		}
 		// Compare γ(T(I)) — the twin's aggregated state — against
 		// γ(T(γ(I))) — the original's state.
-		agg := Aggregate(twinState[strings.ToLower(v.Name)], v.GroupIdx, v.AggIdx, v.Agg)
+		agg := twinState[strings.ToLower(v.Name)].Aggregate(v.GroupIdx, v.AggIdx, v.Agg)
 		if !agg.EqualAsSet(origState[strings.ToLower(v.Name)]) {
 			rep.Holds = false
 			rep.FailedIteration = step
@@ -169,29 +169,12 @@ func sample(r *relation.Relation) string {
 	return r.Clone().Sort().Rows[0].String()
 }
 
-// Aggregate applies γ — grouping on key columns with the given aggregate on
-// the value column — to a relation.
-func Aggregate(rel *relation.Relation, key []int, valIdx int, kind types.AggKind) *relation.Relation {
-	out := relation.New(rel.Name, rel.Schema)
-	idx := map[string]int{}
-	for _, r := range rel.Rows {
-		k := types.KeyString(r, key)
-		if i, ok := idx[k]; ok {
-			out.Rows[i][valIdx] = kind.Combine(out.Rows[i][valIdx], r[valIdx])
-			continue
-		}
-		idx[k] = len(out.Rows)
-		out.Rows = append(out.Rows, r.Clone())
-	}
-	return out
-}
-
 // HoldsFor checks the algebraic PreM property γ(T(R)) = γ(T(γ(R))) for one
 // application of a transform T on a concrete relation R. It is the direct
 // Section 3 definition, used by property-based tests.
 func HoldsFor(T func(*relation.Relation) *relation.Relation, R *relation.Relation,
 	key []int, valIdx int, kind types.AggKind) bool {
-	left := Aggregate(T(R), key, valIdx, kind)
-	right := Aggregate(T(Aggregate(R, key, valIdx, kind)), key, valIdx, kind)
+	left := T(R).Aggregate(key, valIdx, kind)
+	right := T(R.Aggregate(key, valIdx, kind)).Aggregate(key, valIdx, kind)
 	return left.EqualAsSet(right)
 }

@@ -166,7 +166,7 @@ func TestAggregateHelper(t *testing.T) {
 	for _, r := range rows {
 		rel.Append(types.Row{types.Int(r[0]), types.Int(r[1])})
 	}
-	got := Aggregate(rel, []int{0}, 1, types.AggMin)
+	got := rel.Aggregate([]int{0}, 1, types.AggMin)
 	if got.Len() != 2 {
 		t.Fatalf("groups = %d", got.Len())
 	}

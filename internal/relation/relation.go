@@ -71,6 +71,25 @@ func (r *Relation) Dedup() *Relation {
 	return r
 }
 
+// Aggregate applies γ — grouping on the key columns with kind on column
+// valIdx — and returns the groups as a new relation of copied rows, in
+// first-appearance order. It is the reference grouping: a Go map over
+// KeyString keys, sharing no code with the engine's map-side combine.
+func (r *Relation) Aggregate(key []int, valIdx int, kind types.AggKind) *Relation {
+	out := New(r.Name, r.Schema)
+	idx := map[string]int{}
+	for _, row := range r.Rows {
+		k := types.KeyString(row, key)
+		if i, ok := idx[k]; ok {
+			out.Rows[i][valIdx] = kind.Combine(out.Rows[i][valIdx], row[valIdx])
+			continue
+		}
+		idx[k] = len(out.Rows)
+		out.Rows = append(out.Rows, row.Clone())
+	}
+	return out
+}
+
 // EqualAsSet reports whether two relations hold the same set of rows,
 // ignoring order and duplicates.
 func (r *Relation) EqualAsSet(o *Relation) bool {

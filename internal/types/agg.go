@@ -1,6 +1,9 @@
 package types
 
-import "strings"
+import (
+	"math"
+	"strings"
+)
 
 // AggKind enumerates the monotonic aggregates RaSQL allows in recursion,
 // plus AVG which is legal only in stratified (non-recursive) position.
@@ -115,17 +118,56 @@ func CountContribution(v Value) Value {
 	return Int(1)
 }
 
-// Combiner is the map-side combine of the paper's Algorithm 5, line 5,
-// with its group index kept across calls: a reused Combiner allocates only
-// for a call with more groups than any before it. Each call first deletes
-// the previous call's keys — O(its groups), where clear costs O(peak map
-// capacity) — so small deltas after one large step stay cheap. The zero
-// value is ready to use; a Combiner is not safe for concurrent use.
+// Combiner is the map-side combine of the paper's Algorithm 5, line 5: an
+// open-addressed group table that folds rows into one row per group as
+// they arrive. A reused Combiner allocates only for a call with more groups
+// than any before it, and Reset zeroes only the slots the last call used,
+// so small deltas after one large step stay cheap. The zero value is ready
+// to use; a Combiner is not safe for concurrent use.
+//
+// Key columns compare as AppendKey's bytes would: numerics by the bits of
+// their float64 image (Int(3) meets Float(3.0), -0.0 and +0.0 stay apart,
+// NaN meets NaN), other values by kind and string.
 type Combiner struct {
-	packed map[PackedKey]int // numeric keys of up to three columns
-	strs   map[string]int    // the KeyString fallback
-	pkeys  []PackedKey       // the keys the last call inserted, for the reset
-	skeys  []string
+	key    []int
+	valIdx int
+	kind   AggKind
+	rows   []Row    // rows[id] is group id's row
+	used   []uint32 // used[id] is the slot holding it, for the reset
+	// slots is the table: (id+1)<<32 | uint32(hash), 0 = empty. A hash's
+	// home slot comes from its high half, apart from the tag and from the
+	// low bits partition routing consumes.
+	slots []uint64
+	mask  uint64
+}
+
+// Reset forgets the previous call's groups and folds the next rows on the
+// key columns, combining column valIdx with kind.
+func (c *Combiner) Reset(key []int, valIdx int, kind AggKind) {
+	for _, s := range c.used {
+		c.slots[s] = 0
+	}
+	c.rows, c.used = c.rows[:0], c.used[:0]
+	c.key, c.valIdx, c.kind = key, valIdx, kind
+}
+
+// Fold combines r into the row of its group and returns that row with
+// fresh false. When r opens a group, the group's row is a copy of r carved
+// from arena, or r itself if arena is nil, and it returns that with fresh
+// true.
+func (c *Combiner) Fold(r Row, arena *RowSlab) (g Row, fresh bool) {
+	h := HashRowKey(r, c.key)
+	id, s := c.find(r, h)
+	if id >= 0 {
+		g = c.rows[id]
+		g[c.valIdx] = c.kind.Combine(g[c.valIdx], r[c.valIdx])
+		return g, false
+	}
+	if arena != nil {
+		r = arena.Clone(r)
+	}
+	c.insert(s, h, r)
+	return r, true
 }
 
 // Combine folds rows sharing the key columns into the first row of each
@@ -133,61 +175,75 @@ type Combiner struct {
 // survivors are updated in place and compacted into a prefix of rows' own
 // backing array, which is returned in first-appearance order.
 func (c *Combiner) Combine(rows []Row, key []int, valIdx int, kind AggKind) []Row {
-	c.pkeys = forget(c.packed, c.pkeys)
-	c.skeys = forget(c.strs, c.skeys)
-	if len(rows) == 0 {
-		return rows
-	}
-	// Packed fast path for numeric keys of up to three columns. Check
-	// packability up front — the aggregation below mutates rows, so the
-	// path must be committed before any Combine runs.
-	packable := len(key) <= 3
-	if packable {
-		for _, r := range rows {
-			if _, ok := PackRow(r, key); !ok {
-				packable = false
-				break
-			}
-		}
-	}
+	c.Reset(key, valIdx, kind)
 	out := rows[:0] // the write index never passes the read index
-	if packable {
-		if c.packed == nil {
-			c.packed = make(map[PackedKey]int, len(rows))
-		}
-		for _, r := range rows {
-			k, _ := PackRow(r, key)
-			if i, hit := c.packed[k]; hit {
-				out[i][valIdx] = kind.Combine(out[i][valIdx], r[valIdx])
-				continue
-			}
-			c.packed[k] = len(out)
-			c.pkeys = append(c.pkeys, k)
-			out = append(out, r)
-		}
-		return out
-	}
-	if c.strs == nil {
-		c.strs = make(map[string]int, len(rows))
-	}
 	for _, r := range rows {
-		k := KeyString(r, key)
-		if i, hit := c.strs[k]; hit {
-			out[i][valIdx] = kind.Combine(out[i][valIdx], r[valIdx])
-			continue
+		if g, fresh := c.Fold(r, nil); fresh {
+			out = append(out, g)
 		}
-		c.strs[k] = len(out)
-		c.skeys = append(c.skeys, k)
-		out = append(out, r)
 	}
 	return out
 }
 
-// forget deletes keys from m and returns keys emptied for reuse.
-func forget[K comparable](m map[K]int, keys []K) []K {
-	for _, k := range keys {
-		delete(m, k)
+// find returns the id of r's group, or -1 and the empty slot where a group
+// with hash h goes. It first grows the table if one more group would pass
+// 3/4 load, so the slot stays valid for insert.
+//
+//rasql:noalloc
+func (c *Combiner) find(r Row, h uint64) (id int, slot uint64) {
+	if 4*(len(c.rows)+1) > 3*len(c.slots) {
+		//rasql:allow noalloc -- amortized: table doubling at 3/4 load, O(log n) times over a Combiner's life
+		c.grow()
 	}
-	clear(keys)
-	return keys[:0]
+	for s := h >> 32 & c.mask; ; s = (s + 1) & c.mask {
+		v := c.slots[s]
+		if v == 0 {
+			return -1, s
+		}
+		if uint32(v) == uint32(h) {
+			if id := int(v>>32) - 1; sameKey(c.rows[id], r, c.key) {
+				return id, s
+			}
+		}
+	}
+}
+
+// insert makes g the row of a new group with hash h at the empty slot s
+// find returned. Its appends amortize into capacity earlier calls grew.
+//
+//rasql:noalloc
+func (c *Combiner) insert(s, h uint64, g Row) {
+	c.slots[s] = uint64(len(c.rows)+1)<<32 | uint64(uint32(h))
+	c.rows = append(c.rows, g)
+	c.used = append(c.used, uint32(s))
+}
+
+func (c *Combiner) grow() {
+	n := max(2*len(c.slots), 16)
+	c.slots, c.mask = make([]uint64, n), uint64(n-1)
+	for id, g := range c.rows {
+		h := HashRowKey(g, c.key)
+		s := h >> 32 & c.mask
+		for c.slots[s] != 0 {
+			s = (s + 1) & c.mask
+		}
+		c.slots[s] = uint64(id+1)<<32 | uint64(uint32(h))
+		c.used[id] = uint32(s)
+	}
+}
+
+// sameKey reports whether a and b agree on the key columns under
+// AppendKey's equality.
+func sameKey(a, b Row, key []int) bool {
+	for _, i := range key {
+		x, y := a[i], b[i]
+		if x.IsNumeric() || y.IsNumeric() {
+			if !x.IsNumeric() || !y.IsNumeric() || math.Float64bits(x.AsFloat()) != math.Float64bits(y.AsFloat()) {
+				return false
+			}
+		} else if x.K != y.K || x.K == KindString && x.S != y.S {
+			return false
+		}
+	}
+	return true
 }

@@ -48,8 +48,8 @@ func BenchmarkDecodeRows(b *testing.B) {
 
 // BenchmarkCombinerLongTail: one 100K-group step, then a long tail of
 // 1-group steps — the shape of a recursion whose frontier collapses. The
-// reused Combiner's reset deletes only the last call's keys, so its tail
-// calls must stay within 2× of a fresh Combiner's, not pay peak-sized
+// reused Combiner's reset zeroes only the slots the last call used, so its
+// tail calls must stay within 2× of a fresh Combiner's, not pay peak-sized
 // clears.
 func BenchmarkCombinerLongTail(b *testing.B) {
 	big := make([]Row, 100_000)

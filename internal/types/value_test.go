@@ -1,6 +1,7 @@
 package types
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -214,49 +215,6 @@ func TestFloatSpecialValues(t *testing.T) {
 	}
 }
 
-func TestNumKeyAndPackRow(t *testing.T) {
-	if k1, ok := NumKey(Int(3)); !ok {
-		t.Error("ints have numeric keys")
-	} else if k2, _ := NumKey(Float(3.0)); k1 != k2 {
-		t.Error("Int(3) and Float(3.0) must share a key")
-	}
-	if _, ok := NumKey(Str("x")); ok {
-		t.Error("strings have no numeric key")
-	}
-	if _, ok := NumKey(Null()); ok {
-		t.Error("NULL has no numeric key")
-	}
-	r := Row{Int(1), Float(2), Bool(true)}
-	if _, ok := PackRow(r, []int{0, 1, 2}); !ok {
-		t.Error("all-numeric row should pack")
-	}
-	if _, ok := PackRow(Row{Str("s")}, []int{0}); ok {
-		t.Error("string row must not pack")
-	}
-	if _, ok := PackRow(Row{Int(1), Int(2), Int(3), Int(4)}, []int{0, 1, 2, 3}); ok {
-		t.Error("more than 3 key columns must not pack")
-	}
-	// Distinct rows pack to distinct keys; equal rows to equal keys.
-	a, _ := PackRow(Row{Int(1), Int(2)}, []int{0, 1})
-	b, _ := PackRow(Row{Int(1), Float(2)}, []int{0, 1})
-	c, _ := PackRow(Row{Int(2), Int(1)}, []int{0, 1})
-	if a != b {
-		t.Error("value-equal rows must pack equal")
-	}
-	if a == c {
-		t.Error("different rows must pack differently")
-	}
-}
-
-func TestAllNumeric(t *testing.T) {
-	if !AllNumeric(NewSchema(Col("A", KindInt), Col("B", KindFloat), Col("C", KindBool))) {
-		t.Error("numeric schema misclassified")
-	}
-	if AllNumeric(NewSchema(Col("A", KindInt), Col("S", KindString))) {
-		t.Error("string column is not numeric")
-	}
-}
-
 func TestPartialAggregateStringKeysFallback(t *testing.T) {
 	var c Combiner
 	out := c.Combine([]Row{{Str("a"), Int(1)}, {Str("a"), Int(2)}, {Str("b"), Int(5)}}, []int{0}, 1, AggSum)
@@ -265,8 +223,8 @@ func TestPartialAggregateStringKeysFallback(t *testing.T) {
 	}
 }
 
-// Combine compacts the caller's slice in place — on the packed path and on
-// the string-key fallback — so a reused bucket keeps its backing array.
+// Combine compacts the caller's slice in place — for numeric and string
+// keys alike — so a reused bucket keeps its backing array.
 func TestPartialAggregateOwnedCompactsInPlace(t *testing.T) {
 	for _, key := range []func(int) Value{
 		func(k int) Value { return Int(int64(k)) },
@@ -287,35 +245,123 @@ func TestPartialAggregateOwnedCompactsInPlace(t *testing.T) {
 	}
 }
 
-// TestCombinerReuse: one Combiner carried across packable keys, string keys
-// (the KeyString fallback) and empty input gives the same groups and values
-// as a fresh Combiner for every aggregate a recursive view may carry — the
-// previous call's keys must never leak into the next call's groups.
-func TestCombinerReuse(t *testing.T) {
-	inputs := [][]Row{
-		{{Int(1), Int(5)}, {Int(2), Int(7)}, {Int(1), Int(3)}, {Int(3), Int(1)}, {Int(2), Int(9)}},
-		{{Str("x"), Int(4)}, {Str("y"), Int(2)}, {Str("x"), Int(6)}},
-		nil,
-		{{Int(2), Int(1)}, {Int(2), Int(8)}, {Int(4), Int(3)}},
-		{{Null(), Int(2)}, {Null(), Int(3)}, {Int(1), Int(4)}}, // NULL keys fall back too
-		{},
-		{{Int(1), Int(5)}, {Int(3), Int(2)}, {Int(1), Int(1)}},
+// referenceGroups is the grouping AggRDD.Merge keys on: a map from
+// AppendKey bytes to each group's first row, values combined in order.
+func referenceGroups(rows []Row, key []int, valIdx int, kind AggKind) []Row {
+	ids := map[string]int{}
+	var out []Row
+	for _, r := range rows {
+		k := string(AppendKey(nil, r, key))
+		if i, ok := ids[k]; ok {
+			out[i][valIdx] = kind.Combine(out[i][valIdx], r[valIdx])
+			continue
+		}
+		ids[k] = len(out)
+		out = append(out, append(Row(nil), r...))
 	}
-	for _, kind := range []AggKind{AggMin, AggMax, AggSum, AggCount} {
-		var reused Combiner
-		for i, in := range inputs {
-			var fresh Combiner
-			want := fresh.Combine(CloneRows(in), []int{0}, 1, kind)
-			got := reused.Combine(CloneRows(in), []int{0}, 1, kind)
-			if len(got) != len(want) {
-				t.Fatalf("%v input %d: %d groups reused, %d fresh", kind, i, len(got), len(want))
-			}
-			for j := range want {
-				if !got[j].Equal(want[j]) {
-					t.Errorf("%v input %d group %d: reused %v, fresh %v", kind, i, j, got[j], want[j])
-				}
+	return out
+}
+
+// TestCombinerMatchesReferenceGrouping: for every aggregate a recursive
+// view may carry, one Combiner reused across all cases — folding at emit
+// into an arena, and compacting owned rows in place — yields exactly the
+// groups, order and values of a plain map keyed by AppendKey bytes. A
+// previous call's groups must never leak into the next call's.
+func TestCombinerMatchesReferenceGrouping(t *testing.T) {
+	negZero := Float(math.Copysign(0, -1))
+	big := make([]Row, 100_000)
+	for i := range big {
+		big[i] = Row{Int(int64(i)), Int(int64(i % 7))}
+	}
+	pair := []int{0}
+	cases := []struct {
+		name   string
+		rows   []Row
+		key    []int
+		valIdx int
+	}{
+		{"int meets float", []Row{{Int(3), Int(1)}, {Float(3.0), Int(2)}, {Int(4), Int(5)}, {Float(4.5), Int(1)}}, pair, 1},
+		{"strings and NULLs", []Row{{Str("a"), Int(1)}, {Null(), Int(2)}, {Str("a"), Int(3)}, {Null(), Int(4)}, {Str(""), Int(5)}, {Str("b"), Int(6)}}, pair, 1},
+		{"signed zeros stay apart", []Row{{Float(0), Int(1)}, {negZero, Int(2)}, {Int(0), Int(3)}, {negZero, Int(4)}}, pair, 1},
+		{"NaN meets NaN", []Row{{Float(math.NaN()), Int(1)}, {Int(1), Int(2)}, {Float(math.NaN()), Int(3)}}, pair, 1},
+		{"four-column key", []Row{
+			{Int(1), Str("x"), Null(), Float(2), Int(1)},
+			{Int(1), Str("x"), Null(), Int(2), Int(5)},
+			{Int(1), Str("y"), Null(), Int(2), Int(2)},
+			{Float(1), Str("x"), Null(), Float(2), Int(3)},
+			{Int(1), Str("x"), Int(0), Float(2), Int(7)},
+		}, []int{0, 1, 2, 3}, 4},
+		{"100K groups", big, pair, 1},
+		{"one group after the peak", []Row{{Int(7), Int(3)}, {Int(7), Int(2)}}, pair, 1},
+		{"empty", nil, pair, 1},
+		{"one group again", []Row{{Int(99_999), Int(4)}, {Float(99_999), Int(1)}, {Int(99_999), Int(9)}}, pair, 1},
+	}
+	// diff compares rows bit for bit, as AppendRowKey encodes them.
+	diff := func(got, want []Row) string {
+		if len(got) != len(want) {
+			return fmt.Sprintf("%d groups, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if string(AppendRowKey(nil, got[i])) != string(AppendRowKey(nil, want[i])) {
+				return fmt.Sprintf("group %d is %v, want %v", i, got[i], want[i])
 			}
 		}
+		return ""
+	}
+	for _, kind := range []AggKind{AggMin, AggMax, AggSum, AggCount} {
+		var folder, combiner Combiner
+		var arena RowSlab
+		for _, tc := range cases {
+			want := referenceGroups(tc.rows, tc.key, tc.valIdx, kind)
+			arena.Reset()
+			folder.Reset(tc.key, tc.valIdx, kind)
+			var folded []Row
+			for _, r := range tc.rows {
+				if g, fresh := folder.Fold(r, &arena); fresh {
+					folded = append(folded, g)
+				}
+			}
+			if d := diff(folded, want); d != "" {
+				t.Errorf("%v %s: folded %s", kind, tc.name, d)
+			}
+			if d := diff(combiner.Combine(CloneRows(tc.rows), tc.key, tc.valIdx, kind), want); d != "" {
+				t.Errorf("%v %s: combined %s", kind, tc.name, d)
+			}
+		}
+	}
+}
+
+// TestCombinerFoldZeroAllocs: a warm fold — over a table that already held
+// its peak group count, into an arena that already carved as many rows —
+// allocates nothing: the reset, the probes, the in-place combines and the
+// inserts all reuse memory the first pass grew.
+//
+//rasql:allocpin types.Combiner.find types.Combiner.insert
+func TestCombinerFoldZeroAllocs(t *testing.T) {
+	rows := make([]Row, 4096)
+	for i := range rows {
+		rows[i] = Row{Int(int64(i % 1000)), Str("k"), Float(float64(i))}
+	}
+	key := []int{0, 1}
+	var c Combiner
+	var arena RowSlab
+	groups := 0
+	fold := func() {
+		arena.Reset()
+		c.Reset(key, 2, AggMin)
+		groups = 0
+		for _, r := range rows {
+			if _, fresh := c.Fold(r, &arena); fresh {
+				groups++
+			}
+		}
+	}
+	fold()
+	if got := testing.AllocsPerRun(50, fold); got != 0 {
+		t.Errorf("a warm fold of %d rows allocates %.1f per run, want 0", len(rows), got)
+	}
+	if groups != 1000 {
+		t.Errorf("%d groups, want 1000", groups)
 	}
 }
 
