@@ -44,11 +44,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/sql/parser/
 
 # Engine-invariant checkers (internal/analysis): standalone whole-program
-# pass, then the go vet driver so _test.go files are covered too.
+# pass, then the go vet driver so _test.go files are covered too. Last, no
+# non-test file may declare a sync.Pool: wire bytes live in owned send
+# memory (DESIGN.md §6), whose size no collection changes.
 rasql-lint:
 	$(GO) build -o bin/rasql-lint ./cmd/rasql-lint
 	./bin/rasql-lint ./...
 	$(GO) vet -vettool=$$PWD/bin/rasql-lint ./...
+	! git grep -n 'sync\.Pool{' -- '*.go' ':!*_test.go'
 
 # Allocation-contract drift check (DESIGN.md §12): every //rasql:noalloc
 # annotation must be dynamically pinned by an //rasql:allocpin comment on

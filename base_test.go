@@ -229,7 +229,7 @@ func TestPreparedWorkspaceAfterFailure(t *testing.T) {
 // base, the next execution over the cc-rmat benchmark graph (RMAT-2000,
 // symmetrized, 40K edges) pays only for the recursion: about 5K
 // allocations and 1.6 MiB, because it also borrows the working memory —
-// projection scratch, combiner and shuffle receive memory — that the
+// projection scratch, combiner, shuffle receive and send memory — that the
 // previous execution sized. Rebuilding the base — 40K projected seed rows,
 // the partitioned edge tables — brings it to about 56K allocations, and
 // rebuilding the working memory to about 24 MiB. The execution's counts are
@@ -251,7 +251,7 @@ func TestCCRMATPreparedAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // build and publish the base; size the workspace; warm the shuffle buffer pool
+	run() // build and publish the base; size the workspace and its send memory
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	run()
@@ -290,4 +290,53 @@ func TestCCRMATPreparedAllocBudget(t *testing.T) {
 		t.Errorf("a prepared CC execution allocated %d KiB, budget %d KiB", bytes>>10, byteBudget>>10)
 	}
 	t.Logf("a prepared CC execution made %d allocations of %d KiB (budgets %d, %d KiB)", got, bytes>>10, budget, byteBudget>>10)
+}
+
+// TestWarmExecutionIgnoresGC: a warm prepared execution encodes its wire
+// bytes into memory its plan owns, so what it allocates does not depend on
+// when the collector last ran. Two warm executions, the second right after
+// two forced collections, must allocate within a few objects of each other
+// on the cc-rmat graph (shuffles and transfers) and on the tc-grid graph
+// (transfers only). Memory a collection can take back — a recycling pool,
+// say — shows up here as a second execution that buys it again.
+func TestWarmExecutionIgnoresGC(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations are not the engine's")
+	}
+	const slack = 10
+	for _, c := range []struct {
+		name, query string
+		edges       *rasql.Relation
+	}{
+		{"cc-rmat", queries.CC, gen.Symmetrized(gen.Unweighted(gen.RMATDefault(2000, gen.Rng(1))))},
+		{"tc-grid", queries.TC, gen.Unweighted(gen.Grid(20, gen.Rng(1)))},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng := rasql.New(rasql.Config{})
+			eng.MustRegister(c.edges)
+			p, err := eng.Prepare(c.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mallocs := func() uint64 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if _, err := eng.ExecPrepared(context.Background(), p, nil); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				return after.Mallocs - before.Mallocs
+			}
+			mallocs() // build and publish the base; size the plan's working memory
+			warm := mallocs()
+			runtime.GC()
+			runtime.GC()
+			afterGC := mallocs()
+			d := int64(afterGC) - int64(warm)
+			if d > slack || d < -slack {
+				t.Errorf("a warm execution made %d allocations, %d right after two collections (%+d, slack %d)", warm, afterGC, d, slack)
+			}
+			t.Logf("a warm execution made %d allocations, %d right after two collections", warm, afterGC)
+		})
+	}
 }

@@ -1,9 +1,9 @@
 // Command rasql-lint checks the engine-source invariants that keep query
 // results reproducible and the allocation-free data plane honest:
 // deterministic clocks (simclock), non-retention of decode buffers
-// (noretain), sync.Pool Get/Put pairing (pooldiscipline), and
-// allocation-free hot paths (noalloc). See the internal/analysis package
-// documentation for the invariants and the //rasql: annotation language.
+// (noretain) and allocation-free hot paths (noalloc). See the
+// internal/analysis package documentation for the invariants and the
+// //rasql: annotation language.
 //
 // Two modes:
 //

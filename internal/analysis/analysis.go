@@ -10,8 +10,6 @@
 //   - noretain: functions annotated //rasql:noretain never store their
 //     parameter-derived slices into heap-reachable locations, which is what
 //     makes immediate buffer recycling behind them safe;
-//   - pooldiscipline: every sync.Pool Get is paired with a Put on every
-//     return path, and the pooled value is not used after Put;
 //   - noalloc: functions annotated //rasql:noalloc (the data plane's hot
 //     path) reach no heap-allocation site, transitively through in-module
 //     calls, on a whole-program call graph with a conservative escape
@@ -19,7 +17,9 @@
 //
 // Mutex discipline and goroutine joins are not checked here: the -race
 // suites, go vet's copylocks check and the goroutine-baseline tests
-// (TestCancelAllEvaluatorModes, TestServerDrain) carry them.
+// (TestCancelAllEvaluatorModes, TestServerDrain) carry them. Nor is pool
+// discipline: the engine declares no sync.Pool — wire bytes live in owned
+// send memory — and the lint job fails on any non-test file that does.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Reportf) but is built on the standard library alone:
@@ -31,7 +31,7 @@
 // Findings are suppressed with a justification comment on (or immediately
 // above) the offending line:
 //
-//	bp := getEncBuf() //rasql:allow pooldiscipline -- ownership moves to encBucket; FetchTarget recycles
+//	b.rows = types.CloneRows(rows) //rasql:allow noalloc -- the hand-over copy a local batch owns
 //
 // The justification after `--` is mandatory, and every name must be a
 // registered analyzer; a bare allow, or one naming an unknown analyzer, is
@@ -112,5 +112,5 @@ func (d Diagnostic) String() string {
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Simclock, NoRetain, PoolDiscipline, NoAlloc}
+	return []*Analyzer{Simclock, NoRetain, NoAlloc}
 }

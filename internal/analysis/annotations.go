@@ -15,10 +15,6 @@ import (
 //	//rasql:noretain buf            — on a func: the named slice params (all
 //	                                  params when none are named) must not be
 //	                                  retained anywhere heap-reachable
-//	//rasql:pool-get                — on a func: it is a sync.Pool Get
-//	                                  accessor; its result is a pooled value
-//	//rasql:pool-put                — on a func: it is a sync.Pool Put
-//	                                  accessor; its argument is recycled
 //	//rasql:deterministic           — anywhere in a file: the whole package
 //	                                  opts into the simclock restriction
 //	//rasql:noalloc                 — on a func: neither the body nor any
@@ -42,15 +38,13 @@ type FuncAnnots struct {
 	// HasNoRetain distinguishes "annotated with no params" from
 	// "not annotated".
 	HasNoRetain bool
-	// PoolGet and PoolPut mark sync.Pool accessor wrappers.
-	PoolGet, PoolPut bool
 	// NoAlloc marks //rasql:noalloc: the function (and every in-module
 	// function it transitively calls) must reach no allocation site.
 	NoAlloc bool
 }
 
 func (a *FuncAnnots) empty() bool {
-	return a == nil || (!a.HasNoRetain && !a.PoolGet && !a.PoolPut && !a.NoAlloc)
+	return a == nil || (!a.HasNoRetain && !a.NoAlloc)
 }
 
 // NoRetainCovers reports whether the annotation covers the parameter name.
@@ -290,10 +284,6 @@ func parseFuncAnnots(doc *ast.CommentGroup) *FuncAnnots {
 		case "noretain":
 			ann.HasNoRetain = true
 			ann.NoRetain = append(ann.NoRetain, fields[1:]...)
-		case "pool-get":
-			ann.PoolGet = true
-		case "pool-put":
-			ann.PoolPut = true
 		case "noalloc":
 			ann.NoAlloc = true
 		}

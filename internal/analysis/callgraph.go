@@ -38,9 +38,7 @@ var noallocSafePkgs = map[string]bool{
 }
 
 // noallocSafeFuncs are individual out-of-module functions and methods
-// known allocation-free, keyed by ObjKey. sync.Pool.Get/Put are
-// deliberately absent: a pool miss runs New, so pool accessors need a
-// per-site justification.
+// known allocation-free, keyed by ObjKey.
 var noallocSafeFuncs = map[string]bool{
 	"sync.Mutex.Lock": true, "sync.Mutex.Unlock": true, "sync.Mutex.TryLock": true,
 	"sync.RWMutex.Lock": true, "sync.RWMutex.Unlock": true,

@@ -19,10 +19,6 @@ func TestNoRetainFixture(t *testing.T) {
 	analysistest.Run(t, "testdata", "noretain", analysis.NoRetain)
 }
 
-func TestPoolDisciplineFixture(t *testing.T) {
-	analysistest.Run(t, "testdata", "pooldiscipline", analysis.PoolDiscipline)
-}
-
 func TestNoAllocFixture(t *testing.T) {
 	analysistest.Run(t, "testdata", "noalloc", analysis.NoAlloc)
 }

@@ -8,7 +8,7 @@ import (
 
 var outputDiags = []Diagnostic{
 	{
-		Pos:      token.Position{Filename: "cluster/pool.go", Line: 9, Column: 2},
+		Pos:      token.Position{Filename: "cluster/shuffle.go", Line: 9, Column: 2},
 		Analyzer: "rasql-lint",
 		Code:     "RL000",
 		Message:  `//rasql:allow names "quoted", which is not a registered analyzer`,
@@ -26,7 +26,7 @@ func TestRenderHumanGolden(t *testing.T) {
 	if err := RenderHuman(&b, outputDiags); err != nil {
 		t.Fatal(err)
 	}
-	want := "cluster/pool.go:9:2: rasql-lint: //rasql:allow names \"quoted\", which is not a registered analyzer\n" +
+	want := "cluster/shuffle.go:9:2: rasql-lint: //rasql:allow names \"quoted\", which is not a registered analyzer\n" +
 		"types/encode.go:151:9: noalloc: types.DecodeRowsAppend is annotated //rasql:noalloc but calls fmt.Sprintf, not known to be allocation-free\n"
 	if got := b.String(); got != want {
 		t.Errorf("human output mismatch:\ngot:\n%s\nwant:\n%s", got, want)
@@ -40,7 +40,7 @@ func TestRenderJSONGolden(t *testing.T) {
 	}
 	want := `[
   {
-    "file": "cluster/pool.go",
+    "file": "cluster/shuffle.go",
     "line": 9,
     "col": 2,
     "analyzer": "rasql-lint",

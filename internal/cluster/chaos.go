@@ -191,11 +191,12 @@ func (sc *stageChaos) roll(part, attempt int, kind FaultKind) bool {
 }
 
 // taskCtx returns the chaos context of the task currently running on worker
-// w, or nil when w is the driver (-1) or no chaos task is active there.
+// w, or nil when chaos is off (a nil injector), w is the driver (-1) or no
+// chaos task is active there.
 //
 //rasql:noalloc
 func (inj *injector) taskCtx(w int) *chaosTaskCtx {
-	if w < 0 || w >= len(inj.ctx) || inj.ctx[w].sc == nil {
+	if inj == nil || w < 0 || w >= len(inj.ctx) || inj.ctx[w].sc == nil {
 		return nil
 	}
 	return &inj.ctx[w]
@@ -248,9 +249,6 @@ func (q *QueryContext) ChaosEnabled() bool { return q.chaos != nil }
 //
 //rasql:noalloc
 func (q *QueryContext) ChaosPostMerge(worker int) {
-	if q.chaos == nil {
-		return
-	}
 	if ctx := q.chaos.taskCtx(worker); ctx != nil && ctx.sc.roll(ctx.part, ctx.attempt, FaultPostMerge) {
 		panic(faultPanic{kind: FaultPostMerge})
 	}

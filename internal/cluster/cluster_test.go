@@ -187,7 +187,7 @@ func TestExchangeRepartitions(t *testing.T) {
 		rel.Append(types.Row{types.Int(i), types.Int(i % 7)})
 	}
 	in := c.Partition(rel, []int{0})
-	out := c.Exchange("x", in, []int{1})
+	out := exchange(c, "x", in, []int{1})
 	if out.Len() != 100 {
 		t.Fatalf("exchange lost rows: %d", out.Len())
 	}
@@ -280,9 +280,52 @@ func TestParallelExchangeMatchesSequential(t *testing.T) {
 	}
 	seq := New(Config{Workers: 4, Partitions: 8, StageOverheadOps: -1, SequentialStages: true}).NewQuery(nil)
 	par := newTestQuery(4, 8)
-	a := seq.Collect(seq.Exchange("x", seq.Partition(rel, []int{0}), []int{1}), "a")
-	b := par.Collect(par.Exchange("x", par.Partition(rel, []int{0}), []int{1}), "b")
+	a := seq.Collect(exchange(seq, "x", seq.Partition(rel, []int{0}), []int{1}), "a")
+	b := par.Collect(exchange(par, "x", par.Partition(rel, []int{0}), []int{1}), "b")
 	if !a.EqualAsBag(b) {
 		t.Error("parallel exchange changed the bag of rows")
 	}
+}
+
+// exchange repartitions input onto key columns through a shuffle: a map
+// stage routes each row by hash of the key, and a reduce stage materializes
+// the target partitions, each owned by the worker that ran its reduce task.
+func exchange(c *QueryContext, name string, in *PartitionedRelation, key []int) *PartitionedRelation {
+	targets := c.cfg.Partitions
+	sh := c.NewShuffle(targets)
+
+	mapTasks := make([]Task, in.NumPartitions())
+	for i := range mapTasks {
+		part := i
+		mapTasks[i] = Task{
+			Part:      part,
+			Preferred: in.Owner[part],
+			Run: func(w int) {
+				rows := c.Fetch(in.Parts[part], in.Owner[part], w)
+				out := make([][]types.Row, targets)
+				for _, row := range rows {
+					t := int(types.HashRowKey(row, key) % uint64(targets))
+					out[t] = append(out[t], row)
+				}
+				sh.Add(out, w)
+			},
+		}
+	}
+	c.RunStage(name+".map", mapTasks)
+
+	out := c.EmptyN(in.Schema, key, targets)
+	redTasks := make([]Task, targets)
+	for i := range redTasks {
+		part := i
+		redTasks[i] = Task{
+			Part:      part,
+			Preferred: -1,
+			Run: func(w int) {
+				out.Parts[part] = sh.FetchTarget(part, w)
+				out.Owner[part] = w
+			},
+		}
+	}
+	c.RunStage(name+".reduce", redTasks)
+	return out
 }

@@ -73,6 +73,10 @@ type QueryContext struct {
 	// mid-stage tasks always run to their barrier, so cancellation never
 	// leaves partition state half-written. Nil means "never cancelled".
 	ctx context.Context
+	// send is the memory shuffles and transfers encode into: own, unless
+	// an execution lent its plan's (LendSendMemory).
+	send *SendMemory
+	own  SendMemory
 }
 
 // NewQuery opens a per-query execution context. The tracer may be nil
@@ -86,6 +90,7 @@ func (c *Cluster) NewQuery(tr *trace.Tracer) *QueryContext {
 		Metrics: &Metrics{},
 		started: startStopwatch(),
 	}
+	q.send = &q.own
 	if c.cfg.Chaos.Enabled() {
 		q.chaos = newInjector(c.cfg.Chaos, c.cfg.Workers)
 	}
@@ -127,6 +132,15 @@ func (q *QueryContext) CheckCancel() error {
 	default:
 		return nil
 	}
+}
+
+// LendSendMemory makes m the memory the query's shuffles and transfers
+// encode into, and returns the memory it replaces so the lender can hand it
+// back when its execution ends. Call on the driver, between stages; m must
+// not be in use by another query until it is handed back.
+func (q *QueryContext) LendSendMemory(m *SendMemory) (prev *SendMemory) {
+	prev, q.send = q.send, m
+	return prev
 }
 
 // SetMode records the fixpoint evaluation mode that actually ran and, when a
@@ -255,6 +269,7 @@ func (q *QueryContext) RunStage(name string, tasks []Task) {
 	if len(q.queues) != q.cfg.Workers {
 		q.queues = make([][]Task, q.cfg.Workers)
 	}
+	q.send.fit(q.cfg.Workers)
 	queues := q.queues
 	for i := range queues {
 		queues[i] = queues[i][:0]
@@ -370,16 +385,18 @@ func (q *QueryContext) place(t Task, seq int) int {
 
 // transfer moves rows across a worker boundary: it pays the full
 // serialize + deserialize cost and records the bytes, exactly as a remote
-// fetch over the network would.
-func (q *QueryContext) transfer(rows []types.Row) []types.Row {
+// fetch over the network would. It runs on worker onWorker (−1: the driver)
+// and encodes into that worker's send scratch.
+func (q *QueryContext) transfer(rows []types.Row, onWorker int) []types.Row {
 	if len(rows) == 0 {
 		return nil
 	}
-	bp := getEncBuf()
-	*bp = types.AppendRows((*bp)[:0], rows)
-	q.Metrics.RemoteFetchBytes.Add(int64(len(*bp)))
-	out, err := types.DecodeRowsAppend(make([]types.Row, 0, len(rows)), *bp)
-	putEncBuf(bp)
+	// Inside a stage RunStage already sized the scratch, so a task only
+	// reads the length here.
+	q.send.fit(q.cfg.Workers)
+	buf := q.send.encode(onWorker, rows)
+	q.Metrics.RemoteFetchBytes.Add(int64(len(buf)))
+	out, err := types.DecodeRowsAppend(make([]types.Row, 0, len(rows)), buf)
 	if err != nil {
 		// The buffer was produced by AppendRows in the same process; a
 		// decode failure is a programming error, not an I/O condition.
@@ -389,17 +406,17 @@ func (q *QueryContext) transfer(rows []types.Row) []types.Row {
 }
 
 // Fetch returns a partition's rows as seen from the given worker: free for
-// the owner, serialized round trip for anyone else. Under chaos, rows a
-// retrying task fetches again are counted as replayed (wasted) work.
+// the owner, serialized round trip for anyone else. onWorker must be the
+// worker whose task calls Fetch (−1: the driver), which pays the round
+// trip. Under chaos, rows a retrying task fetches again are counted as
+// replayed (wasted) work.
 func (q *QueryContext) Fetch(rows []types.Row, owner, onWorker int) []types.Row {
-	if q.chaos != nil {
-		q.chaos.replayRows(q.Metrics, onWorker, len(rows))
-	}
+	q.chaos.replayRows(q.Metrics, onWorker, len(rows))
 	if owner == onWorker {
 		q.Metrics.LocalFetchRows.Add(int64(len(rows)))
 		return rows
 	}
-	return q.transfer(rows)
+	return q.transfer(rows, onWorker)
 }
 
 // Collect gathers all partitions into a single relation on the driver,
@@ -407,7 +424,7 @@ func (q *QueryContext) Fetch(rows []types.Row, owner, onWorker int) []types.Row 
 func (q *QueryContext) Collect(p *PartitionedRelation, name string) *relation.Relation {
 	out := relation.New(name, p.Schema)
 	for _, part := range p.Parts {
-		out.Rows = append(out.Rows, q.transfer(part)...)
+		out.Rows = append(out.Rows, q.transfer(part, -1)...)
 	}
 	return out
 }

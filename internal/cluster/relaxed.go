@@ -74,16 +74,23 @@ type RelaxedStats struct {
 	Batches int64
 }
 
-// relaxedBatch is one routed delta batch, owning its storage either way:
-// cross-worker batches carry the pooled wire encoding (paid for at emit);
-// same-worker batches carry a private copy of the rows.
+// relaxedBatch is one routed delta batch: a cross-worker batch is a range
+// of its inbox's wire encoding (paid for at emit), a same-worker batch owns
+// a private copy of the rows.
 type relaxedBatch struct {
-	buf  *[]byte
-	rows []types.Row
-	n    int
+	rows     []types.Row // nil for an encoded batch
+	off, end int         // an encoded batch's bytes in its inbox
+	n        int
 	// stamp is the producing partition's round (-1 for the driver seed);
 	// consumption at round > stamp+1 is a stale read.
 	stamp int64
+}
+
+// relaxedInbox is one partition's pending input: its batches and the wire
+// encoding the cross-worker ones range over.
+type relaxedInbox struct {
+	batches []relaxedBatch
+	bytes   []byte
 }
 
 // relaxedRouter is the shared state of one relaxed region. All routing
@@ -97,11 +104,11 @@ type relaxedRouter struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	// guarded by mu
-	inbox [][]relaxedBatch
+	inbox []relaxedInbox
 	// spare[p] is partition p's second inbox, so no enqueue regrows one:
 	// takeLocked swaps it in and completeLocked returns the drained one.
 	// guarded by mu
-	spare [][]relaxedBatch
+	spare []relaxedInbox
 	// guarded by mu
 	clock []int64
 	// guarded by mu
@@ -123,12 +130,13 @@ func (q *QueryContext) RunRelaxed(opt RelaxedOptions, seed [][]types.Row) Relaxe
 	q.Metrics.StagesRun.Add(1)
 	seq := q.stageSeq
 	q.stageSeq++
+	q.send.fit(q.cfg.Workers)
 
 	rt := &relaxedRouter{
 		q:        q,
 		opt:      opt,
-		inbox:    make([][]relaxedBatch, opt.Parts),
-		spare:    make([][]relaxedBatch, opt.Parts),
+		inbox:    make([]relaxedInbox, opt.Parts),
+		spare:    make([]relaxedInbox, opt.Parts),
 		clock:    make([]int64, opt.Parts),
 		inflight: make([]bool, opt.Parts),
 	}
@@ -197,31 +205,31 @@ func (q *QueryContext) RunRelaxed(opt RelaxedOptions, seed [][]types.Row) Relaxe
 // enqueueLocked routes one output bucket to partition t, taking ownership of
 // it: the producer reuses its output storage on its next round, which may
 // well run before t drains its inbox. producerWorker -1 is the driver
-// (seed); a bucket crossing workers is encoded immediately — the map-side
-// shuffle write, where the bytes are counted — while a bucket staying on its
-// producer's worker is handed over in memory, as a copy in one exactly-sized
-// slab.
+// (seed); a bucket crossing workers is encoded immediately into t's inbox —
+// the map-side shuffle write, where the bytes are counted — while a bucket
+// staying on its producer's worker is handed over in memory, as a copy in
+// one exactly-sized slab.
 //
 // The caller holds rt.mu.
 //
 //rasql:noalloc
 func (rt *relaxedRouter) enqueueLocked(t int, rows []types.Row, stamp int64, producerWorker int) {
 	b := relaxedBatch{n: len(rows), stamp: stamp}
+	in := &rt.inbox[t]
 	//rasql:allow noalloc -- Owner is a caller-supplied pure index→worker mapping; the engine passes closure-free routing functions
 	if producerWorker >= 0 && rt.opt.Owner(t) == producerWorker {
 		//rasql:allow noalloc -- the hand-over copy: one exactly-sized slab per batch, what the cross-worker branch pays as its encode
 		b.rows = types.CloneRows(rows)
 	} else {
-		//rasql:allow pooldiscipline -- ownership transfers to relaxedBatch; drainRows recycles the buffer after decoding
-		bp := getEncBuf()
-		*bp = types.AppendRows((*bp)[:0], rows)
+		b.off = len(in.bytes)
+		in.bytes = types.AppendRows(in.bytes, rows)
+		b.end = len(in.bytes)
 		if producerWorker >= 0 {
 			rt.q.Metrics.ShuffleRecords.Add(int64(len(rows)))
-			rt.q.Metrics.ShuffleBytes.Add(int64(len(*bp)))
+			rt.q.Metrics.ShuffleBytes.Add(int64(b.end - b.off))
 		}
-		b.buf = bp
 	}
-	rt.inbox[t] = append(rt.inbox[t], b)
+	in.batches = append(in.batches, b)
 	rt.outstanding++
 	rt.cond.Broadcast()
 }
@@ -242,7 +250,7 @@ func (rt *relaxedRouter) pickLocked(w int) (part int, ok, gated bool) {
 	// always make progress.
 	minActive := int64(-1)
 	for p := range rt.inbox {
-		if len(rt.inbox[p]) > 0 || rt.inflight[p] {
+		if len(rt.inbox[p].batches) > 0 || rt.inflight[p] {
 			if minActive < 0 || rt.clock[p] < minActive {
 				minActive = rt.clock[p]
 			}
@@ -251,7 +259,7 @@ func (rt *relaxedRouter) pickLocked(w int) (part int, ok, gated bool) {
 	part = -1
 	for p := range rt.inbox {
 		//rasql:allow noalloc -- Owner is a caller-supplied pure index→worker mapping; the engine passes closure-free routing functions
-		if len(rt.inbox[p]) == 0 || rt.opt.Owner(p) != w {
+		if len(rt.inbox[p].batches) == 0 || rt.opt.Owner(p) != w {
 			continue
 		}
 		if rt.opt.Staleness >= 0 && rt.clock[p]-minActive > int64(rt.opt.Staleness) {
@@ -278,34 +286,34 @@ func (rt *relaxedRouter) pickLocked(w int) (part int, ok, gated bool) {
 func (rt *relaxedRouter) runWorker(w int, busyNanos *int64, spans bool) {
 	var gateStall int64
 	for {
-		batches, part, round, stale, done := rt.claim(w, &gateStall)
+		taken, part, round, stale, done := rt.claim(w, &gateStall)
 		if done {
 			rt.q.Metrics.BarrierWaitNanos.Add(gateStall)
 			return
 		}
 		sw := startStopwatch()
-		rows := rt.drainRows(batches, w)
+		rows := rt.drainRows(taken, w)
 		out := rt.process(w, part, rows, round, stale, spans)
 		*busyNanos += sw.elapsedNanos()
-		rt.deliver(part, out, round, batches, w)
+		rt.deliver(part, out, round, taken, w)
 	}
 }
 
 // claim blocks until worker w has a runnable partition (returning its
 // drained batches) or the region is quiescent (done). Time stalled only by
 // the staleness gate accumulates into gateStall.
-func (rt *relaxedRouter) claim(w int, gateStall *int64) (batches []relaxedBatch, part int, round int64, stale int, done bool) {
+func (rt *relaxedRouter) claim(w int, gateStall *int64) (taken relaxedInbox, part int, round int64, stale int, done bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	for {
 		if rt.outstanding == 0 {
 			rt.cond.Broadcast()
-			return nil, -1, 0, 0, true
+			return relaxedInbox{}, -1, 0, 0, true
 		}
 		p, ok, gated := rt.pickLocked(w)
 		if ok {
-			batches, round, stale = rt.takeLocked(p)
-			return batches, p, round, stale, false
+			taken, round, stale = rt.takeLocked(p)
+			return taken, p, round, stale, false
 		}
 		if gated {
 			sw := startStopwatch()
@@ -319,7 +327,7 @@ func (rt *relaxedRouter) claim(w int, gateStall *int64) (batches []relaxedBatch,
 
 // deliver publishes one finished processing step: its output buckets are
 // credited to their destinations, then the step's input credit is released.
-func (rt *relaxedRouter) deliver(part int, out [][]types.Row, round int64, taken []relaxedBatch, w int) {
+func (rt *relaxedRouter) deliver(part int, out [][]types.Row, round int64, taken relaxedInbox, w int) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	for t, bucket := range out {
@@ -336,16 +344,16 @@ func (rt *relaxedRouter) deliver(part int, out [][]types.Row, round int64, taken
 func (rt *relaxedRouter) runSequential(busy []int64) {
 	spans := rt.q.Tracer.SpansEnabled()
 	for {
-		batches, part, round, stale, done := rt.claimSequential()
+		taken, part, round, stale, done := rt.claimSequential()
 		if done {
 			return
 		}
 		w := rt.opt.Owner(part)
 		sw := startStopwatch()
-		rows := rt.drainRows(batches, w)
+		rows := rt.drainRows(taken, w)
 		out := rt.process(w, part, rows, round, stale, spans)
 		busy[w] += sw.elapsedNanos()
-		rt.deliver(part, out, round, batches, w)
+		rt.deliver(part, out, round, taken, w)
 	}
 }
 
@@ -353,11 +361,11 @@ func (rt *relaxedRouter) runSequential(busy []int64) {
 // workers (lowest index on ties), or reports quiescence. Unlike claim it
 // never waits: with a single driver goroutine, pending work is always
 // immediately runnable or the gate invariant is broken.
-func (rt *relaxedRouter) claimSequential() (batches []relaxedBatch, part int, round int64, stale int, done bool) {
+func (rt *relaxedRouter) claimSequential() (taken relaxedInbox, part int, round int64, stale int, done bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.outstanding == 0 {
-		return nil, -1, 0, 0, true
+		return relaxedInbox{}, -1, 0, 0, true
 	}
 	part = -1
 	for w := 0; w < rt.q.cfg.Workers && part < 0; w++ {
@@ -370,26 +378,27 @@ func (rt *relaxedRouter) claimSequential() (batches []relaxedBatch, part int, ro
 		// minimum-clock active partition passes its own gate.
 		panic("cluster: relaxed scheduler stuck with pending work")
 	}
-	batches, round, stale = rt.takeLocked(part)
-	return batches, part, round, stale, false
+	taken, round, stale = rt.takeLocked(part)
+	return taken, part, round, stale, false
 }
 
-// takeLocked claims partition part's pending batches for processing at the
-// partition's current round. The batches stay counted in outstanding until
+// takeLocked claims partition part's inbox for processing at the
+// partition's current round. Its batches stay counted in outstanding until
 // completeLocked — the credit that keeps quiescence detection sound — and
 // the partition is marked in-flight so its clock keeps holding the gate.
-// The partition's spare becomes its inbox until completeLocked.
+// The partition's spare, batch list and bytes, becomes its inbox until
+// completeLocked.
 //
 // The caller holds rt.mu.
 //
 //rasql:noalloc
-func (rt *relaxedRouter) takeLocked(part int) ([]relaxedBatch, int64, int) {
-	batches := rt.inbox[part]
-	rt.inbox[part], rt.spare[part] = rt.spare[part], nil
+func (rt *relaxedRouter) takeLocked(part int) (relaxedInbox, int64, int) {
+	taken := rt.inbox[part]
+	rt.inbox[part], rt.spare[part] = rt.spare[part], relaxedInbox{}
 	rt.inflight[part] = true
 	round := rt.clock[part]
 	stale := 0
-	for _, b := range batches {
+	for _, b := range taken.batches {
 		if round > b.stamp+1 {
 			stale += b.n
 		}
@@ -397,44 +406,45 @@ func (rt *relaxedRouter) takeLocked(part int) ([]relaxedBatch, int64, int) {
 	if stale > 0 {
 		rt.q.Metrics.StaleReads.Add(int64(stale))
 	}
-	return batches, round, stale
+	return taken, round, stale
 }
 
 // completeLocked publishes a finished processing step: the partition's
 // clock advances, its in-flight mark clears, and the consumed batches'
 // credit is released — strictly after the step's own outputs were credited
 // by enqueueLocked, so outstanding can only reach zero at true quiescence.
-// The drained inbox, emptied, becomes the partition's spare.
+// The drained inbox, emptied, becomes the partition's spare: drainRows
+// decoded its bytes into rows of their own.
 //
 // The caller holds rt.mu.
 //
 //rasql:noalloc
-func (rt *relaxedRouter) completeLocked(part int, round int64, taken []relaxedBatch) {
+func (rt *relaxedRouter) completeLocked(part int, round int64, taken relaxedInbox) {
 	rt.clock[part] = round + 1
 	rt.inflight[part] = false
-	rt.outstanding -= int64(len(taken))
-	clear(taken)
-	rt.spare[part] = taken[:0]
+	rt.outstanding -= int64(len(taken.batches))
+	clear(taken.batches)
+	rt.spare[part] = relaxedInbox{batches: taken.batches[:0], bytes: taken.bytes[:0]}
 	rt.batches++
 	rt.cond.Broadcast()
 }
 
 // drainRows materializes a drained inbox on worker w: encoded batches pay
 // the deserialize half of the round trip (plus the configured communication
-// penalty) and recycle their buffers; local batches count as local fetches.
-func (rt *relaxedRouter) drainRows(batches []relaxedBatch, w int) []types.Row {
+// penalty) into rows of their own; local batches count as local fetches.
+func (rt *relaxedRouter) drainRows(taken relaxedInbox, w int) []types.Row {
 	total := 0
-	for _, b := range batches {
+	for _, b := range taken.batches {
 		total += b.n
 	}
 	out := make([]types.Row, 0, total)
-	for _, b := range batches {
-		if b.buf == nil {
+	for _, b := range taken.batches {
+		if b.rows != nil {
 			rt.q.Metrics.LocalFetchRows.Add(int64(b.n))
 			out = append(out, b.rows...)
 			continue
 		}
-		buf := *b.buf
+		buf := taken.bytes[b.off:b.end]
 		rt.q.Metrics.RemoteFetchBytes.Add(int64(len(buf)))
 		if p := rt.q.cfg.ShufflePenaltyOpsPerByte; p > 0 {
 			burn(p * len(buf))
@@ -444,7 +454,6 @@ func (rt *relaxedRouter) drainRows(batches []relaxedBatch, w int) []types.Row {
 		if err != nil {
 			panic("cluster: relaxed wire corruption: " + err.Error())
 		}
-		putEncBuf(b.buf)
 	}
 	return out
 }

@@ -108,22 +108,22 @@ func TestRelaxedStaleReadAccounting(t *testing.T) {
 	rt := &relaxedRouter{
 		q:        q,
 		opt:      RelaxedOptions{Parts: 2, Owner: func(p int) int { return p }},
-		inbox:    make([][]relaxedBatch, 2),
-		spare:    make([][]relaxedBatch, 2),
+		inbox:    make([]relaxedInbox, 2),
+		spare:    make([]relaxedInbox, 2),
 		clock:    []int64{5, 0},
 		inflight: make([]bool, 2),
 	}
 	rt.cond = sync.NewCond(&rt.mu)
 	rt.mu.Lock()
 	// Fresh: produced at round 4, consumed at round 5.
-	rt.inbox[0] = append(rt.inbox[0], relaxedBatch{rows: make([]types.Row, 3), n: 3, stamp: 4})
+	rt.inbox[0].batches = append(rt.inbox[0].batches, relaxedBatch{rows: make([]types.Row, 3), n: 3, stamp: 4})
 	// Stale: produced at round 1, consumed at round 5.
-	rt.inbox[0] = append(rt.inbox[0], relaxedBatch{rows: make([]types.Row, 2), n: 2, stamp: 1})
+	rt.inbox[0].batches = append(rt.inbox[0].batches, relaxedBatch{rows: make([]types.Row, 2), n: 2, stamp: 1})
 	rt.outstanding = 2
-	batches, round, stale := rt.takeLocked(0)
+	taken, round, stale := rt.takeLocked(0)
 	rt.mu.Unlock()
-	if round != 5 || len(batches) != 2 || stale != 2 {
-		t.Fatalf("takeLocked: round=%d batches=%d stale=%d", round, len(batches), stale)
+	if round != 5 || len(taken.batches) != 2 || stale != 2 {
+		t.Fatalf("takeLocked: round=%d batches=%d stale=%d", round, len(taken.batches), stale)
 	}
 	if got := q.Metrics.StaleReads.Load(); got != 2 {
 		t.Errorf("StaleReads = %d, want 2 (only the stamp-1 batch rows)", got)
@@ -139,8 +139,8 @@ func TestRelaxedSameWorkerHandOverOwnsRows(t *testing.T) {
 	rt := &relaxedRouter{
 		q:        q,
 		opt:      RelaxedOptions{Parts: 2, Owner: func(int) int { return 0 }, Staleness: -1},
-		inbox:    make([][]relaxedBatch, 2),
-		spare:    make([][]relaxedBatch, 2),
+		inbox:    make([]relaxedInbox, 2),
+		spare:    make([]relaxedInbox, 2),
 		clock:    make([]int64, 2),
 		inflight: make([]bool, 2),
 	}
@@ -151,14 +151,14 @@ func TestRelaxedSameWorkerHandOverOwnsRows(t *testing.T) {
 	for round := int64(0); round < 2; round++ {
 		row[0], row[1] = types.Int(round), types.Int(10*round)
 		out[1] = append(out[1][:0], row)
-		rt.deliver(0, out, round, nil, 0)
+		rt.deliver(0, out, round, relaxedInbox{}, 0)
 	}
 	row[0], row[1] = types.Int(-1), types.Int(-1)
 
 	rt.mu.Lock()
-	batches, _, _ := rt.takeLocked(1)
+	taken, _, _ := rt.takeLocked(1)
 	rt.mu.Unlock()
-	got := rt.drainRows(batches, 0)
+	got := rt.drainRows(taken, 0)
 	want := intRows([2]int64{0, 0}, [2]int64{1, 10})
 	if !sameRowSlices(got, want) {
 		t.Errorf("drained %v, want %v: a same-worker batch aliased its producer's storage", got, want)
@@ -176,14 +176,14 @@ func TestRelaxedGatePick(t *testing.T) {
 		rt := &relaxedRouter{
 			q:        q,
 			opt:      RelaxedOptions{Parts: 2, Owner: func(int) int { return 0 }, Staleness: staleness},
-			inbox:    make([][]relaxedBatch, 2),
+			inbox:    make([]relaxedInbox, 2),
 			clock:    []int64{5, 2},
 			inflight: make([]bool, 2),
 		}
 		rt.cond = sync.NewCond(&rt.mu)
 		rt.mu.Lock()
-		rt.inbox[0] = []relaxedBatch{{n: 1, stamp: 4}}
-		rt.inbox[1] = []relaxedBatch{{n: 1, stamp: 1}}
+		rt.inbox[0].batches = []relaxedBatch{{n: 1, stamp: 4}}
+		rt.inbox[1].batches = []relaxedBatch{{n: 1, stamp: 1}}
 		rt.outstanding = 2
 		rt.mu.Unlock()
 		return rt
@@ -200,7 +200,7 @@ func TestRelaxedGatePick(t *testing.T) {
 	// Only the gated partition pending: its producer-side slowest is itself
 	// once partition 1 drains, so it becomes runnable — no deadlock.
 	rt.mu.Lock()
-	rt.inbox[1] = nil
+	rt.inbox[1].batches = nil
 	part, ok, gated := rt.pickLocked(0)
 	rt.mu.Unlock()
 	if !ok || part != 0 || gated {
@@ -271,8 +271,8 @@ func BenchmarkRelaxedTokenChain(b *testing.B) {
 // TestRelaxedRouterZeroAllocs isolates the router's locked hot path from
 // the Process callback: gate-checked pick, take and complete allocate
 // nothing, and neither does enqueueLocked in a running region, because
-// takeLocked swaps in the partition's spare inbox and completeLocked takes
-// the drained one back as the next spare.
+// takeLocked swaps in the partition's spare inbox — batch list and bytes —
+// and completeLocked takes the drained one back as the next spare.
 //
 //rasql:allocpin cluster.relaxedRouter.enqueueLocked cluster.relaxedRouter.pickLocked cluster.relaxedRouter.takeLocked cluster.relaxedRouter.completeLocked
 func TestRelaxedRouterZeroAllocs(t *testing.T) {
@@ -280,48 +280,37 @@ func TestRelaxedRouterZeroAllocs(t *testing.T) {
 	rt := &relaxedRouter{
 		q:        q,
 		opt:      RelaxedOptions{Parts: 2, Owner: q.DefaultOwner, Staleness: 1},
-		inbox:    make([][]relaxedBatch, 2),
-		spare:    make([][]relaxedBatch, 2),
+		inbox:    make([]relaxedInbox, 2),
+		spare:    make([]relaxedInbox, 2),
 		clock:    make([]int64, 2),
 		inflight: make([]bool, 2),
 	}
 	rt.cond = sync.NewCond(&rt.mu)
 	rows := []types.Row{{types.Int(1)}, {types.Int(2)}}
 	// Partition 1 belongs to worker 1, so a batch from worker 0 takes the
-	// encoded cross-worker branch; its buffer is recycled as drainRows does.
+	// encoded cross-worker branch.
 	enqueue := func() {
 		rt.enqueueLocked(1, rows, rt.clock[1], 0)
 	}
-	recycle := func(bs []relaxedBatch) {
-		for _, b := range bs {
-			putEncBuf(b.buf)
-		}
+	drop := func() {
+		in := &rt.inbox[1]
+		rt.outstanding -= int64(len(in.batches))
+		in.batches, in.bytes = in.batches[:0], in.bytes[:0]
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	enqueue()
-	bs := rt.inbox[1]
-	rt.inbox[1] = bs[:0]
-	recycle(bs)
+	drop()
 
-	// Pool misses under the race detector (which drops Puts at random)
-	// add at most New's buffer and its header per enqueue.
-	slack := 0.0
-	if raceEnabled {
-		slack = 2
-	}
 	check := func(what string, allocs float64) {
 		t.Helper()
-		if allocs > slack {
+		if allocs != 0 {
 			t.Errorf("%s allocates %.1f per run, want 0", what, allocs)
 		}
 	}
 	check("enqueueLocked into a warm inbox", testing.AllocsPerRun(100, func() {
 		enqueue()
-		bs := rt.inbox[1]
-		rt.inbox[1] = bs[:0]
-		rt.outstanding--
-		recycle(bs)
+		drop()
 	}))
 
 	enqueue()
@@ -330,18 +319,19 @@ func TestRelaxedRouterZeroAllocs(t *testing.T) {
 		if !ok || p != 1 {
 			t.Fatalf("pickLocked(1) = %d, %v; want partition 1", p, ok)
 		}
-		bs, round, _ := rt.takeLocked(p)
-		b := bs[0]
-		rt.completeLocked(p, round, bs)
+		taken, round, _ := rt.takeLocked(p)
+		b, bytes := taken.batches[0], taken.bytes
+		rt.completeLocked(p, round, taken)
 		// Route the same batch back in, restoring its credit.
-		rt.inbox[p] = append(rt.inbox[p], b)
+		in := &rt.inbox[p]
+		in.bytes = append(in.bytes, bytes...)
+		in.batches = append(in.batches, b)
 		rt.outstanding++
 	}))
 	check("a full enqueue, pick, take, complete cycle", testing.AllocsPerRun(100, func() {
 		p, _, _ := rt.pickLocked(1)
-		bs, round, _ := rt.takeLocked(p)
+		taken, round, _ := rt.takeLocked(p)
 		enqueue()
-		recycle(bs)
-		rt.completeLocked(p, round, bs)
+		rt.completeLocked(p, round, taken)
 	}))
 }

@@ -28,7 +28,7 @@ func TestTCGridAllocBudget(t *testing.T) {
 		}
 		return res.Relations["tc"].Len()
 	}
-	run() // warm the shuffle buffer pool and lazy runtime state
+	run() // warm lazy runtime state
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	rows := run()

@@ -297,6 +297,10 @@ func (s *viewState) restore(cp stateCheckpoint) {
 func runDistributed(base *Base, ctx *exec.Context, c *cluster.QueryContext, opt DistOptions) (*Result, error) {
 	ws := base.takeWorkspace()
 	defer base.putWorkspace(ws)
+	// The execution's shuffles and transfers encode into the workspace's
+	// send memory, handed back before the workspace is parked.
+	prev := c.LendSendMemory(&ws.send)
+	defer c.LendSendMemory(prev)
 	state := newViewState(c, base.plan.View)
 	x := newExecution(base, ws, c, opt, state, state.rows)
 	var iters int
@@ -360,6 +364,9 @@ type workspace struct {
 	// scratch[part] is partition part's working memory. Tasks of one
 	// partition never overlap, so it needs no lock.
 	scratch []stepScratch
+	// send is the wire memory the execution lends its QueryContext: its
+	// shuffle generations and transfer scratch.
+	send cluster.SendMemory
 }
 
 // stepScratch is the memory one workspace.run call works in, reused by the

@@ -116,11 +116,12 @@ func (x *execution) tasks(run func(p, w int)) []cluster.Task {
 
 // receive fetches partition p's shuffled input on worker w. State lives on
 // its owner, so a task placed elsewhere must move the data there (the hybrid
-// scheduler pays this).
+// scheduler pays this): w, which runs the task, pays the round trip, which
+// costs the same in either direction.
 func (x *execution) receive(sh *cluster.Shuffle, p, w int) []types.Row {
 	rows := x.ws.fetch(sh, p, w)
 	if o := x.c.DefaultOwner(p); w != o {
-		rows = x.c.Fetch(rows, w, o)
+		rows = x.c.Fetch(rows, o, w)
 	}
 	return rows
 }

@@ -121,9 +121,8 @@ func TestAppendRowsZeroAllocs(t *testing.T) {
 // reused dst and slab allocates nothing for numeric rows; each string
 // value costs exactly its payload copy, the one justified allocation of
 // decodeRowInto. DecodeRowsAppend decodes into storage of its own, so
-// every call takes the nil-slab path that Reserve's allow calls one-time:
-// its steady state is two allocations, the reserved chunk and the
-// one-entry chunk list holding it.
+// every call takes the nil-slab path: its steady state is one allocation,
+// the exactly-sized block the batch's uniform-width rows are carved from.
 //
 //rasql:allocpin types.DecodeRowsAppend types.DecodeRowsInto types.decodeRowInto
 func TestDecodeRowsZeroAllocs(t *testing.T) {
@@ -156,8 +155,8 @@ func TestDecodeRowsZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 2 {
-		t.Errorf("DecodeRowsAppend into a warm dst allocates %.1f per batch, want 2 (the reserved chunk and its chunk list)", allocs)
+	if allocs != 1 {
+		t.Errorf("DecodeRowsAppend into a warm dst allocates %.1f per batch, want 1 (the exactly-sized block its rows are carved from)", allocs)
 	}
 }
 

@@ -104,7 +104,7 @@ func EncodedSize(rows []Row) int {
 }
 
 // AppendRows appends the batch encoding of rows to buf and returns it.
-// Callers that reuse buffers (the shuffle's encode pool) pass a recycled
+// Callers that reuse buffers (the shuffle's send memory) pass a recycled
 // buf; one-shot callers should size it with EncodedSize.
 //
 //rasql:noalloc
@@ -138,7 +138,7 @@ func DecodeRowsAppend(dst []Row, buf []byte) ([]Row, error) {
 // DecodeRowsInto decodes a batch produced by EncodeRows/AppendRows,
 // appending the rows to dst and carving their values out of slab, so a
 // caller that resets and reuses both decodes without allocating; a nil
-// slab gets storage of its own. The input buffer is not retained (string
+// slab gets storage of its own, one exactly-sized block per batch. The input buffer is not retained (string
 // payloads are copied), so callers may recycle it immediately — the
 // noretain analyzer enforces that contract on this function's body. The
 // noalloc annotation pins the steady state — per row, decoding touches no
@@ -165,15 +165,16 @@ func DecodeRowsInto(dst []Row, slab *RowSlab, buf []byte) ([]Row, error) {
 		//rasql:allow noalloc -- one-time: only the nil-dst convenience path sizes a fresh slice
 		dst = make([]Row, 0, n)
 	}
+	// Without a slab the rows are carved from one block of n × the first
+	// row's width, exact for the engine's uniform-width batches and capped
+	// by the bytes left: every value costs at least its kind byte, so a
+	// header cannot size it. A row the block cannot hold gets its own.
+	var block []Value
 	if slab == nil {
-		// Reserve n × the first row's width, exact for the engine's
-		// uniform-width batches, capped by the bytes left: every value
-		// costs at least its kind byte, so a header cannot size it.
-		var own RowSlab
-		slab = &own
 		if w, wsz := binary.Uvarint(buf[sz:]); wsz > 0 {
 			left := uint64(len(buf) - sz)
-			slab.Reserve(int(min(n*min(w, left), left)))
+			//rasql:allow noalloc -- one-shot: a nil slab means the caller wants the rows in storage of their own, one block per batch
+			block = make([]Value, min(n*min(w, left), left))
 		}
 	}
 	for i := uint64(0); i < n; i++ {
@@ -188,7 +189,16 @@ func DecodeRowsInto(dst []Row, slab *RowSlab, buf []byte) ([]Row, error) {
 			//rasql:allow noalloc -- cold path: corrupt wire data aborts the decode
 			return nil, fmt.Errorf("types: row %d: width %d exceeds buffer", i, width)
 		}
-		r := slab.Alloc(int(width))
+		var r Row
+		switch {
+		case slab != nil:
+			r = slab.Alloc(int(width))
+		case int(width) <= len(block):
+			r, block = block[:width:width], block[width:]
+		default:
+			//rasql:allow noalloc -- one-shot, cold: only a non-uniform batch outgrows its block
+			r = make(Row, width)
+		}
 		used, err := decodeRowInto(r, buf[pos:])
 		if err != nil {
 			//rasql:allow noalloc -- cold path: corrupt wire data aborts the decode

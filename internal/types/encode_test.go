@@ -33,19 +33,25 @@ func TestRowEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// The one-shot decode sizes its value block by the first row's width, so
+// the batch runs both ways: widest row first, and narrowest first, whose
+// wider rows outgrow the block.
 func TestBatchEncodeDecodeRoundTrip(t *testing.T) {
-	rows := sampleRows()
-	buf := EncodeRows(rows)
-	got, err := DecodeRows(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(rows) {
-		t.Fatalf("got %d rows, want %d", len(got), len(rows))
-	}
-	for i := range rows {
-		if !got[i].Equal(rows[i]) {
-			t.Errorf("row %d: got %v, want %v", i, got[i], rows[i])
+	widest := sampleRows()
+	narrowest := append([]Row{{Int(7)}}, sampleRows()...)
+	for _, rows := range [][]Row{widest, narrowest} {
+		buf := EncodeRows(rows)
+		got, err := DecodeRows(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(rows) {
+			t.Fatalf("got %d rows, want %d", len(got), len(rows))
+		}
+		for i := range rows {
+			if !got[i].Equal(rows[i]) || cap(got[i]) != len(rows[i]) {
+				t.Errorf("row %d: got %v (cap %d), want %v", i, got[i], cap(got[i]), rows[i])
+			}
 		}
 	}
 }

@@ -49,15 +49,6 @@ func (s *RowSlab) Alloc(n int) Row {
 	return s.chunks[s.cur][:n:n]
 }
 
-// Reserve gives an empty slab one chunk of exactly n values: a one-shot
-// owner that knows its size allocates once.
-func (s *RowSlab) Reserve(n int) {
-	if len(s.chunks) == 0 && n > 0 {
-		//rasql:allow noalloc -- one-time: the single exactly-sized chunk a one-shot decode carves from
-		s.chunks = append(s.chunks, make([]Value, n))
-	}
-}
-
 // Clone copies r into the slab.
 //
 //rasql:noalloc
