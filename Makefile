@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race race-concurrent race-server ssp-differential fuzz lint rasql-lint allocs serve-smoke bench bench-pair no-strays golangci ci
+.PHONY: build test vet race race-concurrent race-server ssp-differential fuzz lint allocs serve-smoke bench bench-pair no-strays golangci ci
 
 build:
 	$(GO) build ./...
@@ -43,23 +43,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRowKey$$' -fuzztime 30s ./internal/types/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/sql/parser/
 
-# Engine-invariant checkers (internal/analysis): standalone whole-program
-# pass, then the go vet driver so _test.go files are covered too. Last, no
-# non-test file may declare a sync.Pool: wire bytes live in owned send
-# memory (DESIGN.md §6), whose size no collection changes.
-rasql-lint:
-	$(GO) build -o bin/rasql-lint ./cmd/rasql-lint
-	./bin/rasql-lint ./...
-	$(GO) vet -vettool=$$PWD/bin/rasql-lint ./...
-	! git grep -n 'sync\.Pool{' -- '*.go' ':!*_test.go'
+# Source rules (DESIGN.md §12): no host clock or global math/rand in the
+# deterministic packages, no unsafe, no sync.Pool, every file gofmt-clean.
+lint:
+	$(GO) test -run TestSourceRules .
 
-# Allocation-contract drift check (DESIGN.md §12): every //rasql:noalloc
-# annotation must be dynamically pinned by an //rasql:allocpin comment on
-# the AllocsPerRun test or -benchmem benchmark that exercises it (and no
-# pin may outlive its annotation), then the zero-alloc pins themselves run.
+# Allocation contracts (DESIGN.md §12): the zero-alloc pins of the hot path.
 allocs:
-	$(GO) build -o bin/rasql-lint ./cmd/rasql-lint
-	./bin/rasql-lint -allocdrift ./...
 	$(GO) test -run ZeroAllocs ./internal/types/ ./internal/cluster/ ./internal/trace/ ./internal/obs/
 
 # Serving lifecycle smoke (DESIGN.md §14): start rasqld on the demo
@@ -142,6 +132,4 @@ no-strays:
 golangci:
 	golangci-lint run
 
-lint: rasql-lint
-
-ci: build vet test race race-concurrent race-server ssp-differential rasql-lint allocs serve-smoke
+ci: build vet test race race-concurrent race-server ssp-differential allocs serve-smoke

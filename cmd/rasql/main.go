@@ -72,6 +72,7 @@ import (
 
 	rasql "github.com/rasql/rasql-go"
 	"github.com/rasql/rasql-go/internal/cli"
+	"github.com/rasql/rasql-go/internal/sql/vet"
 )
 
 func main() {
@@ -324,6 +325,15 @@ func vetMain(args []string) {
 	query := fs.String("q", "", "query to vet")
 	file := fs.String("f", "", "script file to vet")
 	fs.Var(&tables, "table", "name=path:schema (repeatable)")
+	fs.Usage = func() {
+		out := fs.Output()
+		fmt.Fprintln(out, "usage: rasql vet [-table name=path:schema ...] (-q query | -f file)")
+		fs.PrintDefaults()
+		fmt.Fprintln(out, "\ndiagnostic codes:")
+		for _, cd := range vet.Codes() {
+			fmt.Fprintf(out, "  %s  %s\n", cd.Code, cd.Doc)
+		}
+	}
 	if err := fs.Parse(args); err != nil {
 		fatal(err)
 	}

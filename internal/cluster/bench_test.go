@@ -124,8 +124,6 @@ func BenchmarkDisabledInjector(b *testing.B) {
 // TestSetRDDDedupZeroAllocs pins the key index's probe path: re-merging
 // rows a SetRDD already holds encodes each into the index's scratch buffer,
 // finds it, and touches no allocator.
-//
-//rasql:allocpin cluster.keyIndex.encRowKey cluster.keyIndex.get cluster.keyIndex.getOrInsert
 func TestSetRDDDedupZeroAllocs(t *testing.T) {
 	c := newTestCluster(1, 1)
 	rows := benchClusterRows(1024)
@@ -143,8 +141,6 @@ func TestSetRDDDedupZeroAllocs(t *testing.T) {
 
 // TestAggRDDMergeZeroAllocs pins the grouped-key probe: contributions that
 // improve no group fold into existing entries without allocating.
-//
-//rasql:allocpin cluster.keyIndex.encKey
 func TestAggRDDMergeZeroAllocs(t *testing.T) {
 	c := newTestCluster(1, 1)
 	rows := benchClusterRows(1024)
@@ -162,8 +158,6 @@ func TestAggRDDMergeZeroAllocs(t *testing.T) {
 // memory: every producer's Add encodes into its shard's bytes and appends to
 // bucket lists within the capacity the previous round grew, and resetting
 // the generation keeps that memory for the next round.
-//
-//rasql:allocpin cluster.Shuffle.Add cluster.Shuffle.live
 func TestShuffleAddZeroAllocs(t *testing.T) {
 	const workers, targets = 4, 4
 	c := newTestQuery(workers, targets)

@@ -123,7 +123,7 @@ func encodeHashed(t map[string][]types.Row) []byte {
 		buf = append(buf, header[:]...) // bucket metadata (hash, pointers)
 		buf = binary.AppendUvarint(buf, uint64(len(k)))
 		buf = append(buf, k...)
-		buf = append(buf, types.EncodeRows(rows)...)
+		buf = types.AppendRows(buf, rows)
 	}
 	return buf
 }

@@ -168,8 +168,6 @@ func (inj *injector) beginStage(name string, seq int) *stageChaos {
 // worker, whose identity depends on placement policy — and never fire on the
 // final attempt, keeping recovery bounded. Scheduled events fire regardless
 // of rate at exactly their pinned point.
-//
-//rasql:noalloc
 func (sc *stageChaos) roll(part, attempt int, kind FaultKind) bool {
 	inj := sc.inj
 	if inj.threshold != 0 && attempt < inj.cfg.MaxAttempts-1 {
@@ -193,8 +191,6 @@ func (sc *stageChaos) roll(part, attempt int, kind FaultKind) bool {
 // taskCtx returns the chaos context of the task currently running on worker
 // w, or nil when chaos is off (a nil injector), w is the driver (-1) or no
 // chaos task is active there.
-//
-//rasql:noalloc
 func (inj *injector) taskCtx(w int) *chaosTaskCtx {
 	if inj == nil || w < 0 || w >= len(inj.ctx) || inj.ctx[w].sc == nil {
 		return nil
@@ -204,8 +200,6 @@ func (inj *injector) taskCtx(w int) *chaosTaskCtx {
 
 // fetchPoint may kill the running task at the shuffle-fetch boundary. Fires
 // before any bucket is consumed, so the replay re-fetches pristine buckets.
-//
-//rasql:noalloc
 func (inj *injector) fetchPoint(onWorker int) {
 	if ctx := inj.taskCtx(onWorker); ctx != nil && ctx.sc.roll(ctx.part, ctx.attempt, FaultFetch) {
 		panic(faultPanic{kind: FaultFetch})
@@ -235,8 +229,6 @@ type faultPanic struct{ kind FaultKind }
 
 // ChaosEnabled reports whether the query runs with an active injector.
 // Engines use it to decide whether stage tasks need checkpoints/Rollbacks.
-//
-//rasql:noalloc
 func (q *QueryContext) ChaosEnabled() bool { return q.chaos != nil }
 
 // ChaosPostMerge is the fault point engines place between merging a batch
@@ -245,9 +237,7 @@ func (q *QueryContext) ChaosEnabled() bool { return q.chaos != nil }
 // checkpoint before replaying — the path that proves the Section 6.1
 // "all relation is its own checkpoint" argument. No-op (one nil check) when
 // chaos is off or the caller is not a chaos-managed task — the disabled-
-// injector fast path the noalloc annotation pins.
-//
-//rasql:noalloc
+// injector fast path TestDisabledInjectorZeroAllocs pins.
 func (q *QueryContext) ChaosPostMerge(worker int) {
 	if ctx := q.chaos.taskCtx(worker); ctx != nil && ctx.sc.roll(ctx.part, ctx.attempt, FaultPostMerge) {
 		panic(faultPanic{kind: FaultPostMerge})

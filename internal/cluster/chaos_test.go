@@ -15,9 +15,6 @@ func chaosTestCluster(chaos ChaosConfig) *QueryContext {
 // A disabled injector must be free: the only cost is the nil check RunStage
 // and FetchTarget already pay, and zero allocations on the stage path —
 // placement, the per-worker queue and its stopwatch included.
-//
-//rasql:allocpin cluster.QueryContext.ChaosEnabled cluster.QueryContext.ChaosPostMerge
-//rasql:allocpin cluster.QueryContext.runQueue cluster.QueryContext.place cluster.startStopwatch cluster.stopwatch.elapsedNanos
 func TestDisabledInjectorZeroAllocs(t *testing.T) {
 	c := New(Config{Workers: 4, Partitions: 4, StageOverheadOps: -1, SequentialStages: true}).NewQuery(nil)
 	tasks := make([]Task, 4)
@@ -40,8 +37,6 @@ func TestDisabledInjectorZeroAllocs(t *testing.T) {
 // allocator on the per-task decision path: rolling the fault dice, looking
 // up the worker's chaos context, and passing a fetch point are the costs
 // every chaos-covered task pays per attempt, fault or no fault.
-//
-//rasql:allocpin cluster.stageChaos.roll cluster.injector.taskCtx cluster.injector.fetchPoint
 func TestEnabledInjectorNoFaultZeroAllocs(t *testing.T) {
 	c := chaosTestCluster(ChaosConfig{Schedule: []ChaosEvent{
 		{Stage: "unreached", Occurrence: 0, Part: 0, Attempt: 0, Kind: FaultTaskStart},

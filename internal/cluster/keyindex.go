@@ -57,8 +57,6 @@ func (x *keyIndex) key(i int) []byte {
 
 // encKey encodes r's values at the key columns into the scratch buffer and
 // returns the bytes with their hash. Valid until the next enc* call.
-//
-//rasql:noalloc
 func (x *keyIndex) encKey(r types.Row, cols []int) ([]byte, uint64) {
 	b := types.AppendKey(x.scratch[:0], r, cols)
 	x.scratch = b
@@ -66,8 +64,6 @@ func (x *keyIndex) encKey(r types.Row, cols []int) ([]byte, uint64) {
 }
 
 // encRowKey is encKey over every column (set semantics).
-//
-//rasql:noalloc
 func (x *keyIndex) encRowKey(r types.Row) ([]byte, uint64) {
 	b := types.AppendRowKey(x.scratch[:0], r)
 	x.scratch = b
@@ -75,8 +71,6 @@ func (x *keyIndex) encRowKey(r types.Row) ([]byte, uint64) {
 }
 
 // get returns the id of key, if present.
-//
-//rasql:noalloc
 func (x *keyIndex) get(key []byte, h uint64) (int, bool) {
 	if len(x.slots) == 0 {
 		return 0, false
@@ -100,12 +94,10 @@ func (x *keyIndex) get(key []byte, h uint64) (int, bool) {
 // get id == len()-1. Steady-state probes and inserts touch no allocator;
 // arena/ends/hashes appends amortize into the capacity the caller's reuse
 // already paid for, and table doubling is the one justified exception.
-//
-//rasql:noalloc
 func (x *keyIndex) getOrInsert(key []byte, h uint64) (id int, inserted bool) {
-	// Grow at 3/4 load so probe chains stay short.
+	// Grow at 3/4 load so probe chains stay short: the table doubles, so
+	// over the index's life it grows O(log n) times.
 	if 4*(len(x.ends)+1) > 3*len(x.slots) {
-		//rasql:allow noalloc -- amortized: table doubling at 3/4 load, O(log n) times total
 		x.grow()
 	}
 	for s := h & x.mask; ; s = (s + 1) & x.mask {

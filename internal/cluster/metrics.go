@@ -67,20 +67,16 @@ type Metrics struct {
 // stopwatch is the cluster's only sanctioned wall-clock access: timing
 // instrumentation whose readings feed the metrics counters (SimNanos,
 // StageWallNanos) and nothing else. Results, placement and iteration counts
-// must never depend on a reading, which is why the simclock analyzer bans
-// time.Now everywhere else in the engine and the two reads below carry the
-// audit trail.
+// must never depend on a reading, which is why TestSourceRules bans
+// host-clock reads everywhere else in the deterministic packages and
+// allows only the two below.
 type stopwatch struct{ t0 time.Time }
 
-//rasql:noalloc
 func startStopwatch() stopwatch {
-	//rasql:allow simclock -- metrics-only instrumentation; readings feed SimNanos/StageWallNanos, never results or placement
 	return stopwatch{t0: time.Now()}
 }
 
-//rasql:noalloc
 func (s stopwatch) elapsedNanos() int64 {
-	//rasql:allow simclock -- metrics-only instrumentation; see startStopwatch
 	return int64(time.Since(s.t0))
 }
 

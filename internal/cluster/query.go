@@ -336,27 +336,21 @@ func (q *QueryContext) RunStage(name string, tasks []Task) {
 // runQueue drains one worker's task queue for the current stage. A method
 // rather than a RunStage closure so the sequential (and benchmark-pinned)
 // path stays allocation-free; only the parallel branch pays for its
-// per-worker goroutine closures. The noalloc contract covers the scheduler
-// loop itself — chaos-off, spans-off — which is the benchmark-pinned
-// configuration; task bodies own their allocations.
-//
-//rasql:noalloc
+// per-worker goroutine closures. TestDisabledInjectorZeroAllocs pins the
+// scheduler loop itself, chaos-off and spans-off; the chaos and span paths
+// allocate their bookkeeping, and task bodies own their allocations.
 func (q *QueryContext) runQueue(w int, queue []Task, name string, spans bool, sc *stageChaos) {
 	t0 := startStopwatch()
 	for _, t := range queue {
 		burn(q.cfg.StageOverheadOps)
 		if sc != nil {
-			//rasql:allow noalloc -- chaos path: attempt/replay bookkeeping allocates; the chaos-off loop never reaches it
 			q.runTaskChaos(sc, t, w, spans, name)
 		} else if spans {
-			//rasql:allow noalloc -- span path: the args slice is built only when span recording is on
 			s := q.Tracer.BeginArgs(name, trace.TidWorker(w),
 				trace.Arg{Key: "part", Val: int64(t.Part)})
-			//rasql:allow noalloc -- Task.Run is the task body; its allocations belong to the task, not the scheduler loop
 			t.Run(w)
 			s.End()
 		} else {
-			//rasql:allow noalloc -- Task.Run is the task body; its allocations belong to the task, not the scheduler loop
 			t.Run(w)
 		}
 	}
@@ -370,7 +364,6 @@ func (q *QueryContext) runQueue(w int, queue []Task, name string, spans bool, sc
 	}
 }
 
-//rasql:noalloc
 func (q *QueryContext) place(t Task, seq int) int {
 	switch q.cfg.Policy {
 	case PolicyPartitionAware:

@@ -38,7 +38,9 @@ type RelaxedOptions struct {
 	// Parts is the number of partitions routed between.
 	Parts int
 	// Owner maps a partition to the worker that owns its state; all
-	// processing for the partition runs on that worker's goroutine.
+	// processing for the partition runs on that worker's goroutine. It must
+	// be a pure, allocation-free mapping: the router calls it on every
+	// enqueue and pick.
 	Owner func(part int) int
 	// Staleness is the SSP bound k: a partition may run at most k rounds
 	// ahead of the slowest partition that still has pending or in-flight
@@ -211,14 +213,12 @@ func (q *QueryContext) RunRelaxed(opt RelaxedOptions, seed [][]types.Row) Relaxe
 // one exactly-sized slab.
 //
 // The caller holds rt.mu.
-//
-//rasql:noalloc
 func (rt *relaxedRouter) enqueueLocked(t int, rows []types.Row, stamp int64, producerWorker int) {
 	b := relaxedBatch{n: len(rows), stamp: stamp}
 	in := &rt.inbox[t]
-	//rasql:allow noalloc -- Owner is a caller-supplied pure index→worker mapping; the engine passes closure-free routing functions
 	if producerWorker >= 0 && rt.opt.Owner(t) == producerWorker {
-		//rasql:allow noalloc -- the hand-over copy: one exactly-sized slab per batch, what the cross-worker branch pays as its encode
+		// One exactly-sized slab per batch: what the cross-worker branch
+		// pays as its encode.
 		b.rows = types.CloneRows(rows)
 	} else {
 		b.off = len(in.bytes)
@@ -240,8 +240,6 @@ func (rt *relaxedRouter) enqueueLocked(t int, rows []types.Row, stamp int64, pro
 // held back only by the gate — the relaxed analog of barrier wait.
 //
 // The caller holds rt.mu.
-//
-//rasql:noalloc
 func (rt *relaxedRouter) pickLocked(w int) (part int, ok, gated bool) {
 	// The gate compares against the slowest partition that still has work
 	// (pending or in-flight): finished partitions keep frozen clocks and
@@ -258,7 +256,6 @@ func (rt *relaxedRouter) pickLocked(w int) (part int, ok, gated bool) {
 	}
 	part = -1
 	for p := range rt.inbox {
-		//rasql:allow noalloc -- Owner is a caller-supplied pure index→worker mapping; the engine passes closure-free routing functions
 		if len(rt.inbox[p].batches) == 0 || rt.opt.Owner(p) != w {
 			continue
 		}
@@ -390,8 +387,6 @@ func (rt *relaxedRouter) claimSequential() (taken relaxedInbox, part int, round 
 // completeLocked.
 //
 // The caller holds rt.mu.
-//
-//rasql:noalloc
 func (rt *relaxedRouter) takeLocked(part int) (relaxedInbox, int64, int) {
 	taken := rt.inbox[part]
 	rt.inbox[part], rt.spare[part] = rt.spare[part], relaxedInbox{}
@@ -417,8 +412,6 @@ func (rt *relaxedRouter) takeLocked(part int) (relaxedInbox, int64, int) {
 // decoded its bytes into rows of their own.
 //
 // The caller holds rt.mu.
-//
-//rasql:noalloc
 func (rt *relaxedRouter) completeLocked(part int, round int64, taken relaxedInbox) {
 	rt.clock[part] = round + 1
 	rt.inflight[part] = false

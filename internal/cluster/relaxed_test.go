@@ -273,8 +273,6 @@ func BenchmarkRelaxedTokenChain(b *testing.B) {
 // nothing, and neither does enqueueLocked in a running region, because
 // takeLocked swaps in the partition's spare inbox — batch list and bytes —
 // and completeLocked takes the drained one back as the next spare.
-//
-//rasql:allocpin cluster.relaxedRouter.enqueueLocked cluster.relaxedRouter.pickLocked cluster.relaxedRouter.takeLocked cluster.relaxedRouter.completeLocked
 func TestRelaxedRouterZeroAllocs(t *testing.T) {
 	q := relaxedTestQuery(2, 2, true)
 	rt := &relaxedRouter{

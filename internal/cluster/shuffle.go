@@ -34,8 +34,6 @@ func (c *QueryContext) NewShuffle(targets int) *Shuffle {
 
 // live panics when the shuffle's generation was taken by a newer shuffle,
 // whose bytes a read would decode as this one's.
-//
-//rasql:noalloc
 func (s *Shuffle) live() {
 	if s.epoch != s.gen.epoch {
 		panic("cluster: shuffle used after its send memory was taken by a newer shuffle")
@@ -51,8 +49,6 @@ func (s *Shuffle) live() {
 // Add is also the map-side hot loop: on warm send memory the encoding and
 // the bucket appends fit the capacity earlier shuffles grew, so per-bucket
 // work touches no allocator.
-//
-//rasql:noalloc
 func (s *Shuffle) Add(out [][]types.Row, producer int) {
 	s.live()
 	sh := &s.gen.shards[producer+1]

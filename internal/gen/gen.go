@@ -4,7 +4,7 @@
 // four real-world graphs of Table 1.
 //
 // Every generator takes an explicitly seeded *rand.Rand — never the global
-// math/rand source (the simclock analyzer bans it engine-wide) — so a
+// math/rand source (TestSourceRules bans it engine-wide) — so a
 // dataset is a pure function of its seed: Rng(seed) always reproduces the
 // same relation. Generators that used to take a seed directly are called
 // as, e.g., RMATDefault(n, gen.Rng(seed)), which produces bit-identical

@@ -45,8 +45,6 @@ type Histogram struct {
 
 // bucketIndex maps a value to its bucket: 0 for underflow (v < 0),
 // bucketCount-1 for overflow (v >= maxValue), log-linear in between.
-//
-//rasql:noalloc
 func bucketIndex(v int64) int {
 	if v < 0 {
 		return 0
@@ -88,8 +86,6 @@ func bucketBounds(i int) (lo, hi int64) {
 
 // Observe records one value. Wait-free and allocation-free: one atomic add
 // on the bucket, the total count and the sum.
-//
-//rasql:noalloc
 func (h *Histogram) Observe(v int64) {
 	h.counts[bucketIndex(v)].Add(1)
 	h.count.Add(1)

@@ -200,11 +200,9 @@ func clone(h *Histogram) *Histogram {
 	return &c
 }
 
-// TestObserveZeroAllocs pins the dynamic side of the //rasql:noalloc
-// contract on the metrics hot path: recording into a histogram, counter or
-// gauge never allocates, so instrumentation can sit on per-task code.
-//
-//rasql:allocpin obs.Histogram.Observe obs.bucketIndex obs.Counter.Add obs.Counter.Inc obs.Gauge.Set obs.Gauge.Add
+// TestObserveZeroAllocs pins the allocation contract of the metrics hot
+// path: recording into a histogram, counter or gauge never allocates, so
+// instrumentation can sit on per-task code.
 func TestObserveZeroAllocs(t *testing.T) {
 	var h Histogram
 	var c Counter

@@ -3,12 +3,13 @@
 // with Prometheus text-format exposition, and the per-query QueryStats
 // record every finished cluster.QueryContext folds into it.
 //
-// Like internal/trace, obs sits on the observability side of the simclock
-// boundary: nothing in the engine's deterministic packages reads values back
-// out of it, so its contents never influence results, placement or
-// iteration counts. The hot-path surface (Histogram.Observe, Counter.Add)
-// is allocation-free and wait-free — cheap enough to call from the query
-// fold of every request a serving deployment handles.
+// Like internal/trace, obs sits on the observability side of the host-clock
+// boundary TestSourceRules draws: nothing in the engine's deterministic
+// packages reads values back out of it, so its contents never influence
+// results, placement or iteration counts. The hot-path surface
+// (Histogram.Observe, Counter.Add) is allocation-free and wait-free — cheap
+// enough to call from the query fold of every request a serving deployment
+// handles.
 package obs
 
 import (
@@ -27,8 +28,6 @@ type Counter struct{ v atomic.Int64 }
 
 // Add increments the counter by n (negative n is ignored: counters only go
 // up, and a registry scrape must never observe a decrease).
-//
-//rasql:noalloc
 func (c *Counter) Add(n int64) {
 	if n > 0 {
 		c.v.Add(n)
@@ -36,8 +35,6 @@ func (c *Counter) Add(n int64) {
 }
 
 // Inc increments the counter by one.
-//
-//rasql:noalloc
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
@@ -48,13 +45,9 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 type Gauge struct{ v atomic.Int64 }
 
 // Set stores the gauge value.
-//
-//rasql:noalloc
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
 // Add adjusts the gauge by n (may be negative).
-//
-//rasql:noalloc
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Value returns the current gauge value.

@@ -1,8 +1,8 @@
 package vet
 
 // CodeDoc pairs one stable diagnostic code with a one-line description —
-// the registry `rasql-lint -codes` prints alongside the RL-series, so every
-// code the toolchain can emit is discoverable from one place.
+// the registry `rasql vet -h` prints after its flags, so every code vet
+// can emit is discoverable from one place.
 type CodeDoc struct {
 	Code string
 	Doc  string

@@ -8,8 +8,8 @@ import "time"
 // These are the trace package's only wall-clock reads, the observability
 // twin of the cluster metrics stopwatch: readings feed trace events and
 // EXPLAIN ANALYZE rendering, never results, placement or iteration counts.
-// The deterministic engine packages (covered by the simclock analyzer)
-// never read the clock themselves — they hand data to this package.
+// The deterministic engine packages (held by TestSourceRules) never read
+// the clock themselves — they hand data to this package.
 type startRef struct{ t0 time.Time }
 
 func startClock() startRef {

@@ -3,11 +3,11 @@
 // (delta sizes, all-relation growth, shuffle volume, partition skew).
 //
 // Like the cluster's metrics stopwatch, this package is the observability
-// side of the simclock boundary: its readings feed traces and EXPLAIN
+// side of the host-clock boundary: its readings feed traces and EXPLAIN
 // ANALYZE output, never results, placement or iteration counts. It is
-// therefore deliberately outside the simclock analyzer's deterministic
-// package set — the engine packages that call into it stay clock-free, and
-// the clock reads live in exactly one place (clock.go).
+// therefore deliberately outside the deterministic package set that
+// TestSourceRules keeps clock-free — the engine packages that call into it
+// stay clock-free, and the clock reads live in exactly one place (clock.go).
 //
 // A nil *Tracer is the disabled tracer: every method is safe to call on it
 // and costs one nil check, no allocation. Hot paths that must stay
@@ -61,11 +61,11 @@ type Event struct {
 	// event (see ForQuery); 0 for events recorded on the root handle. The
 	// Chrome export renders each query as its own process, so interleaved
 	// concurrent-query traces stay distinguishable.
-	Qid   int64
-	Tid   int
-	TS    int64
-	Dur   int64 // 'X' only
-	Args  []Arg
+	Qid  int64
+	Tid  int
+	TS   int64
+	Dur  int64 // 'X' only
+	Args []Arg
 }
 
 // IterationEvent is the per-iteration fixpoint telemetry record. Iteration
@@ -191,14 +191,10 @@ func (t *Tracer) Qid() int64 {
 }
 
 // Enabled reports whether the tracer records anything (nil = disabled).
-//
-//rasql:noalloc
 func (t *Tracer) Enabled() bool { return t != nil }
 
 // SpansEnabled reports whether span events are recorded. Callers that
 // would allocate to build span data must check this first.
-//
-//rasql:noalloc
 func (t *Tracer) SpansEnabled() bool { return t != nil && t.level >= LevelSpans }
 
 // Span is an in-flight span returned by Begin; its End records the event.
@@ -213,8 +209,6 @@ type Span struct {
 
 // Begin opens a span on the given track. On a disabled tracer it returns
 // the zero Span without reading the clock or allocating.
-//
-//rasql:noalloc
 func (t *Tracer) Begin(name string, tid int) Span {
 	if !t.SpansEnabled() {
 		return Span{}
@@ -225,8 +219,6 @@ func (t *Tracer) Begin(name string, tid int) Span {
 // BeginArgs is Begin with annotations attached to the completed span. The
 // body allocates nothing; the implicit args slice is built (and paid for)
 // at call sites, which gate on SpansEnabled first.
-//
-//rasql:noalloc
 func (t *Tracer) BeginArgs(name string, tid int, args ...Arg) Span {
 	if !t.SpansEnabled() {
 		return Span{}
@@ -235,8 +227,6 @@ func (t *Tracer) BeginArgs(name string, tid int, args ...Arg) Span {
 }
 
 // End completes the span and records it as an 'X' event.
-//
-//rasql:noalloc
 func (s Span) End() {
 	if s.t == nil {
 		return
@@ -255,8 +245,6 @@ type IterSpan struct {
 
 // BeginIteration opens iteration telemetry. Unlike Begin it works at every
 // level — iteration events are the tracer's reason to exist.
-//
-//rasql:noalloc
 func (t *Tracer) BeginIteration(iter int) IterSpan {
 	if t == nil {
 		return IterSpan{}
@@ -267,15 +255,14 @@ func (t *Tracer) BeginIteration(iter int) IterSpan {
 // End records the iteration event: the telemetry row plus, on the
 // iteration track, a B/E span pair and counter samples for the convergence
 // curves. ev.Iter, StartNS and EndNS are filled from the span.
-//
-//rasql:noalloc
 func (s IterSpan) End(ev IterationEvent) {
 	if s.t == nil {
 		return
 	}
 	ev.Iter = s.iter
 	ev.StartNS, ev.EndNS = s.t0, s.t.sinceStart()
-	//rasql:allow noalloc -- once per fixpoint iteration: the telemetry row amortizes over the iteration's work
+	// Once per fixpoint iteration: the telemetry row's allocation amortizes
+	// over the iteration's work.
 	s.t.recordIteration(ev)
 }
 
@@ -284,8 +271,6 @@ func (s IterSpan) End(ev IterationEvent) {
 // with it as rounds complete and emit the events later via EmitIteration
 // (rounds of different partitions interleave, so no span brackets them).
 // Zero on a disabled tracer.
-//
-//rasql:noalloc
 func (t *Tracer) Now() int64 {
 	if t == nil {
 		return 0

@@ -6,7 +6,6 @@ import (
 	"testing"
 )
 
-//rasql:allocpin trace.Tracer.Enabled trace.Tracer.SpansEnabled trace.Tracer.Begin trace.Tracer.BeginArgs trace.Span.End trace.Tracer.BeginIteration trace.IterSpan.End trace.Tracer.Now
 func TestDisabledTracerZeroAllocs(t *testing.T) {
 	var tr *Tracer
 	allocs := testing.AllocsPerRun(1000, func() {

@@ -188,11 +188,9 @@ func (c *Combiner) Combine(rows []Row, key []int, valIdx int, kind AggKind) []Ro
 // find returns the id of r's group, or -1 and the empty slot where a group
 // with hash h goes. It first grows the table if one more group would pass
 // 3/4 load, so the slot stays valid for insert.
-//
-//rasql:noalloc
 func (c *Combiner) find(r Row, h uint64) (id int, slot uint64) {
 	if 4*(len(c.rows)+1) > 3*len(c.slots) {
-		//rasql:allow noalloc -- amortized: table doubling at 3/4 load, O(log n) times over a Combiner's life
+		// The table doubles, so it grows O(log n) times over a Combiner's life.
 		c.grow()
 	}
 	for s := h >> 32 & c.mask; ; s = (s + 1) & c.mask {
@@ -210,8 +208,6 @@ func (c *Combiner) find(r Row, h uint64) (id int, slot uint64) {
 
 // insert makes g the row of a new group with hash h at the empty slot s
 // find returned. Its appends amortize into capacity earlier calls grew.
-//
-//rasql:noalloc
 func (c *Combiner) insert(s, h uint64, g Row) {
 	c.slots[s] = uint64(len(c.rows)+1)<<32 | uint64(uint32(h))
 	c.rows = append(c.rows, g)

@@ -102,10 +102,9 @@ func BenchmarkRowKeyBinary(b *testing.B) {
 	}
 }
 
-// TestAppendRowsZeroAllocs pins the encode side of the //rasql:noalloc
-// contract: re-encoding a batch into a warm buffer touches no allocator.
-//
-//rasql:allocpin types.AppendRow types.AppendRows
+// TestAppendRowsZeroAllocs pins the encode side of the wire format's
+// allocation contract: re-encoding a batch into a warm buffer touches no
+// allocator.
 func TestAppendRowsZeroAllocs(t *testing.T) {
 	rows := benchRows(64)
 	buf := make([]byte, 0, EncodedSize(rows))
@@ -123,8 +122,6 @@ func TestAppendRowsZeroAllocs(t *testing.T) {
 // decodeRowInto. DecodeRowsAppend decodes into storage of its own, so
 // every call takes the nil-slab path: its steady state is one allocation,
 // the exactly-sized block the batch's uniform-width rows are carved from.
-//
-//rasql:allocpin types.DecodeRowsAppend types.DecodeRowsInto types.decodeRowInto
 func TestDecodeRowsZeroAllocs(t *testing.T) {
 	numeric := make([]Row, 64)
 	for i := range numeric {
@@ -163,8 +160,6 @@ func TestDecodeRowsZeroAllocs(t *testing.T) {
 // TestRowKeyZeroAllocs pins the binary row-key encoders: with a warm
 // scratch buffer, keying a row by all columns, by a column subset or by
 // loose values touches no allocator.
-//
-//rasql:allocpin types.AppendKey types.AppendRowKey types.AppendKeyValues types.appendKeyValue types.HashBytes
 func TestRowKeyZeroAllocs(t *testing.T) {
 	rows := benchRows(64)
 	key := []int{0, 1, 3}
@@ -187,11 +182,9 @@ func TestRowKeyZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestKeyAndHashZeroAllocs pins the dynamic side of the //rasql:noalloc
-// contract on the key and hash paths: with a warm scratch buffer, encoding
-// and hashing a row touches the allocator zero times per row.
-//
-//rasql:allocpin types.HashValue types.HashRow types.HashRowKey
+// TestKeyAndHashZeroAllocs pins the allocation contract of the key and
+// hash paths: with a warm scratch buffer, encoding and hashing a row
+// touches the allocator zero times per row.
 func TestKeyAndHashZeroAllocs(t *testing.T) {
 	rows := benchRows(64)
 	key := []int{0, 1, 3}

@@ -20,8 +20,6 @@ import (
 //	  null   → nothing
 
 // AppendRow appends the wire encoding of r to buf and returns it.
-//
-//rasql:noalloc
 func AppendRow(buf []byte, r Row) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(r)))
 	for _, v := range r {
@@ -106,8 +104,6 @@ func EncodedSize(rows []Row) int {
 // AppendRows appends the batch encoding of rows to buf and returns it.
 // Callers that reuse buffers (the shuffle's send memory) pass a recycled
 // buf; one-shot callers should size it with EncodedSize.
-//
-//rasql:noalloc
 func AppendRows(buf []byte, rows []Row) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(rows)))
 	for _, r := range rows {
@@ -128,9 +124,6 @@ func DecodeRows(buf []byte) ([]Row, error) {
 
 // DecodeRowsAppend decodes a batch produced by EncodeRows/AppendRows,
 // appending the rows to dst, into storage of their own.
-//
-//rasql:noretain buf
-//rasql:noalloc
 func DecodeRowsAppend(dst []Row, buf []byte) ([]Row, error) {
 	return DecodeRowsInto(dst, nil, buf)
 }
@@ -138,31 +131,24 @@ func DecodeRowsAppend(dst []Row, buf []byte) ([]Row, error) {
 // DecodeRowsInto decodes a batch produced by EncodeRows/AppendRows,
 // appending the rows to dst and carving their values out of slab, so a
 // caller that resets and reuses both decodes without allocating; a nil
-// slab gets storage of its own, one exactly-sized block per batch. The input buffer is not retained (string
-// payloads are copied), so callers may recycle it immediately — the
-// noretain analyzer enforces that contract on this function's body. The
-// noalloc annotation pins the steady state — per row, decoding touches no
-// allocator; the justified exceptions below are the one-shot paths (nil
-// dst, nil slab) and the corrupt-wire error paths.
-//
-//rasql:noretain buf
-//rasql:noalloc
+// slab gets storage of its own, one exactly-sized block per batch. The
+// input buffer is not retained (string payloads are copied), so callers
+// may recycle it immediately: FuzzDecodeRowsAppend scribbles over it after
+// every decode. TestDecodeRowsZeroAllocs pins the steady state, in which
+// per row only a string payload's copy touches the allocator.
 func DecodeRowsInto(dst []Row, slab *RowSlab, buf []byte) ([]Row, error) {
 	n, sz := binary.Uvarint(buf)
 	if sz <= 0 {
-		//rasql:allow noalloc -- cold path: corrupt wire data aborts the decode
 		return nil, fmt.Errorf("types: truncated batch header")
 	}
 	// Every row costs at least one byte (its width header), so a count the
 	// remaining buffer can't hold is corruption; rejecting it here keeps the
 	// capacity hint below safe against attacker-sized allocations.
 	if n > uint64(len(buf)-sz) {
-		//rasql:allow noalloc -- cold path: corrupt wire data aborts the decode
 		return nil, fmt.Errorf("types: batch count %d exceeds buffer", n)
 	}
 	pos := sz
 	if dst == nil {
-		//rasql:allow noalloc -- one-time: only the nil-dst convenience path sizes a fresh slice
 		dst = make([]Row, 0, n)
 	}
 	// Without a slab the rows are carved from one block of n × the first
@@ -173,20 +159,17 @@ func DecodeRowsInto(dst []Row, slab *RowSlab, buf []byte) ([]Row, error) {
 	if slab == nil {
 		if w, wsz := binary.Uvarint(buf[sz:]); wsz > 0 {
 			left := uint64(len(buf) - sz)
-			//rasql:allow noalloc -- one-shot: a nil slab means the caller wants the rows in storage of their own, one block per batch
 			block = make([]Value, min(n*min(w, left), left))
 		}
 	}
 	for i := uint64(0); i < n; i++ {
 		width, wsz := binary.Uvarint(buf[pos:])
 		if wsz <= 0 {
-			//rasql:allow noalloc -- cold path: corrupt wire data aborts the decode
 			return nil, fmt.Errorf("types: row %d: truncated row header", i)
 		}
 		pos += wsz
 		// Same argument per value: at least a kind byte each.
 		if width > uint64(len(buf)-pos) {
-			//rasql:allow noalloc -- cold path: corrupt wire data aborts the decode
 			return nil, fmt.Errorf("types: row %d: width %d exceeds buffer", i, width)
 		}
 		var r Row
@@ -196,12 +179,10 @@ func DecodeRowsInto(dst []Row, slab *RowSlab, buf []byte) ([]Row, error) {
 		case int(width) <= len(block):
 			r, block = block[:width:width], block[width:]
 		default:
-			//rasql:allow noalloc -- one-shot, cold: only a non-uniform batch outgrows its block
 			r = make(Row, width)
 		}
 		used, err := decodeRowInto(r, buf[pos:])
 		if err != nil {
-			//rasql:allow noalloc -- cold path: corrupt wire data aborts the decode
 			return nil, fmt.Errorf("types: row %d: %w", i, err)
 		}
 		pos += used
@@ -214,14 +195,10 @@ func DecodeRowsInto(dst []Row, slab *RowSlab, buf []byte) ([]Row, error) {
 // is already consumed) from buf into r, returning the bytes consumed. Like
 // DecodeRowsAppend it must not retain buf: every string payload is copied —
 // that copy is the one justified allocation on the non-error path.
-//
-//rasql:noretain buf
-//rasql:noalloc
 func decodeRowInto(r Row, buf []byte) (int, error) {
 	pos := 0
 	for i := range r {
 		if pos >= len(buf) {
-			//rasql:allow noalloc -- cold path: corrupt wire data aborts the decode
 			return 0, fmt.Errorf("types: truncated value kind")
 		}
 		k := Kind(buf[pos])
@@ -232,14 +209,12 @@ func decodeRowInto(r Row, buf []byte) (int, error) {
 		case KindInt:
 			x, s := binary.Varint(buf[pos:])
 			if s <= 0 {
-				//rasql:allow noalloc -- cold path: corrupt wire data aborts the decode
 				return 0, fmt.Errorf("types: truncated int")
 			}
 			pos += s
 			r[i] = Int(x)
 		case KindFloat:
 			if pos+8 > len(buf) {
-				//rasql:allow noalloc -- cold path: corrupt wire data aborts the decode
 				return 0, fmt.Errorf("types: truncated double")
 			}
 			r[i] = Float(math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:])))
@@ -250,22 +225,19 @@ func decodeRowInto(r Row, buf []byte) (int, error) {
 			// negative and would sail past an int-arithmetic bounds check
 			// into a negative slice index.
 			if s <= 0 || l > uint64(len(buf)-pos-s) {
-				//rasql:allow noalloc -- cold path: corrupt wire data aborts the decode
 				return 0, fmt.Errorf("types: truncated string")
 			}
 			pos += s
-			//rasql:allow noalloc -- string payloads must be copied so buf can be recycled (noretain contract)
+			// Copy the payload: the caller may reuse buf once the decode returns.
 			r[i] = Str(string(buf[pos : pos+int(l)]))
 			pos += int(l)
 		case KindBool:
 			if pos >= len(buf) {
-				//rasql:allow noalloc -- cold path: corrupt wire data aborts the decode
 				return 0, fmt.Errorf("types: truncated boolean")
 			}
 			r[i] = Bool(buf[pos] != 0)
 			pos++
 		default:
-			//rasql:allow noalloc -- cold path: corrupt wire data aborts the decode
 			return 0, fmt.Errorf("types: bad kind byte %d", k)
 		}
 	}

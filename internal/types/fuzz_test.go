@@ -22,20 +22,42 @@ func fuzzSampleRows() []Row {
 
 // FuzzDecodeRowsAppend: arbitrary bytes must never panic or over-allocate,
 // and anything that decodes must survive a canonical re-encode/decode
-// roundtrip with values and kinds intact.
+// roundtrip with values and kinds intact. Neither decoder may retain its
+// input: once decoded, the rows must survive their buffer being
+// overwritten, since shuffle and inbox bytes are reused the moment a decode
+// returns.
 func FuzzDecodeRowsAppend(f *testing.F) {
 	f.Add(EncodeRows(fuzzSampleRows()))
 	f.Add(EncodeRows(nil))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // absurd batch count
+	var slab RowSlab
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rows, err := DecodeRowsAppend(nil, data)
+		buf := bytes.Clone(data) // the fuzz input itself must not be written
+		rows, err := DecodeRowsAppend(nil, buf)
 		if err != nil {
 			return
 		}
 		enc := EncodeRows(rows)
 		if len(enc) != EncodedSize(rows) {
 			t.Fatalf("EncodedSize %d but encoding is %d bytes", EncodedSize(rows), len(enc))
+		}
+		slab.Reset()
+		into, err := DecodeRowsInto(nil, &slab, buf)
+		if err != nil {
+			t.Fatalf("DecodeRowsInto fails where DecodeRowsAppend succeeds: %v", err)
+		}
+		if !bytes.Equal(EncodeRows(into), enc) {
+			t.Fatal("DecodeRowsInto and DecodeRowsAppend decode different rows")
+		}
+		for i := range buf {
+			buf[i] = 0xAA
+		}
+		if !bytes.Equal(EncodeRows(rows), enc) {
+			t.Fatal("DecodeRowsAppend retains its input: rows changed when the buffer was overwritten")
+		}
+		if !bytes.Equal(EncodeRows(into), enc) {
+			t.Fatal("DecodeRowsInto retains its input: rows changed when the buffer was overwritten")
 		}
 		back, err := DecodeRows(enc)
 		if err != nil {

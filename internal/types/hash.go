@@ -9,8 +9,6 @@ const (
 )
 
 // HashValue folds one value into an FNV-1a style running hash.
-//
-//rasql:noalloc
 func HashValue(h uint64, v Value) uint64 {
 	h = hashByte(h, byte(normKind(v)))
 	switch v.K {
@@ -37,8 +35,6 @@ func normKind(v Value) Kind {
 }
 
 // HashRow hashes an entire row with the given seed.
-//
-//rasql:noalloc
 func HashRow(seed uint64, r Row) uint64 {
 	h := seed
 	if h == 0 {
@@ -51,8 +47,6 @@ func HashRow(seed uint64, r Row) uint64 {
 }
 
 // HashRowKey hashes only the values at the given key indices.
-//
-//rasql:noalloc
 func HashRowKey(r Row, key []int) uint64 {
 	h := uint64(fnvOffset)
 	for _, i := range key {

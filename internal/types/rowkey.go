@@ -20,8 +20,6 @@ import (
 
 // AppendKey appends the binary key of r's values at the key indices to buf
 // and returns the extended buffer.
-//
-//rasql:noalloc
 func AppendKey(buf []byte, r Row, key []int) []byte {
 	for _, i := range key {
 		buf = appendKeyValue(buf, r[i])
@@ -30,8 +28,6 @@ func AppendKey(buf []byte, r Row, key []int) []byte {
 }
 
 // AppendRowKey appends the binary key of the entire row (set semantics).
-//
-//rasql:noalloc
 func AppendRowKey(buf []byte, r Row) []byte {
 	for _, v := range r {
 		buf = appendKeyValue(buf, v)
@@ -41,8 +37,6 @@ func AppendRowKey(buf []byte, r Row) []byte {
 
 // AppendKeyValues appends the binary key of a bare value list (a probe key
 // assembled column by column).
-//
-//rasql:noalloc
 func AppendKeyValues(buf []byte, vals []Value) []byte {
 	for _, v := range vals {
 		buf = appendKeyValue(buf, v)
@@ -50,7 +44,6 @@ func AppendKeyValues(buf []byte, vals []Value) []byte {
 	return buf
 }
 
-//rasql:noalloc
 func appendKeyValue(buf []byte, v Value) []byte {
 	if v.IsNumeric() {
 		buf = append(buf, byte(KindFloat))
@@ -70,8 +63,6 @@ func appendKeyValue(buf []byte, v Value) []byte {
 // well, not to match reference FNV output. The mix64 finalizer pushes
 // high-byte differences (where numeric keys mostly vary) into the low bits
 // that table masks consume.
-//
-//rasql:noalloc
 func HashBytes(b []byte) uint64 {
 	h := uint64(fnvOffset)
 	for len(b) >= 8 {

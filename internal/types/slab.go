@@ -22,8 +22,6 @@ const (
 // Alloc returns a row of n values whose capacity is exactly n, so appending
 // to it can never run into a neighbour. Its contents are unspecified after a
 // Reset: the caller must assign every column.
-//
-//rasql:noalloc
 func (s *RowSlab) Alloc(n int) Row {
 	for s.cur < len(s.chunks) {
 		if c := s.chunks[s.cur]; s.off+n <= len(c) {
@@ -43,15 +41,14 @@ func (s *RowSlab) Alloc(n int) Row {
 	if size < n {
 		size = n
 	}
-	//rasql:allow noalloc -- amortized: chunks double up to the cap, so a slab of N values refills O(log N + N/cap) times, and a Reset slab re-carves what it holds
+	// Chunks double up to the cap, so a slab of N values refills
+	// O(log N + N/cap) times, and a Reset slab re-carves what it holds.
 	s.chunks = append(s.chunks, make([]Value, size))
 	s.off = n
 	return s.chunks[s.cur][:n:n]
 }
 
 // Clone copies r into the slab.
-//
-//rasql:noalloc
 func (s *RowSlab) Clone(r Row) Row {
 	c := s.Alloc(len(r))
 	copy(c, r)

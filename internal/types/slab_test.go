@@ -103,11 +103,9 @@ func TestCloneRowsOwnsItsStorage(t *testing.T) {
 	}
 }
 
-// TestRowSlabZeroAllocs pins the dynamic side of the //rasql:noalloc
-// contract: once a slab holds its chunks, a reset-and-refill step — the
-// projector's steady state — allocates nothing.
-//
-//rasql:allocpin types.RowSlab.Alloc types.RowSlab.Clone
+// TestRowSlabZeroAllocs pins the slab's allocation contract: once a slab
+// holds its chunks, a reset-and-refill step — the projector's steady
+// state — allocates nothing.
 func TestRowSlabZeroAllocs(t *testing.T) {
 	var s RowSlab
 	src := Row{Int(1), Int(2)}

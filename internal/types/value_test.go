@@ -335,8 +335,6 @@ func TestCombinerMatchesReferenceGrouping(t *testing.T) {
 // its peak group count, into an arena that already carved as many rows —
 // allocates nothing: the reset, the probes, the in-place combines and the
 // inserts all reuse memory the first pass grew.
-//
-//rasql:allocpin types.Combiner.find types.Combiner.insert
 func TestCombinerFoldZeroAllocs(t *testing.T) {
 	rows := make([]Row, 4096)
 	for i := range rows {
