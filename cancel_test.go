@@ -40,7 +40,7 @@ func TestCancelAllEvaluatorModes(t *testing.T) {
 		query string
 	}{
 		{"local", rasql.Config{ForceLocal: true}, queries.SSSP},
-		{"local-naive", rasql.Config{Naive: true}, queries.SSSP},
+		{"local-naive", naiveConfig(), queries.SSSP},
 		// SSSP co-partitions: default config runs the combined (Algorithm 6)
 		// loop, RawOptimizations leaves stage combination off (Algorithm 4/5).
 		{"bsp-combined", rasql.Config{}, queries.SSSP},
@@ -85,7 +85,7 @@ func TestCancelAllEvaluatorModes(t *testing.T) {
 			waitForGoroutines(t, "pre-cancelled run", base)
 
 			long := rasql.New(m.cfg)
-			long.MustRegister(chainEdges(5000))
+			long.MustRegister(chainEdges(30000))
 			cancelMidRun(t, long, m.query)
 		})
 	}

@@ -38,7 +38,7 @@ func chaosModes() []chaosMode {
 			return c
 		}, true},
 		{"local", func() rasql.Config { return rasql.Config{ForceLocal: true} }, false},
-		{"naive", func() rasql.Config { return rasql.Config{Naive: true} }, false},
+		{"naive", naiveConfig, false},
 	}
 }
 

@@ -7,6 +7,7 @@
 //	rasql-bench -run fig8,table3     # selected experiments
 //	rasql-bench -all -md > out.md    # markdown output
 //	rasql-bench -quick               # small sizes for smoke runs
+//	rasql-bench -run fig10 -json BENCH_fixpoint.json  # also write JSON records
 //
 // Dataset sizes scale down from the paper's 16-node cluster by -scale
 // (RMAT vertex counts) and -tree-scale (tree node counts); the defaults
@@ -42,7 +43,7 @@ func main() {
 		quick     = flag.Bool("quick", false, "tiny sizes for smoke runs")
 		md        = flag.Bool("md", false, "markdown output")
 		quiet     = flag.Bool("quiet", false, "suppress progress lines")
-		jsonOut   = flag.String("json", "BENCH_fixpoint.json", "write per-experiment machine-readable results to this file (empty to disable)")
+		jsonOut   = flag.String("json", "", "write per-experiment machine-readable results to this file (default: none)")
 		chaosSpec = flag.String("chaos", "", "fault injection for every measurement: seed=N,rate=P[,attempts=K]")
 	)
 	flag.Parse()

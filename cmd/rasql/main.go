@@ -121,8 +121,8 @@ func main() {
 	cfg := rasql.Config{
 		Cluster:    rasql.ClusterConfig{Workers: *workers, Partitions: *partitions, Chaos: chaos},
 		ForceLocal: *local,
-		Naive:      *naive,
 	}
+	cfg.Fixpoint.Naive = *naive
 	cfg.Fixpoint.Mode = evalMode
 	cfg.Fixpoint.Staleness = staleness
 	eng := rasql.New(cfg)

@@ -50,13 +50,8 @@ func (e *Engine) explain(src string, cat *catalog.Catalog) (string, error) {
 				fmt.Fprintf(&b, "Fixpoint: local engine (%v)\n", perr)
 			}
 			for _, v := range prog.Clique.Views {
-				kind := "set"
-				if v.IsAgg() {
-					kind = v.Agg.String()
-				}
 				fmt.Fprintf(&b, "  view %s%s: %d base rule(s), %d recursive rule(s)\n",
 					v.Name, v.Schema, len(v.BaseRules), len(v.RecRules))
-				_ = kind
 			}
 		}
 		fmt.Fprintf(&b, "Final: %d source(s), %d conjunct(s), grouped=%v, schema %s\n",

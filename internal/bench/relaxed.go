@@ -59,8 +59,8 @@ func (r *Runner) addRelaxedExperiments(exps map[string]func() (*Table, error)) {
 // enough to cover every iteration of the high-diameter grid workload.
 const stragglerRounds = 256
 
-// stragglerOps is the extra simulated CPU each scheduled straggler burns
-// (~8x the chaos default: a visibly slow executor, not a blip).
+// stragglerOps is the extra CPU each scheduled straggler really spins
+// (8x the chaos default: a visibly slow executor, not a blip).
 const stragglerOps = 400000
 
 // stragglerChaos builds the rotating straggler schedule: iteration o slows

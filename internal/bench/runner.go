@@ -344,8 +344,8 @@ func engineConfig(system string, workers, partitions int) rasql.Config {
 		cfg.Fixpoint.Volcano = true
 		return cfg
 	case "myria":
-		cl.StageOverheadOps = 2000
-		cl.ShufflePenaltyOpsPerByte = 60
+		cl.TaskOverheadNanos = 3_600
+		cl.ShufflePenaltyNanosPerByte = 110
 		cfg := rasql.Config{RawOptimizations: true, Cluster: cl}
 		return cfg
 	default:

@@ -179,7 +179,7 @@ func (r *Runner) Ablations() (*Table, error) {
 			cfg.Cluster.CompressBroadcast = true
 			return cfg
 		}()},
-		{"naive evaluation (local)", rasql.Config{Naive: true}},
+		{"naive evaluation (local)", rasql.Config{Fixpoint: fixpoint.DistOptions{Options: fixpoint.Options{Naive: true}}}},
 		{"semi-naive (local)", rasql.Config{ForceLocal: true}},
 	}
 	for _, v := range variants {

@@ -109,7 +109,7 @@ func BenchmarkShuffleRoundTrip(b *testing.B) {
 // fault-injection machinery being compiled in (TestDisabledInjectorZeroAllocs
 // asserts it).
 func BenchmarkDisabledInjector(b *testing.B) {
-	c := New(Config{Workers: 4, Partitions: 4, StageOverheadOps: -1, SequentialStages: true}).NewQuery(nil)
+	c := New(Config{Workers: 4, Partitions: 4, SequentialStages: true}).NewQuery(nil)
 	tasks := make([]Task, 4)
 	for i := range tasks {
 		tasks[i] = Task{Part: i, Preferred: i, Run: func(w int) { c.ChaosPostMerge(w) }}

@@ -8,7 +8,7 @@ import (
 )
 
 func chaosTestCluster(chaos ChaosConfig) *QueryContext {
-	return New(Config{Workers: 4, Partitions: 4, StageOverheadOps: -1,
+	return New(Config{Workers: 4, Partitions: 4,
 		SequentialStages: true, Chaos: chaos}).NewQuery(nil)
 }
 
@@ -16,7 +16,7 @@ func chaosTestCluster(chaos ChaosConfig) *QueryContext {
 // and FetchTarget already pay, and zero allocations on the stage path —
 // placement, the per-worker queue and its stopwatch included.
 func TestDisabledInjectorZeroAllocs(t *testing.T) {
-	c := New(Config{Workers: 4, Partitions: 4, StageOverheadOps: -1, SequentialStages: true}).NewQuery(nil)
+	c := New(Config{Workers: 4, Partitions: 4, SequentialStages: true}).NewQuery(nil)
 	tasks := make([]Task, 4)
 	for i := range tasks {
 		tasks[i] = Task{Part: i, Preferred: i, Run: func(int) {}}

@@ -3,15 +3,16 @@
 // placed by a pluggable scheduling policy, shuffle exchanges, broadcasts and
 // mutable cached state (SetRDD / AggRDD).
 //
-// The simulation makes the costs the RaSQL paper optimizes *real* rather
-// than merely counted: whenever rows cross a worker boundary they are
-// serialized and deserialized through the shuffle wire format (that is where
-// Spark pays network + serialization cost), every stage pays a per-task
-// scheduling overhead, and cached partitions are owned by a specific worker
-// so locality-oblivious placement forces remote fetches. Optimizations such
-// as partition-aware scheduling, stage combination and broadcast compression
-// therefore change wall-clock time for the same structural reasons they do
-// on a real cluster.
+// The simulation makes the costs the RaSQL paper optimizes measurable
+// rather than merely counted: whenever rows cross a worker boundary they are
+// really serialized and deserialized through the shuffle wire format (where
+// Spark pays network + serialization cost), cached partitions are owned by a
+// specific worker so locality-oblivious placement forces remote fetches, and
+// each task's launch cost (plus any per-byte communication penalty) is
+// charged to the simulated clock (SimNanos), costing the host nothing.
+// Optimizations such as partition-aware scheduling, stage combination and
+// broadcast compression therefore change simulated time for the same
+// structural reasons they do on a real cluster.
 //
 // A Cluster holds only immutable configuration and lifetime counter totals,
 // so any number of queries may share it concurrently. All mutable execution
@@ -63,19 +64,21 @@ type Config struct {
 	// optimization). When false, the master builds the hash table and
 	// ships the hashed relation, which is 2-3x larger.
 	CompressBroadcast bool
-	// StageOverheadOps is the simulated per-task launch cost, in
-	// iterations of a small hash loop (~ns each). It models scheduler RPC,
-	// task deserialization and setup. Defaults to 20000 (~10-20µs).
-	StageOverheadOps int
+	// TaskOverheadNanos is the modelled per-task launch cost (scheduler
+	// RPC, task deserialization, setup): each task, and each relaxed
+	// processing step, adds it to its worker's busy time on the simulated
+	// clock, and the host spends no time on it. Defaults to 37000 (37µs).
+	TaskOverheadNanos int64
 	// ImmutableState forces SetRDD/AggRDD to copy their entire contents
 	// on every union instead of mutating in place — the behaviour of
 	// vanilla immutable RDDs, kept for ablation benchmarks.
 	ImmutableState bool
-	// ShufflePenaltyOpsPerByte burns extra CPU per shuffled byte,
-	// modelling a communication layer that degrades with volume (used by
-	// the Myria comparator profile, which the paper describes as fast on
-	// small inputs but poorly scaling on large ones).
-	ShufflePenaltyOpsPerByte int
+	// ShufflePenaltyNanosPerByte charges the fetching worker this much
+	// simulated time per byte it reads across a worker boundary, modelling
+	// a communication layer that degrades with volume (the Myria comparator
+	// profile, which the paper describes as fast on small inputs but poorly
+	// scaling on large ones). Zero, the default, charges nothing.
+	ShufflePenaltyNanosPerByte int64
 	// SequentialStages runs each stage's worker queues one after another on
 	// the driver goroutine instead of the default of one goroutine per
 	// worker. Both modes record simulated elapsed time (SimNanos) as the
@@ -103,11 +106,8 @@ func (c Config) withDefaults() Config {
 	if c.Partitions <= 0 {
 		c.Partitions = c.Workers
 	}
-	if c.StageOverheadOps == 0 {
-		c.StageOverheadOps = 20000
-	}
-	if c.StageOverheadOps < 0 {
-		c.StageOverheadOps = 0
+	if c.TaskOverheadNanos <= 0 {
+		c.TaskOverheadNanos = 37_000
 	}
 	return c
 }
@@ -168,21 +168,3 @@ type Task struct {
 
 // DefaultOwner returns the canonical owner worker for a partition.
 func (c *Cluster) DefaultOwner(part int) int { return part % c.cfg.Workers }
-
-// burn spins a tiny hash loop to simulate fixed scheduling overhead.
-func burn(ops int) {
-	h := uint64(1469598103934665603)
-	for i := 0; i < ops; i++ {
-		h = (h ^ uint64(i)) * 1099511628211
-	}
-	burnSink.Store(h) // defeat dead-code elimination
-}
-
-// burnSink is a write-only sink that keeps the compiler from eliminating
-// burn's hash loop. It is package-level shared mutable state, yet needs no
-// mutex: it is an atomic value that is only ever written (atomically, by
-// concurrent tasks) and never read, so no lock could change any observable
-// behaviour. As a typed atomic it has no plain spelling to mix up; go vet's
-// copylocks check rejects copies of it, and the -race suites catch any
-// other unsynchronized access.
-var burnSink atomic.Uint64

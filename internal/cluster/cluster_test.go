@@ -22,7 +22,7 @@ func pairSchema() types.Schema {
 }
 
 func newTestCluster(workers, parts int) *Cluster {
-	return New(Config{Workers: workers, Partitions: parts, StageOverheadOps: -1})
+	return New(Config{Workers: workers, Partitions: parts})
 }
 
 func newTestQuery(workers, parts int) *QueryContext {
@@ -34,8 +34,8 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Workers() <= 0 || c.Partitions() != c.Workers() {
 		t.Errorf("defaults: workers=%d partitions=%d", c.Workers(), c.Partitions())
 	}
-	if c.Config().StageOverheadOps != 20000 {
-		t.Errorf("default overhead = %d", c.Config().StageOverheadOps)
+	if got := c.Config().TaskOverheadNanos; got != 37_000 {
+		t.Errorf("default task overhead = %dns, want 37000", got)
 	}
 }
 
@@ -80,7 +80,7 @@ func TestPartitionAwarePlacement(t *testing.T) {
 }
 
 func TestHybridPlacementRotates(t *testing.T) {
-	c := New(Config{Workers: 4, Partitions: 4, Policy: PolicyHybrid, StageOverheadOps: -1}).NewQuery(nil)
+	c := New(Config{Workers: 4, Partitions: 4, Policy: PolicyHybrid}).NewQuery(nil)
 	first := make([]int, 4)
 	second := make([]int, 4)
 	run := func(dst []int) {
@@ -278,7 +278,7 @@ func TestParallelExchangeMatchesSequential(t *testing.T) {
 	for i := int64(0); i < 500; i++ {
 		rel.Append(types.Row{types.Int(i), types.Int(i % 13)})
 	}
-	seq := New(Config{Workers: 4, Partitions: 8, StageOverheadOps: -1, SequentialStages: true}).NewQuery(nil)
+	seq := New(Config{Workers: 4, Partitions: 8, SequentialStages: true}).NewQuery(nil)
 	par := newTestQuery(4, 8)
 	a := seq.Collect(exchange(seq, "x", seq.Partition(rel, []int{0}), []int{1}), "a")
 	b := par.Collect(exchange(par, "x", par.Partition(rel, []int{0}), []int{1}), "b")

@@ -42,7 +42,7 @@ type QueryContext struct {
 	stageSeq int
 	// queues is per-worker task-queue scratch reused across stages (the
 	// stage barrier guarantees no queue outlives its RunStage call).
-	queues [][]Task
+	queues []workerQueue
 	// slowest is per-stage scratch for the critical-path sim-time of the
 	// current stage; a field (not a RunStage local) so worker goroutines
 	// don't force a heap allocation per stage capturing it.
@@ -77,6 +77,14 @@ type QueryContext struct {
 	// an execution lent its plan's (LendSendMemory).
 	send *SendMemory
 	own  SendMemory
+}
+
+// workerQueue is one worker's part of the running stage: its tasks, and the
+// communication penalty those tasks charged, which runQueue folds into the
+// worker's busy time.
+type workerQueue struct {
+	tasks   []Task
+	charged int64
 }
 
 // NewQuery opens a per-query execution context. The tracer may be nil
@@ -258,8 +266,10 @@ func (q *QueryContext) NewAggRDDN(schema types.Schema, groupBy []int, aggCol int
 // after another on the caller. Either way the stage contributes
 // max(per-worker busy time) to the simulated clock (SimNanos) — what a real
 // cluster's stage barrier would wait for — so the simulated clock is
-// independent of how many queues actually overlap on the host. The name is
-// for debugging/tracing only.
+// independent of how many queues actually overlap on the host. A worker's
+// busy time is its measured time plus its modelled charges: the launch cost
+// of each queued task and its communication penalty. The name is for
+// debugging/tracing only.
 func (q *QueryContext) RunStage(name string, tasks []Task) {
 	q.Metrics.StagesRun.Add(1)
 	q.Metrics.TasksRun.Add(int64(len(tasks)))
@@ -267,16 +277,16 @@ func (q *QueryContext) RunStage(name string, tasks []Task) {
 	q.stageSeq++
 
 	if len(q.queues) != q.cfg.Workers {
-		q.queues = make([][]Task, q.cfg.Workers)
+		q.queues = make([]workerQueue, q.cfg.Workers)
 	}
 	q.send.fit(q.cfg.Workers)
 	queues := q.queues
 	for i := range queues {
-		queues[i] = queues[i][:0]
+		queues[i].tasks = queues[i].tasks[:0]
 	}
 	for _, t := range tasks {
-		w := q.place(t, seq)
-		queues[w] = append(queues[w], t)
+		wq := &queues[q.place(t, seq)]
+		wq.tasks = append(wq.tasks, t)
 	}
 
 	spans := q.Tracer.SpansEnabled()
@@ -290,8 +300,8 @@ func (q *QueryContext) RunStage(name string, tasks []Task) {
 		sc = q.chaos.beginStage(name, seq)
 	}
 	active := 0
-	for _, queue := range queues {
-		if len(queue) > 0 {
+	for i := range queues {
+		if len(queues[i].tasks) > 0 {
 			active++
 		}
 	}
@@ -299,14 +309,15 @@ func (q *QueryContext) RunStage(name string, tasks []Task) {
 	q.slowest.Store(0)
 	q.busyTotal.Store(0)
 	if q.cfg.SequentialStages {
-		for w, queue := range queues {
-			if len(queue) > 0 {
+		for w := range queues {
+			if queue := queues[w].tasks; len(queue) > 0 {
 				q.runQueue(w, queue, name, spans, sc)
 			}
 		}
 	} else {
 		var wg sync.WaitGroup
-		for w, queue := range queues {
+		for w := range queues {
+			queue := queues[w].tasks
 			if len(queue) == 0 {
 				continue
 			}
@@ -342,7 +353,6 @@ func (q *QueryContext) RunStage(name string, tasks []Task) {
 func (q *QueryContext) runQueue(w int, queue []Task, name string, spans bool, sc *stageChaos) {
 	t0 := startStopwatch()
 	for _, t := range queue {
-		burn(q.cfg.StageOverheadOps)
 		if sc != nil {
 			q.runTaskChaos(sc, t, w, spans, name)
 		} else if spans {
@@ -354,7 +364,9 @@ func (q *QueryContext) runQueue(w int, queue []Task, name string, spans bool, sc
 			t.Run(w)
 		}
 	}
-	d := t0.elapsedNanos()
+	wq := &q.queues[w]
+	d := t0.elapsedNanos() + int64(len(queue))*q.cfg.TaskOverheadNanos + wq.charged
+	wq.charged = 0
 	q.busyTotal.Add(d)
 	for {
 		cur := q.slowest.Load()
@@ -362,6 +374,17 @@ func (q *QueryContext) runQueue(w int, queue []Task, name string, spans bool, sc
 			break
 		}
 	}
+}
+
+// charge adds modelled nanoseconds to worker w's busy time in the running
+// stage. Only w's own tasks may charge it; the driver's charge (w = −1) runs
+// on no worker and goes straight to the simulated clock.
+func (q *QueryContext) charge(w int, nanos int64) {
+	if w < 0 {
+		q.Metrics.SimNanos.Add(nanos)
+		return
+	}
+	q.queues[w].charged += nanos
 }
 
 func (q *QueryContext) place(t Task, seq int) int {

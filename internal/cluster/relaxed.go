@@ -26,7 +26,8 @@ import (
 // round trip (counted as shuffle + remote-fetch traffic, encoded at emit
 // like the map-side shuffle write), same-worker batches are handed over in
 // memory (the local handover a no-shuffle decomposed plan enjoys under
-// BSP), and every processing step pays the per-task scheduling overhead.
+// BSP), and every processing step is charged the per-task launch cost (and
+// its drained bytes the communication penalty) on the simulated clock.
 // Simulated time contributed by the region is max over workers of that
 // worker's total busy time — the sum-of-maxima the per-iteration barrier
 // charges collapses to a single max-of-sums.
@@ -288,10 +289,8 @@ func (rt *relaxedRouter) runWorker(w int, busyNanos *int64, spans bool) {
 			rt.q.Metrics.BarrierWaitNanos.Add(gateStall)
 			return
 		}
-		sw := startStopwatch()
-		rows := rt.drainRows(taken, w)
-		out := rt.process(w, part, rows, round, stale, spans)
-		*busyNanos += sw.elapsedNanos()
+		out, busy := rt.step(w, part, taken, round, stale, spans)
+		*busyNanos += busy
 		rt.deliver(part, out, round, taken, w)
 	}
 }
@@ -346,10 +345,8 @@ func (rt *relaxedRouter) runSequential(busy []int64) {
 			return
 		}
 		w := rt.opt.Owner(part)
-		sw := startStopwatch()
-		rows := rt.drainRows(taken, w)
-		out := rt.process(w, part, rows, round, stale, spans)
-		busy[w] += sw.elapsedNanos()
+		out, d := rt.step(w, part, taken, round, stale, spans)
+		busy[w] += d
 		rt.deliver(part, out, round, taken, w)
 	}
 }
@@ -422,15 +419,27 @@ func (rt *relaxedRouter) completeLocked(part int, round int64, taken relaxedInbo
 	rt.cond.Broadcast()
 }
 
-// drainRows materializes a drained inbox on worker w: encoded batches pay
-// the deserialize half of the round trip (plus the configured communication
-// penalty) into rows of their own; local batches count as local fetches.
-func (rt *relaxedRouter) drainRows(taken relaxedInbox, w int) []types.Row {
+// step drains and processes one claimed inbox on worker w. It returns the
+// output and the worker's busy time for the step: the measured time plus
+// the modelled launch cost and communication penalty.
+func (rt *relaxedRouter) step(w, part int, taken relaxedInbox, round int64, stale int, spans bool) ([][]types.Row, int64) {
+	sw := startStopwatch()
+	rows, penalty := rt.drainRows(taken)
+	out := rt.process(w, part, rows, round, stale, spans)
+	return out, sw.elapsedNanos() + rt.q.cfg.TaskOverheadNanos + penalty
+}
+
+// drainRows materializes a drained inbox: encoded batches pay the
+// deserialize half of the round trip into rows of their own, and return
+// the configured communication penalty for their bytes; local batches
+// count as local fetches.
+func (rt *relaxedRouter) drainRows(taken relaxedInbox) ([]types.Row, int64) {
 	total := 0
 	for _, b := range taken.batches {
 		total += b.n
 	}
 	out := make([]types.Row, 0, total)
+	var penalty int64
 	for _, b := range taken.batches {
 		if b.rows != nil {
 			rt.q.Metrics.LocalFetchRows.Add(int64(b.n))
@@ -439,23 +448,19 @@ func (rt *relaxedRouter) drainRows(taken relaxedInbox, w int) []types.Row {
 		}
 		buf := taken.bytes[b.off:b.end]
 		rt.q.Metrics.RemoteFetchBytes.Add(int64(len(buf)))
-		if p := rt.q.cfg.ShufflePenaltyOpsPerByte; p > 0 {
-			burn(p * len(buf))
-		}
+		penalty += rt.q.cfg.ShufflePenaltyNanosPerByte * int64(len(buf))
 		var err error
 		out, err = types.DecodeRowsAppend(out, buf)
 		if err != nil {
 			panic("cluster: relaxed wire corruption: " + err.Error())
 		}
 	}
-	return out
+	return out, penalty
 }
 
 // process runs one drained batch through the region's Process callback,
-// paying the per-task scheduling overhead and, under chaos, the bounded
-// attempt/rollback loop.
+// under chaos with the bounded attempt/rollback loop.
 func (rt *relaxedRouter) process(w, part int, rows []types.Row, round int64, stale int, spans bool) [][]types.Row {
-	burn(rt.q.cfg.StageOverheadOps)
 	if rt.sc == nil {
 		if spans {
 			s := rt.q.Tracer.BeginArgs(rt.opt.Name, trace.TidWorker(w),
@@ -529,7 +534,7 @@ func (rt *relaxedRouter) processAttempt(sc *stageChaos, w, part int, rows []type
 		q.Metrics.RowsReplayed.Add(int64(len(rows)))
 	}
 	if sc.roll(part, attempt, FaultStraggler) {
-		burn(inj.cfg.StragglerOps)
+		straggle(inj.cfg.StragglerOps)
 	}
 	if sc.roll(part, attempt, FaultWorkerLoss) {
 		inj.invalidateWorker(w)

@@ -13,7 +13,6 @@ func relaxedTestQuery(workers, parts int, sequential bool) *QueryContext {
 		Workers:          workers,
 		Partitions:       parts,
 		SequentialStages: sequential,
-		StageOverheadOps: 1,
 	}).NewQuery(nil)
 }
 
@@ -158,7 +157,7 @@ func TestRelaxedSameWorkerHandOverOwnsRows(t *testing.T) {
 	rt.mu.Lock()
 	taken, _, _ := rt.takeLocked(1)
 	rt.mu.Unlock()
-	got := rt.drainRows(taken, 0)
+	got, _ := rt.drainRows(taken)
 	want := intRows([2]int64{0, 0}, [2]int64{1, 10})
 	if !sameRowSlices(got, want) {
 		t.Errorf("drained %v, want %v: a same-worker batch aliased its producer's storage", got, want)
@@ -221,7 +220,7 @@ func TestRelaxedGatePick(t *testing.T) {
 func TestStageBarrierWaitCounter(t *testing.T) {
 	q := relaxedTestQuery(2, 2, true)
 	tasks := []Task{
-		{Part: 0, Preferred: 0, Run: func(int) { burn(2_000_000) }},
+		{Part: 0, Preferred: 0, Run: func(int) { straggle(2_000_000) }},
 		{Part: 1, Preferred: 1, Run: func(int) {}},
 	}
 	q.RunStage("test.skewed", tasks)

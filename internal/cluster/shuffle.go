@@ -78,9 +78,10 @@ func (s *Shuffle) FetchTarget(t, onWorker int) []types.Row {
 // so they live until the caller resets slab. A nil slab decodes each bucket
 // into storage of its own. Every bucket pays the deserialize half of the
 // round trip (the serialize half was paid at Add), and cross-worker buckets
-// additionally count as network traffic (and incur the configured
-// communication penalty). Under chaos the fetch is a fault point, and rows
-// a retrying task fetches again count as replayed work.
+// additionally count as network traffic and charge onWorker the configured
+// communication penalty on the simulated clock. Under chaos the fetch is a
+// fault point, and rows a retrying task fetches again count as replayed
+// work.
 func (s *Shuffle) FetchTargetInto(out []types.Row, slab *types.RowSlab, t, onWorker int) []types.Row {
 	s.live()
 	s.c.chaos.fetchPoint(onWorker)
@@ -104,8 +105,8 @@ func (s *Shuffle) FetchTargetInto(out []types.Row, slab *types.RowSlab, t, onWor
 				s.c.Metrics.LocalFetchRows.Add(int64(b.n))
 			} else {
 				s.c.Metrics.RemoteFetchBytes.Add(int64(len(buf)))
-				if p := s.c.cfg.ShufflePenaltyOpsPerByte; p > 0 {
-					burn(p * len(buf))
+				if p := s.c.cfg.ShufflePenaltyNanosPerByte; p > 0 {
+					s.c.charge(onWorker, p*int64(len(buf)))
 				}
 			}
 			var err error

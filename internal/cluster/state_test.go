@@ -8,7 +8,7 @@ import (
 
 func TestSetRDDMergeDedups(t *testing.T) {
 	for _, immutable := range []bool{false, true} {
-		c := New(Config{Workers: 2, Partitions: 2, StageOverheadOps: -1, ImmutableState: immutable})
+		c := New(Config{Workers: 2, Partitions: 2, ImmutableState: immutable})
 		s := c.NewSetRDD(pairSchema())
 		d1 := s.Merge(0, intRows([2]int64{1, 2}, [2]int64{1, 2}, [2]int64{3, 4}))
 		if len(d1) != 2 {
@@ -107,7 +107,7 @@ func TestAggRDDSumMultipleContributionsInBatch(t *testing.T) {
 }
 
 func TestAggRDDImmutableStateCopies(t *testing.T) {
-	c := New(Config{Workers: 2, Partitions: 2, StageOverheadOps: -1, ImmutableState: true})
+	c := New(Config{Workers: 2, Partitions: 2, ImmutableState: true})
 	a := c.NewAggRDD(pairSchemaFloat(), []int{0}, 1, types.AggMin)
 	a.Merge(0, []types.Row{aggRow(1, 5)})
 	a.Merge(0, []types.Row{aggRow(1, 3)})
@@ -164,7 +164,7 @@ func TestBroadcastBothModes(t *testing.T) {
 	rows := intRows([2]int64{1, 10}, [2]int64{1, 11}, [2]int64{2, 20})
 	var sizes [2]int64
 	for i, compress := range []bool{false, true} {
-		c := New(Config{Workers: 3, Partitions: 3, StageOverheadOps: -1, CompressBroadcast: compress}).NewQuery(nil)
+		c := New(Config{Workers: 3, Partitions: 3, CompressBroadcast: compress}).NewQuery(nil)
 		b := c.Broadcast(rows, pairSchema(), []int{0})
 		for w := 0; w < 3; w++ {
 			tab := b.Table(w)
@@ -364,7 +364,7 @@ type mergeTarget struct {
 }
 
 func mergeTargets(immutable bool) []mergeTarget {
-	c := New(Config{Workers: 2, Partitions: 2, StageOverheadOps: -1, ImmutableState: immutable})
+	c := New(Config{Workers: 2, Partitions: 2, ImmutableState: immutable})
 	s := c.NewSetRDD(pairSchema())
 	targets := []mergeTarget{{
 		name: "set", merge: s.Merge, rows: s.Rows,

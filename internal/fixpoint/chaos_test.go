@@ -12,7 +12,7 @@ import (
 
 func chaosCluster(chaos cluster.ChaosConfig) *cluster.QueryContext {
 	return cluster.New(cluster.Config{
-		Workers: 4, Partitions: 4, StageOverheadOps: -1,
+		Workers: 4, Partitions: 4,
 		CompressBroadcast: true, Chaos: chaos,
 	}).NewQuery(nil)
 }

@@ -200,7 +200,7 @@ func buildBase(clique *analyze.Clique, ctx *exec.Context, c *cluster.QueryContex
 	parts := c.Partitions()
 	seed := make([][]types.Row, parts)
 	for _, rule := range v.BaseRules {
-		rows, err := evalRuleLocal(rule, nil, ctx, nil)
+		rows, err := evalRule(rule, ctx, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -38,7 +38,7 @@ func analyzeQ(t *testing.T, src string, cat *catalog.Catalog) *analyze.Program {
 }
 
 func testCluster() *cluster.QueryContext {
-	return cluster.New(cluster.Config{Workers: 4, Partitions: 4, StageOverheadOps: -1, CompressBroadcast: true}).NewQuery(nil)
+	return cluster.New(cluster.Config{Workers: 4, Partitions: 4, CompressBroadcast: true}).NewQuery(nil)
 }
 
 func TestPlanStrategiesMatchPaper(t *testing.T) {
@@ -257,7 +257,7 @@ func TestStageCombinationReducesStages(t *testing.T) {
 func TestPartitionAwareSchedulingCutsRemoteBytes(t *testing.T) {
 	edges := gen.RMATDefault(256, gen.Rng(13))
 	run := func(policy cluster.Policy) int64 {
-		c := cluster.New(cluster.Config{Workers: 4, Partitions: 4, StageOverheadOps: -1,
+		c := cluster.New(cluster.Config{Workers: 4, Partitions: 4,
 			CompressBroadcast: true, Policy: policy}).NewQuery(nil)
 		prog := analyzeQ(t, queries.SSSP, testCatalog(edges))
 		if _, err := Distributed(prog.Clique, exec.NewContext(), c, DistOptions{StageCombination: true}); err != nil {

@@ -229,7 +229,7 @@ func (lv *localView) merge(emitted []types.Row) {
 			if val.AsFloat() == 0 {
 				continue
 			}
-			lv.recordOld(k, cur, val)
+			lv.recordOld(k, cur)
 			cur[v.AggIdx] = cur[v.AggIdx].Add(val)
 			if !changed[k] {
 				changed[k] = true
@@ -238,7 +238,7 @@ func (lv *localView) merge(emitted []types.Row) {
 			continue
 		}
 		if v.Agg.Improves(val, cur[v.AggIdx]) {
-			lv.recordOld(k, cur, val)
+			lv.recordOld(k, cur)
 			cur[v.AggIdx] = val
 			if !changed[k] {
 				changed[k] = true
@@ -265,7 +265,7 @@ func (lv *localView) merge(emitted []types.Row) {
 }
 
 // recordOld saves a group's pre-merge value exactly once per iteration.
-func (lv *localView) recordOld(k string, cur types.Row, _ types.Value) {
+func (lv *localView) recordOld(k string, cur types.Row) {
 	if _, ok := lv.oldVals[k]; !ok {
 		old := cur[lv.v.AggIdx]
 		lv.oldVals[k] = &old
@@ -294,7 +294,7 @@ func Local(clique *analyze.Clique, ctx *exec.Context, opt Options) (*Result, err
 	for _, lv := range views {
 		var emitted []types.Row
 		for _, rule := range lv.v.BaseRules {
-			rows, err := evalRuleLocal(rule, nil, ctx, nil)
+			rows, err := evalRule(rule, ctx, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -363,8 +363,18 @@ func totalRows(views []*localView) int {
 // disjoint partition of the new derivations.
 func evalRecRuleLocal(rule *analyze.Rule, byName map[string]*localView, ctx *exec.Context) ([]types.Row, error) {
 	var out []types.Row
-	for vi := range rule.RecSources {
-		rows, err := evalRuleVariant(rule, vi, byName, ctx)
+	for variant := range rule.RecSources {
+		rows, err := evalRule(rule, ctx, func(si int) []types.Row {
+			lv := byName[strings.ToLower(rule.Sources[si].Rec.Name)]
+			switch pos := recPosition(rule, si); {
+			case pos == variant:
+				return deltaRowsFor(rule, si, lv)
+			case pos < variant:
+				return lv.rowsAll()
+			default:
+				return lv.rowsOld()
+			}
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -373,28 +383,22 @@ func evalRecRuleLocal(rule *analyze.Rule, byName map[string]*localView, ctx *exe
 	return out, nil
 }
 
-func evalRuleVariant(rule *analyze.Rule, variant int, byName map[string]*localView, ctx *exec.Context) ([]types.Row, error) {
+// evalRule joins the rule's sources and projects its head. Base sources
+// read their relations from ctx; recRows supplies the rows of recursive
+// source si (nil for a base rule, which has none).
+func evalRule(rule *analyze.Rule, ctx *exec.Context, recRows func(si int) []types.Row) ([]types.Row, error) {
 	n := len(rule.Sources)
 	rows := make([][]types.Row, n)
 	for si, s := range rule.Sources {
-		if s.Kind != analyze.SourceRec {
-			rel, err := ctx.SourceRelation(s)
-			if err != nil {
-				return nil, err
-			}
-			rows[si] = rel.Rows
+		if s.Kind == analyze.SourceRec {
+			rows[si] = recRows(si)
 			continue
 		}
-		lv := byName[strings.ToLower(s.Rec.Name)]
-		pos := recPosition(rule, si)
-		switch {
-		case pos == variant:
-			rows[si] = deltaRowsFor(rule, si, lv)
-		case pos < variant:
-			rows[si] = lv.rowsAll()
-		default:
-			rows[si] = lv.rowsOld()
+		rel, err := ctx.SourceRelation(s)
+		if err != nil {
+			return nil, err
 		}
+		rows[si] = rel.Rows
 	}
 	envs := exec.JoinRows(n, rows, rule.Conjuncts)
 	return projectHead(rule, envs), nil
@@ -481,21 +485,6 @@ func projectHead(rule *analyze.Rule, envs []expr.Env) []types.Row {
 	return out
 }
 
-// evalRuleLocal evaluates a base rule (no recursive sources).
-func evalRuleLocal(rule *analyze.Rule, _ []*localView, ctx *exec.Context, _ map[string]*localView) ([]types.Row, error) {
-	n := len(rule.Sources)
-	rows := make([][]types.Row, n)
-	for si, s := range rule.Sources {
-		rel, err := ctx.SourceRelation(s)
-		if err != nil {
-			return nil, err
-		}
-		rows[si] = rel.Rows
-	}
-	envs := exec.JoinRows(n, rows, rule.Conjuncts)
-	return projectHead(rule, envs), nil
-}
-
 // localNaive evaluates the clique with the paper's Algorithm 1/2: every
 // iteration re-derives the whole state from the previous state and the
 // loop stops when nothing changes.
@@ -554,7 +543,9 @@ func NaiveStep(clique *analyze.Clique, state map[string]*relation.Relation, ctx 
 	for _, v := range clique.Views {
 		var emitted []types.Row
 		for _, rule := range append(append([]*analyze.Rule{}, v.BaseRules...), v.RecRules...) {
-			rows, err := evalRuleNaive(rule, state, ctx)
+			rows, err := evalRule(rule, ctx, func(si int) []types.Row {
+				return state[strings.ToLower(rule.Sources[si].Rec.Name)].Rows
+			})
 			if err != nil {
 				return nil, false, err
 			}
@@ -575,24 +566,6 @@ func naiveRows(state map[string]*relation.Relation) int {
 		n += r.Len()
 	}
 	return n
-}
-
-func evalRuleNaive(rule *analyze.Rule, state map[string]*relation.Relation, ctx *exec.Context) ([]types.Row, error) {
-	n := len(rule.Sources)
-	rows := make([][]types.Row, n)
-	for si, s := range rule.Sources {
-		if s.Kind == analyze.SourceRec {
-			rows[si] = state[strings.ToLower(s.Rec.Name)].Rows
-			continue
-		}
-		rel, err := ctx.SourceRelation(s)
-		if err != nil {
-			return nil, err
-		}
-		rows[si] = rel.Rows
-	}
-	envs := exec.JoinRows(n, rows, rule.Conjuncts)
-	return projectHead(rule, envs), nil
 }
 
 // naiveAggregate applies the view's head aggregate (or set dedup) to a full

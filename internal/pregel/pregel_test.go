@@ -11,7 +11,7 @@ import (
 )
 
 func testCluster() *cluster.QueryContext {
-	return cluster.New(cluster.Config{Workers: 4, Partitions: 4, StageOverheadOps: -1}).NewQuery(nil)
+	return cluster.New(cluster.Config{Workers: 4, Partitions: 4}).NewQuery(nil)
 }
 
 func weighted(pairs ...[3]float64) *relation.Relation {

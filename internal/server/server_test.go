@@ -88,7 +88,7 @@ func TestServerTimeout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow-query timeout test is not short")
 	}
-	eng := chainEngine(t, 5000)
+	eng := chainEngine(t, 30000)
 	srv := New(eng, Config{MaxConcurrent: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -148,7 +148,7 @@ func TestServerAdmissionSaturation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("saturation test is not short")
 	}
-	eng := chainEngine(t, 5000)
+	eng := chainEngine(t, 30000)
 	srv := New(eng, Config{MaxConcurrent: 1, QueueDepth: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -219,7 +219,7 @@ func TestServerQueueTimeout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("queue-timeout test is not short")
 	}
-	eng := chainEngine(t, 5000)
+	eng := chainEngine(t, 30000)
 	srv := New(eng, Config{MaxConcurrent: 1, QueueDepth: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -314,7 +314,7 @@ func TestServerDrain(t *testing.T) {
 // that request finishes, taking the goroutine count back to its pre-request
 // value.
 func testDrainAborted(t *testing.T) {
-	eng := chainEngine(t, 5000)
+	eng := chainEngine(t, 30000)
 	srv := New(eng, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

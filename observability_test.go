@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	rasql "github.com/rasql/rasql-go"
+	"github.com/rasql/rasql-go/internal/sql/analyze"
+	"github.com/rasql/rasql-go/internal/sql/parser"
 )
 
 const ssspQuery = `
@@ -84,6 +86,40 @@ func TestQueryStatsLocalMode(t *testing.T) {
 	s, _ := eng2.Observability().Last()
 	if s.Mode != "local" || s.FallbackReason == "" {
 		t.Errorf("non-linear clique stats = mode %q, fallback %q; want local with a reason", s.Mode, s.FallbackReason)
+	}
+}
+
+// TestFixpointNaiveRunsLocal pins that Config.Fixpoint.Naive alone selects
+// naive evaluation: no distributed runner implements it, so the engine runs
+// the local engine's naive loop — five iterations on SSSP here, one more
+// than semi-naive's four — and says so in the stats and in EXPLAIN.
+func TestFixpointNaiveRunsLocal(t *testing.T) {
+	eng := rasql.New(naiveConfig())
+	eng.MustRegister(weightedEdges())
+	stmts, err := parser.Parse(ssspQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := analyze.Statement(stmts[0], eng.Catalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.RunClique(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iterations != 5 {
+		t.Errorf("naive SSSP took %d iterations, want 5", res.Iterations)
+	}
+	if s, _ := eng.Observability().Last(); s.Mode != "local" {
+		t.Errorf("naive mode = %q, want local", s.Mode)
+	}
+	out, err := eng.Explain(ssspQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out, "Fixpoint: local (forced)\n") {
+		t.Errorf("EXPLAIN of a naive engine:\n%s\nwant it to start with \"Fixpoint: local (forced)\"", out)
 	}
 }
 

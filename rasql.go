@@ -47,14 +47,13 @@ type Config struct {
 	// (workers = GOMAXPROCS, partition-aware scheduling).
 	Cluster cluster.Config
 	// Fixpoint configures the fixpoint operator. Zero values get
-	// defaults; StageCombination defaults to on unless DisableDefaults.
+	// defaults; StageCombination defaults to on unless RawOptimizations.
+	// Fixpoint.Naive (naive re-derivation, the paper's Algorithm 1/2
+	// baseline) runs only on the local engine, so it implies ForceLocal.
 	Fixpoint fixpoint.DistOptions
 	// ForceLocal always evaluates recursion with the single-threaded
 	// reference engine.
 	ForceLocal bool
-	// Naive replaces semi-naive evaluation with naive re-derivation
-	// (implies ForceLocal; kept for the paper's Algorithm 1/2 baseline).
-	Naive bool
 	// RawOptimizations keeps every optimization flag exactly as given
 	// instead of applying the RaSQL defaults (stage combination on,
 	// broadcast compression on).
@@ -86,15 +85,14 @@ type Engine struct {
 
 // New creates an engine. Unless cfg.RawOptimizations is set, the paper's
 // default optimizations are switched on: stage combination and compressed
-// broadcast.
+// broadcast. Naive evaluation forces the local engine.
 func New(cfg Config) *Engine {
 	if !cfg.RawOptimizations {
 		cfg.Fixpoint.StageCombination = true
 		cfg.Cluster.CompressBroadcast = true
 	}
-	if cfg.Naive {
+	if cfg.Fixpoint.Naive {
 		cfg.ForceLocal = true
-		cfg.Fixpoint.Naive = true
 	}
 	e := &Engine{cfg: cfg, cat: catalog.New(), cluster: cluster.New(cfg.Cluster), obs: obs.NewRecorder()}
 	e.cluster.SetObserver(e.obs)

@@ -54,13 +54,20 @@ func ccEdges() *rasql.Relation {
 		[2]int64{4, 5}, [2]int64{5, 4})
 }
 
+// naiveConfig selects naive evaluation, which runs on the local engine.
+func naiveConfig() rasql.Config {
+	var c rasql.Config
+	c.Fixpoint.Naive = true
+	return c
+}
+
 // engineConfigs enumerates the execution configurations every query must
 // agree across: the reference engines and the distributed engine under each
 // optimization combination.
 func engineConfigs() map[string]rasql.Config {
 	return map[string]rasql.Config{
 		"local-semi-naive": {ForceLocal: true},
-		"local-naive":      {Naive: true},
+		"local-naive":      naiveConfig(),
 		"dist-default":     {},
 		"dist-uncombined": {RawOptimizations: true,
 			Cluster: rasql.ClusterConfig{CompressBroadcast: true}},
