@@ -48,9 +48,11 @@ fuzz:
 lint:
 	$(GO) test -run TestSourceRules .
 
-# Allocation contracts (DESIGN.md §12): the zero-alloc pins of the hot path.
+# Allocation contracts (DESIGN.md §12): the zero-alloc pins of the hot path,
+# the per-execution allocation budgets and the GC-independence of a warm
+# execution.
 allocs:
-	$(GO) test -run ZeroAllocs ./internal/types/ ./internal/cluster/ ./internal/trace/ ./internal/obs/
+	$(GO) test -run 'ZeroAllocs|AllocBudget|IgnoresGC' . ./internal/fixpoint/ ./internal/types/ ./internal/cluster/ ./internal/trace/ ./internal/obs/
 
 # Serving lifecycle smoke (DESIGN.md §14): start rasqld on the demo
 # graph, run two HTTP queries (the second must hit the plan cache),

@@ -227,22 +227,50 @@ func TestPreparedWorkspaceAfterFailure(t *testing.T) {
 
 // TestCCRMATPreparedAllocBudget: once a prepared CC plan has published its
 // base, the next execution over the cc-rmat benchmark graph (RMAT-2000,
-// symmetrized, 40K edges) pays only for the recursion: about 5K
-// allocations and 1.6 MiB, because it also borrows the working memory —
-// projection scratch, combiner, shuffle receive and send memory — that the
-// previous execution sized. Rebuilding the base — 40K projected seed rows,
-// the partitioned edge tables — brings it to about 56K allocations, and
-// rebuilding the working memory to about 24 MiB. The execution's counts are
-// pinned exactly: 4 iterations, a 1,985-row fixpoint, and 22,390 shuffle
-// records in 139,784 bytes.
+// symmetrized, 40K edges) pays only for the recursion: about 4.4K
+// allocations and 0.9 MiB, because it also borrows the working memory —
+// projection scratch, combiner, shuffle receive and send memory, and the
+// AggRDD state — that the previous execution sized. Rebuilding the base —
+// 40K projected seed rows, the partitioned edge tables — brings it to about
+// 56K allocations, and rebuilding the working memory to about 24 MiB. The
+// execution's counts are pinned exactly: 4 iterations, a 1,985-row
+// fixpoint, and 22,390 shuffle records in 139,784 bytes.
 func TestCCRMATPreparedAllocBudget(t *testing.T) {
+	edges := gen.Symmetrized(gen.Unweighted(gen.RMATDefault(2000, gen.Rng(1))))
+	preparedAllocFence(t, edges, queries.CC, preparedCounts{4, 1985, 139784, 22390}, 15000, 1536<<10)
+}
+
+// TestTCGridPreparedAllocBudget is the same fence over the tc-grid
+// benchmark query (transitive closure of the 21x21 grid, then count(*)): a
+// warm execution merges 52,920 pairs into the SetRDD its workspace kept from
+// the previous execution, so it allocates only the collect and the final
+// query — about 60 allocations of 9 MiB, against 520 of 30 MiB when every
+// execution built its state from nothing. The plan decomposes, so it never
+// shuffles.
+func TestTCGridPreparedAllocBudget(t *testing.T) {
+	edges := gen.Unweighted(gen.Grid(20, gen.Rng(1)))
+	edges.Name = "grid_edge"
+	const query = `WITH recursive tc(Src, Dst) AS (SELECT Src, Dst FROM grid_edge) UNION (SELECT tc.Src, grid_edge.Dst FROM tc, grid_edge WHERE tc.Dst = grid_edge.Src) SELECT count(*) FROM tc`
+	preparedAllocFence(t, edges, query, preparedCounts{40, 52920, 0, 0}, 250, 16<<20)
+}
+
+// preparedCounts are the exact counts of one prepared execution.
+type preparedCounts struct{ iterations, viewRows, shuffleBytes, shuffleRecords int64 }
+
+// preparedAllocFence prepares query over edges on a default engine, runs it
+// once to build the base and size the working memory, and holds the next
+// execution to the allocation budgets. Its counts must equal want: the
+// iterations and shuffle volume of the measured execution, and the view's
+// fixpoint size read from one more, traced, execution. Any change to the
+// plan, the map-side combine or the wire format moves one of them.
+func preparedAllocFence(t *testing.T, edges *rasql.Relation, query string, want preparedCounts, budget, byteBudget uint64) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations are not the engine's")
 	}
-	const budget, byteBudget = 15000, 4 << 20
 	eng := rasql.New(rasql.Config{})
-	eng.MustRegister(gen.Symmetrized(gen.Unweighted(gen.RMATDefault(2000, gen.Rng(1)))))
-	p, err := eng.Prepare(queries.CC)
+	eng.MustRegister(edges)
+	p, err := eng.Prepare(query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,15 +279,11 @@ func TestCCRMATPreparedAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // build and publish the base; size the workspace and its send memory
+	run() // build and publish the base; size the workspace, its state and send memory
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	run()
 	runtime.ReadMemStats(&after)
-	// The exact-count fence: the measured execution's iterations and
-	// shuffle volume, and the view's fixpoint size read from one more,
-	// traced, execution. Any change to the plan, the map-side combine or
-	// the wire format moves one of them.
 	s, _ := eng.Observability().Last()
 	tr := rasql.NewIterationsTracer()
 	if _, err := eng.ExecPrepared(context.Background(), p, &rasql.ExecOptions{Tracer: tr}); err != nil {
@@ -273,23 +297,23 @@ func TestCCRMATPreparedAllocBudget(t *testing.T) {
 		what      string
 		got, want int64
 	}{
-		{"iterations", s.Iterations, 4},
-		{"result rows", viewRows, 1985},
-		{"shuffle bytes", s.ShuffleBytes, 139784},
-		{"shuffle records", s.ShuffleRecords, 22390},
+		{"iterations", s.Iterations, want.iterations},
+		{"result rows", viewRows, want.viewRows},
+		{"shuffle bytes", s.ShuffleBytes, want.shuffleBytes},
+		{"shuffle records", s.ShuffleRecords, want.shuffleRecords},
 	} {
 		if c.got != c.want {
-			t.Errorf("a prepared CC execution's %s changed: %d, was %d", c.what, c.got, c.want)
+			t.Errorf("a prepared execution's %s changed: %d, was %d", c.what, c.got, c.want)
 		}
 	}
 	got, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
 	if got > budget {
-		t.Errorf("a prepared CC execution made %d allocations, budget %d", got, budget)
+		t.Errorf("a prepared execution made %d allocations, budget %d", got, budget)
 	}
 	if bytes > byteBudget {
-		t.Errorf("a prepared CC execution allocated %d KiB, budget %d KiB", bytes>>10, byteBudget>>10)
+		t.Errorf("a prepared execution allocated %d KiB, budget %d KiB", bytes>>10, byteBudget>>10)
 	}
-	t.Logf("a prepared CC execution made %d allocations of %d KiB (budgets %d, %d KiB)", got, bytes>>10, budget, byteBudget>>10)
+	t.Logf("a prepared execution made %d allocations of %d KiB (budgets %d, %d KiB)", got, bytes>>10, budget, byteBudget>>10)
 }
 
 // TestWarmExecutionIgnoresGC: a warm prepared execution encodes its wire

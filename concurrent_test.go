@@ -1,6 +1,7 @@
 package rasql_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -79,6 +80,53 @@ func TestConcurrentQueriesMatchSequential(t *testing.T) {
 					}
 				})
 			}
+		})
+	}
+}
+
+// TestConcurrentPreparedStateReuse: every execution of a prepared plan
+// merges into the view state of the workspace it borrowed, which the
+// previous borrower left filled. One prepared set view (TC) and one
+// aggregate view (CC) each run from 4 goroutines, 8 executions apiece,
+// alternating SSP(2) and BSP on the one plan so a reset state is reused
+// across modes: every answer must equal the local oracle's, which it cannot
+// if two executions share a state or a reset leaves rows behind.
+func TestConcurrentPreparedStateReuse(t *testing.T) {
+	const goroutines, execs = 4, 8
+	for _, tc := range baseCases() {
+		if tc.name == "sssp" {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			want := oracleQuery(t, tc.query, tc.edges)
+			eng := rasql.New(baseConfig())
+			eng.MustRegister(tc.edges.Clone())
+			p, err := eng.Prepare(tc.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < execs; i++ {
+						var opts *rasql.ExecOptions
+						if (g+i)%2 == 0 {
+							opts = &rasql.ExecOptions{Mode: "ssp:2"}
+						}
+						got, err := eng.ExecPrepared(context.Background(), p, opts)
+						if err != nil {
+							t.Errorf("goroutine %d execution %d: %v", g, i, err)
+							return
+						}
+						if !got.EqualAsSet(want) {
+							t.Errorf("goroutine %d execution %d diverged from the oracle (%d vs %d rows)", g, i, got.Len(), want.Len())
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
 		})
 	}
 }

@@ -26,8 +26,9 @@ type Config struct {
 	// TreeScale divides the paper's tree node counts (default 256).
 	TreeScale int
 	// Workers/Partitions size the simulated cluster (default 8,
-	// approximating the paper's cluster shape; sequential simulation
-	// keeps this meaningful regardless of host cores).
+	// approximating the paper's cluster shape). The worker goroutines run
+	// concurrently and share the host's cores, so each stage's simulated
+	// time is its slowest worker's wall time under that contention.
 	Workers, Partitions int
 	// Seed makes dataset generation reproducible.
 	Seed int64
@@ -58,8 +59,9 @@ func (c Config) withDefaults() Config {
 		c.Repeat = 1
 	}
 	if c.Workers <= 0 {
-		// Eight simulated workers approximate the paper's cluster shape;
-		// sequential simulation keeps this meaningful on any host.
+		// Eight simulated workers approximate the paper's cluster shape.
+		// On a host with fewer cores they contend for them, which inflates
+		// each stage's slowest-worker time (see Workers).
 		c.Workers = 8
 	}
 	if c.Partitions <= 0 {

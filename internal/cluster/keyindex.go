@@ -157,6 +157,13 @@ func (x *keyIndex) truncate(n int) {
 	x.rebuild(len(x.slots))
 }
 
+// reset drops every entry and keeps the arena, the entry arrays and the
+// slot table at their size.
+func (x *keyIndex) reset() {
+	x.arena, x.ends, x.hashes = x.arena[:0], x.ends[:0], x.hashes[:0]
+	clear(x.slots)
+}
+
 // clone deep-copies the index (the ImmutableState ablation's copy-on-union).
 func (x *keyIndex) clone() *keyIndex {
 	return &keyIndex{

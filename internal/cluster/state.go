@@ -21,6 +21,11 @@ import (
 // caller may reuse their storage as soon as Merge returns) and one surviving
 // row never pins the buffer it arrived in.
 //
+// Like the paper's cached SetRDD, the state outlives one fixpoint: Reset
+// empties it for the next execution and keeps every backing array — rows,
+// slab chunks and key index — so a reused state re-fills the memory the
+// previous execution sized instead of growing it again.
+//
 // When the cluster is configured with ImmutableState the merge instead
 // copies the full partition contents every iteration — vanilla immutable
 // RDD behaviour, kept for the ablation benchmark.
@@ -120,6 +125,16 @@ func (s *SetRDD) Len() int {
 
 // NumPartitions returns the partition count.
 func (s *SetRDD) NumPartitions() int { return len(s.rows) }
+
+// Reset empties every partition and keeps its memory. Rows read from the
+// state before the call are overwritten by later merges.
+func (s *SetRDD) Reset() {
+	for p := range s.rows {
+		s.rows[p] = s.rows[p][:0]
+		s.slab[p].Reset()
+		s.idx[p].reset()
+	}
+}
 
 // AggRDD is the *all* relation of a recursive view with an aggregate in its
 // head: each partition maps a group key to the row holding the group's
@@ -292,6 +307,15 @@ func (a *AggRDD) Len() int {
 
 // NumPartitions returns the partition count.
 func (a *AggRDD) NumPartitions() int { return len(a.rows) }
+
+// Reset is SetRDD.Reset: every partition empties and keeps its memory.
+func (a *AggRDD) Reset() {
+	for p := range a.rows {
+		a.rows[p] = a.rows[p][:0]
+		a.slab[p].Reset()
+		a.idx[p].reset()
+	}
+}
 
 // The paper's Section 6.1 argues SetRDD's mutability does not compromise
 // fault recovery: the accumulated state acts as a checkpoint, so a failure

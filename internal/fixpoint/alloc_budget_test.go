@@ -18,7 +18,7 @@ func TestTCGridAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations are not the engine's")
 	}
-	const budget = 48 << 20
+	const budget = 36 << 20
 	cat := testCatalog(gen.Unweighted(gen.Grid(20, gen.Rng(1))))
 	prog := analyzeQ(t, queries.TC, cat)
 	run := func() int {

@@ -266,6 +266,14 @@ func (s *viewState) merge(part int, rows []types.Row) deltaBatch {
 	return deltaBatch{Rows: d.Rows, Incs: d.Incs, News: d.News}
 }
 
+func (s *viewState) reset() {
+	if s.set != nil {
+		s.set.Reset()
+		return
+	}
+	s.agg.Reset()
+}
+
 func (s *viewState) rows(part int) []types.Row {
 	if s.set != nil {
 		return s.set.Rows(part)
@@ -301,8 +309,12 @@ func runDistributed(base *Base, ctx *exec.Context, c *cluster.QueryContext, opt 
 	// send memory, handed back before the workspace is parked.
 	prev := c.LendSendMemory(&ws.send)
 	defer c.LendSendMemory(prev)
-	state := newViewState(c, base.plan.View)
-	x := newExecution(base, ws, c, opt, state, state.rows)
+	if ws.state == nil {
+		ws.state = newViewState(c, base.plan.View)
+	} else {
+		ws.state.reset()
+	}
+	x := newExecution(base, ws, c, opt, ws.state, ws.state.rows)
 	var iters int
 	var err error
 	switch {
@@ -367,6 +379,11 @@ type workspace struct {
 	// send is the wire memory the execution lends its QueryContext: its
 	// shuffle generations and transfer scratch.
 	send cluster.SendMemory
+	// state is the recursive view's all relation (SetRDD or AggRDD): built
+	// by the workspace's first semi-naive execution and reset, its memory
+	// kept, by every later one. Its rows are valid until that reset, so
+	// results leave it by copy.
+	state *viewState
 }
 
 // stepScratch is the memory one workspace.run call works in, reused by the

@@ -178,6 +178,7 @@ func (x *execution) finish(iters int, err error) (*Result, error) {
 	}
 	v := x.ws.plan.View
 	out := relation.New(v.Name, v.Schema)
+	out.Rows = make([]types.Row, 0, x.total())
 	for p := 0; p < x.parts; p++ {
 		out.Rows = append(out.Rows, x.c.Fetch(x.rows(p), x.c.DefaultOwner(p), -1)...)
 	}

@@ -88,7 +88,10 @@ func TestServerTimeout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow-query timeout test is not short")
 	}
-	eng := chainEngine(t, 30000)
+	// SSSP must outlast the 150 ms deadline: a 2-vCPU host runs the 29,999
+	// iterations of a 30,000 chain in 150–200 ms, so that chain finished
+	// first now and then.
+	eng := chainEngine(t, 100000)
 	srv := New(eng, Config{MaxConcurrent: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

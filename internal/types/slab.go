@@ -3,11 +3,12 @@ package types
 // RowSlab is a bump allocator for row storage with a single owner: rows are
 // carved out of chunks that start small, double up to a cap and never move,
 // so a handed-out row stays valid until the owner calls Reset (or drops the
-// slab). An append-only owner (the SetRDD/AggRDD partition state) never
-// resets; a per-step owner (the fixpoint workspace's scratch) resets at the
-// start of each step and re-carves the chunks it already holds, so the
-// steady state allocates nothing. The zero value is ready to use; a slab is
-// not safe for concurrent use.
+// slab). The SetRDD/AggRDD partition state only appends within one
+// execution and resets when the workspace that owns it starts the next; a
+// per-step owner (the fixpoint workspace's scratch) resets at the start of
+// each step. Either re-carves the chunks it already holds, so the steady
+// state allocates nothing. The zero value is ready to use; a slab is not
+// safe for concurrent use.
 type RowSlab struct {
 	chunks [][]Value
 	cur    int // chunk being carved

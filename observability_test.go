@@ -89,6 +89,25 @@ func TestQueryStatsLocalMode(t *testing.T) {
 	}
 }
 
+// TestQueryStatsLocalIterations: the local engine reports its iterations
+// like the distributed drivers do, so a forced-local SSSP and its BSP run
+// record the same nonzero count in their QueryStats.
+func TestQueryStatsLocalIterations(t *testing.T) {
+	iters := func(cfg rasql.Config) int64 {
+		eng := rasql.New(cfg)
+		eng.MustRegister(weightedEdges())
+		if _, err := eng.Query(ssspQuery); err != nil {
+			t.Fatal(err)
+		}
+		s, _ := eng.Observability().Last()
+		return s.Iterations
+	}
+	bsp, local := iters(rasql.Config{}), iters(rasql.Config{ForceLocal: true})
+	if bsp <= 0 || local != bsp {
+		t.Errorf("SSSP iterations: local %d, BSP %d; want equal and nonzero", local, bsp)
+	}
+}
+
 // TestFixpointNaiveRunsLocal pins that Config.Fixpoint.Naive alone selects
 // naive evaluation: no distributed runner implements it, so the engine runs
 // the local engine's naive loop — five iterations on SSSP here, one more
@@ -111,8 +130,8 @@ func TestFixpointNaiveRunsLocal(t *testing.T) {
 	if res.Iterations != 5 {
 		t.Errorf("naive SSSP took %d iterations, want 5", res.Iterations)
 	}
-	if s, _ := eng.Observability().Last(); s.Mode != "local" {
-		t.Errorf("naive mode = %q, want local", s.Mode)
+	if s, _ := eng.Observability().Last(); s.Mode != "local" || s.Iterations != 5 {
+		t.Errorf("naive stats = mode %q, %d iterations; want local, 5", s.Mode, s.Iterations)
 	}
 	out, err := eng.Explain(ssspQuery)
 	if err != nil {

@@ -360,9 +360,18 @@ func (e *Engine) runClique(qc *cluster.QueryContext, clique *analyze.Clique, ctx
 			opt.MaxIterations = opts.MaxIterations
 		}
 	}
+	// The local engine runs outside the cluster, so its iterations are
+	// counted here, as the distributed drivers count theirs.
+	local := func() (*fixpoint.Result, error) {
+		res, err := fixpoint.Local(clique, ctx, opt.Options)
+		if res != nil {
+			qc.Metrics.Iterations.Add(int64(res.Iterations))
+		}
+		return res, err
+	}
 	if e.cfg.ForceLocal {
 		qc.SetMode("local", "")
-		return fixpoint.Local(clique, ctx, opt.Options)
+		return local()
 	}
 	res, err := fixpoint.DistributedShared(clique, ctx, qc, opt, slot)
 	if err == nil {
@@ -374,7 +383,7 @@ func (e *Engine) runClique(qc *cluster.QueryContext, clique *analyze.Clique, ctx
 		// engine — the distributed engine covers the linear fragment the
 		// paper benchmarks.
 		qc.SetMode("local", nd.Reason)
-		return fixpoint.Local(clique, ctx, opt.Options)
+		return local()
 	}
 	return nil, err
 }
