@@ -9,6 +9,7 @@ import (
 	"github.com/rasql/rasql-go/internal/sql/analyze"
 	"github.com/rasql/rasql-go/internal/sql/ast"
 	"github.com/rasql/rasql-go/internal/sql/catalog"
+	"github.com/rasql/rasql-go/internal/sql/optimize"
 	"github.com/rasql/rasql-go/internal/sql/parser"
 	"github.com/rasql/rasql-go/internal/trace"
 )
@@ -39,6 +40,8 @@ func (e *Engine) explain(src string, cat *catalog.Catalog) (string, error) {
 		if err != nil {
 			return "", err
 		}
+		// Describe the program that runs: exec optimizes before planning.
+		prog = optimize.Program(prog)
 		if prog.Clique != nil && len(prog.Clique.Views) > 0 {
 			plan, perr := fixpoint.PlanDistributed(prog.Clique)
 			switch {

@@ -169,3 +169,18 @@ Cluster delta: REDACTED
 		t.Errorf("EXPLAIN ANALYZE shape drifted.\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
+
+// TestExplainShowsOptimizedProgram: EXPLAIN describes the program exec
+// runs, after the optimizer pushed the outer filter into the derived
+// table, so the final query keeps no conjunct of its own.
+func TestExplainShowsOptimizedProgram(t *testing.T) {
+	eng := rasql.New(rasql.Config{})
+	eng.MustRegister(weightedEdges())
+	out, err := eng.Explain(`SELECT t.Src FROM (SELECT Src, Dst FROM edge) t WHERE t.Src = 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "Final: 1 source(s), 0 conjunct(s)"; !strings.Contains(out, want) {
+		t.Errorf("EXPLAIN = %q, want it to contain %q", out, want)
+	}
+}

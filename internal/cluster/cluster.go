@@ -96,8 +96,8 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		// Simulated workers, not OS threads: default to a small cluster
-		// even on single-core machines (sequential mode keeps the
-		// simulated clock meaningful there).
+		// even on single-core machines, where the worker goroutines share
+		// the host's cores.
 		c.Workers = runtime.GOMAXPROCS(0)
 		if c.Workers < 4 {
 			c.Workers = 4

@@ -28,8 +28,8 @@ type Metrics struct {
 	BroadcastBytes   atomic.Int64
 	Iterations       atomic.Int64
 	// SimNanos accumulates simulated elapsed time: per stage, the
-	// maximum per-worker busy time (sequential mode) or the stage wall
-	// time (parallel mode).
+	// maximum per-worker busy time (measured time plus the modelled launch
+	// and communication charges), in parallel and sequential mode alike.
 	SimNanos atomic.Int64
 	// StageWallNanos accumulates real wall time spent inside stages;
 	// subtracting it from end-to-end wall time isolates driver-side work.

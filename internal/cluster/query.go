@@ -69,9 +69,10 @@ type QueryContext struct {
 	// finished guards against double-folding the per-query counters.
 	finished bool
 	// ctx carries the caller's cancellation/deadline signal down to the
-	// fixpoint drivers, which poll CheckCancel at iteration boundaries —
-	// mid-stage tasks always run to their barrier, so cancellation never
-	// leaves partition state half-written. Nil means "never cancelled".
+	// fixpoint drivers, which receive it as Options.Context and poll it at
+	// iteration boundaries — mid-stage tasks always run to their barrier,
+	// so cancellation never leaves partition state half-written. Nil means
+	// "never cancelled".
 	ctx context.Context
 	// send is the memory shuffles and transfers encode into: own, unless
 	// an execution lent its plan's (LendSendMemory).
@@ -108,10 +109,11 @@ func (c *Cluster) NewQuery(tr *trace.Tracer) *QueryContext {
 	return q
 }
 
-// SetContext attaches the caller's context to the query. The fixpoint
-// drivers poll it (via CheckCancel) at iteration boundaries, so an HTTP
-// deadline or client disconnect stops a running recursion between
-// iterations. Call before evaluation starts; a nil context is ignored.
+// SetContext attaches the caller's context to the query. The engine hands
+// it to the fixpoint drivers (Options.Context), which poll it at iteration
+// boundaries, so an HTTP deadline or client disconnect stops a running
+// recursion between iterations. Call before evaluation starts; a nil
+// context is ignored.
 func (q *QueryContext) SetContext(ctx context.Context) {
 	if ctx != nil {
 		q.ctx = ctx
@@ -125,21 +127,6 @@ func (q *QueryContext) Context() context.Context {
 		return context.Background()
 	}
 	return q.ctx
-}
-
-// CheckCancel is the iteration-boundary cancellation hook: it reports the
-// context's error once the attached context is done, and nil otherwise.
-// Non-blocking and cheap enough to call once per fixpoint iteration.
-func (q *QueryContext) CheckCancel() error {
-	if q.ctx == nil {
-		return nil
-	}
-	select {
-	case <-q.ctx.Done():
-		return q.ctx.Err()
-	default:
-		return nil
-	}
 }
 
 // LendSendMemory makes m the memory the query's shuffles and transfers

@@ -226,12 +226,7 @@ func buildBase(clique *analyze.Clique, ctx *exec.Context, c *cluster.QueryContex
 // keep their broadcast joins but the output shuffles each iteration.
 func replanShuffled(clique *analyze.Clique) *Plan {
 	v := clique.Views[0]
-	p := &Plan{View: v}
-	if v.IsAgg() {
-		p.PartKey = append([]int(nil), v.GroupIdx...)
-	} else {
-		p.PartKey = allColumns(v)
-	}
+	p := &Plan{View: v, PartKey: v.GroupKey()}
 	for _, r := range v.RecRules {
 		rp, err := planRule(r, p.PartKey, true)
 		if err != nil {
@@ -239,7 +234,6 @@ func replanShuffled(clique *analyze.Clique) *Plan {
 			// already planned once.
 			panic("fixpoint: replan failed: " + err.Error())
 		}
-		rp.Strategy = StrategyBroadcast
 		p.Rules = append(p.Rules, rp)
 	}
 	return p

@@ -6,7 +6,6 @@ import (
 
 	"github.com/rasql/rasql-go/internal/sql/analyze"
 	"github.com/rasql/rasql-go/internal/sql/expr"
-	"github.com/rasql/rasql-go/internal/sql/vet"
 )
 
 // JoinStrategy selects the distributed join implementation for
@@ -137,89 +136,19 @@ func PlanDistributed(clique *analyze.Clique) (*Plan, error) {
 		}
 	}
 
-	p := &Plan{View: v}
-	carried := carriedColumns(v)
-
-	// Decomposed execution applies when some carried columns exist and,
-	// for aggregate views, they fall inside the group key so grouping
-	// stays partition-local.
-	decomposable := len(carried) > 0
-	if v.IsAgg() && decomposable {
-		group := map[int]bool{}
-		for _, g := range v.GroupIdx {
-			group[g] = true
-		}
-		for _, c := range carried {
-			if !group[c] {
-				decomposable = false
-			}
-		}
-	}
-
-	if decomposable {
-		p.Decomposed = true
-		p.PartKey = carried
-		for _, r := range v.RecRules {
-			rp, err := planRule(r, p.PartKey, true)
-			if err != nil {
-				return nil, err
-			}
-			rp.Strategy = StrategyDecomposed
-			p.Rules = append(p.Rules, rp)
-		}
-		return p, nil
-	}
-
-	if v.IsAgg() {
-		p.PartKey = append([]int(nil), v.GroupIdx...)
-		// When the recursive joins cannot cover the full group key, vet's
-		// co-partition analysis may offer a narrower key (a subset of the
-		// group-by, so grouping stays partition-local) that every rule's
-		// join does cover — turning per-iteration reshuffles into
-		// co-partitioned probes.
-		if alt := vet.SuggestPartitionKey(v); alt != nil {
-			p.PartKey = alt
-		}
-	} else {
-		p.PartKey = allColumns(v)
-	}
+	key, decomposed := v.PartitionKey()
+	p := &Plan{View: v, PartKey: key, Decomposed: decomposed}
 	for _, r := range v.RecRules {
-		rp, err := planRule(r, p.PartKey, false)
+		rp, err := planRule(r, key, decomposed)
 		if err != nil {
 			return nil, err
+		}
+		if decomposed {
+			rp.Strategy = StrategyDecomposed
 		}
 		p.Rules = append(p.Rules, rp)
 	}
 	return p, nil
-}
-
-// carriedColumns returns view columns that every recursive rule copies
-// verbatim from the recursive source (head[i] ≡ rec.col[i]) — the columns
-// whose partitioning survives an iteration.
-func carriedColumns(v *analyze.RecView) []int {
-	var out []int
-	for i := 0; i < v.Schema.Len(); i++ {
-		ok := len(v.RecRules) > 0
-		for _, r := range v.RecRules {
-			c, isCol := r.Head[i].(*expr.Col)
-			if !isCol || c.Input != r.RecSources[0] || c.Idx != i {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func allColumns(v *analyze.RecView) []int {
-	out := make([]int, v.Schema.Len())
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // planRule lays out one rule's join pipeline: optionally a co-partitioned
@@ -247,37 +176,13 @@ func planRule(r *analyze.Rule, partKey []int, forceBroadcast bool) (*RulePlan, e
 	// columns against the recursive source cover exactly the partition
 	// key on the recursive side.
 	if !forceBroadcast {
-		for si, s := range r.Sources {
-			if si == rec || s.Kind == analyze.SourceRec {
-				continue
-			}
-			var probeCols, buildCols []int
+		if si := r.CoPartitionSource(partKey); si >= 0 {
+			rp.Strategy = StrategyCoPartition
+			rp.CoPartSource = si
 			var idxs []int
-			for ci, c := range conj {
-				if !c.ok {
-					continue
-				}
-				j := c.j
-				switch {
-				case j.LeftInput == rec && j.RightInput == si:
-					probeCols = append(probeCols, j.LeftCol)
-					buildCols = append(buildCols, j.RightCol)
-					idxs = append(idxs, ci)
-				case j.RightInput == rec && j.LeftInput == si:
-					probeCols = append(probeCols, j.RightCol)
-					buildCols = append(buildCols, j.LeftCol)
-					idxs = append(idxs, ci)
-				}
-			}
-			if colsEqualAsSet(probeCols, partKey) {
-				rp.Strategy = StrategyCoPartition
-				rp.CoPartSource = si
-				rp.CoPartBuildCols = buildCols
-				rp.CoPartProbeCols = probeCols
-				for _, ci := range idxs {
-					used[ci] = true
-				}
-				break
+			rp.CoPartProbeCols, rp.CoPartBuildCols, idxs = r.JoinCols(si)
+			for _, ci := range idxs {
+				used[ci] = true
 			}
 		}
 	}
@@ -357,25 +262,6 @@ func deltaMode(r *analyze.Rule) (useIncrements, newGroupsOnly bool) {
 		return true, false
 	}
 	return false, true
-}
-
-func colsEqualAsSet(a, b []int) bool {
-	if len(a) == 0 || len(a) != len(b) {
-		return false
-	}
-	m := map[int]int{}
-	for _, x := range a {
-		m[x]++
-	}
-	for _, x := range b {
-		m[x]--
-	}
-	for _, v := range m {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Describe renders the plan for EXPLAIN output.

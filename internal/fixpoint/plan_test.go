@@ -5,6 +5,7 @@ import (
 
 	"github.com/rasql/rasql-go/internal/gen"
 	"github.com/rasql/rasql-go/internal/relation"
+	"github.com/rasql/rasql-go/internal/sql/analyze"
 	"github.com/rasql/rasql-go/internal/types"
 	"github.com/rasql/rasql-go/queries"
 )
@@ -29,7 +30,7 @@ func TestReplanShuffledPartKeys(t *testing.T) {
 	if p.Decomposed {
 		t.Error("replanShuffled must clear the decomposed mark")
 	}
-	if want := prog.Clique.Views[0].GroupIdx; !colsEqualAsSet(p.PartKey, want) {
+	if want := prog.Clique.Views[0].GroupIdx; !analyze.SameColumns(p.PartKey, want) {
 		t.Errorf("agg part key = %v, want group key %v", p.PartKey, want)
 	}
 	for i, rp := range p.Rules {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"github.com/rasql/rasql-go/internal/relation"
-	"github.com/rasql/rasql-go/internal/sql/ast"
 	"github.com/rasql/rasql-go/internal/sql/catalog"
 	"github.com/rasql/rasql-go/internal/sql/expr"
 	"github.com/rasql/rasql-go/internal/types"
@@ -197,6 +196,3 @@ func equalFold(a, b string) bool {
 	}
 	return true
 }
-
-// used for doc reference; keeps the ast import meaningful in this file.
-var _ = ast.OpAdd

@@ -7,7 +7,6 @@ package optimize
 
 import (
 	"github.com/rasql/rasql-go/internal/sql/analyze"
-	"github.com/rasql/rasql-go/internal/sql/ast"
 	"github.com/rasql/rasql-go/internal/sql/expr"
 )
 
@@ -139,5 +138,3 @@ func substitute(e expr.Expr, items []expr.Expr) (expr.Expr, bool) {
 		return nil, false
 	}
 }
-
-var _ = ast.OpAnd // the rule batch mirrors ast-level structures

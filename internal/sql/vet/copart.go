@@ -2,255 +2,61 @@ package vet
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"github.com/rasql/rasql-go/internal/sql/analyze"
-	"github.com/rasql/rasql-go/internal/sql/expr"
 )
 
-// This file analyzes the shuffle behaviour of recursive rules. The
-// distributed engine (internal/fixpoint) joins each iteration's delta
-// against a base relation; when the equi-join columns on the recursive
-// side cover the view's partition key, the join runs co-partitioned and no
-// delta row leaves its worker (Algorithm 4/5). Otherwise every iteration
-// broadcasts or reshuffles — the dominant cost for deep recursions.
+// lintCoPartition reports how the clique's recursive joins interact with
+// partitioning. The distributed engine (internal/fixpoint) joins each
+// iteration's delta against a base relation; when the equi-join columns on
+// the recursive side cover the view's partition key, the join runs
+// co-partitioned and no delta row leaves its worker (Algorithm 4/5).
+// Otherwise every iteration broadcasts or reshuffles — the dominant cost
+// for deep recursions. Both the planner and this lint read the partition
+// key from analyze's RecView.PartitionKey:
 //
-// Two outputs:
+//   - RV021 (info): an aggregate view's key is narrowed from the full
+//     group-by to a subset every recursive rule joins on; the planner
+//     adopts it.
+//   - RV020 (warning): a rule whose join keys cover no usable partition
+//     key — the delta reshuffles every iteration and no automatic fix
+//     exists.
 //
-//   - SuggestPartitionKey: for aggregate views, a narrower partition key
-//     (a subset of the implicit group-by) that every recursive rule's join
-//     covers. Partitioning on a subset of the group key keeps grouping
-//     partition-local, so the planner can adopt it directly; the lint
-//     reports RV021 (info) when it does.
-//   - RV020 (warning): a rule whose join keys cannot cover any usable
-//     partition key — the delta reshuffles every iteration and no
-//     automatic fix exists.
-
-// ruleJoinKeys returns the candidate partition keys one rule offers: for
-// each non-recursive source, the multiset of recursive-side columns its
-// equi-joins bind (sorted canonically). Multiset semantics mirror the
-// planner's colsEqualAsSet acceptance test.
-func ruleJoinKeys(rule *analyze.Rule) [][]int {
-	rec := rule.RecSources[0]
-	perSource := map[int][]int{}
-	for _, c := range rule.Conjuncts {
-		j, ok := expr.AsEquiJoin(c)
-		if !ok {
-			continue
-		}
-		switch {
-		case j.LeftInput == rec && j.RightInput != rec:
-			perSource[j.RightInput] = append(perSource[j.RightInput], j.LeftCol)
-		case j.RightInput == rec && j.LeftInput != rec:
-			perSource[j.LeftInput] = append(perSource[j.LeftInput], j.RightCol)
-		}
-	}
-	var out [][]int
-	for si, cols := range perSource {
-		if rule.Sources[si].Kind == analyze.SourceRec {
-			continue
-		}
-		sorted := append([]int(nil), cols...)
-		sort.Ints(sorted)
-		out = append(out, sorted)
-	}
-	return out
-}
-
-func keyString(cols []int) string {
-	parts := make([]string, len(cols))
-	for i, c := range cols {
-		parts[i] = fmt.Sprint(c)
-	}
-	return strings.Join(parts, ",")
-}
-
-// coversKey reports whether any of a rule's candidate keys equals key as a
-// multiset (the planner's acceptance condition).
-func coversKey(candidates [][]int, key []int) bool {
-	if len(key) == 0 {
-		return false
-	}
-	want := keyString(key)
-	for _, c := range candidates {
-		if len(c) == len(key) && keyString(c) == want {
-			return true
-		}
-	}
-	return false
-}
-
-// vetCarriedColumns mirrors the planner's carriedColumns: view columns
-// every recursive rule copies verbatim from the recursive source.
-func vetCarriedColumns(v *analyze.RecView) []int {
-	var out []int
-	for i := 0; i < v.Schema.Len(); i++ {
-		ok := len(v.RecRules) > 0
-		for _, r := range v.RecRules {
-			c, isCol := r.Head[i].(*expr.Col)
-			if !isCol || c.Input != r.RecSources[0] || c.Idx != i {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// vetDecomposable mirrors the planner's decomposability test: carried
-// columns exist and, for aggregate views, fall inside the group key.
-func vetDecomposable(v *analyze.RecView) bool {
-	carried := vetCarriedColumns(v)
-	if len(carried) == 0 {
-		return false
-	}
-	if !v.IsAgg() {
-		return true
-	}
-	group := map[int]bool{}
-	for _, g := range v.GroupIdx {
-		group[g] = true
-	}
-	for _, c := range carried {
-		if !group[c] {
-			return false
-		}
-	}
-	return true
-}
-
-// distributable reports whether the co-partition analysis applies: the
-// planner's preconditions (single view, linear rules) plus at least one
-// recursive rule.
-func distributable(clique *analyze.Clique) (*analyze.RecView, bool) {
+// The lint applies where the planner does: one view, linear rules, at
+// least one recursive rule. Decomposed execution never shuffles, so a
+// decomposed view has nothing to lint.
+func lintCoPartition(r *Report, clique *analyze.Clique) {
 	if len(clique.Views) != 1 {
-		return nil, false
+		return
 	}
 	v := clique.Views[0]
 	if len(v.RecRules) == 0 {
-		return nil, false
-	}
-	for _, r := range v.RecRules {
-		if len(r.RecSources) != 1 {
-			return nil, false
-		}
-	}
-	return v, true
-}
-
-// SuggestPartitionKey returns a partition key, strictly narrower than the
-// default (the full implicit group-by), that lets every recursive rule of
-// an aggregate view run co-partitioned — or nil when the default already
-// works, no common key exists, or the view is not an eligible aggregate
-// view. Any subset of the group key is correct: the group key functionally
-// determines the partition, so per-partition aggregation, delta seeding
-// and result collection are unaffected.
-func SuggestPartitionKey(v *analyze.RecView) []int {
-	if !v.IsAgg() || len(v.RecRules) == 0 {
-		return nil
-	}
-	for _, r := range v.RecRules {
-		if len(r.RecSources) != 1 {
-			return nil
-		}
-	}
-	if vetDecomposable(v) {
-		return nil
-	}
-	group := map[int]bool{}
-	for _, g := range v.GroupIdx {
-		group[g] = true
-	}
-
-	ruleKeys := make([][][]int, len(v.RecRules))
-	defaultCovered := true
-	for i, r := range v.RecRules {
-		ruleKeys[i] = ruleJoinKeys(r)
-		if !coversKey(ruleKeys[i], v.GroupIdx) {
-			defaultCovered = false
-		}
-	}
-	if defaultCovered {
-		return nil
-	}
-
-	// Candidate keys: every rule's join keys whose columns stay inside the
-	// group-by domain, intersected across rules.
-	counts := map[string]int{}
-	keys := map[string][]int{}
-	for _, rk := range ruleKeys {
-		seen := map[string]bool{}
-		for _, cand := range rk {
-			inGroup := true
-			for _, c := range cand {
-				if !group[c] {
-					inGroup = false
-					break
-				}
-			}
-			ks := keyString(cand)
-			if !inGroup || seen[ks] {
-				continue
-			}
-			seen[ks] = true
-			counts[ks]++
-			keys[ks] = cand
-		}
-	}
-	var best []int
-	for ks, n := range counts {
-		if n != len(v.RecRules) {
-			continue
-		}
-		cand := keys[ks]
-		// Prefer the longest key (finer partitioning), then the
-		// lexicographically smallest for determinism.
-		if best == nil || len(cand) > len(best) ||
-			(len(cand) == len(best) && ks < keyString(best)) {
-			best = cand
-		}
-	}
-	return best
-}
-
-// lintCoPartition reports how the clique's recursive joins interact with
-// partitioning (RV020, RV021).
-func lintCoPartition(r *Report, clique *analyze.Clique) {
-	v, ok := distributable(clique)
-	if !ok {
 		return
 	}
-	if vetDecomposable(v) {
-		// Decomposed execution never shuffles; nothing to lint.
-		return
-	}
-	defaultKey := v.GroupIdx
-	if !v.IsAgg() {
-		defaultKey = make([]int, v.Schema.Len())
-		for i := range defaultKey {
-			defaultKey[i] = i
+	for _, rule := range v.RecRules {
+		if len(rule.RecSources) != 1 {
+			return
 		}
 	}
-
-	alt := SuggestPartitionKey(v)
-	if alt != nil {
+	key, decomposed := v.PartitionKey()
+	if decomposed {
+		return
+	}
+	if group := v.GroupKey(); !slices.Equal(key, group) {
 		r.add(Diagnostic{
 			Code: "RV021", Severity: SeverityInfo, View: v.Name,
-			Message: fmt.Sprintf("partition key narrowed from the full group-by %v to %v so every recursive rule joins co-partitioned; the planner applies this automatically", defaultKey, alt),
+			Message: fmt.Sprintf("partition key narrowed from the full group-by %v to %v so every recursive rule joins co-partitioned; the planner applies this automatically", group, key),
 		})
 		return
 	}
 	for _, rule := range v.RecRules {
-		if coversKey(ruleJoinKeys(rule), defaultKey) {
+		if rule.CoPartitionSource(key) >= 0 {
 			continue
 		}
 		r.add(Diagnostic{
 			Code: "RV020", Severity: SeverityWarning, View: v.Name, Rule: ruleLabel(v, rule),
-			Message: fmt.Sprintf("recursive join keys do not cover the partition key %v: the delta cannot stay co-partitioned and reshuffles (broadcast join) every iteration", defaultKey),
+			Message: fmt.Sprintf("recursive join keys do not cover the partition key %v: the delta cannot stay co-partitioned and reshuffles (broadcast join) every iteration", key),
 			Hint:    "join the recursive reference on its grouping columns, or carry the partition key through the head to enable decomposed execution",
 		})
 	}

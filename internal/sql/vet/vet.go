@@ -21,9 +21,9 @@
 //     sources, unused views, and degenerate implicit group-bys.
 //
 // Every diagnostic carries a stable RVxxx code, a severity, the offending
-// view/rule, and a remediation hint. The co-partitioning analysis doubles
-// as planner input: internal/fixpoint consumes SuggestPartitionKey to pick
-// the cheaper shuffle plan.
+// view/rule, and a remediation hint. The co-partitioning lint reports the
+// planner's own partition key: both read it from internal/sql/analyze
+// (RecView.PartitionKey), so a diagnostic never disagrees with the plan.
 package vet
 
 import (

@@ -245,38 +245,15 @@ WITH recursive p (A, B, min() AS C) AS
      FROM p, edge WHERE p.B = edge.Dst)
 SELECT A, B, C FROM p`
 
-// TestSuggestPartitionKey pins the narrowing analysis on the contrived
-// two-rule query above and its RV021 diagnostic.
-func TestSuggestPartitionKey(t *testing.T) {
-	stmts, err := parser.Parse(narrowedKeyQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := analyze.Statements(stmts, paperCatalog())
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := prog.Clique.Views[0]
-	alt := SuggestPartitionKey(v)
-	if len(alt) != 1 || alt[0] != 1 {
-		t.Fatalf("SuggestPartitionKey = %v, want [1]", alt)
-	}
-	rep := Analyze(prog)
-	if !hasCode(rep, "RV021") {
+// TestNarrowedKeyLint pins RV021 on the contrived two-rule query above,
+// and its absence where the rules already join on the full group key.
+func TestNarrowedKeyLint(t *testing.T) {
+	if rep := vetQuery(t, narrowedKeyQuery); !hasCode(rep, "RV021") {
 		t.Errorf("missing RV021\n%s", rep)
 	}
-	// Queries already co-partitioned on the default key must not narrow.
 	for _, src := range []string{queries.SSSP, queries.Management, queries.MLM} {
-		stmts, err := parser.Parse(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := analyze.Statements(stmts, paperCatalog())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if alt := SuggestPartitionKey(prog.Clique.Views[0]); alt != nil {
-			t.Errorf("unexpected narrowing %v for %.40s...", alt, src)
+		if rep := vetQuery(t, src); hasCode(rep, "RV021") {
+			t.Errorf("unexpected narrowing for %.40s...\n%s", src, rep)
 		}
 	}
 }

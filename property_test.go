@@ -1,7 +1,6 @@
 package rasql_test
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -264,5 +263,3 @@ func TestPropertyParallelStagesInvariance(t *testing.T) {
 		})
 	}
 }
-
-var _ = fmt.Sprintf // keep fmt for debugging helpers
