@@ -44,9 +44,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/sql/parser/
 
 # Source rules (DESIGN.md §12): no host clock or global math/rand in the
-# deterministic packages, no unsafe, no sync.Pool, every file gofmt-clean.
+# deterministic packages, no unsafe, no sync.Pool, every file gofmt-clean,
+# and no exported function under internal/ that only tests call.
 lint:
-	$(GO) test -run TestSourceRules .
+	$(GO) test -run 'TestSourceRules|TestNoTestOnlyCode' .
 
 # Allocation contracts (DESIGN.md §12): the zero-alloc pins of the hot path,
 # the per-execution allocation budgets and the GC-independence of a warm
@@ -57,12 +58,12 @@ allocs:
 # Serving lifecycle smoke (DESIGN.md §14): start rasqld on the demo
 # graph, run two HTTP queries (the second must hit the plan cache),
 # scrape /metrics, SIGTERM, and require a clean drain (exit 0); the
-# final exposition written by -metrics-out must survive prom-verify.
+# final exposition written by -metrics-out must pass the strict parser
+# (TestExpositionFile).
 # Every command of the recipe is an assertion (set -e), and the EXIT trap
 # stops rasqld and waits for it if one fails before the SIGTERM (its `|| :`
 # keeps a clean run's exit status 0 once rasqld is already gone).
 serve-smoke:
-	$(GO) build -o bin/rasql ./cmd/rasql
 	$(GO) build -o bin/rasqld ./cmd/rasqld
 	set -e; \
 	./bin/rasqld -demo -listen 127.0.0.1:18123 -metrics-out rasqld-metrics.prom & \
@@ -77,7 +78,7 @@ serve-smoke:
 	curl -sf 127.0.0.1:18123/readyz >/dev/null; \
 	kill -TERM $$pid; \
 	wait $$pid
-	./bin/rasql prom-verify rasqld-metrics.prom
+	RASQL_PROM_FILE=$(CURDIR)/rasqld-metrics.prom $(GO) test -count=1 -run TestExpositionFile ./internal/obs/
 
 # The repository's benchmark (benchmarks/README.md), one workload the way the
 # pipeline runs it: make bench WORKLOAD=cc-rmat SEED=2. TRACE=1 reports the

@@ -10,8 +10,6 @@
 //	rasql -table ... -f query.sql
 //	rasql -table ...            # interactive: statements end with ';'
 //	rasql vet -table ... -f query.sql   # static analysis only
-//	rasql trace-verify out.json          # validate exported traces
-//	rasql prom-verify metrics.prom       # validate Prometheus exposition
 //
 // Every script is vetted before execution: the static analyzer's
 // diagnostics print to stderr, and error-severity findings (a statically
@@ -52,13 +50,7 @@
 //	-max-rows n               print at most n result rows (default 50)
 //
 // The vet subcommand exits 0 when the script is clean (or carries only
-// warnings/info) and 1 when any error-severity diagnostic fires. The
-// trace-verify subcommand validates trace files against the Chrome
-// trace-event schema (well-formed JSON, monotone per-track timestamps,
-// balanced B/E spans) and exits 1 on the first invalid file. The
-// prom-verify subcommand validates metrics files against the Prometheus
-// text exposition format (strict parse, histogram invariants) and exits 1
-// on the first invalid file.
+// warnings/info) and 1 when any error-severity diagnostic fires.
 package main
 
 import (
@@ -78,14 +70,6 @@ import (
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "vet" {
 		vetMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "trace-verify" {
-		traceVerifyMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "prom-verify" {
-		promVerifyMain(os.Args[2:])
 		return
 	}
 	var (
@@ -264,58 +248,6 @@ func fmtQueryStats(s rasql.QueryStats) string {
 		fmt.Fprintf(&b, " err=%q", s.Err)
 	}
 	return b.String()
-}
-
-// promVerifyMain implements `rasql prom-verify`: validate Prometheus
-// text-exposition files with the strict in-repo parser, exit 1 if any fails.
-func promVerifyMain(args []string) {
-	if len(args) == 0 {
-		fatal(fmt.Errorf("prom-verify: no metrics files given"))
-	}
-	bad := false
-	for _, path := range args {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rasql:", err)
-			bad = true
-			continue
-		}
-		if err := rasql.ValidatePrometheus(data); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
-			bad = true
-			continue
-		}
-		fmt.Printf("%s: ok\n", path)
-	}
-	if bad {
-		os.Exit(1)
-	}
-}
-
-// traceVerifyMain implements `rasql trace-verify`: validate Chrome
-// trace-event files, exit 1 if any fails.
-func traceVerifyMain(args []string) {
-	if len(args) == 0 {
-		fatal(fmt.Errorf("trace-verify: no trace files given"))
-	}
-	bad := false
-	for _, path := range args {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rasql:", err)
-			bad = true
-			continue
-		}
-		if err := rasql.ValidateChromeTrace(data); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
-			bad = true
-			continue
-		}
-		fmt.Printf("%s: ok\n", path)
-	}
-	if bad {
-		os.Exit(1)
-	}
 }
 
 // vetMain implements `rasql vet`: static analysis only, nothing executes.

@@ -8,40 +8,25 @@ import (
 	"github.com/rasql/rasql-go/internal/fixpoint"
 	"github.com/rasql/rasql-go/internal/sql/analyze"
 	"github.com/rasql/rasql-go/internal/sql/ast"
-	"github.com/rasql/rasql-go/internal/sql/catalog"
-	"github.com/rasql/rasql-go/internal/sql/optimize"
-	"github.com/rasql/rasql-go/internal/sql/parser"
 	"github.com/rasql/rasql-go/internal/trace"
 )
 
 // Explain renders the execution plan of a query: the recursive clique, its
 // distributed plan (or the local fallback reason), and the final query
-// shape. CREATE VIEW statements in the script are registered into the
-// session, matching Exec.
+// shape. CREATE VIEW statements in the script are committed to the session,
+// matching Exec.
 func (e *Engine) Explain(src string) (string, error) {
-	return e.explain(src, e.cat)
+	return e.explain(src, true)
 }
 
-func (e *Engine) explain(src string, cat *catalog.Catalog) (string, error) {
-	stmts, err := parser.Parse(src)
-	if err != nil {
-		return "", err
-	}
+func (e *Engine) explain(src string, commit bool) (string, error) {
 	var b strings.Builder
-	for _, s := range stmts {
-		if cv, ok := s.(*ast.CreateView); ok {
-			fmt.Fprintf(&b, "View %s(%s)\n", cv.Name, strings.Join(cv.Columns, ", "))
-			if err := cat.RegisterView(&catalog.ViewDef{Name: cv.Name, Columns: cv.Columns, Query: cv.Query}); err != nil {
-				return "", err
-			}
-			continue
-		}
-		prog, err := analyze.Statement(s, cat)
-		if err != nil {
-			return "", err
-		}
-		// Describe the program that runs: exec optimizes before planning.
-		prog = optimize.Program(prog)
+	onView := func(cv *ast.CreateView) error {
+		fmt.Fprintf(&b, "View %s(%s)\n", cv.Name, strings.Join(cv.Columns, ", "))
+		return nil
+	}
+	// Describe the program that runs: walk optimizes before planning.
+	err := e.walk(src, nil, commit, onView, func(prog *analyze.Program) error {
 		if prog.Clique != nil && len(prog.Clique.Views) > 0 {
 			plan, perr := fixpoint.PlanDistributed(prog.Clique)
 			switch {
@@ -59,6 +44,10 @@ func (e *Engine) explain(src string, cat *catalog.Catalog) (string, error) {
 		}
 		fmt.Fprintf(&b, "Final: %d source(s), %d conjunct(s), grouped=%v, schema %s\n",
 			len(prog.Final.Sources), len(prog.Final.Conjuncts), prog.Final.Grouped, prog.Final.Schema)
+		return nil
+	})
+	if err != nil {
+		return "", err
 	}
 	return b.String(), nil
 }
@@ -69,15 +58,15 @@ func (e *Engine) explain(src string, cat *catalog.Catalog) (string, error) {
 // fixpoint table (delta rows, all-relation size, new vs improved, shuffle
 // volume, partition skew), and the cluster counter delta.
 //
-// The plan is rendered against a throwaway copy of the catalog and the
-// script is then executed for real — views it creates stay registered, like
+// The plan is rendered without committing anything and the script is then
+// executed for real — views it creates stay registered, like
 // Exec. A full tracer already attached with SetTracer keeps recording (so
 // EXPLAIN ANALYZE composes with -trace export); otherwise a throwaway
 // per-query tracer captures the run. Either way the counters come from the
 // run's own query context, so concurrent queries never bleed into the
 // report.
 func (e *Engine) ExplainAnalyze(src string) (string, error) {
-	plan, err := e.explain(src, e.cat.Clone())
+	plan, err := e.explain(src, false)
 	if err != nil {
 		return "", err
 	}

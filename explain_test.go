@@ -1,7 +1,6 @@
 package rasql_test
 
 import (
-	"bytes"
 	"regexp"
 	"strings"
 	"testing"
@@ -99,33 +98,6 @@ func TestExplainAnalyzeRestoresTracer(t *testing.T) {
 	// the analyzed run.
 	if len(mine.Events()) == 0 || len(mine.Iterations()) == 0 {
 		t.Error("attached tracer did not record the analyzed run")
-	}
-}
-
-// TestTraceExport runs a recursive query with a full tracer attached and
-// checks the Chrome export validates and records the expected tracks.
-func TestTraceExport(t *testing.T) {
-	eng := rasql.New(rasql.Config{Cluster: rasql.ClusterConfig{Workers: 2, Partitions: 2}})
-	eng.MustRegister(weightedEdges())
-	tr := rasql.NewTracer()
-	eng.SetTracer(tr)
-	if _, err := eng.Query(queries.SSSP); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(tr.Iterations()); n == 0 {
-		t.Fatal("no fixpoint iterations recorded")
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := rasql.ValidateChromeTrace(buf.Bytes()); err != nil {
-		t.Fatalf("exported trace invalid: %v\n%s", err, buf.String())
-	}
-	for _, want := range []string{`"driver"`, `"worker 0"`, `"fixpoint iterations"`, "delta rows"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("trace missing %s", want)
-		}
 	}
 }
 

@@ -11,11 +11,11 @@ func quickRunner() *Runner {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	cfg := NewRunner(Config{}).Config()
+	cfg := NewRunner(Config{}).cfg
 	if cfg.Scale != 1000 || cfg.TreeScale != 256 || cfg.Repeat != 1 || cfg.Workers != 8 {
 		t.Errorf("defaults = %+v", cfg)
 	}
-	q := NewRunner(Config{Quick: true}).Config()
+	q := NewRunner(Config{Quick: true}).cfg
 	if q.Scale != 8000 {
 		t.Errorf("quick scale = %d", q.Scale)
 	}

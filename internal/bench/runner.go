@@ -94,9 +94,6 @@ type Runner struct {
 // NewRunner creates a runner.
 func NewRunner(cfg Config) *Runner { return &Runner{cfg: cfg.withDefaults()} }
 
-// Config returns the effective configuration.
-func (r *Runner) Config() Config { return r.cfg }
-
 func (r *Runner) logf(format string, args ...any) {
 	if r.cfg.Progress != nil {
 		fmt.Fprintf(r.cfg.Progress, format+"\n", args...)

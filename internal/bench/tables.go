@@ -221,27 +221,9 @@ var Order = []string{
 	"table1", "table2", "table3", "ablations",
 }
 
-// All runs every experiment in paper order, evicting cached datasets
-// between experiments to bound peak memory.
-func (r *Runner) All() ([]*Table, error) {
-	exps := r.Experiments()
-	var out []*Table
-	for _, id := range Order {
-		tbl, err := exps[id]()
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", id, err)
-		}
-		out = append(out, tbl)
-		r.FreeDatasets()
-	}
-	return out, nil
-}
-
 // FreeDatasets drops the generated-dataset cache; the next experiment
 // regenerates what it needs.
 func (r *Runner) FreeDatasets() {
 	r.data.m = nil
 	r.trees = nil
 }
-
-var _ = fixpoint.ShuffleHash // keep the import meaningful for engineConfig docs

@@ -146,12 +146,6 @@ func (c *Cluster) SetObserver(o obs.QueryObserver) { c.observer = o }
 // Config returns the effective (defaulted) configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 
-// Workers returns the number of simulated workers.
-func (c *Cluster) Workers() int { return c.cfg.Workers }
-
-// Partitions returns the default partition count.
-func (c *Cluster) Partitions() int { return c.cfg.Partitions }
-
 // Task is one unit of stage work bound to a partition.
 type Task struct {
 	// Part is the partition index this task processes.

@@ -43,9 +43,6 @@ const keyIndexMinSlots = 16
 
 func newKeyIndex() *keyIndex { return &keyIndex{} }
 
-// len returns the number of distinct keys.
-func (x *keyIndex) len() int { return len(x.ends) }
-
 // key returns entry i's bytes (a view into the arena).
 func (x *keyIndex) key(i int) []byte {
 	start := uint32(0)

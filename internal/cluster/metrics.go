@@ -151,13 +151,6 @@ func (m *Metrics) AddSnapshot(s Snapshot) {
 	}
 }
 
-// Reset zeroes all counters.
-func (m *Metrics) Reset() {
-	for i := range counterNames {
-		m.counter(i).Store(0)
-	}
-}
-
 // Add returns the counter-wise sum s + o (accumulating totals across runs).
 func (s Snapshot) Add(o Snapshot) Snapshot { return s.combine(o, 1) }
 

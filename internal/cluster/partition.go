@@ -19,24 +19,6 @@ type PartitionedRelation struct {
 	Owner []int
 }
 
-// NumPartitions returns the partition count.
-func (p *PartitionedRelation) NumPartitions() int { return len(p.Parts) }
-
-// Len returns the total row count across partitions.
-func (p *PartitionedRelation) Len() int {
-	n := 0
-	for _, part := range p.Parts {
-		n += len(part)
-	}
-	return n
-}
-
-// PartitionFor returns the partition index for a row under this relation's
-// key and partition count.
-func (p *PartitionedRelation) PartitionFor(row types.Row) int {
-	return int(types.HashRowKey(row, p.Key) % uint64(len(p.Parts)))
-}
-
 // Partition hash-partitions rel on the given key columns into the cluster's
 // default partition count, caching partition i on its default owner. A nil
 // key spreads rows round-robin.
@@ -63,26 +45,6 @@ func (c *Cluster) PartitionN(rel *relation.Relation, key []int, parts int) *Part
 			t = int(types.HashRowKey(row, key) % uint64(parts))
 		}
 		p.Parts[t] = append(p.Parts[t], row)
-	}
-	return p
-}
-
-// Empty creates an empty partitioned relation with the given schema and key
-// using the cluster's default partition count and ownership.
-func (c *Cluster) Empty(schema types.Schema, key []int) *PartitionedRelation {
-	return c.EmptyN(schema, key, c.cfg.Partitions)
-}
-
-// EmptyN is Empty with an explicit partition count.
-func (c *Cluster) EmptyN(schema types.Schema, key []int, parts int) *PartitionedRelation {
-	p := &PartitionedRelation{
-		Schema: schema,
-		Key:    append([]int(nil), key...),
-		Parts:  make([][]types.Row, parts),
-		Owner:  make([]int, parts),
-	}
-	for i := range p.Owner {
-		p.Owner[i] = c.DefaultOwner(i)
 	}
 	return p
 }

@@ -192,59 +192,20 @@ func (q *QueryContext) Stats(snap Snapshot) obs.QueryStats {
 	}
 }
 
-// Cluster returns the cluster this query runs on.
-func (q *QueryContext) Cluster() *Cluster { return q.c }
-
-// Config returns the effective (defaulted) configuration.
-func (q *QueryContext) Config() Config { return q.cfg }
-
-// Workers returns the number of simulated workers.
-func (q *QueryContext) Workers() int { return q.cfg.Workers }
-
 // Partitions returns the default partition count.
 func (q *QueryContext) Partitions() int { return q.cfg.Partitions }
 
 // DefaultOwner returns the canonical owner worker for a partition.
 func (q *QueryContext) DefaultOwner(part int) int { return part % q.cfg.Workers }
 
-// Partition hash-partitions rel (see Cluster.Partition).
-func (q *QueryContext) Partition(rel *relation.Relation, key []int) *PartitionedRelation {
-	return q.c.Partition(rel, key)
-}
-
-// PartitionN is Partition with an explicit partition count.
-func (q *QueryContext) PartitionN(rel *relation.Relation, key []int, parts int) *PartitionedRelation {
-	return q.c.PartitionN(rel, key, parts)
-}
-
-// Empty creates an empty partitioned relation (see Cluster.Empty).
-func (q *QueryContext) Empty(schema types.Schema, key []int) *PartitionedRelation {
-	return q.c.Empty(schema, key)
-}
-
-// EmptyN is Empty with an explicit partition count.
-func (q *QueryContext) EmptyN(schema types.Schema, key []int, parts int) *PartitionedRelation {
-	return q.c.EmptyN(schema, key, parts)
-}
-
 // NewSetRDD creates a set-semantics cached state (see Cluster.NewSetRDD).
 func (q *QueryContext) NewSetRDD(schema types.Schema) *SetRDD {
 	return q.c.NewSetRDD(schema)
 }
 
-// NewSetRDDN is NewSetRDD with an explicit partition count.
-func (q *QueryContext) NewSetRDDN(schema types.Schema, parts int) *SetRDD {
-	return q.c.NewSetRDDN(schema, parts)
-}
-
 // NewAggRDD creates an aggregate cached state (see Cluster.NewAggRDD).
 func (q *QueryContext) NewAggRDD(schema types.Schema, groupBy []int, aggCol int, kind types.AggKind) *AggRDD {
 	return q.c.NewAggRDD(schema, groupBy, aggCol, kind)
-}
-
-// NewAggRDDN is NewAggRDD with an explicit partition count.
-func (q *QueryContext) NewAggRDDN(schema types.Schema, groupBy []int, aggCol int, kind types.AggKind, parts int) *AggRDD {
-	return q.c.NewAggRDDN(schema, groupBy, aggCol, kind, parts)
 }
 
 // RunStage places the tasks per the scheduling policy and executes them,

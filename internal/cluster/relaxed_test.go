@@ -29,7 +29,7 @@ func runTokenChain(t *testing.T, q *QueryContext, parts, hops, staleness int) (R
 	stats := q.RunRelaxed(RelaxedOptions{
 		Name:      "test.chain",
 		Parts:     parts,
-		Owner:     func(p int) int { return p % q.Workers() },
+		Owner:     func(p int) int { return p % q.cfg.Workers },
 		Staleness: staleness,
 		Process: func(part, worker int, rows []types.Row, round int64, stale int) [][]types.Row {
 			mu.Lock()
@@ -248,7 +248,7 @@ func BenchmarkRelaxedTokenChain(b *testing.B) {
 		stats := q.RunRelaxed(RelaxedOptions{
 			Name:      "bench.chain",
 			Parts:     parts,
-			Owner:     func(p int) int { return p % q.Workers() },
+			Owner:     func(p int) int { return p % q.cfg.Workers },
 			Staleness: 1,
 			Process: func(part, worker int, rows []types.Row, round int64, stale int) [][]types.Row {
 				out := make([][]types.Row, parts)

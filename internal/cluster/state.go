@@ -69,14 +69,6 @@ func (s *SetRDD) add(part int, r types.Row) bool {
 	return inserted
 }
 
-// has reports membership without inserting.
-func (s *SetRDD) has(part int, r types.Row) bool {
-	x := s.idx[part]
-	b, h := x.encRowKey(r)
-	_, ok := x.get(b, h)
-	return ok
-}
-
 // Merge set-differences incoming against partition part and unions the
 // survivors in, returning the genuinely new rows (the next delta). It must
 // be called from the task that owns the partition.
@@ -105,26 +97,9 @@ func (s *SetRDD) Merge(part int, incoming []types.Row) []types.Row {
 	return rows[before:len(rows):len(rows)]
 }
 
-// Contains reports whether the partition already holds the row.
-func (s *SetRDD) Contains(part int, r types.Row) bool {
-	return s.has(part, r)
-}
-
 // Rows returns the accumulated rows of a partition (no copy: the rows live
 // in the state's slab and callers must not mutate them).
 func (s *SetRDD) Rows(part int) []types.Row { return s.rows[part] }
-
-// Len returns the total number of distinct rows.
-func (s *SetRDD) Len() int {
-	n := 0
-	for _, r := range s.rows {
-		n += len(r)
-	}
-	return n
-}
-
-// NumPartitions returns the partition count.
-func (s *SetRDD) NumPartitions() int { return len(s.rows) }
 
 // Reset empties every partition and keeps its memory. Rows read from the
 // state before the call are overwritten by later merges.
@@ -173,9 +148,6 @@ type AggDelta struct {
 	News []bool
 }
 
-// Empty reports whether the delta carries no updates.
-func (d AggDelta) Empty() bool { return len(d.Rows) == 0 }
-
 // NewAggRDD creates an empty AggRDD.
 func (c *Cluster) NewAggRDD(schema types.Schema, key []int, valIdx int, kind types.AggKind) *AggRDD {
 	return c.NewAggRDDN(schema, key, valIdx, kind, c.cfg.Partitions)
@@ -199,13 +171,6 @@ func (c *Cluster) NewAggRDDN(schema types.Schema, key []int, valIdx int, kind ty
 		a.idx[i] = newKeyIndex()
 	}
 	return a
-}
-
-// lookup finds the entry index for a row's group key.
-func (a *AggRDD) lookup(part int, r types.Row) (int, bool) {
-	x := a.idx[part]
-	b, h := x.encKey(r, a.Key)
-	return x.get(b, h)
 }
 
 // Merge folds incoming contribution rows into partition part. For min/max
@@ -285,28 +250,6 @@ func (a *AggRDD) copyPartition(part int) {
 // Rows returns the accumulated group rows of a partition (no copy; callers
 // must not mutate).
 func (a *AggRDD) Rows(part int) []types.Row { return a.rows[part] }
-
-// Lookup returns the current row whose group key matches the given row's,
-// if present.
-func (a *AggRDD) Lookup(part int, r types.Row) (types.Row, bool) {
-	idx, ok := a.lookup(part, r)
-	if !ok {
-		return nil, false
-	}
-	return a.rows[part][idx], true
-}
-
-// Len returns the total number of groups across partitions.
-func (a *AggRDD) Len() int {
-	n := 0
-	for _, r := range a.rows {
-		n += len(r)
-	}
-	return n
-}
-
-// NumPartitions returns the partition count.
-func (a *AggRDD) NumPartitions() int { return len(a.rows) }
 
 // Reset is SetRDD.Reset: every partition empties and keeps its memory.
 func (a *AggRDD) Reset() {

@@ -1,10 +1,64 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/rasql/rasql-go/internal/types"
 )
+
+// Len returns the total row count across partitions.
+func (p *PartitionedRelation) Len() int {
+	n := 0
+	for _, part := range p.Parts {
+		n += len(part)
+	}
+	return n
+}
+
+// Len returns the total number of distinct rows.
+func (s *SetRDD) Len() int {
+	n := 0
+	for _, r := range s.rows {
+		n += len(r)
+	}
+	return n
+}
+
+// Len returns the total number of groups across partitions.
+func (a *AggRDD) Len() int {
+	n := 0
+	for _, r := range a.rows {
+		n += len(r)
+	}
+	return n
+}
+
+// Len returns the number of distinct keys.
+func (t *RowTable) Len() int { return max(len(t.starts)-1, 0) }
+
+// Contains reports whether the partition already holds the row.
+func (s *SetRDD) Contains(part int, r types.Row) bool {
+	x := s.idx[part]
+	b, h := x.encRowKey(r)
+	_, ok := x.get(b, h)
+	return ok
+}
+
+// Empty reports whether the delta carries no updates.
+func (d AggDelta) Empty() bool { return len(d.Rows) == 0 }
+
+// Lookup returns the current row whose group key matches the given row's,
+// if present.
+func (a *AggRDD) Lookup(part int, r types.Row) (types.Row, bool) {
+	x := a.idx[part]
+	b, h := x.encKey(r, a.Key)
+	idx, ok := x.get(b, h)
+	if !ok {
+		return nil, false
+	}
+	return a.rows[part][idx], true
+}
 
 func TestSetRDDMergeDedups(t *testing.T) {
 	for _, immutable := range []bool{false, true} {
@@ -15,7 +69,7 @@ func TestSetRDDMergeDedups(t *testing.T) {
 			t.Errorf("immutable=%v: first merge delta = %d, want 2", immutable, len(d1))
 		}
 		d2 := s.Merge(0, intRows([2]int64{1, 2}, [2]int64{5, 6}))
-		if len(d2) != 1 || !d2[0].Equal(types.Row{types.Int(5), types.Int(6)}) {
+		if len(d2) != 1 || !slices.EqualFunc(d2[0], types.Row{types.Int(5), types.Int(6)}, types.Value.Equal) {
 			t.Errorf("immutable=%v: second merge delta = %v", immutable, d2)
 		}
 		if s.Len() != 3 {
@@ -48,7 +102,7 @@ func TestAggRDDMinMerge(t *testing.T) {
 	}
 	// Improvement produces a delta; a worse value does not.
 	d = a.Merge(0, []types.Row{aggRow(1, 3), aggRow(2, 9)})
-	if len(d.Rows) != 1 || !d.Rows[0].Equal(aggRow(1, 3)) {
+	if len(d.Rows) != 1 || !slices.EqualFunc(d.Rows[0], aggRow(1, 3), types.Value.Equal) {
 		t.Fatalf("improvement delta = %v", d.Rows)
 	}
 	// Equal value is not an improvement.
@@ -390,7 +444,7 @@ func sameRowSlices(a, b []types.Row) bool {
 		return false
 	}
 	for i := range a {
-		if !a[i].Equal(b[i]) {
+		if !slices.EqualFunc(a[i], b[i], types.Value.Equal) {
 			return false
 		}
 	}

@@ -167,9 +167,6 @@ func (t *RowTable) ProbeValues(vals []types.Value) []types.Row {
 	}
 }
 
-// Len returns the number of distinct keys.
-func (t *RowTable) Len() int { return max(len(t.starts)-1, 0) }
-
 // Rows returns the table's own copy of the build input in bucket order
 // (no copy; callers must not mutate) — used when a table must be
 // re-shipped to another worker.

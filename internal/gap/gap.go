@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"github.com/rasql/rasql-go/internal/relation"
-	"github.com/rasql/rasql-go/internal/types"
 )
 
 // CSR is a compressed sparse row adjacency representation with remapped
@@ -68,12 +67,6 @@ func NewCSR(edges *relation.Relation) *CSR {
 	}
 	return g
 }
-
-// NumVertices returns the vertex count.
-func (g *CSR) NumVertices() int { return len(g.IDs) }
-
-// NumEdges returns the edge count.
-func (g *CSR) NumEdges() int { return len(g.dst) }
 
 // BFS returns the original ids of all vertices reachable from source
 // (including the source itself, if present).
@@ -229,43 +222,4 @@ func (g *CSR) SSSP(source int64) map[int64]float64 {
 		}
 	}
 	return out
-}
-
-// CCRelation renders CC labels as a (Src, CmpId) relation for comparison
-// with the RaSQL result.
-func CCRelation(labels map[int64]int64) *relation.Relation {
-	rel := relation.New("cc", types.NewSchema(
-		types.Col("Src", types.KindInt), types.Col("CmpId", types.KindInt)))
-	for v, l := range labels {
-		rel.Append(types.Row{types.Int(v), types.Int(l)})
-	}
-	return rel
-}
-
-// SSSPRelation renders distances as a (Dst, Cost) relation.
-func SSSPRelation(dist map[int64]float64) *relation.Relation {
-	rel := relation.New("path", types.NewSchema(
-		types.Col("Dst", types.KindInt), types.Col("Cost", types.KindFloat)))
-	for v, d := range dist {
-		rel.Append(types.Row{types.Int(v), types.Float(d)})
-	}
-	return rel
-}
-
-// ReachRelation renders reachable ids as a (Dst) relation.
-func ReachRelation(ids []int64) *relation.Relation {
-	rel := relation.New("reach", types.NewSchema(types.Col("Dst", types.KindInt)))
-	for _, v := range ids {
-		rel.Append(types.Row{types.Int(v)})
-	}
-	return rel
-}
-
-// ComponentCount returns the number of distinct labels.
-func ComponentCount(labels map[int64]int64) int {
-	set := map[int64]struct{}{}
-	for _, l := range labels {
-		set[l] = struct{}{}
-	}
-	return len(set)
 }

@@ -112,27 +112,12 @@ func TestCCAgainstUnionFind(t *testing.T) {
 				}
 			}
 		}
-		if ComponentCount(labels) != ComponentCount(want) {
-			t.Errorf("%s: component count %d, want %d", name, ComponentCount(labels), ComponentCount(want))
-		}
-	}
-}
-
-func TestRelationRenderers(t *testing.T) {
-	if r := CCRelation(map[int64]int64{1: 1, 2: 1}); r.Len() != 2 {
-		t.Error("CCRelation wrong")
-	}
-	if r := SSSPRelation(map[int64]float64{1: 0}); r.Len() != 1 {
-		t.Error("SSSPRelation wrong")
-	}
-	if r := ReachRelation([]int64{1, 2, 3}); r.Len() != 3 {
-		t.Error("ReachRelation wrong")
 	}
 }
 
 func TestCSRCounts(t *testing.T) {
 	g := NewCSR(edges([3]float64{1, 2, 1}, [3]float64{1, 3, 1}))
-	if g.NumVertices() != 3 || g.NumEdges() != 2 {
-		t.Errorf("V=%d E=%d", g.NumVertices(), g.NumEdges())
+	if len(g.IDs) != 3 || len(g.dst) != 2 {
+		t.Errorf("V=%d E=%d", len(g.IDs), len(g.dst))
 	}
 }

@@ -7,15 +7,10 @@ import (
 	"testing"
 )
 
-func TestQuantileEmpty(t *testing.T) {
+func TestEmptySnapshot(t *testing.T) {
 	var h Histogram
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := h.Quantile(q); got != 0 {
-			t.Errorf("empty histogram Quantile(%v) = %d, want 0", q, got)
-		}
-	}
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Errorf("empty histogram Count/Sum = %d/%d, want 0/0", h.Count(), h.Sum())
+	if s := h.Snapshot(); len(s.Buckets) != 0 || s.Count != 0 || s.Sum != 0 {
+		t.Errorf("empty histogram snapshot = %+v, want no buckets and Count/Sum 0/0", s)
 	}
 }
 
@@ -23,15 +18,16 @@ func TestSingleObservation(t *testing.T) {
 	var h Histogram
 	const v = 123456
 	h.Observe(v)
-	if h.Count() != 1 || h.Sum() != v {
-		t.Fatalf("Count/Sum = %d/%d, want 1/%d", h.Count(), h.Sum(), v)
+	s := h.Snapshot()
+	if s.Count != 1 || s.Sum != v {
+		t.Fatalf("Count/Sum = %d/%d, want 1/%d", s.Count, s.Sum, v)
 	}
 	lo, hi := bucketBounds(bucketIndex(v))
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		got := h.Quantile(q)
-		if got < lo || got >= hi {
-			t.Errorf("Quantile(%v) = %d, want within the observation's bucket [%d,%d)", q, got, lo, hi)
-		}
+	if v < lo || v >= hi {
+		t.Fatalf("bucket [%d,%d) does not hold %d", lo, hi, v)
+	}
+	if len(s.Buckets) != 1 || s.Buckets[0] != (Bucket{UpperBound: hi, CumulativeCount: 1}) {
+		t.Errorf("buckets = %+v, want the one bucket {%d, 1}", s.Buckets, hi)
 	}
 }
 
@@ -39,11 +35,12 @@ func TestUnderflow(t *testing.T) {
 	var h Histogram
 	h.Observe(-5)
 	h.Observe(math.MinInt64)
-	if h.Count() != 2 {
-		t.Fatalf("Count = %d, want 2", h.Count())
+	s := h.Snapshot()
+	if s.Count != 2 {
+		t.Fatalf("Count = %d, want 2", s.Count)
 	}
-	if got := h.Quantile(0.5); got != 0 {
-		t.Errorf("all-underflow Quantile(0.5) = %d, want 0", got)
+	if len(s.Buckets) != 1 || s.Buckets[0] != (Bucket{UpperBound: 0, CumulativeCount: 2}) {
+		t.Errorf("buckets = %+v, want the underflow bucket {0, 2}", s.Buckets)
 	}
 }
 
@@ -51,30 +48,9 @@ func TestOverflow(t *testing.T) {
 	var h Histogram
 	h.Observe(math.MaxInt64)
 	h.Observe(maxValue)
-	if got := h.Quantile(0.5); got != maxValue {
-		t.Errorf("all-overflow Quantile(0.5) = %d, want maxValue %d", got, int64(maxValue))
-	}
 	s := h.Snapshot()
-	last := s.Buckets[len(s.Buckets)-1]
-	if last.UpperBound != math.MaxInt64 || last.CumulativeCount != 2 {
-		t.Errorf("overflow bucket = {%d, %d}, want {MaxInt64, 2}", last.UpperBound, last.CumulativeCount)
-	}
-}
-
-func TestSaturatingCounts(t *testing.T) {
-	var h Histogram
-	h.ObserveN(7, math.MaxUint64)
-	h.ObserveN(7, 10)
-	if h.Count() != math.MaxUint64 {
-		t.Errorf("Count = %d, want saturation at MaxUint64", h.Count())
-	}
-	// Merging two saturated histograms must pin, not wrap.
-	var a, b Histogram
-	a.ObserveN(7, math.MaxUint64-1)
-	b.ObserveN(7, math.MaxUint64-1)
-	a.Merge(&b)
-	if a.Count() != math.MaxUint64 {
-		t.Errorf("merged Count = %d, want saturation at MaxUint64", a.Count())
+	if len(s.Buckets) != 1 || s.Buckets[0] != (Bucket{UpperBound: math.MaxInt64, CumulativeCount: 2}) {
+		t.Errorf("buckets = %+v, want the overflow bucket {MaxInt64, 2}", s.Buckets)
 	}
 }
 
@@ -92,15 +68,12 @@ func TestConcurrentObserve(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if h.Count() != goroutines*perG {
-		t.Fatalf("Count = %d, want %d", h.Count(), goroutines*perG)
+	s := h.Snapshot()
+	if s.Count != goroutines*perG {
+		t.Fatalf("Count = %d, want %d", s.Count, goroutines*perG)
 	}
-	var bucketTotal uint64
-	for i := range h.counts {
-		bucketTotal += h.counts[i].Load()
-	}
-	if bucketTotal != goroutines*perG {
-		t.Fatalf("bucket total = %d, want %d", bucketTotal, goroutines*perG)
+	if last := s.Buckets[len(s.Buckets)-1].CumulativeCount; last != goroutines*perG {
+		t.Fatalf("bucket total = %d, want %d", last, goroutines*perG)
 	}
 }
 
@@ -117,15 +90,16 @@ func (x *xorshift) next() uint64 {
 	return v
 }
 
-// TestMergeAssociativityProperty checks Merge against a sorted-slice oracle:
-// however observations are split across histograms and whatever order the
-// parts merge in, the result is bucket-identical to observing everything
-// into one histogram, and every quantile estimate lands in the bucket of the
-// oracle's exact rank value.
-func TestMergeAssociativityProperty(t *testing.T) {
+// TestSnapshotCumulativeProperty checks Snapshot against a sorted-slice
+// oracle over values spanning many octaves, underflow and overflow: every
+// bucket's cumulative count is the number of observations below its upper
+// bound, and the count and sum are exact.
+func TestSnapshotCumulativeProperty(t *testing.T) {
 	rng := xorshift(12345)
 	const n = 3000
 	values := make([]int64, n)
+	var h Histogram
+	var sum int64
 	for i := range values {
 		v := int64(rng.next() >> (rng.next() % 50)) // span many octaves
 		switch rng.next() % 10 {
@@ -135,69 +109,29 @@ func TestMergeAssociativityProperty(t *testing.T) {
 			v += maxValue // some overflow
 		}
 		values[i] = v
+		sum += v
+		h.Observe(v)
 	}
+	sort.Slice(values, func(i, j int) bool { return values[i] < values[j] })
 
-	var all, h1, h2, h3 Histogram
-	for i, v := range values {
-		all.Observe(v)
-		switch i % 3 {
-		case 0:
-			h1.Observe(v)
-		case 1:
-			h2.Observe(v)
-		case 2:
-			h3.Observe(v)
-		}
+	s := h.Snapshot()
+	if s.Count != n || s.Sum != sum {
+		t.Fatalf("Count/Sum = %d/%d, want %d/%d", s.Count, s.Sum, n, sum)
 	}
-	// (h1+h2)+h3 and h1+(h2+h3), via copies.
-	left := clone(&h1)
-	left.Merge(&h2)
-	left.Merge(&h3)
-	right := clone(&h2)
-	right.Merge(&h3)
-	rightAll := clone(&h1)
-	rightAll.Merge(right)
-
-	for name, h := range map[string]*Histogram{"(1+2)+3": left, "1+(2+3)": rightAll} {
-		if h.Count() != all.Count() || h.Sum() != all.Sum() {
-			t.Fatalf("%s: Count/Sum = %d/%d, want %d/%d", name, h.Count(), h.Sum(), all.Count(), all.Sum())
+	prev := uint64(0)
+	for _, b := range s.Buckets {
+		below := uint64(sort.Search(n, func(i int) bool { return values[i] >= b.UpperBound }))
+		if b.UpperBound == math.MaxInt64 {
+			below = n // the overflow bucket holds MaxInt64 itself
 		}
-		for i := range h.counts {
-			if h.counts[i].Load() != all.counts[i].Load() {
-				t.Fatalf("%s: bucket %d = %d, want %d", name, i, h.counts[i].Load(), all.counts[i].Load())
-			}
+		if b.CumulativeCount != below || b.CumulativeCount <= prev {
+			t.Fatalf("bucket < %d: cumulative %d, want %d (previous %d)", b.UpperBound, b.CumulativeCount, below, prev)
 		}
+		prev = b.CumulativeCount
 	}
-
-	sorted := append([]int64(nil), values...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.75, 0.95, 0.99, 1} {
-		rank := int(q * float64(n-1))
-		oracle := sorted[rank]
-		got := left.Quantile(q)
-		oi := bucketIndex(oracle)
-		lo, hi := bucketBounds(oi)
-		switch oi {
-		case 0:
-			if got != 0 {
-				t.Errorf("Quantile(%v) = %d, oracle %d is underflow, want 0", q, got, oracle)
-			}
-		case bucketCount - 1:
-			if got != maxValue {
-				t.Errorf("Quantile(%v) = %d, oracle %d is overflow, want maxValue", q, got, oracle)
-			}
-		default:
-			if got < lo || got >= hi {
-				t.Errorf("Quantile(%v) = %d, want in oracle bucket [%d,%d) around %d", q, got, lo, hi, oracle)
-			}
-		}
+	if prev != n {
+		t.Fatalf("last cumulative count = %d, want %d", prev, n)
 	}
-}
-
-func clone(h *Histogram) *Histogram {
-	var c Histogram
-	c.Merge(h)
-	return &c
 }
 
 // TestObserveZeroAllocs pins the allocation contract of the metrics hot
@@ -229,7 +163,7 @@ func BenchmarkObserve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.Observe(int64(i))
 	}
-	if h.Count() == 0 {
+	if h.Snapshot().Count == 0 {
 		b.Fatal("no observations recorded")
 	}
 }

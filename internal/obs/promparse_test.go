@@ -1,9 +1,30 @@
 package obs
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
+
+// TestExpositionFile strictly parses the Prometheus exposition file named
+// by RASQL_PROM_FILE (an absolute path: go test runs in this directory) and
+// skips when it is unset. make serve-smoke runs it on the final exposition
+// rasqld -metrics-out writes:
+//
+//	RASQL_PROM_FILE=$PWD/rasqld-metrics.prom go test -run TestExpositionFile ./internal/obs/
+func TestExpositionFile(t *testing.T) {
+	p := os.Getenv("RASQL_PROM_FILE")
+	if p == "" {
+		t.Skip("RASQL_PROM_FILE is unset")
+	}
+	data, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParsePrometheus(data); err != nil {
+		t.Errorf("%s: %v", p, err)
+	}
+}
 
 func TestParsePrometheusAccepts(t *testing.T) {
 	doc := `# HELP up Whether the target is up.

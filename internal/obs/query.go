@@ -57,9 +57,9 @@ type QueryObserver interface {
 }
 
 // Recorder is the engine's metrics hub: a Registry pre-populated with the
-// serving instruments, a bounded ring of recent QueryStats, and an optional
+// serving instruments, the last finished query's QueryStats, and an optional
 // structured query log. It implements QueryObserver; every finished query
-// folds into the histograms, the counters and the ring in one call.
+// folds into the histograms, the counters and the last record in one call.
 type Recorder struct {
 	reg *Registry
 
@@ -80,15 +80,12 @@ type Recorder struct {
 
 	mu sync.Mutex
 	// guarded by mu
-	recent []QueryStats
+	last QueryStats
 	// guarded by mu
-	next int
+	hasLast bool
 	// guarded by mu
 	logger *slog.Logger
 }
-
-// recentCap bounds the recent-query ring.
-const recentCap = 128
 
 // NewRecorder creates a recorder with its own registry, pre-registering the
 // rasql_* serving metrics.
@@ -114,9 +111,6 @@ func NewRecorder() *Recorder {
 // Registry returns the recorder's metric registry (for exposition).
 func (r *Recorder) Registry() *Registry { return r.reg }
 
-// QueryLatency returns the latency histogram (for percentile readouts).
-func (r *Recorder) QueryLatency() *Histogram { return r.latency }
-
 // SetLogger attaches a structured query log: every finished query emits one
 // record carrying its ID, latency and resource attribution. A nil logger
 // (the default) disables logging.
@@ -130,7 +124,7 @@ func (r *Recorder) SetLogger(l *slog.Logger) {
 func (r *Recorder) QueryStarted() { r.inflight.Add(1) }
 
 // ObserveQuery folds one finished query into the registry instruments and
-// the recent-query ring, and emits the query-log record when a logger is
+// the last record, and emits the query-log record when a logger is
 // attached. Safe for concurrent use.
 func (r *Recorder) ObserveQuery(s QueryStats) {
 	r.inflight.Add(-1)
@@ -149,12 +143,7 @@ func (r *Recorder) ObserveQuery(s QueryStats) {
 	r.supersede.Add(s.SupersededRows)
 
 	r.mu.Lock()
-	if len(r.recent) < recentCap {
-		r.recent = append(r.recent, s)
-	} else {
-		r.recent[r.next] = s
-	}
-	r.next = (r.next + 1) % recentCap
+	r.last, r.hasLast = s, true
 	logger := r.logger
 	r.mu.Unlock()
 
@@ -174,29 +163,9 @@ func (r *Recorder) ObserveQuery(s QueryStats) {
 	}
 }
 
-// Recent returns the retained QueryStats, oldest first (at most the ring
-// capacity, 128).
-func (r *Recorder) Recent() []QueryStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]QueryStats, 0, len(r.recent))
-	if len(r.recent) < recentCap {
-		return append(out, r.recent...)
-	}
-	out = append(out, r.recent[r.next:]...)
-	return append(out, r.recent[:r.next]...)
-}
-
 // Last returns the most recently recorded QueryStats and whether one exists.
 func (r *Recorder) Last() (QueryStats, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.recent) == 0 {
-		return QueryStats{}, false
-	}
-	i := r.next - 1
-	if i < 0 {
-		i = len(r.recent) - 1
-	}
-	return r.recent[i], true
+	return r.last, r.hasLast
 }

@@ -56,34 +56,24 @@ func TestRecorderFold(t *testing.T) {
 			t.Errorf("%s = %v, want %v", name, got, want)
 		}
 	}
-	if r.QueryLatency().Count() != 2 {
-		t.Errorf("latency histogram count = %d, want 2", r.QueryLatency().Count())
-	}
 	last, ok := r.Last()
 	if !ok || last.ID != 2 || last.Err != "boom" {
 		t.Errorf("Last() = %+v/%v, want query 2", last, ok)
 	}
 }
 
-func TestRecorderRingWraps(t *testing.T) {
+func TestRecorderLast(t *testing.T) {
 	r := NewRecorder()
-	const n = recentCap + 37
+	if _, ok := r.Last(); ok {
+		t.Fatal("Last() reports a record before any query finished")
+	}
+	const n = 165
 	for i := 1; i <= n; i++ {
 		r.QueryStarted()
 		r.ObserveQuery(QueryStats{ID: uint64(i)})
 	}
-	recent := r.Recent()
-	if len(recent) != recentCap {
-		t.Fatalf("ring holds %d records, want %d", len(recent), recentCap)
-	}
-	for i, s := range recent {
-		want := uint64(n - recentCap + 1 + i)
-		if s.ID != want {
-			t.Fatalf("recent[%d].ID = %d, want %d (oldest-first order)", i, s.ID, want)
-		}
-	}
-	if last, _ := r.Last(); last.ID != n {
-		t.Errorf("Last().ID = %d, want %d", last.ID, n)
+	if last, ok := r.Last(); !ok || last.ID != n {
+		t.Errorf("Last() = %d/%v, want %d", last.ID, ok, n)
 	}
 }
 
@@ -122,8 +112,8 @@ func TestRecorderConcurrent(t *testing.T) {
 	if got := promValue(t, r.Registry(), "rasql_queries_inflight"); got != 0 {
 		t.Errorf("rasql_queries_inflight = %v, want 0 after all queries finished", got)
 	}
-	if got := len(r.Recent()); got != recentCap {
-		t.Errorf("Recent() holds %d, want full ring %d", got, recentCap)
+	if _, ok := r.Last(); !ok {
+		t.Error("Last() reports no record after all queries finished")
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -137,36 +136,6 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 	return h
 }
 
-// Lookup returns the histogram registered under name, or nil.
-func (r *Registry) LookupHistogram(name string) *Histogram {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if m := r.byName[name]; m != nil {
-		return m.hist
-	}
-	return nil
-}
-
-// LookupCounter returns the counter registered under name, or nil.
-func (r *Registry) LookupCounter(name string) *Counter {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if m := r.byName[name]; m != nil {
-		return m.ctr
-	}
-	return nil
-}
-
-// LookupGauge returns the gauge registered under name, or nil.
-func (r *Registry) LookupGauge(name string) *Gauge {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if m := r.byName[name]; m != nil {
-		return m.gau
-	}
-	return nil
-}
-
 // validMetricName enforces the Prometheus metric-name charset:
 // [a-zA-Z_:][a-zA-Z0-9_:]*.
 func validMetricName(s string) bool {
@@ -259,22 +228,4 @@ func escapeHelp(s string) string {
 		}
 	}
 	return string(out)
-}
-
-// Names returns the registered metric names in registration order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, len(r.ordered))
-	for i, m := range r.ordered {
-		names[i] = m.name
-	}
-	return names
-}
-
-// SortedNames returns the registered metric names sorted.
-func (r *Registry) SortedNames() []string {
-	names := r.Names()
-	sort.Strings(names)
-	return names
 }

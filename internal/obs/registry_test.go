@@ -87,21 +87,6 @@ func TestRegistryInvalidNamePanics(t *testing.T) {
 	reg.Counter("bad name!", "spaces are not a metric name")
 }
 
-func TestRegistryLookupAndNames(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("z_total", "z")
-	h := reg.Histogram("a_nanos", "a")
-	if reg.LookupHistogram("a_nanos") != h {
-		t.Error("LookupHistogram did not return the registered histogram")
-	}
-	if reg.LookupHistogram("z_total") != nil {
-		t.Error("LookupHistogram returned a non-histogram metric")
-	}
-	if got := reg.SortedNames(); len(got) != 2 || got[0] != "a_nanos" || got[1] != "z_total" {
-		t.Errorf("SortedNames = %v", got)
-	}
-}
-
 // TestHelpEscaping checks that newlines and backslashes in help text survive
 // the exposition format (escaped on write, unescaped semantics on read).
 func TestHelpEscaping(t *testing.T) {
@@ -116,29 +101,5 @@ func TestHelpEscaping(t *testing.T) {
 	}
 	if strings.Contains(buf.String(), "line one\nline") {
 		t.Error("help newline written raw, breaks line-oriented format")
-	}
-}
-
-// TestRegistryLookupCounterGauge mirrors the histogram lookup contract for
-// the other two instrument kinds (used by the serving layer and the bench
-// to read cache counters back).
-func TestRegistryLookupCounterGauge(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.Counter("c_total", "c")
-	g := reg.Gauge("g", "g")
-	reg.Histogram("h_nanos", "h")
-	c.Add(3)
-	g.Set(7)
-	if got := reg.LookupCounter("c_total"); got != c || got.Value() != 3 {
-		t.Errorf("LookupCounter = %v (value %d), want the registered counter", got, got.Value())
-	}
-	if got := reg.LookupGauge("g"); got != g || got.Value() != 7 {
-		t.Errorf("LookupGauge = %v (value %d), want the registered gauge", got, got.Value())
-	}
-	if reg.LookupCounter("g") != nil || reg.LookupCounter("h_nanos") != nil {
-		t.Error("LookupCounter returned a non-counter metric")
-	}
-	if reg.LookupGauge("c_total") != nil || reg.LookupGauge("missing") != nil {
-		t.Error("LookupGauge returned a non-gauge or missing metric")
 	}
 }

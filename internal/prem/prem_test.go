@@ -289,3 +289,13 @@ func TestGPtestLibraryQueries(t *testing.T) {
 		}
 	}
 }
+
+// HoldsFor checks the algebraic PreM property γ(T(R)) = γ(T(γ(R))) for one
+// application of a transform T on a concrete relation R. It is the direct
+// Section 3 definition, the oracle of the property-based tests.
+func HoldsFor(T func(*relation.Relation) *relation.Relation, R *relation.Relation,
+	key []int, valIdx int, kind types.AggKind) bool {
+	left := T(R).Aggregate(key, valIdx, kind)
+	right := T(R.Aggregate(key, valIdx, kind)).Aggregate(key, valIdx, kind)
+	return left.EqualAsSet(right)
+}

@@ -5,6 +5,7 @@ package relation
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -93,42 +94,16 @@ func (r *Relation) Aggregate(key []int, valIdx int, kind types.AggKind) *Relatio
 // EqualAsSet reports whether two relations hold the same set of rows,
 // ignoring order and duplicates.
 func (r *Relation) EqualAsSet(o *Relation) bool {
-	a := countRows(r.Rows, true)
-	b := countRows(o.Rows, true)
-	return mapsEqual(a, b)
+	return maps.Equal(rowSet(r.Rows), rowSet(o.Rows))
 }
 
-// EqualAsBag reports whether two relations hold the same multiset of rows,
-// ignoring order.
-func (r *Relation) EqualAsBag(o *Relation) bool {
-	a := countRows(r.Rows, false)
-	b := countRows(o.Rows, false)
-	return mapsEqual(a, b)
-}
-
-func countRows(rows []types.Row, set bool) map[string]int {
-	m := make(map[string]int, len(rows))
+// rowSet keys each row by its value-equality key.
+func rowSet(rows []types.Row) map[string]bool {
+	m := make(map[string]bool, len(rows))
 	for _, row := range rows {
-		k := types.RowKeyString(row)
-		if set {
-			m[k] = 1
-		} else {
-			m[k]++
-		}
+		m[types.RowKeyString(row)] = true
 	}
 	return m
-}
-
-func mapsEqual(a, b map[string]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the relation as a small ASCII table, truncated to 20 rows.
@@ -155,28 +130,4 @@ func (r *Relation) Format(maxRows int) string {
 		fmt.Fprintf(&b, "  ... (%d more)\n", len(r.Rows)-n)
 	}
 	return b.String()
-}
-
-// Validate checks that every row matches the schema arity and that each
-// non-null value is compatible with the declared column type.
-func (r *Relation) Validate() error {
-	for i, row := range r.Rows {
-		if len(row) != r.Schema.Len() {
-			return fmt.Errorf("relation %s: row %d has %d values, schema has %d columns",
-				r.Name, i, len(row), r.Schema.Len())
-		}
-		for j, v := range row {
-			if v.IsNull() {
-				continue
-			}
-			want := r.Schema.Columns[j].Type
-			ok := v.K == want ||
-				(want == types.KindFloat && v.K == types.KindInt) // ints widen to double
-			if !ok {
-				return fmt.Errorf("relation %s: row %d col %s: value %v has kind %v, want %v",
-					r.Name, i, r.Schema.Columns[j].Name, v, v.K, want)
-			}
-		}
-	}
-	return nil
 }

@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -39,7 +41,7 @@ func TestSort(t *testing.T) {
 		{types.Int(2), types.Int(1)},
 	}
 	for i, w := range want {
-		if !r.Rows[i].Equal(w) {
+		if !slices.EqualFunc(r.Rows[i], w, types.Value.Equal) {
 			t.Errorf("row %d = %v, want %v", i, r.Rows[i], w)
 		}
 	}
@@ -67,28 +69,6 @@ func TestCloneIsDeep(t *testing.T) {
 	b.Rows[0][0] = types.Int(99)
 	if a.Rows[0][0].Equal(types.Int(99)) {
 		t.Error("clone must not share row storage")
-	}
-}
-
-func TestValidate(t *testing.T) {
-	r := testRel()
-	if err := r.Validate(); err != nil {
-		t.Errorf("valid relation: %v", err)
-	}
-	r.Append(types.Row{types.Int(1)})
-	if err := r.Validate(); err == nil {
-		t.Error("arity mismatch should fail validation")
-	}
-	r.Rows = r.Rows[:len(r.Rows)-1]
-	r.Append(types.Row{types.Str("x"), types.Int(1)})
-	if err := r.Validate(); err == nil {
-		t.Error("kind mismatch should fail validation")
-	}
-	// Ints are allowed in double columns.
-	f := New("f", types.NewSchema(types.Col("C", types.KindFloat)))
-	f.Append(types.Row{types.Int(3)})
-	if err := f.Validate(); err != nil {
-		t.Errorf("int in double column should validate: %v", err)
 	}
 }
 
@@ -145,4 +125,19 @@ func TestCSVTabSeparated(t *testing.T) {
 	if got.Len() != 2 {
 		t.Errorf("got %d rows, want 2", got.Len())
 	}
+}
+
+// EqualAsBag reports whether two relations hold the same multiset of rows,
+// ignoring order.
+func (r *Relation) EqualAsBag(o *Relation) bool {
+	return maps.Equal(rowCounts(r.Rows), rowCounts(o.Rows))
+}
+
+// rowCounts counts each row under its value-equality key.
+func rowCounts(rows []types.Row) map[string]int {
+	m := make(map[string]int, len(rows))
+	for _, row := range rows {
+		m[types.RowKeyString(row)]++
+	}
+	return m
 }

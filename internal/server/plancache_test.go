@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -136,16 +137,16 @@ func TestPlanCacheHitMiss(t *testing.T) {
 		t.Error("recently used entries were evicted")
 	}
 
-	hits := reg.LookupCounter("rasql_plan_cache_hits_total").Value()
-	misses := reg.LookupCounter("rasql_plan_cache_misses_total").Value()
+	hits := metricValue(t, reg, "rasql_plan_cache_hits_total")
+	misses := metricValue(t, reg, "rasql_plan_cache_misses_total")
 	const lookups = 7
 	if hits+misses != lookups {
 		t.Errorf("hits (%d) + misses (%d) != lookups (%d)", hits, misses, lookups)
 	}
-	if evs := reg.LookupCounter("rasql_plan_cache_evictions_total").Value(); evs != 1 {
+	if evs := metricValue(t, reg, "rasql_plan_cache_evictions_total"); evs != 1 {
 		t.Errorf("evictions = %d, want 1", evs)
 	}
-	if n := reg.LookupGauge("rasql_plan_cache_entries").Value(); n != 2 {
+	if n := metricValue(t, reg, "rasql_plan_cache_entries"); n != 2 {
 		t.Errorf("entries gauge = %d, want 2", n)
 	}
 }
@@ -195,7 +196,7 @@ func TestPlanCacheDDLInvalidation(t *testing.T) {
 	if pc.Len() != 0 {
 		t.Errorf("cache len = %d after sweep, want 0", pc.Len())
 	}
-	if evs := reg.LookupCounter("rasql_plan_cache_evictions_total").Value(); evs != 1 {
+	if evs := metricValue(t, reg, "rasql_plan_cache_evictions_total"); evs != 1 {
 		t.Errorf("sweep evictions = %d, want 1", evs)
 	}
 
@@ -286,8 +287,8 @@ func TestPlanCacheConcurrentStress(t *testing.T) {
 		t.Error(err)
 	}
 
-	hits := reg.LookupCounter("rasql_plan_cache_hits_total").Value()
-	misses := reg.LookupCounter("rasql_plan_cache_misses_total").Value()
+	hits := metricValue(t, reg, "rasql_plan_cache_hits_total")
+	misses := metricValue(t, reg, "rasql_plan_cache_misses_total")
 	if hits+misses != lookups.Load() {
 		t.Errorf("hits (%d) + misses (%d) != lookups (%d)", hits, misses, lookups.Load())
 	}
@@ -297,4 +298,27 @@ func TestPlanCacheConcurrentStress(t *testing.T) {
 	if hits == 0 {
 		t.Error("stress run recorded no hits")
 	}
+}
+
+// metricValue reads one un-labelled sample of reg back through the
+// exposition round-trip, the way a scrape reads it.
+func metricValue(t *testing.T, reg *obs.Registry, name string) int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParsePrometheus(buf.Bytes())
+	if err != nil {
+		t.Fatalf("exposition does not re-parse: %v", err)
+	}
+	if fam := fams[name]; fam != nil {
+		for _, s := range fam.Samples {
+			if s.Name == name && len(s.Labels) == 0 {
+				return int64(s.Value)
+			}
+		}
+	}
+	t.Fatalf("sample %s not found", name)
+	return 0
 }

@@ -101,9 +101,6 @@ func New(eng *rasql.Engine, cfg Config) *Server {
 	}
 }
 
-// Engine returns the served engine.
-func (s *Server) Engine() *rasql.Engine { return s.eng }
-
 // Cache returns the compiled-plan cache (exported for tests and the bench).
 func (s *Server) Cache() *PlanCache { return s.cache }
 
@@ -253,7 +250,7 @@ func (s *Server) serveCreateSession(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) serveDeleteSession(w http.ResponseWriter, r *http.Request) {
 	if !s.sessions.remove(r.PathValue("id")) {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("unknown session %q", r.PathValue("id")))
+		s.writeError(w, http.StatusNotFound, unknownSession(r.PathValue("id")))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"closed": true})
@@ -275,7 +272,7 @@ func (s *Server) resolveSettings(sessionID string, overrides Settings) (Settings
 	if sessionID != "" {
 		sess, ok := s.sessions.get(sessionID)
 		if !ok {
-			return Settings{}, fmt.Errorf("unknown session %q", sessionID)
+			return Settings{}, unknownSession(sessionID)
 		}
 		base = sess.Settings()
 	}
@@ -346,7 +343,11 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	set, err := s.resolveSettings(req.SessionID, req.Settings)
 	if err != nil {
-		s.writeError(w, statusForResolve(req.SessionID, err), err)
+		status := http.StatusBadRequest
+		if errors.Is(err, errUnknownSession) {
+			status = http.StatusNotFound
+		}
+		s.writeError(w, status, err)
 		return
 	}
 	ctx, cancel := s.requestContext(r.Context(), set)
@@ -373,7 +374,7 @@ func (s *Server) servePrepare(w http.ResponseWriter, r *http.Request) {
 	}
 	sess, ok := s.sessions.get(req.SessionID)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("unknown session %q", req.SessionID))
+		s.writeError(w, http.StatusNotFound, unknownSession(req.SessionID))
 		return
 	}
 	if req.SQL == "" {
@@ -415,7 +416,7 @@ func (s *Server) serveExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	sess, ok := s.sessions.get(req.SessionID)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("unknown session %q", req.SessionID))
+		s.writeError(w, http.StatusNotFound, unknownSession(req.SessionID))
 		return
 	}
 	st, ok := sess.stmt(req.StatementID)
@@ -540,13 +541,4 @@ func execStatus(err error) int {
 		return http.StatusRequestTimeout
 	}
 	return http.StatusInternalServerError
-}
-
-// statusForResolve distinguishes a missing session (404) from bad settings
-// (400).
-func statusForResolve(sessionID string, err error) int {
-	if sessionID != "" && err != nil && err.Error() == fmt.Sprintf("unknown session %q", sessionID) {
-		return http.StatusNotFound
-	}
-	return http.StatusBadRequest
 }

@@ -1,12 +1,21 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
 
 	"github.com/rasql/rasql-go/internal/obs"
 )
+
+// errUnknownSession marks a request naming a session the server does not
+// hold (closed, or never opened): the handlers answer it with 404.
+var errUnknownSession = errors.New("unknown session")
+
+// unknownSession wraps errUnknownSession with the session ID the request
+// named.
+func unknownSession(id string) error { return fmt.Errorf("%w %q", errUnknownSession, id) }
 
 // Settings are the per-session execution knobs. The zero value inherits the
 // engine configuration for everything. Requests may override per call; the

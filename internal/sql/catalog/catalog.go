@@ -144,14 +144,6 @@ func (c *Catalog) View(name string) (*ViewDef, bool) {
 	return v, ok
 }
 
-// DropView removes a view (used by sessions re-running scripts).
-func (c *Catalog) DropView(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.views, key(name))
-	c.version++
-}
-
 // Names lists all registered table and view names, sorted.
 func (c *Catalog) Names() []string {
 	c.mu.RLock()

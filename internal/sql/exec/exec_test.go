@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/rasql/rasql-go/internal/relation"
@@ -84,7 +85,7 @@ func TestCrossJoin(t *testing.T) {
 
 func TestGroupByHaving(t *testing.T) {
 	out := run(t, `SELECT Age, count(*) FROM users GROUP BY Age HAVING count(*) > 1`)
-	if out.Len() != 1 || !out.Rows[0].Equal(types.Row{types.Int(30), types.Int(2)}) {
+	if out.Len() != 1 || !slices.EqualFunc(out.Rows[0], types.Row{types.Int(30), types.Int(2)}, types.Value.Equal) {
 		t.Errorf("grouped = %v", out)
 	}
 }
@@ -92,7 +93,7 @@ func TestGroupByHaving(t *testing.T) {
 func TestAggregates(t *testing.T) {
 	out := run(t, `SELECT min(Age), max(Age), sum(Age), count(*), avg(Age) FROM users`)
 	want := types.Row{types.Int(25), types.Int(40), types.Int(125), types.Int(4), types.Float(31.25)}
-	if out.Len() != 1 || !out.Rows[0].Equal(want) {
+	if out.Len() != 1 || !slices.EqualFunc(out.Rows[0], want, types.Value.Equal) {
 		t.Errorf("aggregates = %v, want %v", out.Rows[0], want)
 	}
 }
@@ -141,7 +142,7 @@ func TestUnionDedupsAndUnionAllKeeps(t *testing.T) {
 
 func TestLiteralSelect(t *testing.T) {
 	out := run(t, `SELECT 1, 'x', 2.5`)
-	if out.Len() != 1 || !out.Rows[0].Equal(types.Row{types.Int(1), types.Str("x"), types.Float(2.5)}) {
+	if out.Len() != 1 || !slices.EqualFunc(out.Rows[0], types.Row{types.Int(1), types.Str("x"), types.Float(2.5)}, types.Value.Equal) {
 		t.Errorf("literal select = %v", out)
 	}
 }
@@ -242,7 +243,7 @@ func TestDerivedTable(t *testing.T) {
 	out := run(t, `SELECT g.Age, g.N FROM
 		(SELECT Age, count(*) N FROM users GROUP BY Age) g
 		WHERE g.N > 1`)
-	if out.Len() != 1 || !out.Rows[0].Equal(types.Row{types.Int(30), types.Int(2)}) {
+	if out.Len() != 1 || !slices.EqualFunc(out.Rows[0], types.Row{types.Int(30), types.Int(2)}, types.Value.Equal) {
 		t.Errorf("derived table rows = %v", out)
 	}
 	// Derived table joined with a base table.

@@ -169,16 +169,6 @@ func (r *Report) HasErrors() bool {
 	return false
 }
 
-// VerdictFor returns the PreM verdict of a view by name.
-func (r *Report) VerdictFor(view string) Verdict {
-	for _, v := range r.Views {
-		if strings.EqualFold(v.View, view) {
-			return v.Verdict
-		}
-	}
-	return VerdictNotApplicable
-}
-
 // Verdict folds the per-view verdicts into one program verdict: Refuted
 // dominates, then Inconclusive, then Certified; a program whose clique has
 // no aggregate views is NotApplicable.

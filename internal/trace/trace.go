@@ -182,14 +182,6 @@ func (t *Tracer) ForQuery(qid int64) *Tracer {
 	return &Tracer{level: t.level, start: t.start, qid: qid, log: t.log}
 }
 
-// Qid returns the handle's query ID (0 for the root handle or nil).
-func (t *Tracer) Qid() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.qid
-}
-
 // Enabled reports whether the tracer records anything (nil = disabled).
 func (t *Tracer) Enabled() bool { return t != nil }
 

@@ -197,9 +197,6 @@ func TestMultiQueryChrome(t *testing.T) {
 		go func(q int) {
 			defer func() { done <- struct{}{} }()
 			tr := root.ForQuery(int64(q))
-			if tr.Qid() != int64(q) {
-				t.Errorf("ForQuery(%d).Qid() = %d", q, tr.Qid())
-			}
 			sp := tr.Begin("fixpoint", TidDriver)
 			for i := 0; i < 50; i++ {
 				tr.BeginArgs("task", TidWorker(i%4), Arg{"part", int64(i)}).End()

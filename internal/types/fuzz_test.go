@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// AppendKeyValues appends the binary key of a bare value list (a probe key
+// assembled column by column), for the row-key fuzz target and the key
+// benchmarks.
+func AppendKeyValues(buf []byte, vals []Value) []byte {
+	for _, v := range vals {
+		buf = appendKeyValue(buf, v)
+	}
+	return buf
+}
+
 // Fuzzing the shuffle wire format and the binary row-key scheme — the two
 // byte-level codecs everything crossing a simulated worker boundary depends
 // on. CI runs each target briefly (-fuzztime smoke); checked-in corpus

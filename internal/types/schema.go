@@ -48,16 +48,6 @@ func (s Schema) Index(name string) int {
 	return -1
 }
 
-// MustIndex is Index but panics on a missing column. Intended for
-// engine-internal schemas already validated by the analyzer.
-func (s Schema) MustIndex(name string) int {
-	i := s.Index(name)
-	if i < 0 {
-		panic(fmt.Sprintf("types: column %q not in schema %v", name, s))
-	}
-	return i
-}
-
 // String renders the schema as "(name type, ...)".
 func (s Schema) String() string {
 	var b strings.Builder
@@ -70,18 +60,4 @@ func (s Schema) String() string {
 	}
 	b.WriteByte(')')
 	return b.String()
-}
-
-// Equal reports whether two schemas have the same column names and types.
-func (s Schema) Equal(o Schema) bool {
-	if len(s.Columns) != len(o.Columns) {
-		return false
-	}
-	for i := range s.Columns {
-		if !strings.EqualFold(s.Columns[i].Name, o.Columns[i].Name) ||
-			s.Columns[i].Type != o.Columns[i].Type {
-			return false
-		}
-	}
-	return true
 }

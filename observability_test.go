@@ -2,11 +2,14 @@ package rasql_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
 
 	rasql "github.com/rasql/rasql-go"
+	"github.com/rasql/rasql-go/internal/obs"
 	"github.com/rasql/rasql-go/internal/sql/analyze"
 	"github.com/rasql/rasql-go/internal/sql/parser"
 )
@@ -54,9 +57,6 @@ func TestQueryStatsFold(t *testing.T) {
 	s, _ = eng.Observability().Last()
 	if s.ID != 2 || s.Err == "" {
 		t.Errorf("failed query stats = ID %d, Err %q; want ID 2 with error text", s.ID, s.Err)
-	}
-	if got := len(eng.Observability().Recent()); got != 2 {
-		t.Errorf("Recent() holds %d records, want 2", got)
 	}
 }
 
@@ -143,11 +143,14 @@ func TestFixpointNaiveRunsLocal(t *testing.T) {
 }
 
 // TestConcurrentQueryStats runs queries from many goroutines on one engine:
-// every query must fold exactly once with a unique ID, and the registry
-// exposition must stay strict-parser clean under concurrent scrapes.
+// every query must fold exactly once with a unique ID (read from the query
+// log, which gets one line per fold), and the registry exposition must stay
+// strict-parser clean under concurrent scrapes.
 func TestConcurrentQueryStats(t *testing.T) {
 	eng := rasql.New(rasql.Config{})
 	eng.MustRegister(weightedEdges())
+	var log bytes.Buffer // the JSON handler serializes its writes
+	eng.Observability().SetLogger(slog.New(slog.NewJSONHandler(&log, nil)))
 	const goroutines, perG = 4, 5
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -164,7 +167,7 @@ func TestConcurrentQueryStats(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := rasql.ValidatePrometheus(buf.Bytes()); err != nil {
+				if _, err := obs.ParsePrometheus(buf.Bytes()); err != nil {
 					t.Errorf("mid-run exposition invalid: %v", err)
 					return
 				}
@@ -172,56 +175,38 @@ func TestConcurrentQueryStats(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	recent := eng.Observability().Recent()
-	if len(recent) != goroutines*perG {
-		t.Fatalf("recorded %d QueryStats, want %d", len(recent), goroutines*perG)
+	lines := strings.Split(strings.TrimSpace(log.String()), "\n")
+	if len(lines) != goroutines*perG {
+		t.Fatalf("query log has %d lines, want %d", len(lines), goroutines*perG)
 	}
 	ids := map[uint64]bool{}
-	for _, s := range recent {
-		if ids[s.ID] {
-			t.Errorf("duplicate query ID %d", s.ID)
+	for _, line := range lines {
+		var rec struct {
+			Qid uint64 `json:"qid"`
+			Err string `json:"err"`
 		}
-		ids[s.ID] = true
-		if s.Err != "" {
-			t.Errorf("query %d recorded error %q", s.ID, s.Err)
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("query log line %q: %v", line, err)
+		}
+		if ids[rec.Qid] {
+			t.Errorf("duplicate query ID %d", rec.Qid)
+		}
+		ids[rec.Qid] = true
+		if rec.Err != "" {
+			t.Errorf("query %d recorded error %q", rec.Qid, rec.Err)
 		}
 	}
-	if h := eng.Observability().QueryLatency(); h.Count() != goroutines*perG {
-		t.Errorf("latency histogram count = %d, want %d", h.Count(), goroutines*perG)
-	}
-}
-
-// TestConcurrentQueriesTraceExport attaches one tracer while concurrent
-// queries run: the shared log must export per-query processes that pass
-// Chrome validation.
-func TestConcurrentQueriesTraceExport(t *testing.T) {
-	eng := rasql.New(rasql.Config{})
-	eng.MustRegister(weightedEdges())
-	eng.SetTracer(rasql.NewTracer())
-	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := eng.Query(ssspQuery); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
 	var buf bytes.Buffer
-	if err := eng.Tracer().WriteChrome(&buf); err != nil {
+	if err := eng.Observability().Registry().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := rasql.ValidateChromeTrace(buf.Bytes()); err != nil {
-		t.Fatalf("concurrent-query trace does not validate: %v", err)
+	fams, err := obs.ParsePrometheus(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := buf.String()
-	// Three queries: qid 1 shares pid 1 with the root handle, 2 and 3 get
-	// their own named processes.
-	for _, want := range []string{`"rasql query 2"`, `"rasql query 3"`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace missing process name %s", want)
+	for _, s := range fams["rasql_query_latency_nanos"].Samples {
+		if s.Name == "rasql_query_latency_nanos_count" && s.Value != goroutines*perG {
+			t.Errorf("latency histogram count = %v, want %d", s.Value, goroutines*perG)
 		}
 	}
 }

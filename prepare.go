@@ -9,8 +9,6 @@ import (
 	"github.com/rasql/rasql-go/internal/relation"
 	"github.com/rasql/rasql-go/internal/sql/analyze"
 	"github.com/rasql/rasql-go/internal/sql/ast"
-	"github.com/rasql/rasql-go/internal/sql/optimize"
-	"github.com/rasql/rasql-go/internal/sql/parser"
 	"github.com/rasql/rasql-go/internal/trace"
 )
 
@@ -35,7 +33,6 @@ var ErrPlanStale = errors.New("rasql: prepared plan is stale (catalog changed si
 // The base is immutable once published and is freed with the Prepared, so a
 // plan cache bounds it with the plans it holds.
 type Prepared struct {
-	src     string
 	progs   []*analyze.Program
 	version uint64
 	eng     *Engine
@@ -46,9 +43,6 @@ type Prepared struct {
 // CatalogVersion returns the catalog DDL version the plan was compiled
 // against (the plan-cache key component).
 func (p *Prepared) CatalogVersion() uint64 { return p.version }
-
-// Source returns the script text the plan was compiled from.
-func (p *Prepared) Source() string { return p.src }
 
 // Statements returns the number of compiled query statements.
 func (p *Prepared) Statements() int { return len(p.progs) }
@@ -62,22 +56,18 @@ func (e *Engine) CatalogVersion() uint64 { return e.cat.Version() }
 // of the current catalog and returns the reusable compiled plan. Scripts
 // containing CREATE VIEW return ErrNotPreparable; scripts with no query
 // statement error too (there is nothing to execute repeatedly).
+//
+// The plan carries the catalog version read before the snapshot is taken:
+// DDL committed in between makes the plan stale (ErrPlanStale) rather than
+// mislabelled.
 func (e *Engine) Prepare(src string) (*Prepared, error) {
-	stmts, err := parser.Parse(src)
+	p := &Prepared{version: e.cat.Version(), eng: e}
+	err := e.walk(src, nil, false, func(*ast.CreateView) error { return ErrNotPreparable }, func(prog *analyze.Program) error {
+		p.progs = append(p.progs, prog)
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	cat := e.cat.Clone()
-	p := &Prepared{src: src, version: cat.Version(), eng: e}
-	for _, s := range stmts {
-		if _, ok := s.(*ast.CreateView); ok {
-			return nil, ErrNotPreparable
-		}
-		prog, err := analyze.Statement(s, cat)
-		if err != nil {
-			return nil, err
-		}
-		p.progs = append(p.progs, optimize.Program(prog))
 	}
 	if len(p.progs) == 0 {
 		return nil, fmt.Errorf("rasql: script contained no query statement")

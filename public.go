@@ -86,8 +86,9 @@ type MetricsSnapshot = cluster.Snapshot
 type QueryStats = obs.QueryStats
 
 // MetricsRecorder is the engine's observability hub: per-query stats fold
-// into registry histograms, a bounded ring keeps recent QueryStats, and an
-// optional slog logger gets one structured line per finished query.
+// into registry histograms, the last finished query's QueryStats is kept
+// (Last), and an optional slog logger gets one structured line per finished
+// query.
 type MetricsRecorder = obs.Recorder
 
 // MetricsRegistry is a registry of named counters, gauges and histograms
@@ -97,12 +98,6 @@ type MetricsRegistry = obs.Registry
 // Histogram is a fixed-bucket, allocation-free atomic latency histogram
 // (log-spaced buckets, ≤12.5% relative error, wait-free Observe).
 type Histogram = obs.Histogram
-
-// ValidatePrometheus strictly parses data as Prometheus text exposition
-// format 0.0.4 and checks histogram invariants (increasing bounds,
-// cumulative counts, +Inf bucket matching _count) — the validation the CI
-// metrics smoke test runs on exported metrics.
-func ValidatePrometheus(data []byte) error { _, err := obs.ParsePrometheus(data); return err }
 
 // ServeMetrics starts an HTTP listener exposing the registry in Prometheus
 // text format at every path. It returns the bound address (useful with
@@ -128,11 +123,6 @@ func NewTracer() *Tracer { return trace.New() }
 // NewIterationsTracer creates a tracer that records only per-iteration
 // fixpoint telemetry — cheap enough to leave attached while benchmarking.
 func NewIterationsTracer() *Tracer { return trace.NewIterationsOnly() }
-
-// ValidateChromeTrace checks data against the Chrome trace-event schema
-// (well-formed JSON, known phases, per-track monotone timestamps, balanced
-// B/E pairs) — the validation the CI smoke test runs on exported traces.
-func ValidateChromeTrace(data []byte) error { return trace.ValidateChrome(data) }
 
 // Scheduling policies for ClusterConfig.Policy.
 const (

@@ -64,15 +64,15 @@ type Config struct {
 // execution environment. An Engine is safe for concurrent use: each query
 // runs under its own per-query cluster context (tracer, counters, chaos
 // injector) and analyzes against a snapshot-isolated clone of the session
-// catalog, so any number of goroutines may call Exec/Query/Run on one
-// Engine at the same time. Catalog registrations commit under the catalog's
-// own lock.
+// catalog, so any number of goroutines may call Exec/Query/ExecPrepared on
+// one Engine at the same time. Catalog registrations commit under the
+// catalog's own lock.
 type Engine struct {
 	cfg     Config
 	cat     *catalog.Catalog
 	cluster *cluster.Cluster
 	// obs is the engine's metrics recorder: every finished query folds its
-	// QueryStats into the registry histograms, the recent-query ring and
+	// QueryStats into the registry histograms, the last-query record and
 	// (when attached) the structured query log.
 	obs *obs.Recorder
 
@@ -118,12 +118,9 @@ func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
 func (e *Engine) Metrics() cluster.Snapshot { return e.cluster.Metrics.Snapshot() }
 
 // Observability returns the engine's metrics recorder: per-query stats
-// histograms, the recent-query ring and the Prometheus registry. The recorder
-// lives as long as the engine and is safe for concurrent use.
+// histograms, the last query's stats and the Prometheus registry. The
+// recorder lives as long as the engine and is safe for concurrent use.
 func (e *Engine) Observability() *obs.Recorder { return e.obs }
-
-// ResetMetrics zeroes the cluster counters.
-func (e *Engine) ResetMetrics() { e.cluster.Metrics.Reset() }
 
 // SetTracer attaches a tracer to the engine; subsequent queries record
 // driver-phase, stage and task spans plus per-iteration fixpoint telemetry
@@ -157,8 +154,8 @@ type ExecOptions struct {
 	Tracer *trace.Tracer
 	// Stats, when non-nil, receives the finished query's QueryStats — the
 	// same record the engine's recorder observes — so servers can attach
-	// per-query execution stats to their responses without racing the
-	// recorder's ring.
+	// per-query execution stats to their responses without racing other
+	// queries for the recorder's last record.
 	Stats *obs.QueryStats
 }
 
@@ -211,46 +208,69 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*relation.Relati
 	return rel, nil
 }
 
-// exec runs a script under one per-query cluster context. Analysis reads a
-// snapshot-isolated clone of the session catalog; CREATE VIEW registers
-// into the snapshot (visible to later statements of the same script) and
-// commits to the session with replace semantics, so re-running a script —
-// sequentially or from concurrent goroutines — stays idempotent.
+// exec runs a script under one per-query cluster context. CREATE VIEW
+// commits to the session with replace semantics (see walk), so re-running a
+// script — sequentially or from concurrent goroutines — stays idempotent.
 func (e *Engine) exec(qc *cluster.QueryContext, src string, opts *ExecOptions) (*relation.Relation, error) {
-	tr := qc.Tracer
+	var last *relation.Relation
+	err := e.walk(src, qc.Tracer, true, nil, func(prog *analyze.Program) (err error) {
+		last, err = e.run(qc, prog, opts, nil)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return last, nil
+}
+
+// walk is how every entry point reads a script (Exec, Prepare, Vet,
+// Explain, ExplainAnalyze): it parses src and compiles it statement by
+// statement against a snapshot-isolated clone of the session catalog.
+// CREATE VIEW replaces any view of the same name in the clone, so later
+// statements see it, and in the session too when commit is set; onView,
+// when non-nil, sees the statement first and may refuse it. Every other
+// statement is analyzed and optimized under tr's spans and handed to
+// onQuery.
+func (e *Engine) walk(src string, tr *trace.Tracer, commit bool, onView func(*ast.CreateView) error, onQuery func(*analyze.Program) error) error {
 	sp := tr.Begin("parse", trace.TidDriver)
 	stmts, err := parser.Parse(src)
 	sp.End()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	cat := e.cat.Clone()
-	var last *relation.Relation
 	for _, s := range stmts {
 		if cv, ok := s.(*ast.CreateView); ok {
+			if onView != nil {
+				if err := onView(cv); err != nil {
+					return err
+				}
+			}
 			v := &catalog.ViewDef{Name: cv.Name, Columns: cv.Columns, Query: cv.Query}
 			if err := cat.PutView(v); err != nil {
-				return nil, err
+				return err
 			}
-			if err := e.cat.PutView(v); err != nil {
-				return nil, err
+			if commit {
+				if err := e.cat.PutView(v); err != nil {
+					return err
+				}
 			}
 			continue
 		}
 		sp = tr.Begin("analyze", trace.TidDriver)
 		prog, err := analyze.Statement(s, cat)
-		if err != nil {
-			sp.End()
-			return nil, err
+		if err == nil {
+			prog = optimize.Program(prog)
 		}
-		opt := optimize.Program(prog)
 		sp.End()
-		last, err = e.run(qc, opt, opts, nil)
 		if err != nil {
-			return nil, err
+			return err
+		}
+		if err := onQuery(prog); err != nil {
+			return err
 		}
 	}
-	return last, nil
+	return nil
 }
 
 // Query runs a single query statement and returns its result.
@@ -268,44 +288,21 @@ func (e *Engine) Query(src string) (*relation.Relation, error) {
 // Vet statically analyzes a script without executing it: every query
 // statement is parsed, analyzed and optimized exactly as Exec would, then
 // run through the vet passes (static PreM certification, termination and
-// plan-hygiene lints). CREATE VIEW statements are registered into a
-// throwaway copy of the catalog, so vetting never mutates the session. The
-// merged report covers every query statement in the script.
+// plan-hygiene lints). CREATE VIEW statements replace into a throwaway copy
+// of the catalog, so vetting never mutates the session. The merged report
+// covers every query statement in the script.
 func (e *Engine) Vet(src string) (*vet.Report, error) {
 	sp := e.Tracer().Begin("vet", trace.TidDriver)
 	defer sp.End()
-	stmts, err := parser.Parse(src)
+	rep := &vet.Report{}
+	err := e.walk(src, nil, false, nil, func(prog *analyze.Program) error {
+		rep.Merge(vet.Analyze(prog))
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	cat := e.cat.Clone()
-	rep := &vet.Report{}
-	for _, s := range stmts {
-		if cv, ok := s.(*ast.CreateView); ok {
-			if err := cat.RegisterView(&catalog.ViewDef{
-				Name: cv.Name, Columns: cv.Columns, Query: cv.Query,
-			}); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		prog, err := analyze.Statement(s, cat)
-		if err != nil {
-			return nil, err
-		}
-		rep.Merge(vet.Analyze(optimize.Program(prog)))
-	}
 	return rep, nil
-}
-
-// Run executes an analyzed program: the fixpoint for its recursive clique
-// (if any), then the final query over the results.
-func (e *Engine) Run(prog *analyze.Program) (*relation.Relation, error) {
-	qc := e.cluster.NewQuery(e.Tracer())
-	defer qc.Finish()
-	rel, err := e.run(qc, prog, nil, nil)
-	qc.SetErr(err)
-	return rel, err
 }
 
 // run executes one program. A non-nil slot holds the program's shared

@@ -375,9 +375,11 @@ func TestMetricsAccumulate(t *testing.T) {
 	if m.StagesRun == 0 || m.Iterations == 0 {
 		t.Errorf("metrics should show activity: %v", m)
 	}
-	eng.ResetMetrics()
-	if eng.Metrics().StagesRun != 0 {
-		t.Error("ResetMetrics should zero counters")
+	if _, err := eng.Query(queries.SSSP); err != nil {
+		t.Fatal(err)
+	}
+	if again := eng.Metrics(); again.StagesRun != 2*m.StagesRun || again.Iterations != 2*m.Iterations {
+		t.Errorf("a second identical query should double the counters: %v after %v", again, m)
 	}
 }
 
@@ -397,6 +399,48 @@ func TestViewOnlyScript(t *testing.T) {
 	}
 	if got.Len() != 1 {
 		t.Errorf("view should be usable afterwards: %v", got)
+	}
+}
+
+// TestRerunScriptWithView runs a script that defines a view through every
+// entry point, on an engine whose session already holds the view and on a
+// fresh one: CREATE VIEW replaces, so none fails on the duplicate, and only
+// Exec, Explain and ExplainAnalyze (which executes) commit it.
+func TestRerunScriptWithView(t *testing.T) {
+	const script = `CREATE VIEW v(X) AS (SELECT 1); SELECT X FROM v`
+	eng := rasql.New(rasql.Config{})
+	for i := 0; i < 2; i++ {
+		if _, err := eng.Exec(script); err != nil {
+			t.Fatalf("Exec run %d: %v", i+1, err)
+		}
+	}
+	if _, err := eng.Vet(script); err != nil {
+		t.Errorf("Vet after Exec: %v", err)
+	}
+	if _, err := eng.Explain(script); err != nil {
+		t.Errorf("Explain after Exec: %v", err)
+	}
+	if _, err := eng.ExplainAnalyze(script); err != nil {
+		t.Errorf("ExplainAnalyze after Exec: %v", err)
+	}
+	if _, err := eng.Prepare(script); !errors.Is(err, rasql.ErrNotPreparable) {
+		t.Errorf("Prepare = %v, want ErrNotPreparable", err)
+	}
+
+	fresh := rasql.New(rasql.Config{})
+	if _, err := fresh.Vet(script); err != nil {
+		t.Fatalf("Vet: %v", err)
+	}
+	if _, err := fresh.Query(`SELECT X FROM v`); err == nil {
+		t.Fatal("Vet committed the view to the session")
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := fresh.Explain(script); err != nil {
+			t.Fatalf("Explain run %d: %v", i+1, err)
+		}
+	}
+	if _, err := fresh.Query(`SELECT X FROM v`); err != nil {
+		t.Errorf("Explain did not commit the view: %v", err)
 	}
 }
 

@@ -108,16 +108,7 @@ func checkSourceFile(t *testing.T, fset *token.FileSet, p string, f *ast.File) {
 	for _, decl := range f.Decls {
 		fn := dir + "."
 		if fd, ok := decl.(*ast.FuncDecl); ok {
-			if fd.Recv != nil {
-				recv := fd.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
-				}
-				if id, ok := recv.(*ast.Ident); ok {
-					fn += id.Name + "."
-				}
-			}
-			fn += fd.Name.Name
+			fn = funcID(dir, fd)
 		}
 		ast.Inspect(decl, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -149,4 +140,104 @@ func pkgOf(imports map[string]string, sel *ast.SelectorExpr) string {
 		return imports[x.Name]
 	}
 	return ""
+}
+
+// testOnlyAllowed are the exported functions and methods under internal/
+// that no other non-test file names, each with the reason it stays.
+// TestNoTestOnlyCode fails on an entry that no longer needs to be here.
+var testOnlyAllowed = map[string]string{
+	"internal/fixpoint.BaseSlot.Fingerprint": "export_test.go reads it to check that prepared plans share one base side",
+	"internal/fixpoint.keyedRows.Less":       "sort.Interface: sort.Sort calls it",
+	"internal/fixpoint.ErrCancelled.Unwrap":  "errors.Is and errors.As call it",
+}
+
+// TestNoTestOnlyCode holds internal/ to shipping no code that only tests
+// reach: every exported function or method declared in a non-test file
+// under internal/ has its name appear as an identifier in some non-test
+// file, outside its own declaration. Every file under benchmarks/ counts,
+// its tests too: the benchmark is a caller in its own right. Names are
+// matched with go/parser alone, so a call through an interface counts for
+// every method of that name; testOnlyAllowed lists the exceptions.
+func TestNoTestOnlyCode(t *testing.T) {
+	type decl struct {
+		id, pos string
+	}
+	var decls []decl
+	named := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		p = filepath.ToSlash(p)
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") && !strings.HasPrefix(p, "benchmarks/") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, 0)
+		if err != nil {
+			return err
+		}
+		checked := strings.HasPrefix(p, "internal/") && !strings.HasSuffix(p, "_test.go")
+		for _, dc := range f.Decls {
+			// A declaration names nothing; neither does a recursive call
+			// of a checked function.
+			var declared *ast.Ident
+			self := ""
+			if fd, ok := dc.(*ast.FuncDecl); ok {
+				declared = fd.Name
+				if checked && fd.Name.IsExported() {
+					self = fd.Name.Name
+					decls = append(decls, decl{funcID(path.Dir(p), fd), fset.Position(fd.Pos()).String()})
+				}
+			}
+			ast.Inspect(dc, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && id != declared && id.Name != self {
+					named[id.Name] = true
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	needed := map[string]bool{}
+	for _, d := range decls {
+		name := d.id[strings.LastIndex(d.id, ".")+1:]
+		switch {
+		case named[name]:
+		case testOnlyAllowed[d.id] != "":
+			needed[d.id] = true
+		default:
+			t.Errorf("%s: %s is named by no non-test file; delete it, or move it into a _test.go file if tests need it", d.pos, d.id)
+		}
+	}
+	for id := range testOnlyAllowed {
+		if !needed[id] {
+			t.Errorf("testOnlyAllowed lists %s, which is gone or named elsewhere now; drop the entry", id)
+		}
+	}
+}
+
+// funcID renders a function declared in dir as dir.Name, or dir.Recv.Name
+// for a method.
+func funcID(dir string, fd *ast.FuncDecl) string {
+	id := dir + "."
+	if fd.Recv != nil {
+		recv := fd.Recv.List[0].Type
+		if star, ok := recv.(*ast.StarExpr); ok {
+			recv = star.X
+		}
+		if rid, ok := recv.(*ast.Ident); ok {
+			id += rid.Name + "."
+		}
+	}
+	return id + fd.Name.Name
 }
