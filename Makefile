@@ -32,9 +32,12 @@ race-server:
 
 # Differential proof of the barrier-relaxed modes (DESIGN.md §11): every
 # example query under ssp:1/ssp:4/async must match the BSP oracle, with
-# and without chaos, under the race detector.
+# and without chaos, under the race detector. The final-stage differential
+# (DESIGN.md §6) rides along: every example program and final-query variant,
+# at 1/2/5/9 partitions, in every mode and under faults, must give the
+# collect route's rows in order and the local engine's as a set.
 ssp-differential:
-	$(GO) test -race -shuffle=on -run TestRelaxed . ./internal/fixpoint/ ./internal/cluster/
+	$(GO) test -race -shuffle=on -run 'TestRelaxed|TestFinalStage' . ./internal/fixpoint/ ./internal/cluster/
 
 # Short smoke of every fuzz target (wire format, row keys, SQL parser);
 # crashers land in testdata/fuzz/ — check them in as regression seeds.

@@ -227,31 +227,60 @@ func TestPreparedWorkspaceAfterFailure(t *testing.T) {
 
 // TestCCRMATPreparedAllocBudget: once a prepared CC plan has published its
 // base, the next execution over the cc-rmat benchmark graph (RMAT-2000,
-// symmetrized, 40K edges) pays only for the recursion: about 4.4K
-// allocations and 0.9 MiB, because it also borrows the working memory —
-// projection scratch, combiner, shuffle receive and send memory, and the
-// AggRDD state — that the previous execution sized. Rebuilding the base —
-// 40K projected seed rows, the partitioned edge tables — brings it to about
-// 56K allocations, and rebuilding the working memory to about 24 MiB. The
-// execution's counts are pinned exactly: 4 iterations, a 1,985-row
-// fixpoint, and 22,390 shuffle records in 139,784 bytes.
+// symmetrized, 40K edges) pays only for the recursion and its final stage:
+// about 360 allocations and 0.5 MiB at two workers, because it also borrows
+// the working memory — projection scratch, combiner, shuffle receive and
+// send memory, the AggRDD state and the final stage's scratch — that the
+// previous execution sized. The final count(distinct cc.CmpId) runs where
+// the view lives: each partition ships its distinct labels, not its 1,985
+// rows' worth of view, and the driver counts them without a key string per
+// row. Rebuilding the base — 40K projected seed rows, the partitioned edge
+// tables — brings an execution to about 56K allocations, and rebuilding the
+// working memory to about 24 MiB. The execution's counts are pinned
+// exactly: 4 iterations, a 1,985-row fixpoint, and 22,390 shuffle records
+// in 139,784 bytes.
 func TestCCRMATPreparedAllocBudget(t *testing.T) {
 	edges := gen.Symmetrized(gen.Unweighted(gen.RMATDefault(2000, gen.Rng(1))))
-	preparedAllocFence(t, edges, queries.CC, preparedCounts{4, 1985, 139784, 22390}, 15000, 1536<<10)
+	preparedAllocFence(t, edges, queries.CC, preparedCounts{4, 1985, 139784, 22390}, 400, 570<<10)
 }
 
 // TestTCGridPreparedAllocBudget is the same fence over the tc-grid
 // benchmark query (transitive closure of the 21x21 grid, then count(*)): a
 // warm execution merges 52,920 pairs into the SetRDD its workspace kept from
-// the previous execution, so it allocates only the collect and the final
-// query — about 60 allocations of 9 MiB, against 520 of 30 MiB when every
-// execution built its state from nothing. The plan decomposes, so it never
-// shuffles.
+// the previous execution and counts them in the final stage, partition by
+// partition, so the driver fetches one partial count per partition — about
+// 50 allocations of 91 KiB, against 62 of 9 MiB when the driver collected
+// the view to count it, and 520 of 30 MiB when every execution built its
+// state from nothing. The plan decomposes, so it never shuffles.
 func TestTCGridPreparedAllocBudget(t *testing.T) {
 	edges := gen.Unweighted(gen.Grid(20, gen.Rng(1)))
 	edges.Name = "grid_edge"
 	const query = `WITH recursive tc(Src, Dst) AS (SELECT Src, Dst FROM grid_edge) UNION (SELECT tc.Src, grid_edge.Dst FROM tc, grid_edge WHERE tc.Dst = grid_edge.Src) SELECT count(*) FROM tc`
-	preparedAllocFence(t, edges, query, preparedCounts{40, 52920, 0, 0}, 250, 16<<20)
+	preparedAllocFence(t, edges, query, preparedCounts{40, 52920, 0, 0}, 58, 106<<10)
+}
+
+// TestShortReachPreparedAllocBudget is the fence over short-mix's class C
+// shape: a reachability count(*) from the highest-degree vertex of
+// RMAT-200, the short-mix graph. The recursion is short, so an execution's
+// fixed cost dominates: its stages' goroutines, and the final stage, whose
+// tasks the workspace keeps and whose partial counts the driver decodes
+// into memory the workspace keeps too — about 105 allocations of 5–11 KiB
+// at two workers, against about 120 of 33 KiB with the collect.
+func TestShortReachPreparedAllocBudget(t *testing.T) {
+	edges := gen.RMATDefault(200, gen.Rng(1))
+	edges.Name = "mix_edge"
+	degree := map[int64]int{}
+	for _, r := range edges.Rows {
+		degree[r[0].I]++
+	}
+	var source int64
+	for v, d := range degree {
+		if d > degree[source] || d == degree[source] && v < source {
+			source = v
+		}
+	}
+	query := fmt.Sprintf(`WITH recursive reach(Dst) AS (SELECT %d) UNION (SELECT mix_edge.Dst FROM reach, mix_edge WHERE reach.Dst = mix_edge.Src) SELECT count(*) FROM reach`, source)
+	preparedAllocFence(t, edges, query, preparedCounts{4, 199, 7071, 2000}, 121, 12<<10)
 }
 
 // preparedCounts are the exact counts of one prepared execution.

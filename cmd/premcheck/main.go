@@ -29,9 +29,7 @@ import (
 	rasql "github.com/rasql/rasql-go"
 	"github.com/rasql/rasql-go/internal/cli"
 	"github.com/rasql/rasql-go/internal/prem"
-	"github.com/rasql/rasql-go/internal/sql/analyze"
 	"github.com/rasql/rasql-go/internal/sql/exec"
-	"github.com/rasql/rasql-go/internal/sql/parser"
 	"github.com/rasql/rasql-go/queries"
 )
 
@@ -120,11 +118,9 @@ func main() {
 		}
 	}
 
-	stmts, err := parser.Parse(src)
-	if err != nil {
-		fatal(err)
-	}
-	prog, err := analyze.Statements(stmts, eng.Catalog())
+	// The dynamic check runs the program Exec and Vet would: views replace
+	// into a copy of the catalog, and the statement is optimized.
+	prog, err := eng.Compile(src)
 	if err != nil {
 		fatal(err)
 	}

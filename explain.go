@@ -27,13 +27,18 @@ func (e *Engine) explain(src string, commit bool) (string, error) {
 	}
 	// Describe the program that runs: walk optimizes before planning.
 	err := e.walk(src, nil, commit, onView, func(prog *analyze.Program) error {
+		// Where the final query runs: the fixpoint's final stage, or the
+		// driver over the collected view.
+		finalStage := ""
 		if prog.Clique != nil && len(prog.Clique.Views) > 0 {
+			finalStage = "Final stage: none, the local engine's view feeds the driver\n"
 			plan, perr := fixpoint.PlanDistributed(prog.Clique)
 			switch {
 			case e.cfg.ForceLocal:
 				b.WriteString("Fixpoint: local (forced)\n")
 			case perr == nil:
 				b.WriteString(plan.Describe())
+				finalStage = fixpoint.DescribeFinal(prog.Final)
 			default:
 				fmt.Fprintf(&b, "Fixpoint: local engine (%v)\n", perr)
 			}
@@ -44,6 +49,7 @@ func (e *Engine) explain(src string, commit bool) (string, error) {
 		}
 		fmt.Fprintf(&b, "Final: %d source(s), %d conjunct(s), grouped=%v, schema %s\n",
 			len(prog.Final.Sources), len(prog.Final.Conjuncts), prog.Final.Grouped, prog.Final.Schema)
+		b.WriteString(finalStage)
 		return nil
 	})
 	if err != nil {

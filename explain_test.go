@@ -21,7 +21,8 @@ func redactAnalyze(out string) string {
 
 // TestExplainAnalyzeGolden pins the EXPLAIN ANALYZE tree shape for the SSSP
 // recursive-aggregate query on a fixed 4×4 cluster: plan, phases, stages,
-// and the full per-iteration convergence table.
+// and the full per-iteration convergence table. The final SELECT runs as the
+// fixpoint's final stage, so the driver has no final phase of its own.
 func TestExplainAnalyzeGolden(t *testing.T) {
 	eng := rasql.New(rasql.Config{Cluster: rasql.ClusterConfig{Workers: 4, Partitions: 4}})
 	eng.MustRegister(weightedEdges())
@@ -34,16 +35,17 @@ func TestExplainAnalyzeGolden(t *testing.T) {
   rule 0: strategy=co-partition copartBase=edge on [0]
   view path(Dst int, Cost double): 1 base rule(s), 1 recursive rule(s)
 Final: 1 source(s), 0 conjunct(s), grouped=false, schema (Dst int, Cost double)
+Final stage: fixpoint.final, projected rows
 -- analyze --
 Result: 5 row(s)
 Phases:
   parse                  ×1    T
   analyze                ×1    T
   fixpoint               ×1    T
-  final                  ×1    T
 Stages:
   copart.build           ×1    T (4 task(s), task time T)
   fixpoint.shufflemap    ×5    T (20 task(s), task time T)
+  fixpoint.final         ×1    T (4 task(s), task time T)
 Fixpoint iterations (dsn-combined): 5 recorded
   iter     delta       all       new  improved  shuffleB  shuffleRec     stale  superseded  skew  time
      0         1         1         1         0        25           2         -           -  4.00  T
@@ -120,16 +122,17 @@ func TestExplainAnalyzeRelaxedGolden(t *testing.T) {
   rule 0: strategy=co-partition copartBase=edge on [0]
   view path(Dst int, Cost double): 1 base rule(s), 1 recursive rule(s)
 Final: 1 source(s), 0 conjunct(s), grouped=false, schema (Dst int, Cost double)
+Final stage: fixpoint.final, projected rows
 -- analyze --
 Result: 5 row(s)
 Phases:
   parse                  ×1    T
   analyze                ×1    T
   fixpoint               ×1    T
-  final                  ×1    T
 Stages:
   copart.build           ×1    T (4 task(s), task time T)
   fixpoint.relaxed       ×1    T (6 task(s), task time T)
+  fixpoint.final         ×1    T (4 task(s), task time T)
 Fixpoint iterations (dsn-ssp(1)): 3 recorded
   iter     delta       all       new  improved  shuffleB  shuffleRec     stale  superseded  skew  time
      0         5         4         4         1         0           0         0           0     -  T

@@ -94,7 +94,10 @@ func (r *Runner) runBaseline(name string, fn baselineFn, query string, tables ..
 		if err != nil {
 			return c.Metrics.Snapshot(), err
 		}
-		prog, err := analyze.Statements(stmts, cat)
+		if len(stmts) != 1 {
+			return c.Metrics.Snapshot(), fmt.Errorf("bench: a baseline runs one statement, got %d", len(stmts))
+		}
+		prog, err := analyze.Statement(stmts[0], cat)
 		if err != nil {
 			return c.Metrics.Snapshot(), err
 		}

@@ -350,17 +350,19 @@ func (q *QueryContext) place(t Task, seq int) int {
 // transfer moves rows across a worker boundary: it pays the full
 // serialize + deserialize cost and records the bytes, exactly as a remote
 // fetch over the network would. It runs on worker onWorker (−1: the driver)
-// and encodes into that worker's send scratch.
-func (q *QueryContext) transfer(rows []types.Row, onWorker int) []types.Row {
+// and encodes into that worker's send scratch. The decoded rows are
+// appended to dst (nil: a slice of their own) and carved from slab (nil:
+// one block of their own).
+func (q *QueryContext) transfer(dst []types.Row, slab *types.RowSlab, rows []types.Row, onWorker int) []types.Row {
 	if len(rows) == 0 {
-		return nil
+		return dst
 	}
 	// Inside a stage RunStage already sized the scratch, so a task only
 	// reads the length here.
 	q.send.fit(q.cfg.Workers)
 	buf := q.send.encode(onWorker, rows)
 	q.Metrics.RemoteFetchBytes.Add(int64(len(buf)))
-	out, err := types.DecodeRowsAppend(make([]types.Row, 0, len(rows)), buf)
+	out, err := types.DecodeRowsInto(dst, slab, buf)
 	if err != nil {
 		// The buffer was produced by AppendRows in the same process; a
 		// decode failure is a programming error, not an I/O condition.
@@ -375,12 +377,32 @@ func (q *QueryContext) transfer(rows []types.Row, onWorker int) []types.Row {
 // trip. Under chaos, rows a retrying task fetches again are counted as
 // replayed (wasted) work.
 func (q *QueryContext) Fetch(rows []types.Row, owner, onWorker int) []types.Row {
+	if q.fetched(rows, owner, onWorker) {
+		return rows
+	}
+	return q.transfer(nil, nil, rows, onWorker)
+}
+
+// FetchInto is Fetch for a reader that keeps the rows in memory of its own:
+// they are appended to dst, and a copy across the boundary carves them from
+// slab (nil: one block of their own), so a reader that reuses both fetches
+// without allocating.
+func (q *QueryContext) FetchInto(dst []types.Row, slab *types.RowSlab, rows []types.Row, owner, onWorker int) []types.Row {
+	if q.fetched(rows, owner, onWorker) {
+		return append(dst, rows...)
+	}
+	return q.transfer(dst, slab, rows, onWorker)
+}
+
+// fetched counts a fetch of rows and reports whether it is local, so the
+// rows need no copy.
+func (q *QueryContext) fetched(rows []types.Row, owner, onWorker int) bool {
 	q.chaos.replayRows(q.Metrics, onWorker, len(rows))
 	if owner == onWorker {
 		q.Metrics.LocalFetchRows.Add(int64(len(rows)))
-		return rows
+		return true
 	}
-	return q.transfer(rows, onWorker)
+	return false
 }
 
 // Collect gathers all partitions into a single relation on the driver,
@@ -388,7 +410,7 @@ func (q *QueryContext) Fetch(rows []types.Row, owner, onWorker int) []types.Row 
 func (q *QueryContext) Collect(p *PartitionedRelation, name string) *relation.Relation {
 	out := relation.New(name, p.Schema)
 	for _, part := range p.Parts {
-		out.Rows = append(out.Rows, q.transfer(part, -1)...)
+		out.Rows = q.transfer(out.Rows, nil, part, -1)
 	}
 	return out
 }

@@ -39,7 +39,7 @@ func DistributedSQLSN(clique *analyze.Clique, ctx *exec.Context, c *cluster.Quer
 // Spark-SQL-Naive baseline).
 func DistributedSQLNaive(clique *analyze.Clique, ctx *exec.Context, c *cluster.QueryContext, opt DistOptions) (*Result, error) {
 	opt.DisableDecomposition = true
-	base, err := buildBase(clique, ctx, c, opt)
+	base, err := buildBase(clique, nil, ctx, c, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -46,10 +46,10 @@ type DistOptions struct {
 
 // Distributed evaluates a linear single-view clique on the simulated
 // cluster with Distributed Semi-Naive evaluation, building its base side
-// for this query alone. Callers should fall back to Local when
-// PlanDistributed rejects the clique.
+// for this query alone, and returns the view. Callers should fall back to
+// Local when PlanDistributed rejects the clique.
 func Distributed(clique *analyze.Clique, ctx *exec.Context, c *cluster.QueryContext, opt DistOptions) (*Result, error) {
-	return DistributedShared(clique, ctx, c, opt, nil)
+	return DistributedShared(clique, nil, ctx, c, opt, nil)
 }
 
 // DistributedShared is Distributed over the base published in slot: the
@@ -57,8 +57,11 @@ func Distributed(clique *analyze.Clique, ctx *exec.Context, c *cluster.QueryCont
 // slot builds a private base, and so does a query with an enabled fault
 // injector (a simulated worker loss drops broadcast tables) or with
 // RebuildJoinState (which models rebuilding the join state every iteration).
-// A failed build publishes nothing.
-func DistributedShared(clique *analyze.Clique, ctx *exec.Context, c *cluster.QueryContext, opt DistOptions, slot *BaseSlot) (*Result, error) {
+// A failed build publishes nothing. When final, the program's final query,
+// can run where the view lives, the execution ends with the final stage and
+// returns its result in Result.Final instead of the view; slot must then
+// belong to the program final comes from.
+func DistributedShared(clique *analyze.Clique, final *analyze.Query, ctx *exec.Context, c *cluster.QueryContext, opt DistOptions, slot *BaseSlot) (*Result, error) {
 	if c.ChaosEnabled() || opt.RebuildJoinState {
 		slot = nil
 	}
@@ -69,7 +72,7 @@ func DistributedShared(clique *analyze.Clique, ctx *exec.Context, c *cluster.Que
 	}
 	if base != nil {
 		c.Metrics.BaseReuses.Add(1)
-	} else if base, err = buildBase(clique, ctx, c, opt); err != nil {
+	} else if base, err = buildBase(clique, final, ctx, c, opt); err != nil {
 		return nil, err
 	} else if slot != nil {
 		// A concurrent first execution may have published first; the two
@@ -118,6 +121,9 @@ type Base struct {
 	kernels []*ruleKernel
 	// seed[p] is partition p's base case, in one slab per partition.
 	seed [][]types.Row
+	// final is the program's final query compiled for the final stage, or
+	// nil when the execution returns the view.
+	final *finalPlan
 	// free parks up to GOMAXPROCS workspaces of finished executions, already
 	// sized to the plan's steps, for the next executions to borrow.
 	free chan *workspace
@@ -183,8 +189,9 @@ func (s *BaseSlot) Fingerprint(workers int) uint64 {
 }
 
 // buildBase plans the clique and builds its base side: the kernels, then
-// the base rules evaluated on the driver and bucketed by partition key.
-func buildBase(clique *analyze.Clique, ctx *exec.Context, c *cluster.QueryContext, opt DistOptions) (*Base, error) {
+// the base rules evaluated on the driver and bucketed by partition key. It
+// also compiles final, when the final stage can run it.
+func buildBase(clique *analyze.Clique, final *analyze.Query, ctx *exec.Context, c *cluster.QueryContext, opt DistOptions) (*Base, error) {
 	plan, err := PlanDistributed(clique)
 	if err != nil {
 		return nil, err
@@ -219,7 +226,7 @@ func buildBase(clique *analyze.Clique, ctx *exec.Context, c *cluster.QueryContex
 		}
 		seed[p] = types.CloneRows(rows)
 	}
-	return &Base{plan: plan, kernels: kernels, seed: seed, free: make(chan *workspace, runtime.GOMAXPROCS(0))}, nil
+	return &Base{plan: plan, kernels: kernels, seed: seed, final: compileFinal(final), free: make(chan *workspace, runtime.GOMAXPROCS(0))}, nil
 }
 
 // replanShuffled rebuilds the plan with decomposition disabled; the rules
@@ -378,6 +385,13 @@ type workspace struct {
 	// kept, by every later one. Its rows are valid until that reset, so
 	// results leave it by copy.
 	state *viewState
+	// finalTasks are the final stage's tasks, built by the first execution
+	// that runs it; finishing is the execution they serve while it runs.
+	finalTasks []cluster.Task
+	finishing  *execution
+	// merge is the driver's memory for merging the final stage's partial
+	// aggregates.
+	merge finalMerge
 }
 
 // stepScratch is the memory one workspace.run call works in, reused by the
@@ -391,6 +405,7 @@ type stepScratch struct {
 	comb     types.Combiner  // the map-side combine: the group table over out's rows
 	recv     []types.Row     // shuffled input, its values carved from recvSlab
 	recvSlab types.RowSlab
+	final    finalScratch // the final stage's output
 }
 
 func newWorkspace(plan *Plan, parts int) *workspace {

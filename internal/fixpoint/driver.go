@@ -41,10 +41,13 @@ type execution struct {
 	// mode names the runner on its iteration events.
 	mode  string
 	front frontier
+	// final is the final query the execution runs as its last stage, or
+	// nil when it returns the view.
+	final *finalPlan
 }
 
 func newExecution(base *Base, ws *workspace, c *cluster.QueryContext, opt DistOptions, state *viewState, rows func(int) []types.Row) *execution {
-	x := &execution{ws: ws, kernels: base.kernels, seed: base.seed, c: c, opt: opt, parts: c.Partitions(), state: state, rows: rows}
+	x := &execution{ws: ws, kernels: base.kernels, seed: base.seed, c: c, opt: opt, parts: c.Partitions(), state: state, rows: rows, final: base.final}
 	x.front.split = opt.Tracer.Enabled()
 	return x
 }
@@ -170,11 +173,15 @@ func (x *execution) event(m shuffleMark) trace.IterationEvent {
 }
 
 // finish counts the iterations a runner reached, failed runs included, and
-// on success gathers the final relation onto the driver.
+// on success runs the final stage, or gathers the view onto the driver when
+// the execution has no final query.
 func (x *execution) finish(iters int, err error) (*Result, error) {
 	x.c.Metrics.Iterations.Add(int64(iters))
 	if err != nil {
 		return nil, err
+	}
+	if x.final != nil {
+		return &Result{Final: x.finalStage(), Iterations: iters}, nil
 	}
 	v := x.ws.plan.View
 	out := relation.New(v.Name, v.Schema)

@@ -57,7 +57,11 @@ func (o Options) maxIter() int {
 // Result holds the computed fixpoint of a clique.
 type Result struct {
 	// Relations maps lower-cased view names to their fixpoint relations.
+	// It is nil when the final stage ran.
 	Relations map[string]*relation.Relation
+	// Final is the final query's result when the distributed engine ran it
+	// as the final stage; nil otherwise.
+	Final *relation.Relation
 	// Iterations is the number of fixpoint iterations executed.
 	Iterations int
 	// Mode names the evaluation mode the distributed engine actually ran

@@ -8,6 +8,7 @@ import (
 	"github.com/rasql/rasql-go/internal/gen"
 	"github.com/rasql/rasql-go/internal/relation"
 	"github.com/rasql/rasql-go/internal/sql/analyze"
+	"github.com/rasql/rasql-go/internal/sql/ast"
 	"github.com/rasql/rasql-go/internal/sql/catalog"
 	"github.com/rasql/rasql-go/internal/sql/exec"
 	"github.com/rasql/rasql-go/internal/sql/parser"
@@ -33,13 +34,21 @@ func smallWeighted() *relation.Relation {
 	return rel
 }
 
+// analyzeQ analyzes a script's last statement against cat, after
+// registering the CREATE VIEW statements before it.
 func analyzeQ(t *testing.T, src string, cat *catalog.Catalog) *analyze.Program {
 	t.Helper()
 	stmts, err := parser.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := analyze.Statements(stmts, cat)
+	for _, s := range stmts[:len(stmts)-1] {
+		cv := s.(*ast.CreateView)
+		if err := cat.PutView(&catalog.ViewDef{Name: cv.Name, Columns: cv.Columns, Query: cv.Query}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prog, err := analyze.Statement(stmts[len(stmts)-1], cat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,8 @@ import (
 
 	"github.com/rasql/rasql-go/internal/gen"
 	"github.com/rasql/rasql-go/internal/relation"
-	"github.com/rasql/rasql-go/internal/sql/analyze"
 	"github.com/rasql/rasql-go/internal/sql/catalog"
 	"github.com/rasql/rasql-go/internal/sql/exec"
-	"github.com/rasql/rasql-go/internal/sql/parser"
 	"github.com/rasql/rasql-go/internal/sql/vet"
 	"github.com/rasql/rasql-go/internal/types"
 	"github.com/rasql/rasql-go/queries"
@@ -28,19 +26,6 @@ func agreeCatalog(t *testing.T, rels ...*relation.Relation) *catalog.Catalog {
 		}
 	}
 	return cat
-}
-
-func analyzeAgree(t *testing.T, src string, cat *catalog.Catalog) *analyze.Program {
-	t.Helper()
-	stmts, err := parser.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := analyze.Statements(stmts, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return prog
 }
 
 func interRows(pairs ...[2]int64) *relation.Relation {
@@ -76,7 +61,7 @@ func TestStaticCertifiedNeverContradicted(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			prog := analyzeAgree(t, c.src, c.cat)
+			prog := analyzeQ(t, c.src, c.cat)
 			static := vet.Analyze(prog)
 			if static.Verdict() != vet.VerdictCertified {
 				t.Fatalf("static verdict = %v, want certified\n%s", static.Verdict(), static)
@@ -110,7 +95,7 @@ SELECT Dst, Cost FROM path`
 	for _, r := range [][3]int64{{1, 2, 1}, {1, 2, 4}, {2, 3, 1}} {
 		edge.Append(types.Row{types.Int(r[0]), types.Int(r[1]), types.Float(float64(r[2]))})
 	}
-	prog := analyzeAgree(t, refuted, agreeCatalog(t, edge))
+	prog := analyzeQ(t, refuted, agreeCatalog(t, edge))
 
 	static := vet.Analyze(prog)
 	if static.Verdict() != vet.VerdictRefuted {

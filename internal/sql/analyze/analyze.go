@@ -7,31 +7,6 @@ import (
 	"github.com/rasql/rasql-go/internal/types"
 )
 
-// Statements analyzes a parsed script: CREATE VIEW statements register
-// their definitions in the catalog, and the last statement (a SELECT or
-// WITH) becomes the Program.
-func Statements(stmts []ast.Statement, cat *catalog.Catalog) (*Program, error) {
-	var last ast.Statement
-	for _, s := range stmts {
-		if cv, ok := s.(*ast.CreateView); ok {
-			if err := cat.RegisterView(&catalog.ViewDef{
-				Name: cv.Name, Columns: cv.Columns, Query: cv.Query,
-			}); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if last != nil {
-			return nil, errf("", "script has more than one query statement")
-		}
-		last = s
-	}
-	if last == nil {
-		return nil, errf("", "script has no query statement")
-	}
-	return Statement(last, cat)
-}
-
 // Statement analyzes one SELECT or WITH statement.
 func Statement(s ast.Statement, cat *catalog.Catalog) (*Program, error) {
 	a := &analyzer{cat: cat, viewCache: map[string]*Query{}}

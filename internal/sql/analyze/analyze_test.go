@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/rasql/rasql-go/internal/relation"
+	"github.com/rasql/rasql-go/internal/sql/ast"
 	"github.com/rasql/rasql-go/internal/sql/catalog"
 	"github.com/rasql/rasql-go/internal/sql/parser"
 	"github.com/rasql/rasql-go/internal/types"
@@ -38,7 +39,7 @@ func analyzeSrc(t *testing.T, src string) *Program {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	p, err := Statements(stmts, testCatalog())
+	p, err := statements(stmts, testCatalog())
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
@@ -224,7 +225,7 @@ func TestAnalyzeErrors(t *testing.T) {
 			t.Errorf("%s: parse failed: %v", c.name, err)
 			continue
 		}
-		_, err = Statements(stmts, testCatalog())
+		_, err = statements(stmts, testCatalog())
 		if err == nil {
 			t.Errorf("%s: expected error", c.name)
 			continue
@@ -292,7 +293,32 @@ func TestAnalyzeViewCycleDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Statements(stmts, cat); err == nil || !strings.Contains(err.Error(), "cyclic") {
+	if _, err := statements(stmts, cat); err == nil || !strings.Contains(err.Error(), "cyclic") {
 		t.Errorf("want cyclic view error, got %v", err)
 	}
+}
+
+// statements analyzes a parsed script as the engine's script reader does,
+// but against cat itself: CREATE VIEW replaces into it, and the one query
+// statement becomes the Program.
+func statements(stmts []ast.Statement, cat *catalog.Catalog) (*Program, error) {
+	var last ast.Statement
+	for _, s := range stmts {
+		if cv, ok := s.(*ast.CreateView); ok {
+			if err := cat.PutView(&catalog.ViewDef{
+				Name: cv.Name, Columns: cv.Columns, Query: cv.Query,
+			}); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		if last != nil {
+			return nil, errf("", "script has more than one query statement")
+		}
+		last = s
+	}
+	if last == nil {
+		return nil, errf("", "script has no query statement")
+	}
+	return Statement(last, cat)
 }

@@ -98,21 +98,6 @@ func (c *Catalog) Register(rel *relation.Relation) error {
 	return nil
 }
 
-// RegisterView adds a view definition, erroring if the name is taken.
-func (c *Catalog) RegisterView(v *ViewDef) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.tables[key(v.Name)]; ok {
-		return fmt.Errorf("catalog: %q already defined as a table", v.Name)
-	}
-	if _, ok := c.views[key(v.Name)]; ok {
-		return fmt.Errorf("catalog: view %q already defined", v.Name)
-	}
-	c.views[key(v.Name)] = v
-	c.version++
-	return nil
-}
-
 // PutView adds or replaces a view definition, erroring only if the name
 // collides with a base table. Sessions committing CREATE VIEW use it so
 // re-running a script — or running it concurrently from several goroutines —

@@ -39,20 +39,21 @@ func TestViewTableNameConflicts(t *testing.T) {
 	if err := c.Register(rel("t")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RegisterView(&ViewDef{Name: "T"}); err == nil {
+	if err := c.PutView(&ViewDef{Name: "T"}); err == nil {
 		t.Error("view name colliding with table must be rejected")
 	}
-	if err := c.RegisterView(&ViewDef{Name: "v"}); err != nil {
+	if err := c.PutView(&ViewDef{Name: "v"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RegisterView(&ViewDef{Name: "V"}); err == nil {
-		t.Error("duplicate view must be rejected")
+	second := &ViewDef{Name: "V"}
+	if err := c.PutView(second); err != nil {
+		t.Fatalf("a second definition of a view must replace the first: %v", err)
 	}
 	if err := c.Register(rel("v")); err == nil {
 		t.Error("table name colliding with view must be rejected")
 	}
-	if _, ok := c.View("v"); !ok {
-		t.Error("view lookup failed")
+	if got, ok := c.View("v"); !ok || got != second {
+		t.Error("view lookup does not find the replacing definition")
 	}
 }
 
@@ -60,7 +61,7 @@ func TestNamesSorted(t *testing.T) {
 	c := New()
 	_ = c.Register(rel("zeta"))
 	_ = c.Register(rel("alpha"))
-	_ = c.RegisterView(&ViewDef{Name: "mid"})
+	_ = c.PutView(&ViewDef{Name: "mid"})
 	names := c.Names()
 	if len(names) != 3 || names[0] != "alpha" || names[1] != "mid" || names[2] != "zeta" {
 		t.Errorf("names = %v", names)
@@ -102,7 +103,7 @@ func TestVersionBumpsOnDDL(t *testing.T) {
 	}
 	step("register table", func() error { return c.Register(rel("edge")) })
 	step("re-register table", func() error { return c.Register(rel("edge")) })
-	step("register view", func() error { return c.RegisterView(&ViewDef{Name: "v1"}) })
+	step("register view", func() error { return c.PutView(&ViewDef{Name: "v1"}) })
 	step("replace view", func() error { return c.PutView(&ViewDef{Name: "v1"}) })
 
 	// Reads and lookups leave the version untouched.

@@ -6,6 +6,7 @@ import (
 
 	"github.com/rasql/rasql-go/internal/relation"
 	"github.com/rasql/rasql-go/internal/sql/analyze"
+	"github.com/rasql/rasql-go/internal/sql/ast"
 	"github.com/rasql/rasql-go/internal/sql/catalog"
 	"github.com/rasql/rasql-go/internal/sql/parser"
 	"github.com/rasql/rasql-go/internal/types"
@@ -37,16 +38,30 @@ func testCatalog() *catalog.Catalog {
 	return cat
 }
 
-func run(t *testing.T, src string) *relation.Relation {
+// analyzeScript analyzes a script's last statement against cat, after
+// registering the CREATE VIEW statements before it.
+func analyzeScript(t *testing.T, src string, cat *catalog.Catalog) *analyze.Program {
 	t.Helper()
 	stmts, err := parser.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := analyze.Statements(stmts, testCatalog())
+	for _, s := range stmts[:len(stmts)-1] {
+		cv := s.(*ast.CreateView)
+		if err := cat.PutView(&catalog.ViewDef{Name: cv.Name, Columns: cv.Columns, Query: cv.Query}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prog, err := analyze.Statement(stmts[len(stmts)-1], cat)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return prog
+}
+
+func run(t *testing.T, src string) *relation.Relation {
+	t.Helper()
+	prog := analyzeScript(t, src, testCatalog())
 	out, err := Query(prog.Final, NewContext())
 	if err != nil {
 		t.Fatal(err)
@@ -149,16 +164,9 @@ func TestLiteralSelect(t *testing.T) {
 
 func TestViewMaterializationCached(t *testing.T) {
 	cat := testCatalog()
-	stmts, err := parser.Parse(`
+	prog := analyzeScript(t, `
 		CREATE VIEW grownups(N) AS (SELECT Name FROM users WHERE Age > 26);
-		SELECT a.N FROM grownups a, grownups b WHERE a.N = b.N`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := analyze.Statements(stmts, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
+		SELECT a.N FROM grownups a, grownups b WHERE a.N = b.N`, cat)
 	ctx := NewContext()
 	out, err := Query(prog.Final, ctx)
 	if err != nil {
@@ -176,18 +184,11 @@ func TestMissingRecResultErrors(t *testing.T) {
 	cat := testCatalog()
 	// Construct a query over a recursive view but evaluate the final
 	// query without binding fixpoint results.
-	stmts, err := parser.Parse(`
+	prog := analyzeScript(t, `
 		WITH recursive v (Id) AS
 		    (SELECT Id FROM users) UNION
 		    (SELECT users.Id FROM v, users WHERE v.Id = users.Id)
-		SELECT Id FROM v`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := analyze.Statements(stmts, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
+		SELECT Id FROM v`, cat)
 	if _, err := Query(prog.Final, NewContext()); err == nil {
 		t.Error("final query over unbound recursive view must error")
 	}

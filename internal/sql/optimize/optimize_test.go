@@ -6,6 +6,7 @@ import (
 
 	"github.com/rasql/rasql-go/internal/relation"
 	"github.com/rasql/rasql-go/internal/sql/analyze"
+	"github.com/rasql/rasql-go/internal/sql/ast"
 	"github.com/rasql/rasql-go/internal/sql/catalog"
 	"github.com/rasql/rasql-go/internal/sql/exec"
 	"github.com/rasql/rasql-go/internal/sql/parser"
@@ -23,15 +24,28 @@ func testProgram(t *testing.T, src string) (*analyze.Program, *catalog.Catalog) 
 	if err := cat.Register(nums); err != nil {
 		t.Fatal(err)
 	}
+	return analyzeScript(t, src, cat), cat
+}
+
+// analyzeScript analyzes a script's last statement against cat, after
+// registering the CREATE VIEW statements before it.
+func analyzeScript(t *testing.T, src string, cat *catalog.Catalog) *analyze.Program {
+	t.Helper()
 	stmts, err := parser.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := analyze.Statements(stmts, cat)
+	for _, s := range stmts[:len(stmts)-1] {
+		cv := s.(*ast.CreateView)
+		if err := cat.PutView(&catalog.ViewDef{Name: cv.Name, Columns: cv.Columns, Query: cv.Query}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prog, err := analyze.Statement(stmts[len(stmts)-1], cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prog, cat
+	return prog
 }
 
 func evalFinal(t *testing.T, prog *analyze.Program) *relation.Relation {
@@ -120,18 +134,11 @@ func TestOptimizeRecursiveProgram(t *testing.T) {
 	if err := cat.Register(edge); err != nil {
 		t.Fatal(err)
 	}
-	stmts, err := parser.Parse(`
+	prog := analyzeScript(t, `
 		WITH recursive reach (Dst) AS
 		    (SELECT 1) UNION
 		    (SELECT edge.Dst FROM reach, edge WHERE reach.Dst = edge.Src AND 2 = 2)
-		SELECT Dst FROM reach`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := analyze.Statements(stmts, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
+		SELECT Dst FROM reach`, cat)
 	Program(prog)
 	rec := prog.Clique.Views[0].RecRules[0]
 	if len(rec.Conjuncts) != 1 {

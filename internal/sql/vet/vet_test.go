@@ -7,6 +7,7 @@ import (
 	"github.com/rasql/rasql-go/internal/gen"
 	"github.com/rasql/rasql-go/internal/relation"
 	"github.com/rasql/rasql-go/internal/sql/analyze"
+	"github.com/rasql/rasql-go/internal/sql/ast"
 	"github.com/rasql/rasql-go/internal/sql/catalog"
 	"github.com/rasql/rasql-go/internal/sql/parser"
 	"github.com/rasql/rasql-go/internal/types"
@@ -54,7 +55,14 @@ func vetQuery(t *testing.T, src string) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := analyze.Statements(stmts, paperCatalog())
+	cat := paperCatalog()
+	for _, s := range stmts[:len(stmts)-1] {
+		cv := s.(*ast.CreateView)
+		if err := cat.PutView(&catalog.ViewDef{Name: cv.Name, Columns: cv.Columns, Query: cv.Query}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prog, err := analyze.Statement(stmts[len(stmts)-1], cat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,12 +156,20 @@ func (c *Combiner) Reset(key []int, valIdx int, kind AggKind) {
 // from arena, or r itself if arena is nil, and it returns that with fresh
 // true.
 func (c *Combiner) Fold(r Row, arena *RowSlab) (g Row, fresh bool) {
+	if g, fresh = c.Group(r, arena); !fresh {
+		g[c.valIdx] = c.kind.Combine(g[c.valIdx], r[c.valIdx])
+	}
+	return g, fresh
+}
+
+// Group is Fold without the combine: it returns the row of r's group with
+// fresh false, or opens the group as Fold does and returns its row with
+// fresh true. The caller updates the group's row itself.
+func (c *Combiner) Group(r Row, arena *RowSlab) (g Row, fresh bool) {
 	h := HashRowKey(r, c.key)
 	id, s := c.find(r, h)
 	if id >= 0 {
-		g = c.rows[id]
-		g[c.valIdx] = c.kind.Combine(g[c.valIdx], r[c.valIdx])
-		return g, false
+		return c.rows[id], false
 	}
 	if arena != nil {
 		r = arena.Clone(r)
@@ -169,6 +177,10 @@ func (c *Combiner) Fold(r Row, arena *RowSlab) (g Row, fresh bool) {
 	c.insert(s, h, r)
 	return r, true
 }
+
+// Groups returns the row of every group in first-appearance order, valid
+// until the next Reset.
+func (c *Combiner) Groups() []Row { return c.rows }
 
 // Combine folds rows sharing the key columns into the first row of each
 // group, combining column valIdx with kind. The caller must own rows:

@@ -273,6 +273,29 @@ func (e *Engine) walk(src string, tr *trace.Tracer, commit bool, onView func(*as
 	return nil
 }
 
+// Compile reads a script the way Exec does — CREATE VIEW replaces into a
+// throwaway copy of the catalog, and the query statement is analyzed and
+// optimized — and returns the program of its one query statement without
+// running it or committing anything. Tools that evaluate a program
+// themselves (the PreM checker) start here.
+func (e *Engine) Compile(src string) (*analyze.Program, error) {
+	var prog *analyze.Program
+	err := e.walk(src, nil, false, nil, func(p *analyze.Program) error {
+		if prog != nil {
+			return fmt.Errorf("rasql: script has more than one query statement")
+		}
+		prog = p
+		return nil
+	})
+	if err == nil && prog == nil {
+		err = fmt.Errorf("rasql: script contained no query statement")
+	}
+	if err != nil {
+		return nil, err
+	}
+	return prog, nil
+}
+
 // Query runs a single query statement and returns its result.
 func (e *Engine) Query(src string) (*relation.Relation, error) {
 	rel, err := e.Exec(src)
@@ -307,14 +330,20 @@ func (e *Engine) Vet(src string) (*vet.Report, error) {
 
 // run executes one program. A non-nil slot holds the program's shared
 // physical base side (see Prepared); nil builds it for this query alone.
+// When the distributed engine ran the final query as the fixpoint's final
+// stage, its result is the program's; otherwise the final query runs here,
+// over the view the fixpoint collected.
 func (e *Engine) run(qc *cluster.QueryContext, prog *analyze.Program, opts *ExecOptions, slot *fixpoint.BaseSlot) (*relation.Relation, error) {
 	ctx := exec.NewContext()
 	if prog.Clique != nil && len(prog.Clique.Views) > 0 {
 		sp := qc.Tracer.Begin("fixpoint", trace.TidDriver)
-		res, err := e.runClique(qc, prog.Clique, ctx, opts, slot)
+		res, err := e.runClique(qc, prog.Clique, prog.Final, ctx, opts, slot)
 		sp.End()
 		if err != nil {
 			return nil, err
+		}
+		if res.Final != nil {
+			return res.Final, nil
 		}
 		res.Bind(ctx)
 	}
@@ -332,12 +361,15 @@ func (e *Engine) RunClique(prog *analyze.Program) (*fixpoint.Result, error) {
 	}
 	qc := e.cluster.NewQuery(e.Tracer())
 	defer qc.Finish()
-	res, err := e.runClique(qc, prog.Clique, exec.NewContext(), nil, nil)
+	res, err := e.runClique(qc, prog.Clique, nil, exec.NewContext(), nil, nil)
 	qc.SetErr(err)
 	return res, err
 }
 
-func (e *Engine) runClique(qc *cluster.QueryContext, clique *analyze.Clique, ctx *exec.Context, opts *ExecOptions, slot *fixpoint.BaseSlot) (*fixpoint.Result, error) {
+// runClique evaluates a clique. The distributed engine also runs final, the
+// program's final query, as its final stage when it can (Result.Final); a
+// nil final returns the views.
+func (e *Engine) runClique(qc *cluster.QueryContext, clique *analyze.Clique, final *analyze.Query, ctx *exec.Context, opts *ExecOptions, slot *fixpoint.BaseSlot) (*fixpoint.Result, error) {
 	opt := e.cfg.Fixpoint
 	if qc.Tracer != nil {
 		opt.Tracer = qc.Tracer
@@ -370,7 +402,7 @@ func (e *Engine) runClique(qc *cluster.QueryContext, clique *analyze.Clique, ctx
 		qc.SetMode("local", "")
 		return local()
 	}
-	res, err := fixpoint.DistributedShared(clique, ctx, qc, opt, slot)
+	res, err := fixpoint.DistributedShared(clique, final, ctx, qc, opt, slot)
 	if err == nil {
 		return res, nil
 	}
