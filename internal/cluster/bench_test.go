@@ -11,8 +11,9 @@ import (
 //	go test -bench=. -benchmem ./internal/cluster/
 //
 // The interesting column is allocs/op: steady-state SetRDD dedup and AggRDD
-// merge should sit at (near) zero — every probe encodes into the key index's
-// reused scratch buffer instead of building a string key.
+// merge should sit at (near) zero — every probe hashes and compares the
+// row's values in place in the partition's group table (types.Combiner)
+// instead of building a key.
 
 func benchSchema() types.Schema {
 	return types.NewSchema(
@@ -121,9 +122,9 @@ func BenchmarkDisabledInjector(b *testing.B) {
 	}
 }
 
-// TestSetRDDDedupZeroAllocs pins the key index's probe path: re-merging
-// rows a SetRDD already holds encodes each into the index's scratch buffer,
-// finds it, and touches no allocator.
+// TestSetRDDDedupZeroAllocs pins the group table's probe path: re-merging
+// rows a SetRDD already holds hashes each, finds it, and touches no
+// allocator.
 func TestSetRDDDedupZeroAllocs(t *testing.T) {
 	c := newTestCluster(1, 1)
 	rows := benchClusterRows(1024)

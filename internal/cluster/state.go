@@ -9,12 +9,11 @@ import (
 // set cached on its owner worker, so the per-iteration union/set-difference
 // only pays for genuinely new tuples instead of copying the whole RDD.
 //
-// Each partition's set is a keyIndex over binary row keys: dedup probes
-// encode into the index's scratch buffer and compare raw bytes, so the
-// steady-state hot path (duplicate rows arriving after the first iteration)
-// does zero heap allocation. The index's dense ids parallel the partition's
-// row slice — entry i is rows[part][i] — which is what makes checkpoints
-// O(1) below.
+// Each partition's set is one types.Combiner keyed on every column: its
+// groups are the partition's rows, in insertion order. A probe hashes the
+// row's values and compares them in place, so the steady-state hot path
+// (duplicate rows arriving after the first iteration) does zero heap
+// allocation, and the dense group ids are what make checkpoints cheap below.
 //
 // The state owns its rows: Merge copies each accepted row into the
 // partition's append-only slab, so incoming batches stay caller-owned (the
@@ -22,8 +21,8 @@ import (
 // row never pins the buffer it arrived in.
 //
 // Like the paper's cached SetRDD, the state outlives one fixpoint: Reset
-// empties it for the next execution and keeps every backing array — rows,
-// slab chunks and key index — so a reused state re-fills the memory the
+// empties it for the next execution and keeps every backing array — group
+// table and slab chunks — so a reused state re-fills the memory the
 // previous execution sized instead of growing it again.
 //
 // When the cluster is configured with ImmutableState the merge instead
@@ -34,9 +33,9 @@ type SetRDD struct {
 	Owner  []int
 
 	c    *Cluster
-	idx  []*keyIndex
-	rows [][]types.Row
-	slab []types.RowSlab // slab[part] backs rows[part]
+	cols []int            // every column: a row is its own key
+	idx  []types.Combiner // idx[part].Groups() are the partition's rows
+	slab []types.RowSlab  // slab[part] backs them
 }
 
 // NewSetRDD creates an empty SetRDD with the cluster's default partitions.
@@ -50,23 +49,18 @@ func (c *Cluster) NewSetRDDN(schema types.Schema, parts int) *SetRDD {
 		Schema: schema,
 		Owner:  make([]int, parts),
 		c:      c,
-		idx:    make([]*keyIndex, parts),
-		rows:   make([][]types.Row, parts),
+		cols:   make([]int, schema.Len()),
+		idx:    make([]types.Combiner, parts),
 		slab:   make([]types.RowSlab, parts),
+	}
+	for i := range s.cols {
+		s.cols[i] = i
 	}
 	for i := range s.Owner {
 		s.Owner[i] = c.DefaultOwner(i)
-		s.idx[i] = newKeyIndex()
 	}
+	s.Reset()
 	return s
-}
-
-// add inserts the row's key if absent, reporting whether it was new.
-func (s *SetRDD) add(part int, r types.Row) bool {
-	x := s.idx[part]
-	b, h := x.encRowKey(r)
-	_, inserted := x.getOrInsert(b, h)
-	return inserted
 }
 
 // Merge set-differences incoming against partition part and unions the
@@ -78,36 +72,30 @@ func (s *SetRDD) add(part int, r types.Row) bool {
 // consumed before the next merge of the same partition.
 func (s *SetRDD) Merge(part int, incoming []types.Row) []types.Row {
 	if s.c.cfg.ImmutableState {
-		// Simulate an immutable union: rebuild the partition's index and
-		// row storage from scratch, copying all previous data.
-		s.idx[part] = s.idx[part].clone()
-		newRows := make([]types.Row, len(s.rows[part]), len(s.rows[part])+len(incoming))
-		copy(newRows, s.rows[part])
-		s.rows[part] = newRows
+		// Simulate an immutable union: copy the partition's table and
+		// rows, all previous data, into fresh storage.
+		s.idx[part] = s.idx[part].Clone()
+		s.slab[part] = types.RowSlab{}
 	}
-
-	rows := s.rows[part]
-	before := len(rows)
+	x := &s.idx[part]
+	before := len(x.Groups())
 	for _, r := range incoming {
-		if s.add(part, r) {
-			rows = append(rows, s.slab[part].Clone(r))
-		}
+		x.Group(r, &s.slab[part])
 	}
-	s.rows[part] = rows
+	rows := x.Groups()
 	return rows[before:len(rows):len(rows)]
 }
 
 // Rows returns the accumulated rows of a partition (no copy: the rows live
 // in the state's slab and callers must not mutate them).
-func (s *SetRDD) Rows(part int) []types.Row { return s.rows[part] }
+func (s *SetRDD) Rows(part int) []types.Row { return s.idx[part].Groups() }
 
 // Reset empties every partition and keeps its memory. Rows read from the
 // state before the call are overwritten by later merges.
 func (s *SetRDD) Reset() {
-	for p := range s.rows {
-		s.rows[p] = s.rows[p][:0]
+	for p := range s.idx {
+		s.idx[p].Reset(s.cols, -1, types.AggNone)
 		s.slab[p].Reset()
-		s.idx[p].reset()
 	}
 }
 
@@ -118,8 +106,8 @@ func (s *SetRDD) Reset() {
 // (sum/count) this iteration, which is exactly the paper's Algorithm 5
 // Reduce stage.
 //
-// Group lookup rides the same binary-key keyIndex as SetRDD: the index maps
-// a group's key bytes to its dense entry id, and entry i is rows[part][i].
+// Each partition is one types.Combiner keyed on Key, as SetRDD's is on
+// every column: its groups are the partition's rows.
 type AggRDD struct {
 	Schema types.Schema
 	// Key holds the group-by column indices (all head columns except the
@@ -131,10 +119,11 @@ type AggRDD struct {
 	Kind  types.AggKind
 	Owner []int
 
-	c    *Cluster
-	idx  []*keyIndex
-	rows [][]types.Row   // entry rows, value column holds the running total/extremum
-	slab []types.RowSlab // slab[part] backs rows[part]
+	c *Cluster
+	// idx[part].Groups() are the partition's rows; the value column holds
+	// the running total or extremum.
+	idx  []types.Combiner
+	slab []types.RowSlab // slab[part] backs them
 }
 
 // AggDelta is the delta produced by one AggRDD merge: the updated rows
@@ -162,14 +151,13 @@ func (c *Cluster) NewAggRDDN(schema types.Schema, key []int, valIdx int, kind ty
 		Kind:   kind,
 		Owner:  make([]int, parts),
 		c:      c,
-		idx:    make([]*keyIndex, parts),
-		rows:   make([][]types.Row, parts),
+		idx:    make([]types.Combiner, parts),
 		slab:   make([]types.RowSlab, parts),
 	}
 	for i := range a.Owner {
 		a.Owner[i] = c.DefaultOwner(i)
-		a.idx[i] = newKeyIndex()
 	}
+	a.Reset()
 	return a
 }
 
@@ -185,78 +173,53 @@ func (c *Cluster) NewAggRDDN(schema types.Schema, key []int, valIdx int, kind ty
 // exactly the lifecycle of semi-naive deltas.
 func (a *AggRDD) Merge(part int, incoming []types.Row) AggDelta {
 	if a.c.cfg.ImmutableState {
-		a.copyPartition(part)
+		// Simulate an immutable union, as SetRDD.Merge does. The previous
+		// generation is garbage once the deltas aliasing it are consumed.
+		a.idx[part] = a.idx[part].Clone()
+		a.slab[part] = types.RowSlab{}
 	}
 	var d AggDelta
 	additive := a.Kind.Additive()
-	x := a.idx[part] // after the ImmutableState clone above
+	x := &a.idx[part]
 	for _, r := range incoming {
 		v := r[a.ValIdx]
-		// Encode the group key once; the scratch bytes stay valid through
-		// the get, so a miss reuses them for the insert.
-		b, h := x.encKey(r, a.Key)
-		idx, ok := x.get(b, h)
-		if !ok {
-			if additive && v.AsFloat() == 0 {
-				continue // zero increment on a fresh group derives nothing
-			}
-			x.getOrInsert(b, h)
-			// Store a copy: a second contribution to this group later in
-			// the same batch updates the stored row's value column in
-			// place, and adopting the caller's row would leak that
-			// mutation into the input batch — Checkpoint/Restore only
-			// reverts rows that existed at snapshot time, so a replay of
-			// the same batch would then double-count the corrupted row.
-			nr := a.slab[part].Clone(r)
-			a.rows[part] = append(a.rows[part], nr)
-			d.Rows = append(d.Rows, nr)
-			d.News = append(d.News, true)
-			if additive {
-				d.Incs = append(d.Incs, v)
-			}
+		if additive && v.AsFloat() == 0 {
+			continue // a zero increment derives nothing, new group or not
+		}
+		// A new group stores a copy: a second contribution to it later in
+		// the same batch updates the stored row's value column in place,
+		// and adopting the caller's row would leak that mutation into the
+		// input batch — Checkpoint/Restore only reverts rows that existed
+		// at snapshot time, so a replay of the same batch would then
+		// double-count the corrupted row.
+		g, fresh := x.Group(r, &a.slab[part])
+		switch {
+		case fresh:
+		case additive:
+			g[a.ValIdx] = g[a.ValIdx].Add(v)
+		case a.Kind.Improves(v, g[a.ValIdx]):
+			g[a.ValIdx] = v
+		default:
 			continue
 		}
-		cur := a.rows[part][idx][a.ValIdx]
+		d.Rows = append(d.Rows, g)
+		d.News = append(d.News, fresh)
 		if additive {
-			if v.AsFloat() == 0 {
-				continue
-			}
-			nv := cur.Add(v)
-			a.rows[part][idx][a.ValIdx] = nv
-			d.Rows = append(d.Rows, a.rows[part][idx])
-			d.News = append(d.News, false)
 			d.Incs = append(d.Incs, v)
-			continue
-		}
-		if a.Kind.Improves(v, cur) {
-			a.rows[part][idx][a.ValIdx] = v
-			d.Rows = append(d.Rows, a.rows[part][idx])
-			d.News = append(d.News, false)
 		}
 	}
 	return d
 }
 
-// copyPartition simulates an immutable-RDD union by duplicating the
-// partition's entire index and row storage before mutation. The copy goes
-// into a fresh slab, so the previous generation is garbage once the deltas
-// aliasing it are consumed.
-func (a *AggRDD) copyPartition(part int) {
-	a.idx[part] = a.idx[part].clone()
-	a.rows[part] = types.CloneRows(a.rows[part])
-	a.slab[part] = types.RowSlab{}
-}
-
 // Rows returns the accumulated group rows of a partition (no copy; callers
 // must not mutate).
-func (a *AggRDD) Rows(part int) []types.Row { return a.rows[part] }
+func (a *AggRDD) Rows(part int) []types.Row { return a.idx[part].Groups() }
 
 // Reset is SetRDD.Reset: every partition empties and keeps its memory.
 func (a *AggRDD) Reset() {
-	for p := range a.rows {
-		a.rows[p] = a.rows[p][:0]
+	for p := range a.idx {
+		a.idx[p].Reset(a.Key, a.ValIdx, a.Kind)
 		a.slab[p].Reset()
-		a.idx[p].reset()
 	}
 }
 
@@ -264,12 +227,13 @@ func (a *AggRDD) Reset() {
 // fault recovery: the accumulated state acts as a checkpoint, so a failure
 // replays only the current iteration's job. Checkpoint/Restore implement
 // that mechanism — a per-partition snapshot taken before a merge, restored
-// if the task must be replayed. Because the key index assigns dense
-// insertion-ordered ids that parallel the append-only row slice, a
-// checkpoint is just the partition's length (plus saved aggregate values
-// for AggRDD); Restore truncates the index back to it and simply abandons
-// the dropped rows' slab space. The snapshot itself is O(1) — the rebuild
-// cost moves to the failure-replay path.
+// if the task must be replayed. Because a partition's table gives its
+// groups dense insertion-ordered ids, a checkpoint is the partition's group
+// count, plus for AggRDD every group's aggregate value: SetRDD's snapshot
+// is O(1), AggRDD's O(groups). Restore truncates the table back to that
+// count in O(dropped groups), zeroing only the dropped groups' slots, puts
+// back the saved values (O(groups), AggRDD only), and simply abandons the
+// dropped rows' slab space.
 
 // SetCheckpoint captures one SetRDD partition's state.
 type SetCheckpoint struct {
@@ -279,30 +243,28 @@ type SetCheckpoint struct {
 
 // Checkpoint snapshots a partition before a merge.
 func (s *SetRDD) Checkpoint(part int) *SetCheckpoint {
-	return &SetCheckpoint{part: part, rowLen: len(s.rows[part])}
+	return &SetCheckpoint{part: part, rowLen: len(s.Rows(part))}
 }
 
 // Restore rolls the partition back to the checkpoint, undoing any merges
 // applied since.
 func (s *SetRDD) Restore(cp *SetCheckpoint) {
-	s.rows[cp.part] = s.rows[cp.part][:cp.rowLen]
-	s.idx[cp.part].truncate(cp.rowLen)
+	s.idx[cp.part].Truncate(cp.rowLen)
 }
 
-// AggCheckpoint captures one AggRDD partition's state: the partition length
-// plus the aggregate values (rows themselves are updated in place, so the
-// values must be saved).
+// AggCheckpoint captures one AggRDD partition's state: the aggregate value
+// of every group it held (rows are updated in place, so the values must be
+// saved), whose count is the partition's length.
 type AggCheckpoint struct {
-	part   int
-	rowLen int
-	vals   []types.Value
+	part int
+	vals []types.Value
 }
 
 // Checkpoint snapshots a partition before a merge.
 func (a *AggRDD) Checkpoint(part int) *AggCheckpoint {
-	cp := &AggCheckpoint{part: part, rowLen: len(a.rows[part])}
-	cp.vals = make([]types.Value, cp.rowLen)
-	for i, r := range a.rows[part] {
+	rows := a.Rows(part)
+	cp := &AggCheckpoint{part: part, vals: make([]types.Value, len(rows))}
+	for i, r := range rows {
 		cp.vals[i] = r[a.ValIdx]
 	}
 	return cp
@@ -311,9 +273,9 @@ func (a *AggRDD) Checkpoint(part int) *AggCheckpoint {
 // Restore rolls the partition back to the checkpoint: groups added since
 // are dropped and updated aggregate values are reverted.
 func (a *AggRDD) Restore(cp *AggCheckpoint) {
-	a.rows[cp.part] = a.rows[cp.part][:cp.rowLen]
-	a.idx[cp.part].truncate(cp.rowLen)
+	a.idx[cp.part].Truncate(len(cp.vals))
+	rows := a.Rows(cp.part)
 	for i, v := range cp.vals {
-		a.rows[cp.part][i][a.ValIdx] = v
+		rows[i][a.ValIdx] = v
 	}
 }

@@ -2,6 +2,7 @@ package types
 
 import (
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -118,12 +119,14 @@ func CountContribution(v Value) Value {
 	return Int(1)
 }
 
-// Combiner is the map-side combine of the paper's Algorithm 5, line 5: an
-// open-addressed group table that folds rows into one row per group as
-// they arrive. A reused Combiner allocates only for a call with more groups
-// than any before it, and Reset zeroes only the slots the last call used,
-// so small deltas after one large step stay cheap. The zero value is ready
-// to use; a Combiner is not safe for concurrent use.
+// Combiner is an open-addressed group table that folds rows into one row
+// per group as they arrive. It is the map-side combine of the paper's
+// Algorithm 5, line 5, and each partition of the recursive state (SetRDD,
+// AggRDD), whose groups are the partition's rows. A reused Combiner
+// allocates only for a call with more groups than any before it, and Reset
+// zeroes only the slots the last call used, so small deltas after one large
+// step stay cheap. The zero value is ready to use; a Combiner is not safe
+// for concurrent use.
 //
 // Key columns compare as AppendKey's bytes would: numerics by the bits of
 // their float64 image (Int(3) meets Float(3.0), -0.0 and +0.0 stay apart,
@@ -181,6 +184,31 @@ func (c *Combiner) Group(r Row, arena *RowSlab) (g Row, fresh bool) {
 // Groups returns the row of every group in first-appearance order, valid
 // until the next Reset.
 func (c *Combiner) Groups() []Row { return c.rows }
+
+// Truncate forgets every group after the first n, as if the rows that
+// opened them had never arrived, in O(dropped groups): it zeroes only their
+// slots. The groups that stay are still found, because a group's probe
+// path holds only groups opened before it — linear probing never moves an
+// earlier group past a later one, and grow reinserts in id order.
+func (c *Combiner) Truncate(n int) {
+	if n >= len(c.rows) {
+		return
+	}
+	for _, s := range c.used[n:] {
+		c.slots[s] = 0
+	}
+	c.rows, c.used = c.rows[:n], c.used[:n]
+}
+
+// Clone returns a copy with its own table and its own copies of the group
+// rows, so folding into one leaves the other as it was.
+func (c *Combiner) Clone() Combiner {
+	d := *c
+	d.rows = CloneRows(c.rows)
+	d.used = slices.Clone(c.used)
+	d.slots = slices.Clone(c.slots)
+	return d
+}
 
 // Combine folds rows sharing the key columns into the first row of each
 // group, combining column valIdx with kind. The caller must own rows:

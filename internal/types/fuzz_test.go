@@ -104,7 +104,9 @@ func FuzzDecodeRowsAppend(f *testing.F) {
 // numerics exactly like Value.Equal (Int(n) and Float collide iff
 // value-equal), keep distinct strings distinct (length-prefixing makes the
 // encoding prefix-free), and agree with the allocating KeyString fallback.
-// HashBytes must be a pure function of the bytes.
+// HashBytes must be a pure function of the bytes. The Combiner, which holds
+// the recursive state, never encodes keys: its sameKey must hold exactly
+// when the AppendKey bytes are equal, and imply equal HashRowKey hashes.
 func FuzzRowKey(f *testing.F) {
 	f.Add(int64(0), 0.0, "", "x", true)
 	f.Add(int64(-1), 3.0, "abc", "abd", false)
@@ -143,6 +145,28 @@ func FuzzRowKey(f *testing.F) {
 		key := []int{0, 2, 4}
 		if KeyString(row, key) != string(AppendKey(nil, row, key)) {
 			t.Fatal("KeyString disagrees with AppendKey")
+		}
+
+		// Every pair of values the inputs make, as one-column keys and as
+		// swapped two-column ones.
+		vals := [...]Value{Int(n), Float(fv), Float(float64(n)), Int(int64(fv)), Float(-fv), Str(s1), Str(s2), Bool(b), Null()}
+		var ka, kc []byte
+		a, c := make(Row, 2), make(Row, 2)
+		keys := [][]int{{0}, {0, 1}}
+		for _, x := range vals {
+			for _, y := range vals {
+				a[0], a[1], c[0], c[1] = x, y, y, x
+				for _, k := range keys {
+					ka, kc = AppendKey(ka[:0], a, k), AppendKey(kc[:0], c, k)
+					same := sameKey(a, c, k)
+					if same != bytes.Equal(ka, kc) {
+						t.Fatalf("sameKey(%v, %v, %v) = %v disagrees with AppendKey byte equality", a, c, k, same)
+					}
+					if same && HashRowKey(a, k) != HashRowKey(c, k) {
+						t.Fatalf("sameKey(%v, %v, %v) holds but HashRowKey differs", a, c, k)
+					}
+				}
+			}
 		}
 	})
 }

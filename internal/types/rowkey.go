@@ -13,10 +13,10 @@ import (
 // coincide, matching Value.Equal), so keys compare collision-safely as raw
 // bytes while hashing to a cheap uint64.
 //
-// Key bytes are meant to live in caller-owned buffers and arenas (see
-// cluster's keyIndex): AppendKey into a reused scratch slice, hash with
-// HashBytes, compare with bytes.Equal — no per-row heap allocation, unlike
-// the string keys these replace.
+// The hot paths do not encode keys: the Combiner, which holds the recursive
+// state, hashes values with HashRowKey and compares them with sameKey,
+// which is exactly this encoding's byte equality (FuzzRowKey checks it).
+// KeyString and RowKeyString turn the bytes into Go map keys.
 
 // AppendKey appends the binary key of r's values at the key indices to buf
 // and returns the extended buffer.

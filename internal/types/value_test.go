@@ -266,7 +266,11 @@ func referenceGroups(rows []Row, key []int, valIdx int, kind AggKind) []Row {
 // view may carry, one Combiner reused across all cases — folding at emit
 // into an arena, and compacting owned rows in place — yields exactly the
 // groups, order and values of a plain map keyed by AppendKey bytes. A
-// previous call's groups must never leak into the next call's.
+// previous call's groups must never leak into the next call's. Truncating
+// the folded table to half its groups and folding every row again must
+// find each kept group (which folds its rows a second time) and reopen the
+// dropped ones in their first-appearance order, as the recursive state's
+// Restore and replay do; in the 100K case the table grew past the cut.
 func TestCombinerMatchesReferenceGrouping(t *testing.T) {
 	negZero := Float(math.Copysign(0, -1))
 	big := make([]Row, 100_000)
@@ -323,6 +327,21 @@ func TestCombinerMatchesReferenceGrouping(t *testing.T) {
 			}
 			if d := diff(folded, want); d != "" {
 				t.Errorf("%v %s: folded %s", kind, tc.name, d)
+			}
+			half := len(want) / 2
+			folder.Truncate(half)
+			if d := diff(folder.Groups(), want[:half]); d != "" {
+				t.Errorf("%v %s: truncated %s", kind, tc.name, d)
+			}
+			for _, r := range tc.rows {
+				folder.Fold(r, &arena)
+			}
+			refolded := CloneRows(want)
+			for _, g := range refolded[:half] {
+				g[tc.valIdx] = kind.Combine(g[tc.valIdx], g[tc.valIdx])
+			}
+			if d := diff(folder.Groups(), refolded); d != "" {
+				t.Errorf("%v %s: truncated and refolded %s", kind, tc.name, d)
 			}
 			if d := diff(combiner.Combine(CloneRows(tc.rows), tc.key, tc.valIdx, kind), want); d != "" {
 				t.Errorf("%v %s: combined %s", kind, tc.name, d)
