@@ -230,7 +230,7 @@ func TestPreparedWorkspaceAfterFailure(t *testing.T) {
 // symmetrized, 40K edges) pays only for the recursion and its final stage:
 // about 360 allocations and 0.5 MiB at two workers, because it also borrows
 // the working memory — projection scratch, combiner, shuffle receive and
-// send memory, the AggRDD state and the final stage's scratch — that the
+// send memory, the view's state and the final stage's scratch — that the
 // previous execution sized. The final count(distinct cc.CmpId) runs where
 // the view lives: each partition ships its distinct labels, not its 1,985
 // rows' worth of view, and the driver counts them without a key string per
@@ -246,7 +246,7 @@ func TestCCRMATPreparedAllocBudget(t *testing.T) {
 
 // TestTCGridPreparedAllocBudget is the same fence over the tc-grid
 // benchmark query (transitive closure of the 21x21 grid, then count(*)): a
-// warm execution merges 52,920 pairs into the SetRDD its workspace kept from
+// warm execution merges 52,920 pairs into the set state its workspace kept from
 // the previous execution and counts them in the final stage, partition by
 // partition, so the driver fetches one partial count per partition — about
 // 50 allocations of 91 KiB, against 62 of 9 MiB when the driver collected
@@ -352,6 +352,8 @@ func preparedAllocFence(t *testing.T, edges *rasql.Relation, query string, want 
 // on the cc-rmat graph (shuffles and transfers) and on the tc-grid graph
 // (transfers only). Memory a collection can take back — a recycling pool,
 // say — shows up here as a second execution that buys it again.
+// The engine is built at the host's GOMAXPROCS, so it runs the workers the
+// benchmark runs; only the two measured executions share one P.
 func TestWarmExecutionIgnoresGC(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations are not the engine's")
@@ -381,6 +383,11 @@ func TestWarmExecutionIgnoresGC(t *testing.T) {
 				return after.Mallocs - before.Mallocs
 			}
 			mallocs() // build and publish the base; size the plan's working memory
+			// The measured executions run on one P: with more, when the
+			// scheduler parks and wakes the stage goroutines varies the
+			// runtime's own allocations by a dozen objects from run to
+			// run, and that noise is not the engine's.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			warm := mallocs()
 			runtime.GC()
 			runtime.GC()

@@ -7,8 +7,8 @@ import (
 )
 
 // The deterministic fault injector. The paper's recovery story (Section 6.1)
-// is that SetRDD gives up lineage, so the accumulated *all* relation is its
-// own checkpoint and a failure replays only the current iteration's job. The
+// is that SetRDD (here State) gives up lineage, so the accumulated *all*
+// relation is its own checkpoint and a failure replays only the current iteration's job. The
 // injector makes that path executable: it kills task attempts at the
 // boundaries where a real cluster loses work (task launch, shuffle fetch,
 // mid-task executor loss) and RunStage replays the attempt after invoking the

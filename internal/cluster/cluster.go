@@ -1,7 +1,7 @@
 // Package cluster simulates a Spark-like shared-nothing cluster inside one
 // process: hash-partitioned relations owned by workers, stages of tasks
 // placed by a pluggable scheduling policy, shuffle exchanges, broadcasts and
-// mutable cached state (SetRDD / AggRDD).
+// mutable cached state (State, the paper's SetRDD).
 //
 // The simulation makes the costs the RaSQL paper optimizes measurable
 // rather than merely counted: whenever rows cross a worker boundary they are
@@ -69,7 +69,7 @@ type Config struct {
 	// processing step, adds it to its worker's busy time on the simulated
 	// clock, and the host spends no time on it. Defaults to 37000 (37µs).
 	TaskOverheadNanos int64
-	// ImmutableState forces SetRDD/AggRDD to copy their entire contents
+	// ImmutableState forces State to copy a partition's entire contents
 	// on every union instead of mutating in place — the behaviour of
 	// vanilla immutable RDDs, kept for ablation benchmarks.
 	ImmutableState bool

@@ -198,14 +198,10 @@ func (q *QueryContext) Partitions() int { return q.cfg.Partitions }
 // DefaultOwner returns the canonical owner worker for a partition.
 func (q *QueryContext) DefaultOwner(part int) int { return part % q.cfg.Workers }
 
-// NewSetRDD creates a set-semantics cached state (see Cluster.NewSetRDD).
-func (q *QueryContext) NewSetRDD(schema types.Schema) *SetRDD {
-	return q.c.NewSetRDD(schema)
-}
-
-// NewAggRDD creates an aggregate cached state (see Cluster.NewAggRDD).
-func (q *QueryContext) NewAggRDD(schema types.Schema, groupBy []int, aggCol int, kind types.AggKind) *AggRDD {
-	return q.c.NewAggRDD(schema, groupBy, aggCol, kind)
+// NewState creates the cached state of a recursive view (see
+// Cluster.NewState).
+func (q *QueryContext) NewState(key []int, valIdx int, kind types.AggKind) *State {
+	return q.c.NewState(key, valIdx, kind)
 }
 
 // RunStage places the tasks per the scheduling policy and executes them,

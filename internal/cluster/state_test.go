@@ -16,8 +16,8 @@ func (p *PartitionedRelation) Len() int {
 	return n
 }
 
-// Len returns the total number of distinct rows.
-func (s *SetRDD) Len() int {
+// Len returns the total number of rows (groups) across partitions.
+func (s *State) Len() int {
 	n := 0
 	for p := range s.idx {
 		n += len(s.Rows(p))
@@ -25,31 +25,32 @@ func (s *SetRDD) Len() int {
 	return n
 }
 
-// Len returns the total number of groups across partitions.
-func (a *AggRDD) Len() int {
-	n := 0
-	for p := range a.idx {
-		n += len(a.Rows(p))
-	}
-	return n
-}
-
 // Len returns the number of distinct keys.
 func (t *RowTable) Len() int { return max(len(t.starts)-1, 0) }
 
-// Contains reports whether the partition already holds the row.
-func (s *SetRDD) Contains(part int, r types.Row) bool {
-	_, ok := findKey(s.Rows(part), r, s.cols)
+// newSetState creates a set view's state: keyed on every column, with no
+// aggregate.
+func newSetState(c *Cluster, schema types.Schema) *State {
+	key := make([]int, schema.Len())
+	for i := range key {
+		key[i] = i
+	}
+	return c.NewState(key, -1, types.AggNone)
+}
+
+// Contains reports whether the partition already holds the row's group.
+func (s *State) Contains(part int, r types.Row) bool {
+	_, ok := s.Lookup(part, r)
 	return ok
 }
 
 // Empty reports whether the delta carries no updates.
-func (d AggDelta) Empty() bool { return len(d.Rows) == 0 }
+func (d Delta) Empty() bool { return len(d.Rows) == 0 }
 
 // Lookup returns the current row whose group key matches the given row's,
 // if present.
-func (a *AggRDD) Lookup(part int, r types.Row) (types.Row, bool) {
-	return findKey(a.Rows(part), r, a.Key)
+func (s *State) Lookup(part int, r types.Row) (types.Row, bool) {
+	return findKey(s.Rows(part), r, s.Key)
 }
 
 // findKey scans rows for the one whose key columns encode as r's do.
@@ -66,12 +67,12 @@ func findKey(rows []types.Row, r types.Row, key []int) (types.Row, bool) {
 func TestSetRDDMergeDedups(t *testing.T) {
 	for _, immutable := range []bool{false, true} {
 		c := New(Config{Workers: 2, Partitions: 2, ImmutableState: immutable})
-		s := c.NewSetRDD(pairSchema())
-		d1 := s.Merge(0, intRows([2]int64{1, 2}, [2]int64{1, 2}, [2]int64{3, 4}))
+		s := newSetState(c, pairSchema())
+		d1 := s.Merge(0, intRows([2]int64{1, 2}, [2]int64{1, 2}, [2]int64{3, 4})).Rows
 		if len(d1) != 2 {
 			t.Errorf("immutable=%v: first merge delta = %d, want 2", immutable, len(d1))
 		}
-		d2 := s.Merge(0, intRows([2]int64{1, 2}, [2]int64{5, 6}))
+		d2 := s.Merge(0, intRows([2]int64{1, 2}, [2]int64{5, 6})).Rows
 		if len(d2) != 1 || !slices.EqualFunc(d2[0], types.Row{types.Int(5), types.Int(6)}, types.Value.Equal) {
 			t.Errorf("immutable=%v: second merge delta = %v", immutable, d2)
 		}
@@ -90,14 +91,34 @@ func TestSetRDDMergeDedups(t *testing.T) {
 	}
 }
 
+// A set merge's delta is the partition's new tail capped at its length: a
+// caller that appends to it gets fresh storage, so the appended row and the
+// rows of the partition's next merge never overwrite each other.
+func TestSetDeltaCapped(t *testing.T) {
+	c := newTestCluster(1, 1)
+	s := newSetState(c, pairSchema())
+	d := s.Merge(0, intRows([2]int64{1, 2}, [2]int64{3, 4}, [2]int64{5, 6})).Rows
+	if rows := s.Rows(0); cap(rows) == len(rows) {
+		t.Fatalf("the partition's rows have no spare capacity (%d), so the test cannot tell", cap(rows))
+	}
+	extra := types.Row{types.Int(-1), types.Int(-1)}
+	d = append(d, extra)
+	next := s.Merge(0, intRows([2]int64{7, 8})).Rows
+	if !slices.EqualFunc(d[len(d)-1], extra, types.Value.Equal) {
+		t.Errorf("the next merge overwrote the row appended to the delta: %v, want %v", d[len(d)-1], extra)
+	}
+	if len(next) != 1 || s.Len() != 4 || !s.Contains(0, types.Row{types.Int(7), types.Int(8)}) || s.Contains(0, extra) {
+		t.Errorf("after an append to the delta the next merge = %v, state = %v", next, s.Rows(0))
+	}
+}
+
 func aggRow(k int64, v float64) types.Row {
 	return types.Row{types.Int(k), types.Float(v)}
 }
 
 func TestAggRDDMinMerge(t *testing.T) {
 	c := newTestCluster(2, 2)
-	a := c.NewAggRDD(types.NewSchema(types.Col("Dst", types.KindInt), types.Col("Cost", types.KindFloat)),
-		[]int{0}, 1, types.AggMin)
+	a := c.NewState([]int{0}, 1, types.AggMin)
 
 	d := a.Merge(0, []types.Row{aggRow(1, 5), aggRow(2, 7)})
 	if len(d.Rows) != 2 || d.Incs != nil {
@@ -121,7 +142,7 @@ func TestAggRDDMinMerge(t *testing.T) {
 
 func TestAggRDDMaxMerge(t *testing.T) {
 	c := newTestCluster(2, 2)
-	a := c.NewAggRDD(pairSchemaFloat(), []int{0}, 1, types.AggMax)
+	a := c.NewState([]int{0}, 1, types.AggMax)
 	a.Merge(0, []types.Row{aggRow(1, 5)})
 	if d := a.Merge(0, []types.Row{aggRow(1, 4)}); !d.Empty() {
 		t.Error("smaller value should not improve max")
@@ -131,13 +152,9 @@ func TestAggRDDMaxMerge(t *testing.T) {
 	}
 }
 
-func pairSchemaFloat() types.Schema {
-	return types.NewSchema(types.Col("K", types.KindInt), types.Col("V", types.KindFloat))
-}
-
 func TestAggRDDSumCarriesIncrements(t *testing.T) {
 	c := newTestCluster(2, 2)
-	a := c.NewAggRDD(pairSchemaFloat(), []int{0}, 1, types.AggSum)
+	a := c.NewState([]int{0}, 1, types.AggSum)
 
 	d := a.Merge(0, []types.Row{aggRow(1, 10)})
 	if len(d.Rows) != 1 || !d.Rows[0][1].Equal(types.Float(10)) || !d.Incs[0].Equal(types.Float(10)) {
@@ -155,7 +172,7 @@ func TestAggRDDSumCarriesIncrements(t *testing.T) {
 
 func TestAggRDDSumMultipleContributionsInBatch(t *testing.T) {
 	c := newTestCluster(2, 2)
-	a := c.NewAggRDD(pairSchemaFloat(), []int{0}, 1, types.AggSum)
+	a := c.NewState([]int{0}, 1, types.AggSum)
 	a.Merge(0, []types.Row{aggRow(1, 1), aggRow(1, 2), aggRow(1, 3)})
 	row, ok := a.Lookup(0, aggRow(1, 0))
 	if !ok || !row[1].Equal(types.Float(6)) {
@@ -165,7 +182,7 @@ func TestAggRDDSumMultipleContributionsInBatch(t *testing.T) {
 
 func TestAggRDDImmutableStateCopies(t *testing.T) {
 	c := New(Config{Workers: 2, Partitions: 2, ImmutableState: true})
-	a := c.NewAggRDD(pairSchemaFloat(), []int{0}, 1, types.AggMin)
+	a := c.NewState([]int{0}, 1, types.AggMin)
 	a.Merge(0, []types.Row{aggRow(1, 5)})
 	a.Merge(0, []types.Row{aggRow(1, 3)})
 	row, ok := a.Lookup(0, aggRow(1, 0))
@@ -181,7 +198,7 @@ func TestAggRDDDeltaAliasesState(t *testing.T) {
 	// Documented ownership: delta rows alias stored state and are
 	// read-only snapshots, consumed before the next merge.
 	c := newTestCluster(2, 2)
-	a := c.NewAggRDD(pairSchemaFloat(), []int{0}, 1, types.AggMin)
+	a := c.NewState([]int{0}, 1, types.AggMin)
 	d := a.Merge(0, []types.Row{aggRow(1, 5)})
 	if !d.Rows[0][1].Equal(types.Float(5)) {
 		t.Errorf("delta value = %v", d.Rows[0][1])
@@ -251,7 +268,7 @@ func TestCountContribution(t *testing.T) {
 
 func TestSetRDDCheckpointRestore(t *testing.T) {
 	c := newTestCluster(2, 2)
-	s := c.NewSetRDD(pairSchema())
+	s := newSetState(c, pairSchema())
 	s.Merge(0, intRows([2]int64{1, 2}))
 	cp := s.Checkpoint(0)
 	s.Merge(0, intRows([2]int64{3, 4}, [2]int64{5, 6}))
@@ -261,14 +278,14 @@ func TestSetRDDCheckpointRestore(t *testing.T) {
 	}
 	// Replaying the same merge after restore yields the same delta.
 	d := s.Merge(0, intRows([2]int64{3, 4}, [2]int64{5, 6}))
-	if len(d) != 2 || s.Len() != 3 {
-		t.Errorf("replay delta = %d, len = %d", len(d), s.Len())
+	if len(d.Rows) != 2 || s.Len() != 3 {
+		t.Errorf("replay delta = %d, len = %d", len(d.Rows), s.Len())
 	}
 }
 
 func TestAggRDDCheckpointRestoreAdditive(t *testing.T) {
 	c := newTestCluster(2, 2)
-	a := c.NewAggRDD(pairSchemaFloat(), []int{0}, 1, types.AggSum)
+	a := c.NewState([]int{0}, 1, types.AggSum)
 	a.Merge(0, []types.Row{aggRow(1, 10)})
 	cp := a.Checkpoint(0)
 	a.Merge(0, []types.Row{aggRow(1, 5), aggRow(2, 7)})
@@ -290,7 +307,7 @@ func TestAggRDDCheckpointRestoreAdditive(t *testing.T) {
 
 func TestAggRDDCheckpointRestoreExtremum(t *testing.T) {
 	c := newTestCluster(2, 2)
-	a := c.NewAggRDD(pairSchemaFloat(), []int{0}, 1, types.AggMin)
+	a := c.NewState([]int{0}, 1, types.AggMin)
 	a.Merge(0, []types.Row{aggRow(1, 10)})
 	cp := a.Checkpoint(0)
 	a.Merge(0, []types.Row{aggRow(1, 3)})
@@ -305,7 +322,7 @@ func TestAggRDDCheckpointRestoreExtremum(t *testing.T) {
 // new ones, and leave the group table consistent for the replay.
 func TestAggRDDCheckpointRestoreMixedMerge(t *testing.T) {
 	c := newTestCluster(2, 2)
-	a := c.NewAggRDD(pairSchemaFloat(), []int{0}, 1, types.AggMin)
+	a := c.NewState([]int{0}, 1, types.AggMin)
 	a.Merge(0, []types.Row{aggRow(1, 10), aggRow(2, 20)})
 	cp := a.Checkpoint(0)
 	a.Merge(0, []types.Row{aggRow(1, 4), aggRow(3, 30), aggRow(2, 25)})
@@ -338,23 +355,23 @@ func TestAggRDDCheckpointRestoreMixedMerge(t *testing.T) {
 // partition receives no rows.
 func TestCheckpointEmptyPartition(t *testing.T) {
 	c := newTestCluster(2, 2)
-	s := c.NewSetRDD(pairSchema())
+	s := newSetState(c, pairSchema())
 	scp := s.Checkpoint(1)
 	s.Merge(1, intRows([2]int64{7, 8}))
 	s.Restore(scp)
 	if s.Len() != 0 || len(s.Rows(1)) != 0 {
-		t.Errorf("SetRDD empty-partition restore left %d rows", s.Len())
+		t.Errorf("set empty-partition restore left %d rows", s.Len())
 	}
-	if d := s.Merge(1, intRows([2]int64{7, 8})); len(d) != 1 {
-		t.Errorf("replay after empty restore delta = %d, want 1", len(d))
+	if d := s.Merge(1, intRows([2]int64{7, 8})); len(d.Rows) != 1 {
+		t.Errorf("replay after empty restore delta = %d, want 1", len(d.Rows))
 	}
 
-	a := c.NewAggRDD(pairSchemaFloat(), []int{0}, 1, types.AggSum)
+	a := c.NewState([]int{0}, 1, types.AggSum)
 	acp := a.Checkpoint(1)
 	a.Merge(1, []types.Row{aggRow(1, 5)})
 	a.Restore(acp)
 	if a.Len() != 0 {
-		t.Errorf("AggRDD empty-partition restore left %d groups", a.Len())
+		t.Errorf("aggregate empty-partition restore left %d groups", a.Len())
 	}
 	a.Merge(1, []types.Row{aggRow(1, 5)})
 	if row, ok := a.Lookup(1, aggRow(1, 0)); !ok || !row[1].Equal(types.Float(5)) {
@@ -366,17 +383,17 @@ func TestCheckpointEmptyPartition(t *testing.T) {
 // retry loop may roll back again if a second attempt also dies.
 func TestCheckpointDoubleRestoreIdempotent(t *testing.T) {
 	c := newTestCluster(2, 2)
-	s := c.NewSetRDD(pairSchema())
+	s := newSetState(c, pairSchema())
 	s.Merge(0, intRows([2]int64{1, 2}))
 	scp := s.Checkpoint(0)
 	s.Merge(0, intRows([2]int64{3, 4}))
 	s.Restore(scp)
 	s.Restore(scp)
 	if s.Len() != 1 || !s.Contains(0, types.Row{types.Int(1), types.Int(2)}) {
-		t.Errorf("double restore corrupted SetRDD: len=%d", s.Len())
+		t.Errorf("double restore corrupted the set state: len=%d", s.Len())
 	}
 
-	a := c.NewAggRDD(pairSchemaFloat(), []int{0}, 1, types.AggSum)
+	a := c.NewState([]int{0}, 1, types.AggSum)
 	a.Merge(0, []types.Row{aggRow(1, 10)})
 	acp := a.Checkpoint(0)
 	a.Merge(0, []types.Row{aggRow(1, 5), aggRow(2, 1)})
@@ -385,7 +402,7 @@ func TestCheckpointDoubleRestoreIdempotent(t *testing.T) {
 	a.Restore(acp)                        // …and dies too
 	row, ok := a.Lookup(0, aggRow(1, 0))
 	if !ok || !row[1].Equal(types.Float(10)) || a.Len() != 1 {
-		t.Errorf("double restore corrupted AggRDD: %v len=%d", row, a.Len())
+		t.Errorf("double restore corrupted the aggregate state: %v len=%d", row, a.Len())
 	}
 }
 
@@ -396,7 +413,7 @@ func TestCheckpointDoubleRestoreIdempotent(t *testing.T) {
 // same slice (exactly what task retry does) double-counts.
 func TestAggRDDRestoreThenReplaySameSlice(t *testing.T) {
 	c := newTestCluster(2, 2)
-	a := c.NewAggRDD(pairSchemaFloat(), []int{0}, 1, types.AggSum)
+	a := c.NewState([]int{0}, 1, types.AggSum)
 	batch := []types.Row{aggRow(1, 1), aggRow(1, 2)}
 	cp := a.Checkpoint(0)
 	a.Merge(0, batch)
@@ -411,7 +428,8 @@ func TestAggRDDRestoreThenReplaySameSlice(t *testing.T) {
 	}
 }
 
-// mergeTarget runs one ownership scenario against either RDD kind.
+// mergeTarget runs one ownership scenario against a set or an aggregate
+// view's state.
 type mergeTarget struct {
 	name  string
 	merge func(part int, rows []types.Row) []types.Row
@@ -422,13 +440,15 @@ type mergeTarget struct {
 
 func mergeTargets(immutable bool) []mergeTarget {
 	c := New(Config{Workers: 2, Partitions: 2, ImmutableState: immutable})
-	s := c.NewSetRDD(pairSchema())
+	s := newSetState(c, pairSchema())
 	targets := []mergeTarget{{
-		name: "set", merge: s.Merge, rows: s.Rows,
+		name:       "set",
+		merge:      func(p int, rows []types.Row) []types.Row { return s.Merge(p, rows).Rows },
+		rows:       s.Rows,
 		checkpoint: func(p int) func() { cp := s.Checkpoint(p); return func() { s.Restore(cp) } },
 	}}
 	for _, kind := range []types.AggKind{types.AggMin, types.AggSum} {
-		a := c.NewAggRDD(pairSchema(), []int{0}, 1, kind)
+		a := c.NewState([]int{0}, 1, kind)
 		targets = append(targets, mergeTarget{
 			name:  "agg-" + kind.String(),
 			merge: func(p int, rows []types.Row) []types.Row { return a.Merge(p, rows).Rows },
@@ -454,7 +474,7 @@ func sameRowSlices(a, b []types.Row) bool {
 	return true
 }
 
-// The ownership contract of both RDDs: Merge copies what it keeps, so the
+// The ownership contract of the state, set and aggregate views alike: Merge copies what it keeps, so the
 // caller may overwrite every incoming row the moment Merge returns (the
 // workspace's scratch and receive memory do exactly that on the partition's
 // next step)

@@ -4,7 +4,7 @@ import "github.com/rasql/rasql-go/internal/types"
 
 // RowTable is the hash-join build side: rows indexed by a column subset,
 // probed for the bucket of rows matching a key. Unlike the incremental
-// types.Combiner that backs SetRDD/AggRDD, a RowTable sees all of its rows up
+// types.Combiner that backs State, a RowTable sees all of its rows up
 // front (the hybrid scheduling policy rebuilds co-partitioned tables after
 // every remote fetch, so builds are hot), which admits a leaner layout:
 //

@@ -9,8 +9,8 @@ import (
 	"github.com/rasql/rasql-go/internal/types"
 )
 
-// naiveGroups groups rows by their normalized key (the encoding SetRDD and
-// AggRDD key on, under which Int(3) and Float(3.0) coincide and NULL equals
+// naiveGroups groups rows by their normalized key (the equality a State's
+// group table keys on, under which Int(3) and Float(3.0) coincide and NULL equals
 // NULL, as Value.Equal has it), keeping input order within a group.
 func naiveGroups(rows []types.Row, cols []int) (order []string, groups map[string][]types.Row) {
 	groups = map[string][]types.Row{}

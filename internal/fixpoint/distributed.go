@@ -246,63 +246,6 @@ func replanShuffled(clique *analyze.Clique) *Plan {
 	return p
 }
 
-// viewState wraps SetRDD/AggRDD behind one merge interface.
-type viewState struct {
-	set *cluster.SetRDD
-	agg *cluster.AggRDD
-}
-
-func newViewState(c *cluster.QueryContext, v *analyze.RecView) *viewState {
-	if v.IsAgg() {
-		return &viewState{agg: c.NewAggRDD(v.Schema, v.GroupIdx, v.AggIdx, v.Agg)}
-	}
-	return &viewState{set: c.NewSetRDD(v.Schema)}
-}
-
-func (s *viewState) merge(part int, rows []types.Row) deltaBatch {
-	if s.set != nil {
-		return deltaBatch{Rows: s.set.Merge(part, rows)}
-	}
-	d := s.agg.Merge(part, rows)
-	return deltaBatch{Rows: d.Rows, Incs: d.Incs, News: d.News}
-}
-
-func (s *viewState) reset() {
-	if s.set != nil {
-		s.set.Reset()
-		return
-	}
-	s.agg.Reset()
-}
-
-func (s *viewState) rows(part int) []types.Row {
-	if s.set != nil {
-		return s.set.Rows(part)
-	}
-	return s.agg.Rows(part)
-}
-
-// checkpoint/restore wrap the state's Section 6.1 snapshots.
-type stateCheckpoint struct {
-	set *cluster.SetCheckpoint
-	agg *cluster.AggCheckpoint
-}
-
-func (s *viewState) checkpoint(part int) stateCheckpoint {
-	if s.set != nil {
-		return stateCheckpoint{set: s.set.Checkpoint(part)}
-	}
-	return stateCheckpoint{agg: s.agg.Checkpoint(part)}
-}
-
-func (s *viewState) restore(cp stateCheckpoint) {
-	if s.set != nil {
-		s.set.Restore(cp.set)
-		return
-	}
-	s.agg.Restore(cp.agg)
-}
-
 func runDistributed(base *Base, ctx *exec.Context, c *cluster.QueryContext, opt DistOptions) (*Result, error) {
 	ws := base.takeWorkspace()
 	defer base.putWorkspace(ws)
@@ -310,12 +253,12 @@ func runDistributed(base *Base, ctx *exec.Context, c *cluster.QueryContext, opt 
 	// send memory, handed back before the workspace is parked.
 	prev := c.LendSendMemory(&ws.send)
 	defer c.LendSendMemory(prev)
-	if ws.state == nil {
-		ws.state = newViewState(c, base.plan.View)
+	if v := base.plan.View; ws.state == nil {
+		ws.state = c.NewState(v.GroupIdx, v.AggIdx, v.Agg)
 	} else {
-		ws.state.reset()
+		ws.state.Reset()
 	}
-	x := newExecution(base, ws, c, opt, ws.state, ws.state.rows)
+	x := newExecution(base, ws, c, opt, ws.state, ws.state.Rows)
 	var iters int
 	var err error
 	switch {
@@ -380,11 +323,11 @@ type workspace struct {
 	// send is the wire memory the execution lends its QueryContext: its
 	// shuffle generations and transfer scratch.
 	send cluster.SendMemory
-	// state is the recursive view's all relation (SetRDD or AggRDD): built
-	// by the workspace's first semi-naive execution and reset, its memory
-	// kept, by every later one. Its rows are valid until that reset, so
-	// results leave it by copy.
-	state *viewState
+	// state is the recursive view's all relation: built by the
+	// workspace's first semi-naive execution and reset, its memory kept,
+	// by every later one. Its rows are valid until that reset, so results
+	// leave it by copy.
+	state *cluster.State
 	// finalTasks are the final stage's tasks, built by the first execution
 	// that runs it; finishing is the execution they serve while it runs.
 	finalTasks []cluster.Task

@@ -34,7 +34,7 @@ type execution struct {
 	parts   int
 	// state is the view state the semi-naive runners merge into; nil for
 	// the SQL-naive baseline, which replaces its relation every iteration.
-	state *viewState
+	state *cluster.State
 	// rows is partition p's accumulated relation: the view state's, or the
 	// SQL-naive baseline's current one.
 	rows func(p int) []types.Row
@@ -46,7 +46,7 @@ type execution struct {
 	final *finalPlan
 }
 
-func newExecution(base *Base, ws *workspace, c *cluster.QueryContext, opt DistOptions, state *viewState, rows func(int) []types.Row) *execution {
+func newExecution(base *Base, ws *workspace, c *cluster.QueryContext, opt DistOptions, state *cluster.State, rows func(int) []types.Row) *execution {
 	x := &execution{ws: ws, kernels: base.kernels, seed: base.seed, c: c, opt: opt, parts: c.Partitions(), state: state, rows: rows, final: base.final}
 	x.front.split = opt.Tracer.Enabled()
 	return x
@@ -107,9 +107,9 @@ func (x *execution) tasks(run func(p, w int)) []cluster.Task {
 		p := p
 		tasks[p] = cluster.Task{Part: p, Preferred: x.c.DefaultOwner(p), Run: func(w int) { run(p, w) }}
 		if x.state != nil && x.c.ChaosEnabled() {
-			cp := x.state.checkpoint(p)
+			cp := x.state.Checkpoint(p)
 			tasks[p].Rollback = func() {
-				x.state.restore(cp)
+				x.state.Restore(cp)
 				x.c.Metrics.RecoveredIterations.Add(1)
 			}
 		}
@@ -135,7 +135,7 @@ func (x *execution) receive(sh *cluster.Shuffle, p, w int) []types.Row {
 // case where recovery must restore the checkpoint before the replay
 // (Section 6.1). It precedes the count, so a failed attempt counts nothing.
 func (x *execution) merge(f *frontier, p, w int, rows []types.Row) deltaBatch {
-	d := x.state.merge(p, rows)
+	d := deltaBatch(x.state.Merge(p, rows))
 	x.c.ChaosPostMerge(w)
 	f.add(d)
 	return d

@@ -8,13 +8,10 @@ import (
 	"github.com/rasql/rasql-go/internal/types"
 )
 
-// deltaBatch is the per-partition frontier in consumable form: rows, plus
-// increments and first-derivation flags for aggregate views.
-type deltaBatch struct {
-	Rows []types.Row
-	Incs []types.Value
-	News []bool
-}
+// deltaBatch is the per-partition frontier in consumable form: a state
+// merge's delta — rows, plus increments and first-derivation flags for
+// aggregate views — or, for the SQL-naive baseline, the whole relation.
+type deltaBatch cluster.Delta
 
 func (d deltaBatch) empty() bool { return len(d.Rows) == 0 }
 

@@ -158,8 +158,8 @@ func (x *execution) relaxed() (int, error) {
 		Owner:     c.DefaultOwner,
 		Staleness: gate,
 		Checkpoint: func(part int) func() {
-			cp := x.state.checkpoint(part)
-			return func() { x.state.restore(cp) }
+			cp := x.state.Checkpoint(part)
+			return func() { x.state.Restore(cp) }
 		},
 		Process: func(part, worker int, rows []types.Row, round int64, stale int) [][]types.Row {
 			if fail.failed.Load() {
@@ -180,7 +180,7 @@ func (x *execution) relaxed() (int, error) {
 			if tr.Enabled() {
 				t0 = tr.Now()
 			}
-			d := x.state.merge(part, rows)
+			d := deltaBatch(x.state.Merge(part, rows))
 			// Post-merge fault point: an executor dying after mutating the
 			// cached state rolls back to the Checkpoint snapshot and replays
 			// this processing step (Section 6.1), exactly like a BSP merge

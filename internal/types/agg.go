@@ -121,8 +121,8 @@ func CountContribution(v Value) Value {
 
 // Combiner is an open-addressed group table that folds rows into one row
 // per group as they arrive. It is the map-side combine of the paper's
-// Algorithm 5, line 5, and each partition of the recursive state (SetRDD,
-// AggRDD), whose groups are the partition's rows. A reused Combiner
+// Algorithm 5, line 5, and each partition of the recursive view's state
+// (cluster.State), whose groups are the partition's rows. A reused Combiner
 // allocates only for a call with more groups than any before it, and Reset
 // zeroes only the slots the last call used, so small deltas after one large
 // step stay cheap. The zero value is ready to use; a Combiner is not safe

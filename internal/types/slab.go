@@ -3,7 +3,7 @@ package types
 // RowSlab is a bump allocator for row storage with a single owner: rows are
 // carved out of chunks that start small, double up to a cap and never move,
 // so a handed-out row stays valid until the owner calls Reset (or drops the
-// slab). The SetRDD/AggRDD partition state only appends within one
+// slab). A partition of the recursive view's state only appends within one
 // execution and resets when the workspace that owns it starts the next; a
 // per-step owner (the fixpoint workspace's scratch) resets at the start of
 // each step. Either re-carves the chunks it already holds, so the steady

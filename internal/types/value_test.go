@@ -245,7 +245,7 @@ func TestPartialAggregateOwnedCompactsInPlace(t *testing.T) {
 	}
 }
 
-// referenceGroups is the grouping AggRDD.Merge keys on: a map from
+// referenceGroups is the grouping State.Merge keys on: a map from
 // AppendKey bytes to each group's first row, values combined in order.
 func referenceGroups(rows []Row, key []int, valIdx int, kind AggKind) []Row {
 	ids := map[string]int{}
