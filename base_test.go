@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	rasql "github.com/rasql/rasql-go"
+	"github.com/rasql/rasql-go/internal/cluster"
 	"github.com/rasql/rasql-go/internal/fixpoint"
 	"github.com/rasql/rasql-go/internal/gen"
 	"github.com/rasql/rasql-go/queries"
@@ -228,10 +229,15 @@ func TestPreparedWorkspaceAfterFailure(t *testing.T) {
 // TestCCRMATPreparedAllocBudget: once a prepared CC plan has published its
 // base, the next execution over the cc-rmat benchmark graph (RMAT-2000,
 // symmetrized, 40K edges) pays only for the recursion and its final stage:
-// about 360 allocations and 0.5 MiB at two workers, because it also borrows
-// the working memory — projection scratch, combiner, shuffle receive and
-// send memory, the view's state and the final stage's scratch — that the
-// previous execution sized. The final count(distinct cc.CmpId) runs where
+// 41 or 42 allocations of about 1.8 KiB on the benchmark's four workers and
+// partitions, because it also borrows the working memory — projection
+// scratch, combiner, shuffle receive and send memory, the view's state and
+// its delta buffers, the stage tasks and the final stage's scratch — that
+// the previous execution sized. What is left is per stage (one closure per
+// worker goroutine, a shuffle) and per query (its context, its task queues,
+// the result). When every merge appended a fresh delta, every stage built
+// its task list and every worker took two closures, an execution made 358
+// allocations of 514 KiB. The final count(distinct cc.CmpId) runs where
 // the view lives: each partition ships its distinct labels, not its 1,985
 // rows' worth of view, and the driver counts them without a key string per
 // row. Rebuilding the base — 40K projected seed rows, the partitioned edge
@@ -241,31 +247,37 @@ func TestPreparedWorkspaceAfterFailure(t *testing.T) {
 // in 139,784 bytes.
 func TestCCRMATPreparedAllocBudget(t *testing.T) {
 	edges := gen.Symmetrized(gen.Unweighted(gen.RMATDefault(2000, gen.Rng(1))))
-	preparedAllocFence(t, edges, queries.CC, preparedCounts{4, 1985, 139784, 22390}, 400, 570<<10)
+	preparedAllocFence(t, edges, queries.CC, preparedCounts{4, 1985, 139784, 22390}, 46, 2086)
 }
 
 // TestTCGridPreparedAllocBudget is the same fence over the tc-grid
 // benchmark query (transitive closure of the 21x21 grid, then count(*)): a
 // warm execution merges 52,920 pairs into the set state its workspace kept from
 // the previous execution and counts them in the final stage, partition by
-// partition, so the driver fetches one partial count per partition — about
-// 50 allocations of 91 KiB, against 62 of 9 MiB when the driver collected
-// the view to count it, and 520 of 30 MiB when every execution built its
-// state from nothing. The plan decomposes, so it never shuffles.
+// partition, so the driver fetches one partial count per partition — 19 or
+// 20 allocations of about 1.3 KiB. Its seed is decoded into the partitions'
+// receive memory and its two stages run on the workspace's kept tasks; when
+// each execution decoded the 840 seed rows into fresh memory and built its
+// task lists it made 48 allocations of 91 KiB, when the driver collected
+// the view to count it 62 of 9 MiB, and when every execution built its
+// state from nothing 520 of 30 MiB. The plan decomposes, so it never
+// shuffles.
 func TestTCGridPreparedAllocBudget(t *testing.T) {
 	edges := gen.Unweighted(gen.Grid(20, gen.Rng(1)))
 	edges.Name = "grid_edge"
 	const query = `WITH recursive tc(Src, Dst) AS (SELECT Src, Dst FROM grid_edge) UNION (SELECT tc.Src, grid_edge.Dst FROM tc, grid_edge WHERE tc.Dst = grid_edge.Src) SELECT count(*) FROM tc`
-	preparedAllocFence(t, edges, query, preparedCounts{40, 52920, 0, 0}, 58, 106<<10)
+	preparedAllocFence(t, edges, query, preparedCounts{40, 52920, 0, 0}, 22, 1505)
 }
 
 // TestShortReachPreparedAllocBudget is the fence over short-mix's class C
 // shape: a reachability count(*) from the highest-degree vertex of
 // RMAT-200, the short-mix graph. The recursion is short, so an execution's
-// fixed cost dominates: its stages' goroutines, and the final stage, whose
-// tasks the workspace keeps and whose partial counts the driver decodes
-// into memory the workspace keeps too — about 105 allocations of 5–11 KiB
-// at two workers, against about 120 of 33 KiB with the collect.
+// fixed cost dominates: one closure per worker goroutine of each of its
+// stages, whose tasks the workspace keeps, and the final stage, whose
+// partial counts the driver decodes into memory the workspace keeps too —
+// 41 or 42 allocations of about 1.8 KiB on four workers, against 110 of
+// 8 KiB with fresh deltas and task lists and about 120 of 33 KiB with the
+// collect.
 func TestShortReachPreparedAllocBudget(t *testing.T) {
 	edges := gen.RMATDefault(200, gen.Rng(1))
 	edges.Name = "mix_edge"
@@ -280,15 +292,17 @@ func TestShortReachPreparedAllocBudget(t *testing.T) {
 		}
 	}
 	query := fmt.Sprintf(`WITH recursive reach(Dst) AS (SELECT %d) UNION (SELECT mix_edge.Dst FROM reach, mix_edge WHERE reach.Dst = mix_edge.Src) SELECT count(*) FROM reach`, source)
-	preparedAllocFence(t, edges, query, preparedCounts{4, 199, 7071, 2000}, 121, 12<<10)
+	preparedAllocFence(t, edges, query, preparedCounts{4, 199, 7071, 2000}, 46, 2086)
 }
 
 // preparedCounts are the exact counts of one prepared execution.
 type preparedCounts struct{ iterations, viewRows, shuffleBytes, shuffleRecords int64 }
 
-// preparedAllocFence prepares query over edges on a default engine, runs it
-// once to build the base and size the working memory, and holds the next
-// execution to the allocation budgets. Its counts must equal want: the
+// preparedAllocFence prepares query over edges on an engine with the
+// benchmark's four workers and four partitions (the default follows the
+// host's GOMAXPROCS), runs it once to build the base and size the working
+// memory, and holds the next execution to the allocation budgets, each the
+// measured value plus 10%. Its counts must equal want: the
 // iterations and shuffle volume of the measured execution, and the view's
 // fixpoint size read from one more, traced, execution. Any change to the
 // plan, the map-side combine or the wire format moves one of them.
@@ -297,7 +311,7 @@ func preparedAllocFence(t *testing.T, edges *rasql.Relation, query string, want 
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations are not the engine's")
 	}
-	eng := rasql.New(rasql.Config{})
+	eng := rasql.New(rasql.Config{Cluster: cluster.Config{Workers: 4, Partitions: 4}})
 	eng.MustRegister(edges)
 	p, err := eng.Prepare(query)
 	if err != nil {
@@ -309,10 +323,16 @@ func preparedAllocFence(t *testing.T, edges *rasql.Relation, query string, want 
 		}
 	}
 	run() // build and publish the base; size the workspace, its state and send memory
+	// The measured execution runs on one P, as in TestWarmExecutionIgnoresGC:
+	// with more, a stage goroutine that finds no free goroutine of its P
+	// costs the runtime a new one, a few hundred bytes each time the
+	// scheduler happens to place it so, and that noise is not the engine's.
+	prev := runtime.GOMAXPROCS(1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	run()
 	runtime.ReadMemStats(&after)
+	runtime.GOMAXPROCS(prev)
 	s, _ := eng.Observability().Last()
 	tr := rasql.NewIterationsTracer()
 	if _, err := eng.ExecPrepared(context.Background(), p, &rasql.ExecOptions{Tracer: tr}); err != nil {
@@ -342,7 +362,7 @@ func preparedAllocFence(t *testing.T, edges *rasql.Relation, query string, want 
 	if bytes > byteBudget {
 		t.Errorf("a prepared execution allocated %d KiB, budget %d KiB", bytes>>10, byteBudget>>10)
 	}
-	t.Logf("a prepared execution made %d allocations of %d KiB (budgets %d, %d KiB)", got, bytes>>10, budget, byteBudget>>10)
+	t.Logf("a prepared execution made %d allocations of %d B (budgets %d, %d B)", got, bytes, budget, byteBudget)
 }
 
 // TestWarmExecutionIgnoresGC: a warm prepared execution encodes its wire

@@ -155,6 +155,33 @@ func TestAggRDDMergeZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestAggDeltaReuseZeroAllocs pins the aggregate delta's buffer: on a warm
+// partition where every contribution changes its group — a sum takes every
+// nonzero increment, a min every lower candidate — Merge derives the delta's
+// rows, increments and first-derivation flags into the buffer the previous
+// merge grew, and allocates nothing.
+func TestAggDeltaReuseZeroAllocs(t *testing.T) {
+	for _, kind := range []types.AggKind{types.AggSum, types.AggMin} {
+		c := newTestCluster(1, 1)
+		rows := benchClusterRows(1024)
+		a := c.NewState([]int{0}, 2, kind)
+		next := 0.0
+		merge := func() {
+			next--
+			for _, r := range rows {
+				r[2] = types.Float(next)
+			}
+			if d := a.Merge(0, rows); len(d.Rows) != len(rows) {
+				t.Fatalf("%s: %d of %d contributions changed their group", kind, len(d.Rows), len(rows))
+			}
+		}
+		merge() // open the groups and grow the delta buffer
+		if allocs := testing.AllocsPerRun(20, merge); allocs != 0 {
+			t.Errorf("%s: a merge that changes every group allocates %.1f, want 0", kind, allocs)
+		}
+	}
+}
+
 // TestShuffleAddZeroAllocs pins the map-side shuffle write on warm send
 // memory: every producer's Add encodes into its shard's bytes and appends to
 // bucket lists within the capacity the previous round grew, and resetting

@@ -105,8 +105,9 @@ func (c ChaosConfig) Enabled() bool { return c.Rate > 0 || len(c.Schedule) > 0 }
 // injector holds the runtime state of an enabled chaos config. It lives on
 // the QueryContext behind a single nil check, so a disabled injector costs
 // one predictable branch on the stage and fetch hot paths and nothing else
-// (pinned by BenchmarkDisabledInjector). Each query gets its own injector,
-// so the fault schedule depends only on the query's own stage sequence.
+// (pinned by TestDisabledInjectorZeroAllocs). Each query gets its own
+// injector, so the fault schedule depends only on the query's own stage
+// sequence.
 type injector struct {
 	cfg       ChaosConfig
 	seed      uint64

@@ -33,6 +33,25 @@ func TestDisabledInjectorZeroAllocs(t *testing.T) {
 	}
 }
 
+// A parallel stage allocates no more than one object per active worker: the
+// closure its goroutine's spawn needs. The stage's name, span flag, chaos
+// scope and barrier live on the QueryContext, and the queues are warm, so
+// nothing else escapes. Four workers with a task each cost nine allocations
+// per stage when every worker took two closures and the WaitGroup escaped.
+func TestParallelRunStageAllocBudget(t *testing.T) {
+	const workers = 4
+	c := New(Config{Workers: workers, Partitions: workers}).NewQuery(nil)
+	tasks := make([]Task, workers)
+	for i := range tasks {
+		tasks[i] = Task{Part: i, Preferred: i, Run: func(int) {}}
+	}
+	c.RunStage("warm", tasks) // size the queues
+	allocs := testing.AllocsPerRun(100, func() { c.RunStage("noop", tasks) })
+	if allocs > workers {
+		t.Errorf("a parallel %d-worker stage allocates %.1f, budget %d", workers, allocs, workers)
+	}
+}
+
 // An enabled injector whose schedule never fires must also stay off the
 // allocator on the per-task decision path: rolling the fault dice, looking
 // up the worker's chaos context, and passing a fetch point are the costs

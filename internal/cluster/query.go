@@ -43,6 +43,14 @@ type QueryContext struct {
 	// queues is per-worker task-queue scratch reused across stages (the
 	// stage barrier guarantees no queue outlives its RunStage call).
 	queues []workerQueue
+	// The running stage, as its workers read it: its name, whether spans
+	// are recorded, its chaos scope (nil when chaos is off) and the barrier
+	// its worker goroutines join. Fields rather than RunStage locals, so a
+	// stage allocates no closure over them and its WaitGroup does not escape.
+	stageName string
+	spans     bool
+	sc        *stageChaos
+	wg        sync.WaitGroup
 	// slowest is per-stage scratch for the critical-path sim-time of the
 	// current stage; a field (not a RunStage local) so worker goroutines
 	// don't force a heap allocation per stage capturing it.
@@ -233,49 +241,32 @@ func (q *QueryContext) RunStage(name string, tasks []Task) {
 		wq.tasks = append(wq.tasks, t)
 	}
 
-	spans := q.Tracer.SpansEnabled()
+	q.stageName, q.spans, q.sc = name, q.Tracer.SpansEnabled(), nil
 	var stageSpan trace.Span
-	if spans {
+	if q.spans {
 		stageSpan = q.Tracer.BeginArgs("stage "+name, trace.TidDriver,
 			trace.Arg{Key: "tasks", Val: int64(len(tasks))})
 	}
-	var sc *stageChaos
 	if q.chaos != nil {
-		sc = q.chaos.beginStage(name, seq)
-	}
-	active := 0
-	for i := range queues {
-		if len(queues[i].tasks) > 0 {
-			active++
-		}
+		q.sc = q.chaos.beginStage(name, seq)
 	}
 	start := startStopwatch()
 	q.slowest.Store(0)
 	q.busyTotal.Store(0)
-	if q.cfg.SequentialStages {
-		for w := range queues {
-			if queue := queues[w].tasks; len(queue) > 0 {
-				q.runQueue(w, queue, name, spans, sc)
-			}
+	active := 0
+	for w := range queues {
+		switch {
+		case len(queues[w].tasks) == 0:
+			continue
+		case q.cfg.SequentialStages:
+			q.runQueue(w)
+		default:
+			q.wg.Add(1)
+			go q.runWorker(w)
 		}
-	} else {
-		var wg sync.WaitGroup
-		for w := range queues {
-			queue := queues[w].tasks
-			if len(queue) == 0 {
-				continue
-			}
-			wg.Add(1)
-			// All loop/stage state is passed as arguments: capturing sc (or
-			// name/spans) by reference would heap-allocate them even on the
-			// sequential path, which never builds this closure.
-			go func(w int, queue []Task, name string, spans bool, sc *stageChaos) {
-				defer wg.Done()
-				q.runQueue(w, queue, name, spans, sc)
-			}(w, queue, name, spans, sc)
-		}
-		wg.Wait()
+		active++
 	}
+	q.wg.Wait()
 	q.Metrics.StageWallNanos.Add(start.elapsedNanos())
 	slowest := q.slowest.Load()
 	q.Metrics.SimNanos.Add(slowest)
@@ -288,13 +279,23 @@ func (q *QueryContext) RunStage(name string, tasks []Task) {
 	stageSpan.End()
 }
 
-// runQueue drains one worker's task queue for the current stage. A method
-// rather than a RunStage closure so the sequential (and benchmark-pinned)
-// path stays allocation-free; only the parallel branch pays for its
-// per-worker goroutine closures. TestDisabledInjectorZeroAllocs pins the
-// scheduler loop itself, chaos-off and spans-off; the chaos and span paths
-// allocate their bookkeeping, and task bodies own their allocations.
-func (q *QueryContext) runQueue(w int, queue []Task, name string, spans bool, sc *stageChaos) {
+// runWorker is worker w's goroutine for the running stage: it drains the
+// worker's queue and joins the stage barrier.
+func (q *QueryContext) runWorker(w int) {
+	defer q.wg.Done()
+	q.runQueue(w)
+}
+
+// runQueue drains one worker's task queue for the current stage. The stage
+// reaches it through the QueryContext's fields, so spawning a worker
+// allocates only the goroutine's own argument closure and the sequential
+// path allocates nothing. TestDisabledInjectorZeroAllocs pins the sequential
+// scheduler loop and TestParallelRunStageAllocBudget the parallel one,
+// chaos-off and spans-off; the chaos and span paths allocate their
+// bookkeeping, and task bodies own their allocations.
+func (q *QueryContext) runQueue(w int) {
+	wq := &q.queues[w]
+	queue, name, spans, sc := wq.tasks, q.stageName, q.spans, q.sc
 	t0 := startStopwatch()
 	for _, t := range queue {
 		if sc != nil {
@@ -308,7 +309,6 @@ func (q *QueryContext) runQueue(w int, queue []Task, name string, spans bool, sc
 			t.Run(w)
 		}
 	}
-	wq := &q.queues[w]
 	d := t0.elapsedNanos() + int64(len(queue))*q.cfg.TaskOverheadNanos + wq.charged
 	wq.charged = 0
 	q.busyTotal.Add(d)

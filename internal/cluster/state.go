@@ -25,9 +25,9 @@ import (
 // row never pins the buffer it arrived in.
 //
 // The state outlives one fixpoint: Reset empties it for the next execution
-// and keeps every backing array — group table and slab chunks — so a reused
-// state re-fills the memory the previous execution sized instead of growing
-// it again.
+// and keeps every backing array — group table, slab chunks and delta
+// buffers — so a reused state re-fills the memory the previous execution
+// sized instead of growing it again.
 //
 // When the cluster is configured with ImmutableState the merge instead
 // copies the full partition contents every iteration — vanilla immutable
@@ -47,6 +47,9 @@ type State struct {
 	// value column holds the running total or extremum.
 	idx  []types.Combiner
 	slab []types.RowSlab // slab[part] backs them
+	// delta[part] is the buffer an aggregate view's Merge derives the
+	// partition's delta into, truncated by the next Merge.
+	delta []Delta
 }
 
 // Delta is what one merge derived: the rows that are new or whose value
@@ -74,6 +77,7 @@ func (c *Cluster) newState(key []int, valIdx int, kind types.AggKind, parts int)
 		c:      c,
 		idx:    make([]types.Combiner, parts),
 		slab:   make([]types.RowSlab, parts),
+		delta:  make([]Delta, parts),
 	}
 	s.Reset()
 	return s
@@ -116,9 +120,12 @@ func (s SetRDD) Merge(part int, incoming []types.Row) []types.Row {
 // Ownership: incoming rows stay caller-owned (a new group stores a copy in
 // the partition's slab, never the incoming row itself — see below), and the
 // returned delta rows alias the stored state (the value column reflects the
-// new total or extremum at merge time). Callers must treat delta rows as
-// read-only and consume them before the next merge of the same partition —
-// exactly the lifecycle of semi-naive deltas.
+// new total or extremum at merge time). An aggregate view's delta slices are
+// the partition's delta buffer, which the next Merge of the partition
+// truncates and refills; a set view's delta is a capped tail of the
+// partition's rows. Either way callers must treat the delta as read-only and
+// consume it before the next merge of the same partition — exactly the
+// lifecycle of semi-naive deltas — so a warm merge allocates nothing for it.
 func (s *State) Merge(part int, incoming []types.Row) Delta {
 	if s.c.cfg.ImmutableState {
 		// Simulate an immutable union: copy the partition's table and
@@ -138,7 +145,8 @@ func (s *State) Merge(part int, incoming []types.Row) Delta {
 		rows := x.Groups()
 		return Delta{Rows: rows[before:len(rows):len(rows)]}
 	}
-	var d Delta
+	d := &s.delta[part]
+	d.Rows, d.Incs, d.News = d.Rows[:0], d.Incs[:0], d.News[:0]
 	additive := s.Kind.Additive()
 	for _, r := range incoming {
 		v := r[s.ValIdx]
@@ -167,7 +175,7 @@ func (s *State) Merge(part int, incoming []types.Row) Delta {
 			d.Incs = append(d.Incs, v)
 		}
 	}
-	return d
+	return *d
 }
 
 // Rows returns the accumulated rows of a partition (no copy: the rows live

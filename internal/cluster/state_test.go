@@ -432,7 +432,7 @@ func TestAggRDDRestoreThenReplaySameSlice(t *testing.T) {
 // view's state.
 type mergeTarget struct {
 	name  string
-	merge func(part int, rows []types.Row) []types.Row
+	merge func(part int, rows []types.Row) Delta
 	rows  func(part int) []types.Row
 	// checkpoint snapshots the partition and returns its restore.
 	checkpoint func(part int) func()
@@ -443,7 +443,7 @@ func mergeTargets(immutable bool) []mergeTarget {
 	s := newSetState(c, pairSchema())
 	targets := []mergeTarget{{
 		name:       "set",
-		merge:      func(p int, rows []types.Row) []types.Row { return s.Merge(p, rows).Rows },
+		merge:      s.Merge,
 		rows:       s.Rows,
 		checkpoint: func(p int) func() { cp := s.Checkpoint(p); return func() { s.Restore(cp) } },
 	}}
@@ -451,7 +451,7 @@ func mergeTargets(immutable bool) []mergeTarget {
 		a := c.NewState([]int{0}, 1, kind)
 		targets = append(targets, mergeTarget{
 			name:  "agg-" + kind.String(),
-			merge: func(p int, rows []types.Row) []types.Row { return a.Merge(p, rows).Rows },
+			merge: a.Merge,
 			rows:  a.Rows,
 			checkpoint: func(p int) func() {
 				cp := a.Checkpoint(p)
@@ -486,7 +486,7 @@ func TestMergeLeavesIncomingCallerOwned(t *testing.T) {
 			// A duplicate, an update of a stored group, two rows of one
 			// fresh group, and a plain new row.
 			batch := intRows([2]int64{1, 10}, [2]int64{1, 4}, [2]int64{2, 7}, [2]int64{2, 5}, [2]int64{3, 9})
-			delta := tg.merge(0, batch)
+			delta := tg.merge(0, batch).Rows
 			if len(delta) == 0 {
 				t.Fatalf("%s immutable=%v: empty delta", tg.name, immutable)
 			}
@@ -523,22 +523,71 @@ func TestRestoreThenReplayIdenticalState(t *testing.T) {
 			first := intRows([2]int64{1, 10}, [2]int64{2, 20})
 			batch := intRows([2]int64{1, 4}, [2]int64{3, 7}, [2]int64{3, 5}, [2]int64{2, 20}, [2]int64{4, 1})
 			undisturbed[i].merge(0, first)
-			wantDelta := types.CloneRows(undisturbed[i].merge(0, batch))
+			wantDelta := cloneDelta(undisturbed[i].merge(0, batch))
 
 			tg.merge(0, first)
 			restore := tg.checkpoint(0)
-			tg.merge(0, batch)
+			attempt := cloneDelta(tg.merge(0, batch))
 			tg.merge(0, grow)
 			restore()
 			if !sameRowSlices(tg.rows(0), first) {
 				t.Errorf("%s immutable=%v: state after restore = %v, want %v", tg.name, immutable, tg.rows(0), first)
 			}
+			// The replay derives into the buffer the dying attempt's delta
+			// and the grow merge's used, and must return what the attempt
+			// did.
 			delta := tg.merge(0, batch)
-			if !sameRowSlices(delta, wantDelta) {
-				t.Errorf("%s immutable=%v: replayed delta = %v, want %v", tg.name, immutable, delta, wantDelta)
+			if !sameDelta(delta, wantDelta) || !sameDelta(delta, attempt) {
+				t.Errorf("%s immutable=%v: replayed delta = %v, want %v, the first attempt's %v", tg.name, immutable, delta, wantDelta, attempt)
 			}
 			if !sameRowSlices(tg.rows(0), undisturbed[i].rows(0)) {
 				t.Errorf("%s immutable=%v: replayed state = %v, want %v", tg.name, immutable, tg.rows(0), undisturbed[i].rows(0))
+			}
+		}
+	}
+}
+
+func cloneDelta(d Delta) Delta {
+	return Delta{Rows: types.CloneRows(d.Rows), Incs: slices.Clone(d.Incs), News: slices.Clone(d.News)}
+}
+
+func sameDelta(a, b Delta) bool {
+	return sameRowSlices(a.Rows, b.Rows) && slices.EqualFunc(a.Incs, b.Incs, types.Value.Equal) && slices.Equal(a.News, b.News)
+}
+
+// An aggregate view's delta lives in its partition's delta buffer until the
+// next Merge, and nothing the caller does to it reaches further: scribbling
+// over the delta's spare capacity and over its rows' slice headers after
+// every merge leaves the next merge's delta and the partition's rows as an
+// undisturbed state has them. (A set view's delta is a capped tail of the
+// partition's rows themselves, so its headers are the state's: read-only.)
+func TestAggDeltaScribbleLeavesStateIntact(t *testing.T) {
+	batches := [][]types.Row{
+		intRows([2]int64{1, 10}, [2]int64{2, 20}),
+		intRows([2]int64{1, 4}, [2]int64{3, 7}, [2]int64{3, 5}, [2]int64{2, 20}, [2]int64{4, 1}),
+		intRows([2]int64{5, 9}),
+		intRows([2]int64{1, 2}, [2]int64{4, 3}, [2]int64{6, 1}, [2]int64{2, 1}),
+	}
+	junk := types.Row{types.Int(-7), types.Int(-7)}
+	for _, immutable := range []bool{false, true} {
+		for _, kind := range []types.AggKind{types.AggMin, types.AggSum} {
+			c := New(Config{Workers: 1, Partitions: 1, ImmutableState: immutable})
+			clean, scribbled := c.NewState([]int{0}, 1, kind), c.NewState([]int{0}, 1, kind)
+			for i, b := range batches {
+				want := cloneDelta(clean.Merge(0, b))
+				d := scribbled.Merge(0, b)
+				if !sameDelta(d, want) || !sameRowSlices(scribbled.Rows(0), clean.Rows(0)) {
+					t.Errorf("%s immutable=%v merge %d: delta %v and rows %v, want %v and %v", kind, immutable, i, d, scribbled.Rows(0), want, clean.Rows(0))
+				}
+				for j := range d.Rows[:cap(d.Rows)] {
+					d.Rows[:cap(d.Rows)][j] = junk
+				}
+				for j := range d.Incs[:cap(d.Incs)] {
+					d.Incs[:cap(d.Incs)][j] = types.Int(-7)
+				}
+				for j := range d.News[:cap(d.News)] {
+					d.News[:cap(d.News)][j] = !d.News[:cap(d.News)][j]
+				}
 			}
 		}
 	}

@@ -44,10 +44,10 @@ func DistributedSQLNaive(clique *analyze.Clique, ctx *exec.Context, c *cluster.Q
 		return nil, err
 	}
 	v := base.plan.View
-	// state[p] holds the current full relation partition; each iteration
+	x := newExecution(base, base.takeWorkspace(), c, opt, nil)
+	// naive[p] holds the current full relation partition; each iteration
 	// builds a fresh copy (immutable SQL results).
-	state := make([][]types.Row, c.Partitions())
-	x := newExecution(base, base.takeWorkspace(), c, opt, nil, func(p int) []types.Row { return state[p] })
+	x.naive = make([][]types.Row, c.Partitions())
 	x.mode = "sql-naive"
 	// Every iteration is a fresh job over the whole relation. The base branch
 	// of the UNION is evaluated once (buildBase) and re-shuffled every round,
@@ -68,14 +68,14 @@ func DistributedSQLNaive(clique *analyze.Clique, ctx *exec.Context, c *cluster.Q
 		grown := x.traced(iter, func() {
 			sh := c.NewShuffle(x.parts)
 			sh.Add(x.seed, -1) // the base branch of the UNION, re-scanned
-			c.RunStage("sqlnaive.map", x.tasks(func(p, w int) {
-				if len(state[p]) > 0 {
+			x.stage("sqlnaive.map", x.ws.tasks, func(x *execution, p, w int) {
+				if len(x.naive[p]) > 0 {
 					// The whole accumulated relation feeds the join.
-					sh.Add(x.ws.run(c, x.kernels, deltaBatch{Rows: state[p]}, p, w), w)
+					sh.Add(x.ws.run(c, x.kernels, deltaBatch{Rows: x.naive[p]}, p, w), w)
 				}
-			}))
+			}, false)
 			next := make([][]types.Row, x.parts)
-			c.RunStage("sqlnaive.reduce", x.tasks(func(p, w int) {
+			x.stage("sqlnaive.reduce", x.ws.tasks, func(x *execution, p, w int) {
 				rows := sh.FetchTarget(p, w)
 				// Shuffle bucket order varies with task placement across
 				// iterations; floating-point sums must accumulate in a
@@ -84,12 +84,12 @@ func DistributedSQLNaive(clique *analyze.Clique, ctx *exec.Context, c *cluster.Q
 				// before aggregating.
 				sort.Slice(rows, func(i, j int) bool { return rows[i].Compare(rows[j]) < 0 })
 				next[p] = aggregateFull(v, rows)
-				if !sameRows(state[p], next[p]) {
+				if !sameRows(x.naive[p], next[p]) {
 					changed.Store(true)
 				}
-				x.front.addNews(max(len(next[p])-len(state[p]), 0))
-			}))
-			state = next
+				x.front.addNews(max(len(next[p])-len(x.naive[p]), 0))
+			}, false)
+			x.naive = next
 		})
 		if changed.Load() {
 			// Improved groups change the relation without growing it.

@@ -139,8 +139,11 @@ func (b *Base) takeWorkspace() *workspace {
 	}
 }
 
-// putWorkspace parks ws, or drops it when the free list is full.
+// putWorkspace parks ws, or drops it when the free list is full. The
+// finished execution's record is cleared first, so a parked workspace pins
+// neither its query context nor its tracer.
 func (b *Base) putWorkspace(ws *workspace) {
+	ws.exec = execution{}
 	select {
 	case b.free <- ws:
 	default:
@@ -258,7 +261,7 @@ func runDistributed(base *Base, ctx *exec.Context, c *cluster.QueryContext, opt 
 	} else {
 		ws.state.Reset()
 	}
-	x := newExecution(base, ws, c, opt, ws.state, ws.state.Rows)
+	x := newExecution(base, ws, c, opt, ws.state)
 	var iters int
 	var err error
 	switch {
@@ -328,10 +331,12 @@ type workspace struct {
 	// by every later one. Its rows are valid until that reset, so results
 	// leave it by copy.
 	state *cluster.State
-	// finalTasks are the final stage's tasks, built by the first execution
-	// that runs it; finishing is the execution they serve while it runs.
-	finalTasks []cluster.Task
-	finishing  *execution
+	// exec is the execution the workspace serves.
+	exec execution
+	// tasks are one task per partition, placed on the partition's owner,
+	// built by the first execution: each runs the running stage's part of
+	// exec for its partition. mapTasks is the two-stage map stage's subset.
+	tasks, mapTasks []cluster.Task
 	// merge is the driver's memory for merging the final stage's partial
 	// aggregates.
 	merge finalMerge
@@ -346,9 +351,13 @@ type stepScratch struct {
 	env      expr.Env        // the fused kernel's join environment
 	keys     [][]types.Value // the fused kernel's probe key per join step
 	comb     types.Combiner  // the map-side combine: the group table over out's rows
-	recv     []types.Row     // shuffled input, its values carved from recvSlab
+	recv     []types.Row     // shuffled input or seed, its values carved from recvSlab
 	recvSlab types.RowSlab
 	final    finalScratch // the final stage's output
+	// delta is the delta the partition's last two-stage reduce derived, read
+	// by the next map stage; iters is its decomposed fixpoint's depth.
+	delta deltaBatch
+	iters int
 }
 
 func newWorkspace(plan *Plan, parts int) *workspace {
@@ -451,6 +460,15 @@ func (ws *workspace) fetch(sh *cluster.Shuffle, part, worker int) []types.Row {
 	return sc.recv
 }
 
+// fetchSeed copies partition part's base case from the driver into its
+// receive memory on worker, with the same lifetime as fetch's rows.
+func (ws *workspace) fetchSeed(c *cluster.QueryContext, seed []types.Row, part, worker int) []types.Row {
+	sc := &ws.scratch[part]
+	sc.recvSlab.Reset()
+	sc.recv = c.FetchInto(sc.recv[:0], &sc.recvSlab, seed, -1, worker)
+	return sc.recv
+}
+
 func aggIdxOf(v *analyze.RecView) int {
 	if v.AggIdx >= 0 {
 		return v.AggIdx
@@ -462,46 +480,49 @@ func aggIdxOf(v *analyze.RecView) int {
 // shuffle) and a Reduce stage (merge into the all relation, emit delta) per
 // iteration.
 func (x *execution) twoStage(ctx *exec.Context) (int, error) {
-	c := x.c
+	c, ws := x.c, x.ws
 	x.mode = "dsn-two-stage"
-	deltas := make([]deltaBatch, x.parts)
 	// Seed: merge the base case in one reduce-like stage.
 	seeded := x.traced(0, func() {
-		c.RunStage("fixpoint.seed", x.tasks(func(p, w int) {
-			deltas[p] = x.merge(&x.front, p, w, c.Fetch(x.seed[p], -1, w))
-		}))
+		x.stage("fixpoint.seed", ws.tasks, (*execution).seedPart, true)
 	})
-	var sh *cluster.Shuffle
-	reduce := func(p, w int) { deltas[p] = x.merge(&x.front, p, w, x.receive(sh, p, w)) }
 	return x.iterate(seeded, x.total, func(iter int) (int, error) {
 		if x.opt.RebuildJoinState {
 			var err error
-			if x.kernels, err = makeKernels(x.ws.plan, ctx, c, x.opt); err != nil {
+			if x.kernels, err = makeKernels(ws.plan, ctx, c, x.opt); err != nil {
 				return 0, err
 			}
 		}
 		return x.traced(iter, func() {
-			sh = c.NewShuffle(x.parts)
-			mapTasks := make([]cluster.Task, 0, x.parts)
-			for p, d := range deltas {
-				if d.empty() {
-					continue
+			x.sh = c.NewShuffle(x.parts)
+			ws.mapTasks = ws.mapTasks[:0]
+			for p := range ws.scratch {
+				if !ws.scratch[p].delta.empty() {
+					ws.mapTasks = append(ws.mapTasks, ws.tasks[p])
 				}
-				p, d := p, d
-				mapTasks = append(mapTasks, cluster.Task{Part: p, Preferred: c.DefaultOwner(p), Run: func(w int) {
-					// The delta RDD was produced by the previous Reduce stage
-					// on the state owner; a Map task placed elsewhere (the
-					// default scheduler's locality-oblivious pickup) fetches
-					// it remotely — the inter-iteration locality loss the
-					// paper's partition-aware scheduling removes.
-					d.Rows = c.Fetch(d.Rows, c.DefaultOwner(p), w)
-					sh.Add(x.ws.run(c, x.kernels, d, p, w), w)
-				}})
 			}
-			c.RunStage("fixpoint.map", mapTasks)
-			c.RunStage("fixpoint.reduce", x.tasks(reduce))
+			x.stage("fixpoint.map", ws.mapTasks, (*execution).mapPart, false)
+			x.stage("fixpoint.reduce", ws.tasks, (*execution).reducePart, true)
 		}), nil
 	})
+}
+
+func (x *execution) seedPart(p, w int) {
+	x.ws.scratch[p].delta = x.merge(&x.front, p, w, x.ws.fetchSeed(x.c, x.seed[p], p, w))
+}
+
+func (x *execution) mapPart(p, w int) {
+	c, d := x.c, x.ws.scratch[p].delta
+	// The delta RDD was produced by the previous Reduce stage on the state
+	// owner; a Map task placed elsewhere (the default scheduler's
+	// locality-oblivious pickup) fetches it remotely — the inter-iteration
+	// locality loss the paper's partition-aware scheduling removes.
+	d.Rows = c.Fetch(d.Rows, c.DefaultOwner(p), w)
+	x.sh.Add(x.ws.run(c, x.kernels, d, p, w), w)
+}
+
+func (x *execution) reducePart(p, w int) {
+	x.ws.scratch[p].delta = x.merge(&x.front, p, w, x.receive(x.sh, p, w))
 }
 
 // combined is Algorithm 6: one ShuffleMap stage per iteration that merges
@@ -513,24 +534,8 @@ func (x *execution) twoStage(ctx *exec.Context) (int, error) {
 func (x *execution) combined() (int, error) {
 	c := x.c
 	x.mode = "dsn-combined"
-	sh := c.NewShuffle(x.parts)
-	sh.Add(x.seed, -1)
-	var next *cluster.Shuffle
-	var emitted atomic.Bool
-	shufflemap := func(p, w int) {
-		d := x.merge(&x.front, p, w, x.receive(sh, p, w))
-		if d.empty() {
-			return
-		}
-		out := x.ws.run(c, x.kernels, d, p, w)
-		for _, bucket := range out {
-			if len(bucket) > 0 {
-				emitted.Store(true)
-				break
-			}
-		}
-		next.Add(out, w)
-	}
+	x.sh = c.NewShuffle(x.parts)
+	x.sh.Add(x.seed, -1)
 	pending := true
 	pass := func(iter int) (int, error) {
 		return x.traced(iter, func() {
@@ -539,14 +544,29 @@ func (x *execution) combined() (int, error) {
 				// delta is empty without a stage.
 				return
 			}
-			next = c.NewShuffle(x.parts)
-			emitted.Store(false)
-			c.RunStage("fixpoint.shufflemap", x.tasks(shufflemap))
-			sh, pending = next, emitted.Load()
+			x.next = c.NewShuffle(x.parts)
+			x.emitted.Store(false)
+			x.stage("fixpoint.shufflemap", x.ws.tasks, (*execution).shuffleMapPart, true)
+			x.sh, pending = x.next, x.emitted.Load()
 		}), nil
 	}
 	seeded, _ := pass(0)
 	return x.iterate(seeded, x.total, pass)
+}
+
+func (x *execution) shuffleMapPart(p, w int) {
+	d := x.merge(&x.front, p, w, x.receive(x.sh, p, w))
+	if d.empty() {
+		return
+	}
+	out := x.ws.run(x.c, x.kernels, d, p, w)
+	for _, bucket := range out {
+		if len(bucket) > 0 {
+			x.emitted.Store(true)
+			break
+		}
+	}
+	x.next.Add(out, w)
 }
 
 // decomposed is the Section 7.2 execution: with the partition key carried
@@ -557,47 +577,17 @@ func (x *execution) combined() (int, error) {
 func (x *execution) decomposed() (int, error) {
 	c, tr := x.c, x.opt.Tracer
 	x.mode = "dsn-decomposed"
-	iters := make([]int, x.parts)
-	var fail failure
 	var mark shuffleMark
 	if tr.Enabled() {
 		mark = markShuffle(c)
 	}
 	is := tr.BeginIteration(0)
-	c.RunStage("fixpoint.decomposed", x.tasks(func(p, w int) {
-		// A decomposed task runs its whole local fixpoint in one attempt, so
-		// a fault anywhere rolls the partition back to its (empty) stage
-		// checkpoint and replays the fixpoint from the seed — the whole-task
-		// replay a lineage-free executor loss forces. The attempt's frontier
-		// is published only when it completes, so a replay counts once.
-		f := frontier{split: x.front.split}
-		d := x.merge(&f, p, w, c.Fetch(x.seed[p], -1, w))
-		// Sibling partitions are still merging, so the guard extrapolates
-		// from this partition alone.
-		n, err := x.iterate(len(d.Rows), func() int { return len(x.rows(p)) * x.parts }, func(int) (int, error) {
-			out := x.ws.run(c, x.kernels, d, p, w)
-			// All output stays in this partition by construction; anything
-			// else is a planner bug.
-			for t, bucket := range out {
-				if len(bucket) > 0 && t != p {
-					panic("fixpoint: decomposed plan leaked rows across partitions")
-				}
-			}
-			d = x.merge(&f, p, w, out[p])
-			return len(d.Rows), nil
-		})
-		iters[p] = n
-		if err != nil {
-			fail.set(err)
-			return
-		}
-		x.front.addAll(&f)
-	}))
+	x.stage("fixpoint.decomposed", x.ws.tasks, (*execution).decomposedPart, true)
 	deepest := 0
-	for _, n := range iters {
-		deepest = max(deepest, n)
+	for p := range x.ws.scratch {
+		deepest = max(deepest, x.ws.scratch[p].iters)
 	}
-	if err := fail.err(); err != nil {
+	if err := x.fail.err(); err != nil {
 		return deepest, err
 	}
 	if tr.Enabled() {
@@ -606,4 +596,34 @@ func (x *execution) decomposed() (int, error) {
 		is.EndAt(deepest, ev)
 	}
 	return deepest, nil
+}
+
+// decomposedPart runs partition p's whole local fixpoint in one attempt, so
+// a fault anywhere rolls the partition back to its (empty) stage checkpoint
+// and replays the fixpoint from the seed — the whole-task replay a
+// lineage-free executor loss forces. The attempt's frontier is published
+// only when it completes, so a replay counts once.
+func (x *execution) decomposedPart(p, w int) {
+	f := frontier{split: x.front.split}
+	d := x.merge(&f, p, w, x.ws.fetchSeed(x.c, x.seed[p], p, w))
+	// Sibling partitions are still merging, so the guard extrapolates from
+	// this partition alone.
+	n, err := x.iterate(len(d.Rows), func() int { return len(x.rows(p)) * x.parts }, func(int) (int, error) {
+		out := x.ws.run(x.c, x.kernels, d, p, w)
+		// All output stays in this partition by construction; anything else
+		// is a planner bug.
+		for t, bucket := range out {
+			if len(bucket) > 0 && t != p {
+				panic("fixpoint: decomposed plan leaked rows across partitions")
+			}
+		}
+		d = x.merge(&f, p, w, out[p])
+		return len(d.Rows), nil
+	})
+	x.ws.scratch[p].iters = n
+	if err != nil {
+		x.fail.set(err)
+		return
+	}
+	x.front.addAll(&f)
 }

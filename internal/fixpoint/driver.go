@@ -24,7 +24,9 @@ import (
 // BSP runner reports exactly the local oracle's count.
 
 // execution is one run of a compiled Base: the workspace it borrowed, the
-// kernels it probes and the options it runs under.
+// kernels it probes and the options it runs under. It lives in its
+// workspace, which serves one execution at a time, so the workspace's kept
+// stage tasks find it there and a warm execution allocates no record.
 type execution struct {
 	ws      *workspace
 	kernels []*ruleKernel
@@ -33,23 +35,54 @@ type execution struct {
 	opt     DistOptions
 	parts   int
 	// state is the view state the semi-naive runners merge into; nil for
-	// the SQL-naive baseline, which replaces its relation every iteration.
+	// the SQL-naive baseline, whose naive[p] is partition p's current
+	// relation, replaced every iteration.
 	state *cluster.State
-	// rows is partition p's accumulated relation: the view state's, or the
-	// SQL-naive baseline's current one.
-	rows func(p int) []types.Row
+	naive [][]types.Row
 	// mode names the runner on its iteration events.
 	mode  string
 	front frontier
 	// final is the final query the execution runs as its last stage, or
 	// nil when it returns the view.
 	final *finalPlan
+	// part is the running stage's body, which every kept task calls for its
+	// partition; cps are the partitions' checkpoints a failed attempt of a
+	// recoverable stage restores, empty unless the stage is one.
+	part func(x *execution, p, w int)
+	cps  []cluster.Checkpoint
+	// sh is the shuffle the running stage reads and next the one it writes
+	// (the combined runner); emitted reports whether next received a row.
+	sh, next *cluster.Shuffle
+	emitted  atomic.Bool
+	// fail keeps the first error of the decomposed runner's tasks.
+	fail failure
 }
 
-func newExecution(base *Base, ws *workspace, c *cluster.QueryContext, opt DistOptions, state *cluster.State, rows func(int) []types.Row) *execution {
-	x := &execution{ws: ws, kernels: base.kernels, seed: base.seed, c: c, opt: opt, parts: c.Partitions(), state: state, rows: rows, final: base.final}
+// newExecution starts ws's execution of base: the record is reset, and the
+// workspace's stage tasks are built the first time it serves one.
+func newExecution(base *Base, ws *workspace, c *cluster.QueryContext, opt DistOptions, state *cluster.State) *execution {
+	ws.exec = execution{ws: ws, kernels: base.kernels, seed: base.seed, c: c, opt: opt, parts: c.Partitions(), state: state, final: base.final}
+	x := &ws.exec
 	x.front.split = opt.Tracer.Enabled()
+	if ws.tasks == nil {
+		ws.tasks = make([]cluster.Task, x.parts)
+		for p := range ws.tasks {
+			p := p
+			ws.tasks[p] = cluster.Task{Part: p, Preferred: c.DefaultOwner(p),
+				Run:      func(w int) { x.part(x, p, w) },
+				Rollback: func() { x.restore(p) }}
+		}
+	}
 	return x
+}
+
+// rows is partition p's accumulated relation: the view state's, or the
+// SQL-naive baseline's current one.
+func (x *execution) rows(p int) []types.Row {
+	if x.state == nil {
+		return x.naive[p]
+	}
+	return x.state.Rows(p)
 }
 
 // total is the size of the accumulated relation, read between stages.
@@ -93,28 +126,32 @@ func (x *execution) iterate(frontier int, rows func() int, step func(iter int) (
 	return iter, nil
 }
 
-// tasks builds one task per partition, placed on the partition's owner.
-// When the execution has a view state, a task that merges into it is
-// recoverable: under an enabled fault injector it snapshots the partition
-// when the stage is built (before any attempt runs, so the snapshot is valid
-// even when the fault fires before the body) and a failed attempt restores
-// it — the Section 6.1 recovery: the accumulated all relation is its own
-// checkpoint, and a failed attempt replays only the current iteration's work
-// on that partition.
-func (x *execution) tasks(run func(p, w int)) []cluster.Task {
-	tasks := make([]cluster.Task, x.parts)
-	for p := range tasks {
-		p := p
-		tasks[p] = cluster.Task{Part: p, Preferred: x.c.DefaultOwner(p), Run: func(w int) { run(p, w) }}
-		if x.state != nil && x.c.ChaosEnabled() {
-			cp := x.state.Checkpoint(p)
-			tasks[p].Rollback = func() {
-				x.state.Restore(cp)
-				x.c.Metrics.RecoveredIterations.Add(1)
-			}
+// stage runs part for the partitions of tasks, which are the workspace's
+// kept tasks or a subset of them, each placed on its partition's owner. A
+// stage that merges into the view state is recoverable: under an enabled
+// fault injector every partition is snapshot before any attempt runs, so the
+// snapshot is valid even when the fault fires before the body, and a failed
+// attempt restores it — the Section 6.1 recovery: the accumulated all
+// relation is its own checkpoint, and a failed attempt replays only the
+// current iteration's work on that partition.
+func (x *execution) stage(name string, tasks []cluster.Task, part func(x *execution, p, w int), merges bool) {
+	x.part, x.cps = part, x.cps[:0]
+	if merges && x.c.ChaosEnabled() {
+		for p := 0; p < x.parts; p++ {
+			x.cps = append(x.cps, x.state.Checkpoint(p))
 		}
 	}
-	return tasks
+	x.c.RunStage(name, tasks)
+	x.part = nil
+}
+
+// restore is a kept task's Rollback: in a recoverable stage it puts
+// partition p back to its stage checkpoint.
+func (x *execution) restore(p int) {
+	if len(x.cps) > 0 {
+		x.state.Restore(x.cps[p])
+		x.c.Metrics.RecoveredIterations.Add(1)
+	}
 }
 
 // receive fetches partition p's shuffled input on worker w. State lives on

@@ -3,7 +3,6 @@ package fixpoint
 import (
 	"fmt"
 
-	"github.com/rasql/rasql-go/internal/cluster"
 	"github.com/rasql/rasql-go/internal/relation"
 	"github.com/rasql/rasql-go/internal/sql/analyze"
 	"github.com/rasql/rasql-go/internal/sql/expr"
@@ -181,21 +180,10 @@ type finalMerge struct {
 	env          expr.Env
 }
 
-// finalStage runs the final query where the view lives and returns its
-// result. The stage's tasks are built once per workspace; each reads the
-// execution it serves from ws.finishing.
+// finalStage runs the final query where the view lives, on the workspace's
+// kept tasks, and returns its result.
 func (x *execution) finalStage() *relation.Relation {
-	ws := x.ws
-	if ws.finalTasks == nil {
-		ws.finalTasks = make([]cluster.Task, x.parts)
-		for p := range ws.finalTasks {
-			p := p
-			ws.finalTasks[p] = cluster.Task{Part: p, Preferred: x.c.DefaultOwner(p), Run: func(w int) { ws.finishing.finalPart(p, w) }}
-		}
-	}
-	ws.finishing = x
-	x.c.RunStage("fixpoint.final", ws.finalTasks)
-	ws.finishing = nil
+	x.stage("fixpoint.final", x.ws.tasks, (*execution).finalPart, false)
 	return x.mergeFinal()
 }
 
