@@ -39,12 +39,14 @@ race-server:
 ssp-differential:
 	$(GO) test -race -shuffle=on -run 'TestRelaxed|TestFinalStage' . ./internal/fixpoint/ ./internal/cluster/
 
-# Short smoke of every fuzz target (wire format, row keys, SQL parser);
-# crashers land in testdata/fuzz/ — check them in as regression seeds.
+# Short smoke of every fuzz target (wire format, row keys, SQL parser, the
+# streamed JSON response); crashers land in testdata/fuzz/ — check them in as
+# regression seeds.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRowsAppend$$' -fuzztime 30s ./internal/types/
 	$(GO) test -run '^$$' -fuzz '^FuzzRowKey$$' -fuzztime 30s ./internal/types/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/sql/parser/
+	$(GO) test -run '^$$' -fuzz '^FuzzEncodeResponse$$' -fuzztime 30s ./internal/server/
 
 # Source rules (DESIGN.md §12): no host clock or global math/rand in the
 # deterministic packages, no unsafe, no sync.Pool, every file gofmt-clean,

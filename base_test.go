@@ -1,9 +1,13 @@
 package rasql_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -12,6 +16,7 @@ import (
 	"github.com/rasql/rasql-go/internal/cluster"
 	"github.com/rasql/rasql-go/internal/fixpoint"
 	"github.com/rasql/rasql-go/internal/gen"
+	"github.com/rasql/rasql-go/internal/server"
 	"github.com/rasql/rasql-go/queries"
 )
 
@@ -229,15 +234,16 @@ func TestPreparedWorkspaceAfterFailure(t *testing.T) {
 // TestCCRMATPreparedAllocBudget: once a prepared CC plan has published its
 // base, the next execution over the cc-rmat benchmark graph (RMAT-2000,
 // symmetrized, 40K edges) pays only for the recursion and its final stage:
-// 41 or 42 allocations of about 1.8 KiB on the benchmark's four workers and
+// 36 or 37 allocations of about 1.6 KiB on the benchmark's four workers and
 // partitions, because it also borrows the working memory — projection
-// scratch, combiner, shuffle receive and send memory, the view's state and
-// its delta buffers, the stage tasks and the final stage's scratch — that
-// the previous execution sized. What is left is per stage (one closure per
-// worker goroutine, a shuffle) and per query (its context, its task queues,
-// the result). When every merge appended a fresh delta, every stage built
-// its task list and every worker took two closures, an execution made 358
-// allocations of 514 KiB. The final count(distinct cc.CmpId) runs where
+// scratch, combiner, shuffle receive and send memory with the stage task
+// queues, the view's state and its delta buffers, the stage tasks and the
+// final stage's scratch — that the previous execution sized. What is left
+// is per stage (one closure per worker goroutine, a shuffle) and per query
+// (its context, the result). When each query grew its own task queues an
+// execution made 41 or 42 allocations, and when every merge appended a
+// fresh delta, every stage built its task list and every worker took two
+// closures, 358 of 514 KiB. The final count(distinct cc.CmpId) runs where
 // the view lives: each partition ships its distinct labels, not its 1,985
 // rows' worth of view, and the driver counts them without a key string per
 // row. Rebuilding the base — 40K projected seed rows, the partitioned edge
@@ -247,17 +253,18 @@ func TestPreparedWorkspaceAfterFailure(t *testing.T) {
 // in 139,784 bytes.
 func TestCCRMATPreparedAllocBudget(t *testing.T) {
 	edges := gen.Symmetrized(gen.Unweighted(gen.RMATDefault(2000, gen.Rng(1))))
-	preparedAllocFence(t, edges, queries.CC, preparedCounts{4, 1985, 139784, 22390}, 46, 2086)
+	preparedAllocFence(t, edges, queries.CC, preparedCounts{4, 1985, 139784, 22390}, 41, 1804)
 }
 
 // TestTCGridPreparedAllocBudget is the same fence over the tc-grid
 // benchmark query (transitive closure of the 21x21 grid, then count(*)): a
 // warm execution merges 52,920 pairs into the set state its workspace kept from
 // the previous execution and counts them in the final stage, partition by
-// partition, so the driver fetches one partial count per partition — 19 or
-// 20 allocations of about 1.3 KiB. Its seed is decoded into the partitions'
-// receive memory and its two stages run on the workspace's kept tasks; when
-// each execution decoded the 840 seed rows into fresh memory and built its
+// partition, so the driver fetches one partial count per partition — 14 to
+// 16 allocations of about 1.1 KiB. Its seed is decoded into the partitions'
+// receive memory and its two stages run on the workspace's kept tasks and
+// task queues; when each execution grew its task queues it made 19 or 20
+// allocations, when each execution decoded the 840 seed rows into fresh memory and built its
 // task lists it made 48 allocations of 91 KiB, when the driver collected
 // the view to count it 62 of 9 MiB, and when every execution built its
 // state from nothing 520 of 30 MiB. The plan decomposes, so it never
@@ -266,7 +273,7 @@ func TestTCGridPreparedAllocBudget(t *testing.T) {
 	edges := gen.Unweighted(gen.Grid(20, gen.Rng(1)))
 	edges.Name = "grid_edge"
 	const query = `WITH recursive tc(Src, Dst) AS (SELECT Src, Dst FROM grid_edge) UNION (SELECT tc.Src, grid_edge.Dst FROM tc, grid_edge WHERE tc.Dst = grid_edge.Src) SELECT count(*) FROM tc`
-	preparedAllocFence(t, edges, query, preparedCounts{40, 52920, 0, 0}, 22, 1505)
+	preparedAllocFence(t, edges, query, preparedCounts{40, 52920, 0, 0}, 18, 1241)
 }
 
 // TestShortReachPreparedAllocBudget is the fence over short-mix's class C
@@ -275,9 +282,9 @@ func TestTCGridPreparedAllocBudget(t *testing.T) {
 // fixed cost dominates: one closure per worker goroutine of each of its
 // stages, whose tasks the workspace keeps, and the final stage, whose
 // partial counts the driver decodes into memory the workspace keeps too —
-// 41 or 42 allocations of about 1.8 KiB on four workers, against 110 of
-// 8 KiB with fresh deltas and task lists and about 120 of 33 KiB with the
-// collect.
+// 36 or 37 allocations of about 1.6 KiB on four workers, against 41 or 42
+// with task queues of its own, 110 of 8 KiB with fresh deltas and task
+// lists and about 120 of 33 KiB with the collect.
 func TestShortReachPreparedAllocBudget(t *testing.T) {
 	edges := gen.RMATDefault(200, gen.Rng(1))
 	edges.Name = "mix_edge"
@@ -292,7 +299,7 @@ func TestShortReachPreparedAllocBudget(t *testing.T) {
 		}
 	}
 	query := fmt.Sprintf(`WITH recursive reach(Dst) AS (SELECT %d) UNION (SELECT mix_edge.Dst FROM reach, mix_edge WHERE reach.Dst = mix_edge.Src) SELECT count(*) FROM reach`, source)
-	preparedAllocFence(t, edges, query, preparedCounts{4, 199, 7071, 2000}, 46, 2086)
+	preparedAllocFence(t, edges, query, preparedCounts{4, 199, 7071, 2000}, 41, 1804)
 }
 
 // preparedCounts are the exact counts of one prepared execution.
@@ -363,6 +370,109 @@ func preparedAllocFence(t *testing.T, edges *rasql.Relation, query string, want 
 		t.Errorf("a prepared execution allocated %d KiB, budget %d KiB", bytes>>10, byteBudget>>10)
 	}
 	t.Logf("a prepared execution made %d allocations of %d B (budgets %d, %d B)", got, bytes, budget, byteBudget)
+}
+
+// TestRowsOutServedAllocBudget holds one served request of the rows-out
+// benchmark statement, SELECT Src, Dst, Cost FROM out_edge over the 20,000
+// rows of RMAT-2000, to an allocation budget, the response's encoding
+// included. The statement projects every row into one value slab, which
+// the result's row headers are cut from, and the server writes the JSON
+// from those rows into one buffer flushed every 32 KiB: 42 to 50
+// allocations of 2.9 MiB, the slab and the headers (the spread is
+// encoding/json's sync.Pool, which a collection empties, refilled by the
+// stats' json.Marshal). When the statement allocated a row and an
+// environment per output row and the server built a [][]any for
+// encoding/json, a request made 88,500 allocations of 7.7 MiB. The
+// budgets are the largest of 30 runs plus 10%.
+func TestRowsOutServedAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations are not the engine's")
+	}
+	edges := gen.RMATDefault(2000, gen.Rng(1))
+	edges.Name = "out_edge"
+	eng := rasql.New(rasql.Config{})
+	eng.MustRegister(edges)
+	handler := server.New(eng, server.Config{}).Handler()
+	body := []byte(`{"sql":"SELECT Src, Dst, Cost FROM out_edge"}`)
+	w := &bodyWriter{header: http.Header{}}
+	request := func() *http.Request {
+		return httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body))
+	}
+	serve := func(req *http.Request) {
+		w.body.Reset()
+		w.status = http.StatusOK
+		handler.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			t.Fatalf("status %d: %s", w.status, w.body.Bytes())
+		}
+	}
+	serve(request()) // compile and cache the plan; size the response writer
+	var reply struct {
+		Rows     [][]any `json:"rows"`
+		RowCount int     `json:"row_count"`
+	}
+	if err := json.Unmarshal(w.body.Bytes(), &reply); err != nil || reply.RowCount != len(edges.Rows) || len(reply.Rows) != len(edges.Rows) {
+		t.Fatalf("rows-out reply: %d rows, row_count %d, err %v; want %d", len(reply.Rows), reply.RowCount, err, len(edges.Rows))
+	}
+	const budget, byteBudget = 55, 3155 << 10
+	req := request()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	serve(req)
+	runtime.ReadMemStats(&after)
+	got, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	if got > budget {
+		t.Errorf("a served rows-out request made %d allocations, budget %d", got, budget)
+	}
+	if bytes > byteBudget {
+		t.Errorf("a served rows-out request allocated %d KiB, budget %d KiB", bytes>>10, byteBudget>>10)
+	}
+	t.Logf("a served rows-out request made %d allocations of %d KiB (budgets %d, %d KiB)", got, bytes>>10, budget, byteBudget>>10)
+}
+
+// bodyWriter is a reusable http.ResponseWriter, so a measured request pays
+// only for what the server allocates.
+type bodyWriter struct {
+	header http.Header
+	body   bytes.Buffer
+	status int
+}
+
+func (w *bodyWriter) Header() http.Header         { return w.header }
+func (w *bodyWriter) Write(b []byte) (int, error) { return w.body.Write(b) }
+func (w *bodyWriter) WriteHeader(status int)      { w.status = status }
+
+// TestCrossProductAllocBudget: a statement streams its join into its sink,
+// so SELECT count(*) over the million pairs of a 1,000-row self cross
+// product allocates no environment per pair: under 1 MiB in all. When the
+// join materialized one environment per tuple it allocated 167 MiB.
+func TestCrossProductAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations are not the engine's")
+	}
+	e := rasql.NewRelation("e", rasql.NewSchema(rasql.Col("A", rasql.KindInt)))
+	for i := range 1000 {
+		e.Append(rasql.Row{rasql.Int(int64(i))})
+	}
+	eng := rasql.New(rasql.Config{})
+	eng.MustRegister(e)
+	p, err := eng.Prepare("SELECT count(*) FROM e x, e y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rel, err := eng.ExecPrepared(context.Background(), p, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rel.Rows) != 1 || !rel.Rows[0][0].Equal(rasql.Int(1000*1000)) {
+		t.Fatalf("count = %v, want 1000000", rel.Rows)
+	}
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes >= 1<<20 {
+		t.Errorf("the cross product allocated %d KiB, want under 1 MiB", bytes>>10)
+	}
 }
 
 // TestWarmExecutionIgnoresGC: a warm prepared execution encodes its wire

@@ -13,10 +13,11 @@ import (
 )
 
 // QueryContext is the per-query execution state of a cluster: the tracer,
-// the per-query counters, the stage sequencer, the task-queue scratch and
-// the chaos injector. Each query obtains its own context from NewQuery, so
-// any number of queries can share one Cluster concurrently — nothing on the
-// context is visible to another query.
+// the per-query counters, the stage sequencer, the send memory (encode
+// buffers and task queues) and the chaos injector. Each query obtains its
+// own context from NewQuery, so any number of queries can share one
+// Cluster concurrently — nothing on the context is visible to another
+// query.
 //
 // A QueryContext is driven by one driver goroutine (the query's own); tasks
 // inside a stage run concurrently on worker goroutines, and the stage
@@ -40,9 +41,6 @@ type QueryContext struct {
 	// task placement, modeling executors picking up whichever task is
 	// next when they free up.
 	stageSeq int
-	// queues is per-worker task-queue scratch reused across stages (the
-	// stage barrier guarantees no queue outlives its RunStage call).
-	queues []workerQueue
 	// The running stage, as its workers read it: its name, whether spans
 	// are recorded, its chaos scope (nil when chaos is off) and the barrier
 	// its worker goroutines join. Fields rather than RunStage locals, so a
@@ -138,9 +136,10 @@ func (q *QueryContext) Context() context.Context {
 }
 
 // LendSendMemory makes m the memory the query's shuffles and transfers
-// encode into, and returns the memory it replaces so the lender can hand it
-// back when its execution ends. Call on the driver, between stages; m must
-// not be in use by another query until it is handed back.
+// encode into and its stages queue their tasks in, and returns the memory
+// it replaces so the lender can hand it back when its execution ends. Call
+// on the driver, between stages; m must not be in use by another query
+// until it is handed back.
 func (q *QueryContext) LendSendMemory(m *SendMemory) (prev *SendMemory) {
 	prev, q.send = q.send, m
 	return prev
@@ -228,11 +227,8 @@ func (q *QueryContext) RunStage(name string, tasks []Task) {
 	seq := q.stageSeq
 	q.stageSeq++
 
-	if len(q.queues) != q.cfg.Workers {
-		q.queues = make([]workerQueue, q.cfg.Workers)
-	}
 	q.send.fit(q.cfg.Workers)
-	queues := q.queues
+	queues := q.send.queues
 	for i := range queues {
 		queues[i].tasks = queues[i].tasks[:0]
 	}
@@ -294,7 +290,7 @@ func (q *QueryContext) runWorker(w int) {
 // chaos-off and spans-off; the chaos and span paths allocate their
 // bookkeeping, and task bodies own their allocations.
 func (q *QueryContext) runQueue(w int) {
-	wq := &q.queues[w]
+	wq := &q.send.queues[w]
 	queue, name, spans, sc := wq.tasks, q.stageName, q.spans, q.sc
 	t0 := startStopwatch()
 	for _, t := range queue {
@@ -328,7 +324,7 @@ func (q *QueryContext) charge(w int, nanos int64) {
 		q.Metrics.SimNanos.Add(nanos)
 		return
 	}
-	q.queues[w].charged += nanos
+	q.send.queues[w].charged += nanos
 }
 
 func (q *QueryContext) place(t Task, seq int) int {

@@ -4,11 +4,12 @@ import "github.com/rasql/rasql-go/internal/types"
 
 // SendMemory is the memory rows are encoded into on their way across a
 // worker boundary: the map-side shuffle write and the serialize half of a
-// transfer. It keeps what it grew, so a query reusing it encodes into warm
-// buffers whatever the collector did in between. A QueryContext encodes
-// into its own unless an execution lends it another (LendSendMemory): the
-// fixpoint lends its plan's, so warm executions buy no wire memory. The
-// zero value is ready to use.
+// transfer, and the per-worker task queues a stage is placed into. It keeps
+// what it grew, so a query reusing it encodes into warm buffers and queues
+// its tasks without allocating, whatever the collector did in between. A
+// QueryContext uses its own unless an execution lends it another
+// (LendSendMemory): the fixpoint lends its plan's, so warm executions buy
+// no wire memory and no queues. The zero value is ready to use.
 type SendMemory struct {
 	// gens are the shuffle generations. The combined mode reads step k−1's
 	// shuffle while it writes step k's, so NewShuffle takes the older one.
@@ -17,6 +18,9 @@ type SendMemory struct {
 	// scratch[w+1] is worker w's transfer encode buffer, scratch[0] the
 	// driver's; a worker runs one task at a time, so each has one writer.
 	scratch [][]byte
+	// queues[w] is worker w's part of the running stage; the stage barrier
+	// guarantees no queue outlives its RunStage call.
+	queues []workerQueue
 }
 
 // shuffleGen is one shuffle's memory. epoch counts the shuffles that took
@@ -66,11 +70,15 @@ func (g *shuffleGen) reset(producers, targets int) {
 	}
 }
 
-// fit sizes the transfer scratch for the given worker count. RunStage and
-// RunRelaxed call it before any task runs, so a task's call only reads.
+// fit sizes the transfer scratch and the task queues for the given worker
+// count. RunStage and RunRelaxed call it before any task runs, so a task's
+// call only reads.
 func (m *SendMemory) fit(workers int) {
 	if len(m.scratch) != workers+1 {
 		m.scratch = make([][]byte, workers+1)
+	}
+	if len(m.queues) != workers {
+		m.queues = make([]workerQueue, workers)
 	}
 }
 

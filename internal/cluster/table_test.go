@@ -174,6 +174,9 @@ func TestRowTableOwnsItsRows(t *testing.T) {
 // measurements, so a stray allocation elsewhere in the process does not
 // count.
 func TestRowTableBuildAllocsIndependentOfKeys(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations are not the table's")
+	}
 	const n = 10000
 	build := func(keys int) float64 {
 		rows := make([]types.Row, n)

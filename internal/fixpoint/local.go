@@ -404,8 +404,14 @@ func evalRule(rule *analyze.Rule, ctx *exec.Context, recRows func(si int) []type
 		}
 		rows[si] = rel.Rows
 	}
-	envs := exec.JoinRows(n, rows, rule.Conjuncts)
-	return projectHead(rule, envs), nil
+	// The fixpoint drivers poll the query's context at iteration
+	// boundaries, so a cancelled query stops with ErrCancelled there, not
+	// inside a rule's join.
+	var out []types.Row
+	err := exec.JoinRows(context.Background(), n, rows, rule.Conjuncts, func(env expr.Env) {
+		out = append(out, projectHead(rule, env))
+	})
+	return out, err
 }
 
 // recPosition returns the index of source si within the rule's recursive
@@ -471,22 +477,18 @@ func headAggregatesValue(rule *analyze.Rule, si int) bool {
 	return found
 }
 
-// projectHead evaluates the head projections over the join results,
+// projectHead evaluates the head projections over one join result,
 // normalizing count() contributions.
-func projectHead(rule *analyze.Rule, envs []expr.Env) []types.Row {
+func projectHead(rule *analyze.Rule, env expr.Env) types.Row {
 	v := rule.View
-	out := make([]types.Row, 0, len(envs))
-	for _, env := range envs {
-		row := make(types.Row, len(rule.Head))
-		for i, h := range rule.Head {
-			row[i] = h.Eval(env)
-		}
-		if v.Agg == types.AggCount {
-			row[v.AggIdx] = types.CountContribution(row[v.AggIdx])
-		}
-		out = append(out, row)
+	row := make(types.Row, len(rule.Head))
+	for i, h := range rule.Head {
+		row[i] = h.Eval(env)
 	}
-	return out
+	if v.Agg == types.AggCount {
+		row[v.AggIdx] = types.CountContribution(row[v.AggIdx])
+	}
+	return row
 }
 
 // localNaive evaluates the clique with the paper's Algorithm 1/2: every

@@ -304,12 +304,11 @@ type queryRequest struct {
 	Settings  Settings `json:"settings"`
 }
 
+// queryResponse is a statement's answer; writeQueryResponse writes it.
 type queryResponse struct {
-	Columns  []ColumnJSON    `json:"columns"`
-	Rows     [][]any         `json:"rows"`
-	RowCount int             `json:"row_count"`
-	Cached   bool            `json:"cached"`
-	Stats    *obs.QueryStats `json:"stats,omitempty"`
+	rel    *relation.Relation // nil when the script has no query statement
+	cached bool
+	stats  *obs.QueryStats
 }
 
 type prepareRequest struct {
@@ -363,7 +362,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeQueryResponse(w, resp)
 }
 
 func (s *Server) servePrepare(w http.ResponseWriter, r *http.Request) {
@@ -442,7 +441,7 @@ func (s *Server) serveExecute(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeQueryResponse(w, resp)
 }
 
 // runSQL executes arbitrary SQL: cacheable scripts go through the plan
@@ -506,16 +505,7 @@ func (s *Server) execNormalized(ctx context.Context, src, norm string, set Setti
 	if err != nil {
 		return nil, execStatus(err), err
 	}
-	resp := &queryResponse{Cached: cached, Stats: stats}
-	if rel != nil {
-		resp.Columns = columnsJSON(rel.Schema)
-		resp.Rows = encodeRows(rel.Rows)
-		resp.RowCount = len(rel.Rows)
-	} else {
-		resp.Columns = []ColumnJSON{}
-		resp.Rows = [][]any{}
-	}
-	return resp, http.StatusOK, nil
+	return &queryResponse{rel: rel, cached: cached, stats: stats}, http.StatusOK, nil
 }
 
 // admissionStatus maps admission errors to HTTP statuses: a full queue is

@@ -143,6 +143,52 @@ func TestServerTimeout(t *testing.T) {
 	}
 }
 
+// TestServerCrossProductTimeout: a statement outside any fixpoint stops at
+// its deadline too. A 20,000 × 20,000 cross product would run for many
+// seconds; with a 100 ms deadline its join polls the request context every
+// 4,096 rows it visits, counted or filtered out alike, so the client gets
+// 408 within 250 ms, and the server then answers the next query with no
+// goroutine left behind.
+func TestServerCrossProductTimeout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timeout test is not short")
+	}
+	eng := chainEngine(t, 20001)
+	ts := httptest.NewServer(New(eng, Config{MaxConcurrent: 2}).Handler())
+	defer ts.Close()
+	if status, _, out := post(t, ts.URL+"/v1/query", map[string]any{"sql": "SELECT count(*) FROM edge"}); status != http.StatusOK {
+		t.Fatalf("warm-up query: status %d (body: %v)", status, out)
+	}
+	before := runtime.NumGoroutine()
+	for _, sql := range []string{
+		"SELECT count(*) FROM edge x, edge y",
+		"SELECT count(*) FROM edge x, edge y WHERE x.Src + y.Src < 0",
+	} {
+		start := time.Now()
+		status, _, out := post(t, ts.URL+"/v1/query", map[string]any{
+			"sql":      sql,
+			"settings": map[string]any{"timeout_ms": 100},
+		})
+		took := time.Since(start)
+		if status != http.StatusRequestTimeout {
+			t.Fatalf("%s: status = %d, want 408 (body: %v)", sql, status, out)
+		}
+		if took > 250*time.Millisecond {
+			t.Errorf("%s: the 408 took %v, want at most 250ms", sql, took)
+		}
+		if status, _, out := post(t, ts.URL+"/v1/query", map[string]any{"sql": "SELECT count(*) FROM edge"}); status != http.StatusOK {
+			t.Fatalf("query after the timeout: status %d (body: %v)", status, out)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before+2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked after the cancelled statement: before %d, now %d", before, runtime.NumGoroutine())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
 // TestServerAdmissionSaturation: with one execution slot and a one-deep
 // queue, a running query plus a queued one saturate the server — the next
 // request gets an immediate 429 with Retry-After, and the queue-depth gauge

@@ -5,6 +5,7 @@ package ast
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/rasql/rasql-go/internal/types"
@@ -252,10 +253,19 @@ type Literal struct {
 
 func (*Literal) expr() {}
 
-// String renders the literal.
+// String renders the literal as the lexer reads it back: a string with its
+// quotes doubled, a double in plain decimal notation with a fraction, since
+// the lexer takes no exponent.
 func (e *Literal) String() string {
-	if e.Value.K == types.KindString {
-		return "'" + e.Value.S + "'"
+	switch e.Value.K {
+	case types.KindString:
+		return "'" + strings.ReplaceAll(e.Value.S, "'", "''") + "'"
+	case types.KindFloat:
+		s := strconv.FormatFloat(e.Value.F, 'f', -1, 64)
+		if !strings.Contains(s, ".") {
+			s += ".0"
+		}
+		return s
 	}
 	return e.Value.String()
 }

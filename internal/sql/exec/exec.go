@@ -9,6 +9,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -22,19 +23,26 @@ import (
 // Context supplies table-independent state for evaluation.
 type Context struct {
 	// RecResults maps recursive view names (lower-cased) to their
-	// computed fixpoint relations.
+	// computed fixpoint relations; SetRecResult creates it.
 	RecResults map[string]*relation.Relation
-	// viewCache memoizes materialized named views.
+	// Ctx, when non-nil, is the query's context: a statement's join polls
+	// it every 4,096 rows it visits and stops with its error once it is
+	// cancelled or past its deadline.
+	Ctx context.Context
+	// viewCache memoizes materialized named views, created by the first.
 	viewCache map[string]*relation.Relation
 }
 
 // NewContext creates an empty evaluation context.
 func NewContext() *Context {
-	return &Context{RecResults: map[string]*relation.Relation{}, viewCache: map[string]*relation.Relation{}}
+	return &Context{}
 }
 
 // SetRecResult registers a fixpoint result for a recursive view.
 func (c *Context) SetRecResult(name string, rel *relation.Relation) {
+	if c.RecResults == nil {
+		c.RecResults = map[string]*relation.Relation{}
+	}
 	c.RecResults[strings.ToLower(name)] = rel
 }
 
@@ -58,6 +66,9 @@ func (c *Context) SourceRelation(s analyze.Source) (*relation.Relation, error) {
 		r.Name = s.Binding
 		r.Schema = s.Schema
 		if named {
+			if c.viewCache == nil {
+				c.viewCache = map[string]*relation.Relation{}
+			}
 			c.viewCache[key] = r
 		}
 		return r, nil
@@ -113,62 +124,83 @@ func Query(q *analyze.Query, ctx *Context) (*relation.Relation, error) {
 	return out, nil
 }
 
+// evalCore evaluates one SELECT branch. The join pushes every tuple into a
+// sink that projects it at once: an ungrouped branch appends its values to
+// one slab that the result's rows are cut from, and a grouped branch folds
+// the tuple into its group.
 func evalCore(q *analyze.Query, ctx *Context) (*relation.Relation, error) {
-	envs, err := JoinSources(q.Sources, q.Conjuncts, ctx)
+	rows, err := ctx.sourceRows(q.Sources)
 	if err != nil {
 		return nil, err
 	}
 	out := relation.New("", q.Schema)
 	if !q.Grouped {
-		for _, env := range envs {
-			row := make(types.Row, len(q.Items))
-			for i, e := range q.Items {
-				row[i] = e.Eval(env)
+		width := len(q.Items)
+		var vals []types.Value
+		if len(rows) == 1 && len(q.Conjuncts) == 0 {
+			// One source and no filter: the output has exactly its rows.
+			vals = make([]types.Value, 0, width*len(rows[0]))
+		}
+		produced := 0
+		err := JoinRows(ctx.Ctx, len(rows), rows, q.Conjuncts, func(env expr.Env) {
+			for _, e := range q.Items {
+				vals = append(vals, e.Eval(env))
 			}
-			out.Append(row)
+			produced++
+		})
+		if err != nil {
+			return nil, err
+		}
+		out.Rows = make([]types.Row, produced)
+		for i := range out.Rows {
+			out.Rows[i] = vals[i*width : (i+1)*width : (i+1)*width]
 		}
 		return out, nil
 	}
 
 	// Grouped evaluation: bucket by group key, accumulate aggregates,
-	// then evaluate post-expressions over [groups..., aggs...].
+	// then evaluate post-expressions over [groups..., aggs...]. The key is
+	// evaluated into a scratch row and looked up by its bytes, so only a
+	// new group copies it.
 	type group struct {
 		keys types.Row
 		accs []*aggAcc
 	}
-	groups := map[string]*group{}
-	var order []string
-	for _, env := range envs {
-		keys := make(types.Row, len(q.GroupExprs))
-		for i, g := range q.GroupExprs {
-			keys[i] = g.Eval(env)
-		}
-		k := types.RowKeyString(keys)
-		grp, ok := groups[k]
-		if !ok {
-			grp = &group{keys: keys, accs: make([]*aggAcc, len(q.AggCalls))}
-			for i := range q.AggCalls {
-				grp.accs[i] = newAggAcc(q.AggCalls[i])
-			}
-			groups[k] = grp
-			order = append(order, k)
-		}
-		for i := range grp.accs {
-			grp.accs[i].add(env)
-		}
-	}
-	// A global aggregate over zero rows still yields one output row
-	// (count=0 etc.), matching SQL semantics.
-	if len(groups) == 0 && len(q.GroupExprs) == 0 {
-		grp := &group{accs: make([]*aggAcc, len(q.AggCalls))}
+	newGroup := func(keys types.Row) *group {
+		grp := &group{keys: keys, accs: make([]*aggAcc, len(q.AggCalls))}
 		for i := range q.AggCalls {
 			grp.accs[i] = newAggAcc(q.AggCalls[i])
 		}
-		groups[""] = grp
-		order = append(order, "")
+		return grp
 	}
-	for _, k := range order {
-		grp := groups[k]
+	groups := map[string]*group{}
+	var order []*group
+	scratch := make(types.Row, len(q.GroupExprs))
+	var key []byte
+	err = JoinRows(ctx.Ctx, len(rows), rows, q.Conjuncts, func(env expr.Env) {
+		for i, g := range q.GroupExprs {
+			scratch[i] = g.Eval(env)
+		}
+		key = types.AppendRowKey(key[:0], scratch)
+		grp, ok := groups[string(key)]
+		if !ok {
+			grp = newGroup(scratch.Clone())
+			groups[string(key)] = grp
+			order = append(order, grp)
+		}
+		for _, a := range grp.accs {
+			a.add(env)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	// A global aggregate over zero rows still yields one output row
+	// (count=0 etc.), matching SQL semantics.
+	if len(order) == 0 && len(q.GroupExprs) == 0 {
+		order = append(order, newGroup(nil))
+	}
+	for _, grp := range order {
 		synth := make(types.Row, 0, len(grp.keys)+len(grp.accs))
 		synth = append(synth, grp.keys...)
 		for _, a := range grp.accs {
@@ -187,13 +219,15 @@ func evalCore(q *analyze.Query, ctx *Context) (*relation.Relation, error) {
 	return out, nil
 }
 
-// aggAcc accumulates one aggregate call.
+// aggAcc accumulates one aggregate call. A DISTINCT call looks each value
+// up by its key bytes in buf, so only a value it has not seen allocates.
 type aggAcc struct {
 	call analyze.AggCall
 	cur  types.Value
 	n    int64
 	sum  types.Value
 	seen map[string]struct{}
+	buf  []byte
 	any  bool
 }
 
@@ -216,11 +250,12 @@ func (a *aggAcc) add(env expr.Env) {
 		}
 	}
 	if a.seen != nil {
-		k := types.RowKeyString(types.Row{v})
-		if _, dup := a.seen[k]; dup {
+		one := [1]types.Value{v}
+		a.buf = types.AppendRowKey(a.buf[:0], one[:])
+		if _, dup := a.seen[string(a.buf)]; dup {
 			return
 		}
-		a.seen[k] = struct{}{}
+		a.seen[string(a.buf)] = struct{}{}
 	}
 	a.n++
 	switch a.call.Kind {
@@ -260,142 +295,124 @@ func (a *aggAcc) result() types.Value {
 	}
 }
 
-// JoinSources materializes the join of the FROM sources under the given
-// conjuncts, returning one environment per result tuple. Conjuncts are
-// applied as soon as all their inputs are bound (predicate pushdown), and
-// equi-join conjuncts drive hash joins; remaining combinations fall back to
-// nested-loop evaluation.
-func JoinSources(sources []analyze.Source, conjuncts []expr.Expr, ctx *Context) ([]expr.Env, error) {
-	rels := make([]*relation.Relation, len(sources))
+// sourceRows resolves the FROM sources to their row slices.
+func (c *Context) sourceRows(sources []analyze.Source) ([][]types.Row, error) {
+	rows := make([][]types.Row, len(sources))
 	for i, s := range sources {
-		r, err := ctx.SourceRelation(s)
+		r, err := c.SourceRelation(s)
 		if err != nil {
 			return nil, err
 		}
-		rels[i] = r
-	}
-	rows := make([][]types.Row, len(sources))
-	for i, r := range rels {
 		rows[i] = r.Rows
 	}
-	return JoinRows(len(sources), rows, conjuncts), nil
+	return rows, nil
 }
 
-// JoinRows is JoinSources over pre-resolved per-source row slices; the
-// fixpoint engine uses it with delta/all substitutions.
-func JoinRows(n int, rows [][]types.Row, conjuncts []expr.Expr) []expr.Env {
+// pollEvery is how many rows a join visits between two reads of its
+// context.
+const pollEvery = 4096
+
+// JoinRows joins n sources, given as per-source row slices, under the
+// conjuncts and pushes every result tuple into sink. Sources are bound in
+// order, depth first. An equi-join conjunct drives a hash join into the
+// later of its two sources, whose table is built once; every other conjunct
+// filters as soon as all its inputs are bound (predicate pushdown); a
+// source with no equi-join is scanned in full. Tuples reach the sink in the
+// order a breadth-first materialization would list them. The environment
+// the sink receives is reused for the next tuple, so it is valid only
+// inside the call. Every 4,096 rows it visits, whether or not they reach
+// the sink, the join reads ctx (nil: never cancelled) and stops with its
+// error once it is done.
+func JoinRows(ctx context.Context, n int, rows [][]types.Row, conjuncts []expr.Expr, sink func(expr.Env)) error {
 	if n == 0 {
-		return []expr.Env{make(expr.Env, 0)}
+		sink(expr.Env{})
+		return nil
 	}
-	pending := make([]pend, len(conjuncts))
-	for i, c := range conjuncts {
-		pending[i] = pend{e: c, inputs: expr.Inputs(c)}
-	}
-	applied := make([]bool, len(conjuncts))
-
-	bound := map[int]bool{0: true}
-	// Source 0's environments are carved from one slab; the full-slice caps
-	// keep an append to one from running into its neighbour.
-	envs := make([]expr.Env, len(rows[0]))
-	slab := make(expr.Env, n*len(rows[0]))
-	for i, r := range rows[0] {
-		envs[i] = slab[i*n : (i+1)*n : (i+1)*n]
-		envs[i][0] = r
-	}
-	envs = applyReady(envs, pending, applied, bound)
-
-	for next := 1; next < n; next++ {
-		bound[next] = true
-		// Find an equi-join conjunct connecting the bound set to next.
-		var probeCols, buildCols []int
-		for i, p := range pending {
-			if applied[i] {
-				continue
-			}
-			ej, ok := expr.AsEquiJoin(p.e)
-			if !ok {
-				continue
-			}
-			var boundSide, boundCol, newCol int
-			switch {
-			case ej.RightInput == next && bound[ej.LeftInput] && ej.LeftInput != next:
-				boundSide, boundCol, newCol = ej.LeftInput, ej.LeftCol, ej.RightCol
-			case ej.LeftInput == next && bound[ej.RightInput] && ej.RightInput != next:
-				boundSide, boundCol, newCol = ej.RightInput, ej.RightCol, ej.LeftCol
-			default:
-				continue
-			}
-			probeCols = append(probeCols, boundSide, boundCol)
-			buildCols = append(buildCols, newCol)
-			applied[i] = true
-		}
-		if len(buildCols) > 0 {
-			// Hash join on the collected key columns.
-			table := make(map[string][]types.Row, len(rows[next]))
-			for _, r := range rows[next] {
-				table[types.KeyString(r, buildCols)] = append(table[types.KeyString(r, buildCols)], r)
-			}
-			var out []expr.Env
-			key := make(types.Row, len(buildCols))
-			for _, env := range envs {
-				for i := 0; i < len(buildCols); i++ {
-					key[i] = env[probeCols[2*i]][probeCols[2*i+1]]
-				}
-				for _, m := range table[types.RowKeyString(key)] {
-					ne := make(expr.Env, n)
-					copy(ne, env)
-					ne[next] = m
-					out = append(out, ne)
-				}
-			}
-			envs = out
-		} else {
-			// Cross product; theta conjuncts apply right after.
-			var out []expr.Env
-			for _, env := range envs {
-				for _, m := range rows[next] {
-					ne := make(expr.Env, n)
-					copy(ne, env)
-					ne[next] = m
-					out = append(out, ne)
-				}
-			}
-			envs = out
-		}
-		envs = applyReady(envs, pending, applied, bound)
-	}
-	return envs
-}
-
-// pend is a conjunct awaiting all its inputs to be bound.
-type pend struct {
-	e      expr.Expr
-	inputs map[int]bool
-}
-
-func applyReady(envs []expr.Env, pending []pend, applied []bool, bound map[int]bool) []expr.Env {
-	for i, p := range pending {
-		if applied[i] {
+	j := joiner{ctx: ctx, rows: rows, levels: make([]joinLevel, n), env: make(expr.Env, n)}
+	for _, c := range conjuncts {
+		// AsEquiJoin puts the earlier source on the left, so it is bound
+		// by the time the right one is.
+		if ej, ok := expr.AsEquiJoin(c); ok {
+			lv := &j.levels[ej.RightInput]
+			lv.probe = append(lv.probe, ej.LeftInput, ej.LeftCol)
+			lv.build = append(lv.build, ej.RightCol)
 			continue
 		}
-		ready := true
-		for in := range p.inputs {
-			if !bound[in] {
-				ready = false
-				break
-			}
+		at := 0
+		for in := range expr.Inputs(c) {
+			at = max(at, in)
 		}
-		if !ready {
+		j.levels[at].filters = append(j.levels[at].filters, c)
+	}
+	for d := range j.levels {
+		lv := &j.levels[d]
+		if len(lv.build) == 0 {
 			continue
 		}
-		applied[i] = true
-		kept := envs[:0]
-		for _, env := range envs {
-			if p.e.Eval(env).Truthy() {
-				kept = append(kept, env)
+		lv.table = make(map[string][]types.Row, len(rows[d]))
+		var key []byte
+		for _, r := range rows[d] {
+			key = types.AppendKey(key[:0], r, lv.build)
+			lv.table[string(key)] = append(lv.table[string(key)], r)
+		}
+	}
+	return j.bind(0, sink)
+}
+
+// joiner is one JoinRows call's plan and its reused state. The sink is
+// passed down bind's calls rather than kept here, so that the environment
+// it is handed does not make it, and what it captures, escape.
+type joiner struct {
+	ctx     context.Context
+	visited int
+	rows    [][]types.Row
+	levels  []joinLevel
+	env     expr.Env
+	key     []byte
+}
+
+// joinLevel binds one source: through a hash table on its build columns,
+// probed with the bound (source, column) pairs in probe, or by a scan when
+// it has none; filters are the conjuncts that become ready once it is
+// bound.
+type joinLevel struct {
+	probe   []int
+	build   []int
+	table   map[string][]types.Row
+	filters []expr.Expr
+}
+
+// bind enumerates the candidates of source d under the tuple bound so far.
+func (j *joiner) bind(d int, sink func(expr.Env)) error {
+	if d == len(j.levels) {
+		sink(j.env)
+		return nil
+	}
+	lv := &j.levels[d]
+	cands := j.rows[d]
+	if lv.table != nil {
+		j.key = j.key[:0]
+		for i := 0; i < len(lv.probe); i += 2 {
+			j.key = types.AppendKey(j.key, j.env[lv.probe[i]], lv.probe[i+1:i+2])
+		}
+		cands = lv.table[string(j.key)]
+	}
+next:
+	for _, r := range cands {
+		if j.visited++; j.visited%pollEvery == 0 && j.ctx != nil {
+			if err := j.ctx.Err(); err != nil {
+				return fmt.Errorf("exec: join cancelled after %d rows: %w", j.visited, err)
 			}
 		}
-		envs = kept
+		j.env[d] = r
+		for _, f := range lv.filters {
+			if !f.Eval(j.env).Truthy() {
+				continue next
+			}
+		}
+		if err := j.bind(d+1, sink); err != nil {
+			return err
+		}
 	}
-	return envs
+	return nil
 }

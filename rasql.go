@@ -335,6 +335,7 @@ func (e *Engine) Vet(src string) (*vet.Report, error) {
 // over the view the fixpoint collected.
 func (e *Engine) run(qc *cluster.QueryContext, prog *analyze.Program, opts *ExecOptions, slot *fixpoint.BaseSlot) (*relation.Relation, error) {
 	ctx := exec.NewContext()
+	ctx.Ctx = qc.Context()
 	if prog.Clique != nil && len(prog.Clique.Views) > 0 {
 		sp := qc.Tracer.Begin("fixpoint", trace.TidDriver)
 		res, err := e.runClique(qc, prog.Clique, prog.Final, ctx, opts, slot)
