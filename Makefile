@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race race-concurrent race-server ssp-differential fuzz lint allocs serve-smoke bench bench-pair no-strays golangci ci
+.PHONY: build test vet race race-concurrent race-server ssp-differential fuzz lint allocs kernels serve-smoke bench bench-pair no-strays golangci ci
 
 build:
 	$(GO) build ./...
@@ -59,6 +59,12 @@ lint:
 # execution.
 allocs:
 	$(GO) test -run 'ZeroAllocs|AllocBudget|IgnoresGC' . ./internal/fixpoint/ ./internal/types/ ./internal/cluster/ ./internal/trace/ ./internal/obs/
+
+# The key and group-table kernels (DESIGN.md §6): the key hash, set dedup,
+# aggregate merge, join-table probe and the group table's long tail, five
+# runs each, for comparing medians before and after a change to them.
+kernels:
+	$(GO) test -run '^$$' -bench 'HashRowKey|SetRDDDedup|AggRDDMerge|RowTableProbe|CombinerLongTail' -benchmem -count 5 ./internal/types/ ./internal/cluster/
 
 # Serving lifecycle smoke (DESIGN.md §14): start rasqld on the demo
 # graph, run two HTTP queries (the second must hit the plan cache),

@@ -78,6 +78,8 @@ func TestExecStreamingMatchesMaterialized(t *testing.T) {
 		`(SELECT Src FROM edge WHERE Src < 10) UNION (SELECT Dst FROM edge WHERE Dst < 10)`,
 		`(SELECT Src FROM edge WHERE Src < 10) UNION ALL (SELECT Dst FROM edge WHERE Dst < 10)`,
 		`SELECT 1, 'x', 2.5`,
+		`SELECT 1 WHERE 1 = 0`,
+		`SELECT 1, 2 WHERE 1 = 1`,
 		`SELECT g.Src, g.N FROM (SELECT Src, count(*) N FROM edge GROUP BY Src) g WHERE g.N > 3`,
 		`SELECT edge.Src, t.Total FROM edge JOIN (SELECT Dst, sum(Cost) Total FROM edge GROUP BY Dst) t ON edge.Dst = t.Dst WHERE t.Total > 100`,
 	} {
@@ -351,9 +353,6 @@ func (a *refAgg) result() types.Value {
 }
 
 func materializedJoin(n int, rows [][]types.Row, conjuncts []expr.Expr) []expr.Env {
-	if n == 0 {
-		return []expr.Env{make(expr.Env, 0)}
-	}
 	type pend struct {
 		e      expr.Expr
 		inputs map[int]bool
@@ -389,6 +388,9 @@ func materializedJoin(n int, rows [][]types.Row, conjuncts []expr.Expr) []expr.E
 			envs = kept
 		}
 		return envs
+	}
+	if n == 0 {
+		return applyReady([]expr.Env{make(expr.Env, 0)})
 	}
 	envs := make([]expr.Env, len(rows[0]))
 	for i, r := range rows[0] {

@@ -104,11 +104,19 @@ func BuildRowTable(rows []types.Row, cols []int) *RowTable {
 // keyEqual reports whether a's values at acols equal b's at bcols.
 func keyEqual(a types.Row, acols []int, b types.Row, bcols []int) bool {
 	for i, c := range acols {
-		if !a[c].Equal(b[bcols[i]]) {
+		if !sameValue(&a[c], &b[bcols[i]]) {
 			return false
 		}
 	}
 	return true
+}
+
+// sameValue is Value.Equal with the int pair inline.
+func sameValue(x, y *types.Value) bool {
+	if x.K == types.KindInt && y.K == types.KindInt {
+		return x.I == y.I
+	}
+	return x.Equal(*y)
 }
 
 // bucket returns bucket e's rows, capped so an append cannot spill into the
@@ -155,7 +163,7 @@ func (t *RowTable) ProbeValues(vals []types.Value) []types.Row {
 			repr := t.rows[t.starts[e]]
 			ok := true
 			for i, c := range t.cols {
-				if !repr[c].Equal(vals[i]) {
+				if !sameValue(&repr[c], &vals[i]) {
 					ok = false
 					break
 				}

@@ -194,3 +194,51 @@ func TestRowTableBuildAllocsIndependentOfKeys(t *testing.T) {
 		t.Errorf("BuildRowTable allocs: %v at 10 keys, %v at %d keys; want equal", few, many, n)
 	}
 }
+
+// TestRowTableKeyEqualityMatchesReference holds keyEqual's and
+// ProbeValues' int fast path to the generic path over every pair of
+// two-column keys drawn from values where the two could part: ints around
+// the edges of float64's exact range and of int64, ±0, NaN, infinities,
+// ints and floats of equal value, and every other kind. Key columns compare
+// with Value.Equal, and a probe finds a row whose key compares equal and
+// also hashes equal under HashValue folded over the columns.
+func TestRowTableKeyEqualityMatchesReference(t *testing.T) {
+	const p53 = 1 << 53
+	vals := []types.Value{
+		types.Int(0), types.Int(1), types.Int(-1), types.Int(p53), types.Int(-p53), types.Int(p53 + 1), types.Int(-p53 - 1),
+		types.Int(math.MaxInt64), types.Int(-math.MaxInt64), types.Int(math.MinInt64), types.Int(3),
+		types.Float(0), types.Float(math.Copysign(0, -1)), types.Float(math.NaN()), types.Float(math.Inf(1)), types.Float(math.Inf(-1)),
+		types.Float(3), types.Float(p53),
+		types.Bool(true), types.Null(), types.Str(""), types.Str("3"),
+	}
+	refHash := func(r types.Row) uint64 {
+		h := types.HashRow(0, nil) // the offset basis
+		for _, v := range r {
+			h = types.HashValue(h, v)
+		}
+		return h
+	}
+	cols := []int{0, 1}
+	for _, x := range vals {
+		for _, y := range vals {
+			a := types.Row{x, y}
+			tab := BuildRowTable([]types.Row{a}, cols)
+			for _, p := range vals {
+				for _, q := range vals {
+					b := types.Row{p, q}
+					equal := x.Equal(p) && y.Equal(q)
+					if got := keyEqual(a, cols, b, cols); got != equal {
+						t.Fatalf("keyEqual(%v, %v) = %v, Value.Equal says %v", a, b, got, equal)
+					}
+					want := equal && refHash(a) == refHash(b)
+					if got := len(tab.ProbeValues(b)) == 1; got != want {
+						t.Fatalf("table of %v: ProbeValues(%v) hit = %v, want %v", a, b, got, want)
+					}
+					if got := len(tab.ProbeRow(b, cols)) == 1; got != want {
+						t.Fatalf("table of %v: ProbeRow(%v) hit = %v, want %v", a, b, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -75,6 +75,18 @@ func (a AggKind) Additive() bool { return a == AggSum || a == AggCount }
 // min/max aggregate. For additive aggregates it reports whether the
 // increment is nonzero.
 func (a AggKind) Improves(v, cur Value) bool {
+	if v.K == KindInt && cur.K == KindInt {
+		// What Compare and AsFloat give two ints, without the calls.
+		switch a {
+		case AggMin:
+			return v.I < cur.I
+		case AggMax:
+			return v.I > cur.I
+		case AggSum, AggCount:
+			return v.I != 0
+		}
+		return false
+	}
 	switch a {
 	case AggMin:
 		return v.Compare(cur) < 0
@@ -90,6 +102,24 @@ func (a AggKind) Improves(v, cur Value) bool {
 // Combine merges a new contribution v into the accumulator cur:
 // min/max keep the better value; sum/count add.
 func (a AggKind) Combine(cur, v Value) Value {
+	if v.K == KindInt && cur.K == KindInt {
+		// What Compare and Add give two ints (+ wraps), without the calls.
+		switch a {
+		case AggMin:
+			if v.I < cur.I {
+				return v
+			}
+			return cur
+		case AggMax:
+			if v.I > cur.I {
+				return v
+			}
+			return cur
+		case AggSum, AggCount:
+			return Int(cur.I + v.I)
+		}
+		return v
+	}
 	switch a {
 	case AggMin:
 		if v.Compare(cur) < 0 {
@@ -272,8 +302,13 @@ func (c *Combiner) grow() {
 // AppendKey's equality.
 func sameKey(a, b Row, key []int) bool {
 	for _, i := range key {
-		x, y := a[i], b[i]
-		if x.IsNumeric() || y.IsNumeric() {
+		x, y := &a[i], &b[i]
+		if x.K == KindInt && y.K == KindInt {
+			// No int's float64 image is NaN or -0: == is the bits' equality.
+			if float64(x.I) != float64(y.I) {
+				return false
+			}
+		} else if x.IsNumeric() || y.IsNumeric() {
 			if !x.IsNumeric() || !y.IsNumeric() || math.Float64bits(x.AsFloat()) != math.Float64bits(y.AsFloat()) {
 				return false
 			}

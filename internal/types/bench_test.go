@@ -102,6 +102,34 @@ func BenchmarkRowKeyBinary(b *testing.B) {
 	}
 }
 
+// BenchmarkHashRowKey: the key hash alone, over the key shapes the
+// recursive views group on — an int pair (the int fast path throughout), an
+// int with a string (one fast and one generic column) and a float.
+func BenchmarkHashRowKey(b *testing.B) {
+	rows := benchRows(1024)
+	for _, bc := range []struct {
+		name string
+		key  []int
+	}{
+		{"int-pair", []int{0, 1}},
+		{"int-string", []int{1, 3}},
+		{"float", []int{2}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var sink uint64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, r := range rows {
+					sink ^= HashRowKey(r, bc.key)
+				}
+			}
+			if sink == 1 {
+				b.Log("keep the hashes observable")
+			}
+		})
+	}
+}
+
 // TestAppendRowsZeroAllocs pins the encode side of the wire format's
 // allocation contract: re-encoding a batch into a warm buffer touches no
 // allocator.
@@ -188,6 +216,11 @@ func TestRowKeyZeroAllocs(t *testing.T) {
 func TestKeyAndHashZeroAllocs(t *testing.T) {
 	rows := benchRows(64)
 	key := []int{0, 1, 3}
+	ints := make([]Row, len(rows))
+	for i, r := range rows {
+		ints[i] = r[:2]
+	}
+	intKey := []int{1}
 	buf := make([]byte, 0, 256)
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, r := range rows {
@@ -200,6 +233,12 @@ func TestKeyAndHashZeroAllocs(t *testing.T) {
 			if HashRowKey(r, key) == h {
 				// The two digests differing is overwhelmingly likely; the
 				// comparison just keeps both calls observable.
+				t.Log("hash collision between row and key digests")
+			}
+		}
+		// Int-only rows take the inline int path of both hashes.
+		for _, r := range ints {
+			if HashRow(0, r) == HashRowKey(r, intKey) {
 				t.Log("hash collision between row and key digests")
 			}
 		}

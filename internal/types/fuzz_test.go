@@ -107,6 +107,9 @@ func FuzzDecodeRowsAppend(f *testing.F) {
 // HashBytes must be a pure function of the bytes. The Combiner, which holds
 // the recursive state, never encodes keys: its sameKey must hold exactly
 // when the AppendKey bytes are equal, and imply equal HashRowKey hashes.
+// Every int fast path (HashRow, HashRowKey, sameKey, AggKind.Improves and
+// AggKind.Combine) must match its generic reference on every pair of the
+// values the inputs make (checkFastPaths).
 func FuzzRowKey(f *testing.F) {
 	f.Add(int64(0), 0.0, "", "x", true)
 	f.Add(int64(-1), 3.0, "abc", "abd", false)
@@ -155,6 +158,7 @@ func FuzzRowKey(f *testing.F) {
 		keys := [][]int{{0}, {0, 1}}
 		for _, x := range vals {
 			for _, y := range vals {
+				checkFastPaths(t, x, y)
 				a[0], a[1], c[0], c[1] = x, y, y, x
 				for _, k := range keys {
 					ka, kc = AppendKey(ka[:0], a, k), AppendKey(kc[:0], c, k)

@@ -10,28 +10,26 @@ const (
 
 // HashValue folds one value into an FNV-1a style running hash.
 func HashValue(h uint64, v Value) uint64 {
-	h = hashByte(h, byte(normKind(v)))
 	switch v.K {
 	case KindNull:
-		return h
+		return hashByte(h, byte(KindNull))
 	case KindString:
+		h = hashByte(h, byte(KindString))
 		for i := 0; i < len(v.S); i++ {
 			h = hashByte(h, v.S[i])
 		}
 		return h
 	default:
-		// Hash numerics through their float64 image so Int(3) and
-		// Float(3.0) — which compare equal — also hash equal.
-		return hashUint64(h, math.Float64bits(v.AsFloat()))
+		return hashNum(h, v.AsFloat())
 	}
 }
 
-// normKind collapses numeric kinds so equal values hash equal.
-func normKind(v Value) Kind {
-	if v.IsNumeric() {
-		return KindFloat
-	}
-	return v.K
+// hashNum folds a numeric in through its float64 image under the kind byte
+// KindFloat, so Int(3) and Float(3.0) hash equal. HashRow and HashRowKey
+// call it inline for ints and floats, so partition routing and the group
+// tables see HashValue's hash bit for bit (TestKeyFastPathsMatchReference).
+func hashNum(h uint64, f float64) uint64 {
+	return hashUint64(hashByte(h, byte(KindFloat)), math.Float64bits(f))
 }
 
 // HashRow hashes an entire row with the given seed.
@@ -40,8 +38,15 @@ func HashRow(seed uint64, r Row) uint64 {
 	if h == 0 {
 		h = fnvOffset
 	}
-	for _, v := range r {
-		h = HashValue(h, v)
+	for i := range r {
+		switch v := &r[i]; v.K {
+		case KindInt:
+			h = hashNum(h, float64(v.I))
+		case KindFloat:
+			h = hashNum(h, v.F)
+		default:
+			h = HashValue(h, *v)
+		}
 	}
 	return h
 }
@@ -50,7 +55,14 @@ func HashRow(seed uint64, r Row) uint64 {
 func HashRowKey(r Row, key []int) uint64 {
 	h := uint64(fnvOffset)
 	for _, i := range key {
-		h = HashValue(h, r[i])
+		switch v := &r[i]; v.K {
+		case KindInt:
+			h = hashNum(h, float64(v.I))
+		case KindFloat:
+			h = hashNum(h, v.F)
+		default:
+			h = HashValue(h, *v)
+		}
 	}
 	return h
 }

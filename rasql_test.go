@@ -444,6 +444,30 @@ func TestRerunScriptWithView(t *testing.T) {
 	}
 }
 
+// TestSelectWithoutFromHonorsWhere: a SELECT without FROM answers its one
+// row only when its WHERE holds, on the distributed engine and the local
+// one alike.
+func TestSelectWithoutFromHonorsWhere(t *testing.T) {
+	for _, cfg := range []rasql.Config{{}, {ForceLocal: true}} {
+		eng := rasql.New(cfg)
+		for q, want := range map[string]int{
+			`SELECT 1 WHERE 1 = 0`:           0,
+			`SELECT 1, 2 WHERE false`:        0,
+			`SELECT 1 WHERE 1 = 1`:           1,
+			`SELECT 1, 2 WHERE 1 < 2`:        1,
+			`SELECT 1 WHERE 1 = 1 AND false`: 0,
+		} {
+			got, err := eng.Query(q)
+			if err != nil {
+				t.Fatalf("ForceLocal=%v: %s: %v", cfg.ForceLocal, q, err)
+			}
+			if got.Len() != want {
+				t.Errorf("ForceLocal=%v: %s answers %d rows, want %d", cfg.ForceLocal, q, got.Len(), want)
+			}
+		}
+	}
+}
+
 func TestQueryErrors(t *testing.T) {
 	eng := rasql.New(rasql.Config{})
 	if _, err := eng.Query(`SELECT`); err == nil {
