@@ -39,12 +39,13 @@ race-server:
 ssp-differential:
 	$(GO) test -race -shuffle=on -run 'TestRelaxed|TestFinalStage' . ./internal/fixpoint/ ./internal/cluster/
 
-# Short smoke of every fuzz target (wire format, row keys, SQL parser, the
-# streamed JSON response); crashers land in testdata/fuzz/ — check them in as
-# regression seeds.
+# Short smoke of every fuzz target (wire format, row keys, the join table,
+# SQL parser, the streamed JSON response); crashers land in testdata/fuzz/ —
+# check them in as regression seeds.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRowsAppend$$' -fuzztime 30s ./internal/types/
 	$(GO) test -run '^$$' -fuzz '^FuzzRowKey$$' -fuzztime 30s ./internal/types/
+	$(GO) test -run '^$$' -fuzz '^FuzzRowTable$$' -fuzztime 30s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/sql/parser/
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeResponse$$' -fuzztime 30s ./internal/server/
 

@@ -207,18 +207,40 @@ func TestShuffleAddZeroAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkRowTableProbe probes a table with each of its build rows. The
+// first case keys 4,096 rows on two columns (111 keys); the second is the
+// shape buildCopart builds: one partition of four, the rows whose key
+// hashes to it, each under its own int key — keys whose hashes share their
+// low bits, which partition routing consumed.
 func BenchmarkRowTableProbe(b *testing.B) {
-	rows := benchClusterRows(4096)
-	t := BuildRowTable(rows, []int{1, 3})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hits := 0
-		for _, r := range rows {
-			hits += len(t.ProbeRow(r, []int{1, 3}))
+	wide := benchClusterRows(4096)
+	var copart []types.Row
+	for _, r := range benchClusterRows(16384) {
+		if types.HashRowKey(r, []int{0})%4 == 0 {
+			copart = append(copart, r)
 		}
-		if hits == 0 {
-			b.Fatal("no probe hits")
-		}
+	}
+	for _, bc := range []struct {
+		name string
+		rows []types.Row
+		cols []int
+	}{
+		{"two-column", wide, []int{1, 3}},
+		{"copart", copart, []int{0}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			t := BuildRowTable(bc.rows, bc.cols)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hits := 0
+				for _, r := range bc.rows {
+					hits += len(t.ProbeRow(r, bc.cols))
+				}
+				if hits == 0 {
+					b.Fatal("no probe hits")
+				}
+			}
+		})
 	}
 }

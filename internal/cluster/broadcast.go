@@ -51,14 +51,7 @@ func buildFromWire(wire []byte, compressed bool, key []int) *RowTable {
 		}
 		return BuildRowTable(got, key)
 	}
-	// Re-bucket the shipped hashed relation into the worker's probe
-	// structure.
-	hashed := decodeHashed(wire)
-	var rows []types.Row
-	for _, bucket := range hashed {
-		rows = append(rows, bucket...)
-	}
-	return BuildRowTable(rows, key)
+	return BuildRowTable(decodeHashed(wire), key)
 }
 
 // Broadcast replicates rows to every worker, keyed on key, honouring the
@@ -80,7 +73,7 @@ func (c *QueryContext) Broadcast(rows []types.Row, schema types.Schema, key []in
 	if c.cfg.CompressBroadcast {
 		wire = types.EncodeRows(rows)
 	} else {
-		wire = encodeHashed(buildTable(rows, key))
+		wire = encodeHashed(BuildRowTable(rows, key))
 	}
 	c.Metrics.BroadcastBytes.Add(int64(len(wire)) * int64(c.cfg.Workers))
 	if c.chaos != nil {
@@ -103,64 +96,45 @@ func (c *QueryContext) Broadcast(rows []types.Row, schema types.Schema, key []in
 	return b
 }
 
-func buildTable(rows []types.Row, key []int) map[string][]types.Row {
-	t := make(map[string][]types.Row, len(rows))
-	for _, r := range rows {
-		k := types.KeyString(r, key)
-		t[k] = append(t[k], r)
-	}
-	return t
-}
-
-// encodeHashed serializes a built hash table: per entry a 16-byte bucket
-// header, the key string, then the bucket rows. This mirrors how shipping a
-// pre-built hashed relation inflates the payload versus the raw rows.
-func encodeHashed(t map[string][]types.Row) []byte {
-	buf := make([]byte, 0, 64*len(t))
-	buf = binary.AppendUvarint(buf, uint64(len(t)))
+// encodeHashed serializes a built hash table bucket by bucket: a 16-byte
+// bucket header, the key's AppendKey bytes, then the bucket's rows. This
+// mirrors how shipping a pre-built hashed relation inflates the payload
+// versus the raw rows.
+func encodeHashed(t *RowTable) []byte {
+	nkeys := t.buckets()
+	buf := make([]byte, 0, 64*nkeys)
+	buf = binary.AppendUvarint(buf, uint64(nkeys))
 	var header [16]byte
-	for k, rows := range t {
+	var key []byte
+	for e := 0; e < nkeys; e++ {
+		bucket := t.bucket(e)
+		key = types.AppendKey(key[:0], bucket[0], t.cols)
 		buf = append(buf, header[:]...) // bucket metadata (hash, pointers)
-		buf = binary.AppendUvarint(buf, uint64(len(k)))
-		buf = append(buf, k...)
-		buf = types.AppendRows(buf, rows)
+		buf = binary.AppendUvarint(buf, uint64(len(key)))
+		buf = append(buf, key...)
+		buf = types.AppendRows(buf, bucket)
 	}
 	return buf
 }
 
-func decodeHashed(buf []byte) map[string][]types.Row {
-	n, sz := binary.Uvarint(buf)
-	pos := sz
-	t := make(map[string][]types.Row, n)
+// decodeHashed returns the rows of an encodeHashed table in bucket order.
+func decodeHashed(buf []byte) []types.Row {
+	n, pos := binary.Uvarint(buf)
+	var rows []types.Row
 	for i := uint64(0); i < n; i++ {
 		pos += 16 // skip bucket header
 		l, sz := binary.Uvarint(buf[pos:])
+		pos += sz + int(l) // skip the key
+		m, sz := binary.Uvarint(buf[pos:])
 		pos += sz
-		k := string(buf[pos : pos+int(l)])
-		pos += int(l)
-		// DecodeRows reads a batch; we must know its length. Re-decode by
-		// scanning: batch header then rows.
-		rows, used, err := decodeRowsCounted(buf[pos:])
-		if err != nil {
-			panic("cluster: hashed broadcast corruption: " + err.Error())
+		for j := uint64(0); j < m; j++ {
+			r, used, err := types.DecodeRow(buf[pos:])
+			if err != nil {
+				panic("cluster: hashed broadcast corruption: " + err.Error())
+			}
+			pos += used
+			rows = append(rows, r)
 		}
-		pos += used
-		t[k] = rows
 	}
-	return t
-}
-
-func decodeRowsCounted(buf []byte) ([]types.Row, int, error) {
-	n, sz := binary.Uvarint(buf)
-	pos := sz
-	rows := make([]types.Row, 0, n)
-	for i := uint64(0); i < n; i++ {
-		r, used, err := types.DecodeRow(buf[pos:])
-		if err != nil {
-			return nil, 0, err
-		}
-		pos += used
-		rows = append(rows, r)
-	}
-	return rows, pos, nil
+	return rows
 }

@@ -3,35 +3,33 @@ package cluster
 import "github.com/rasql/rasql-go/internal/types"
 
 // RowTable is the hash-join build side: rows indexed by a column subset,
-// probed for the bucket of rows matching a key. Unlike the incremental
-// types.Combiner that backs State, a RowTable sees all of its rows up
-// front (the hybrid scheduling policy rebuilds co-partitioned tables after
-// every remote fetch, so builds are hot), which admits a leaner layout:
+// probed for the bucket of rows matching a key. Its key index is a
+// types.Combiner, the group table behind State and the map-side combine, so
+// a join matches keys exactly as grouping does, under AppendKey's equality
+// (Int(3) matches Float(3.0)). A RowTable sees all of its rows up front
+// (the hybrid scheduling policy rebuilds co-partitioned tables after every
+// remote fetch, so builds are hot), which admits a lean layout:
 //
-//   - the slot table is sized once from len(rows), so it never rehashes;
-//   - keys are hashed straight from their Values (types.HashRowKey) and
-//     compared against the first row of a bucket with Value.Equal — no
-//     wire encoding, no key arena;
-//   - each slot packs the bucket id with a 32-bit hash tag, so a probe
-//     touches one cache line per step and only compares values on a tag
-//     hit;
+//   - the key index is sized once from len(rows) (Combiner.Reserve), so it
+//     never rehashes, and each distinct key is one group whose id is its
+//     bucket;
 //   - rows are stored clustered by key, CSR-style: bucket e is the range
 //     rows[starts[e]:starts[e+1]], and the rows' values are copied into one
 //     shared slab in that order, so reading a bucket walks contiguous
-//     memory instead of chasing one pointer per matched row.
+//     memory instead of chasing one pointer per matched row; each key's
+//     group row is its bucket's first slab row.
 //
+// A row whose key holds a NULL is left out: NULL = NULL is not true in SQL,
+// so it could match no probe, and a probe with a NULL key finds no bucket.
 // The table owns its rows: the build copies every value, so the input may
 // be reused or dropped once BuildRowTable returns, and a build allocates a
 // fixed number of times whatever the number of keys. Within a bucket rows
-// keep their input order. Hash and equality both normalize numerics
-// (Int(3) matches Float(3.0)). Probes are read-only and allocation-free,
-// safe from any goroutine once the build returns.
+// keep their input order. Probes are read-only and allocation-free, safe
+// from any goroutine once the build returns.
 type RowTable struct {
-	cols []int
-	// slots is open-addressed: (bucket+1)<<32 | uint32(hash), 0 = empty;
-	// len is a power of two chosen at build so load stays under 1/2.
-	slots []uint64
-	mask  uint64
+	cols  []int
+	ident []int // 0, 1, …: the key columns of ProbeValues' value list
+	keys  types.Combiner
 	// starts has one entry per bucket plus a sentinel: bucket e is
 	// rows[starts[e]:starts[e+1]].
 	starts []int32
@@ -41,83 +39,65 @@ type RowTable struct {
 
 // BuildRowTable indexes a copy of rows on the given key columns.
 func BuildRowTable(rows []types.Row, cols []int) *RowTable {
-	t := &RowTable{cols: append([]int(nil), cols...)}
+	colBuf := make([]int, 2*len(cols))
+	t := &RowTable{cols: colBuf[:len(cols):len(cols)], ident: colBuf[len(cols):]}
+	copy(t.cols, cols)
+	for i := range t.ident {
+		t.ident[i] = i
+	}
+	t.keys.Reset(t.cols, -1, types.AggNone)
 	if len(rows) == 0 {
 		return t
 	}
-	nslots := 8
-	for nslots < 2*len(rows) {
-		nslots <<= 1
-	}
-	t.slots = make([]uint64, nslots)
-	t.mask = uint64(nslots - 1)
+	t.keys.Reserve(len(rows))
 
-	// Pass 1: give every row its bucket id and count the rows per bucket
-	// (in starts[e+1], ready for the prefix sum). first[e] is the input
-	// row that opened bucket e, its key's representative until pass 2.
+	// Pass 1: give every row its bucket id (-1 for a NULL key) and count
+	// the rows per bucket in starts[e+1], ready for the prefix sum.
 	ids := make([]int32, len(rows))
-	first := make([]int32, 0, len(rows))
 	starts := make([]int32, len(rows)+1)
 	for i, r := range rows {
-		h := types.HashRowKey(r, cols)
-		s := h & t.mask
-		for {
-			slot := t.slots[s]
-			if slot == 0 {
-				e := len(first)
-				first = append(first, int32(i))
-				t.slots[s] = uint64(e+1)<<32 | uint64(uint32(h))
-				ids[i] = int32(e)
-				break
-			}
-			if uint32(slot) == uint32(h) {
-				e := int(slot>>32) - 1
-				if keyEqual(rows[first[e]], cols, r, cols) {
-					ids[i] = int32(e)
-					break
-				}
-			}
-			s = (s + 1) & t.mask
+		if types.HasNullKey(r, cols) {
+			ids[i] = -1
+			continue
 		}
-		starts[ids[i]+1]++
+		e := t.keys.Lookup(r, cols)
+		if e < 0 {
+			e = t.buckets()
+			t.keys.Group(r, nil)
+		}
+		ids[i] = int32(e)
+		starts[e+1]++
 	}
-	nkeys := len(first)
+	nkeys := t.buckets()
 	t.starts = starts[:nkeys+1]
 	for e := 1; e <= nkeys; e++ {
 		t.starts[e] += t.starts[e-1]
 	}
 
-	// Pass 2: place each row at its bucket's next free position (first is
-	// reused as the per-bucket cursor), then copy the values into one slab
-	// in that order.
-	cursor := first[:nkeys]
-	copy(cursor, t.starts)
-	placed := make([]types.Row, len(rows))
+	// Pass 2: place each row at its bucket's next free position, with
+	// starts[e] as bucket e's cursor, then shift the cursors, which end at
+	// the next bucket's start, back into place. The values are copied into
+	// one slab in that order.
+	placed := make([]types.Row, t.starts[nkeys])
 	for i, r := range rows {
-		placed[cursor[ids[i]]] = r
-		cursor[ids[i]]++
+		if e := ids[i]; e >= 0 {
+			placed[t.starts[e]] = r
+			t.starts[e]++
+		}
 	}
+	copy(t.starts[1:], t.starts[:nkeys])
+	t.starts[0] = 0
 	t.rows = types.CloneRows(placed)
+	// Groups is the index's own slice: re-home each key on the slab, so
+	// the table keeps no reference into the input.
+	for e, g := 0, t.keys.Groups(); e < nkeys; e++ {
+		g[e] = t.rows[t.starts[e]]
+	}
 	return t
 }
 
-// keyEqual reports whether a's values at acols equal b's at bcols.
-func keyEqual(a types.Row, acols []int, b types.Row, bcols []int) bool {
-	for i, c := range acols {
-		if !sameValue(&a[c], &b[bcols[i]]) {
-			return false
-		}
-	}
-	return true
-}
-
-// sameValue is Value.Equal with the int pair inline.
-func sameValue(x, y *types.Value) bool {
-	if x.K == types.KindInt && y.K == types.KindInt {
-		return x.I == y.I
-	}
-	return x.Equal(*y)
-}
+// buckets returns the number of distinct keys.
+func (t *RowTable) buckets() int { return len(t.keys.Groups()) }
 
 // bucket returns bucket e's rows, capped so an append cannot spill into the
 // next bucket.
@@ -129,53 +109,18 @@ func (t *RowTable) bucket(e int) []types.Row {
 // ProbeRow returns the bucket matching the probe row's values at probeCols
 // (aligned with the table's key columns).
 func (t *RowTable) ProbeRow(r types.Row, probeCols []int) []types.Row {
-	if len(t.slots) == 0 {
-		return nil
+	if e := t.keys.Lookup(r, probeCols); e >= 0 {
+		return t.bucket(e)
 	}
-	h := types.HashRowKey(r, probeCols)
-	for s := h & t.mask; ; s = (s + 1) & t.mask {
-		slot := t.slots[s]
-		if slot == 0 {
-			return nil
-		}
-		if uint32(slot) == uint32(h) {
-			e := int(slot>>32) - 1
-			if keyEqual(t.rows[t.starts[e]], t.cols, r, probeCols) {
-				return t.bucket(e)
-			}
-		}
-	}
+	return nil
 }
 
 // ProbeValues returns the bucket matching the given key values.
 func (t *RowTable) ProbeValues(vals []types.Value) []types.Row {
-	if len(t.slots) == 0 {
-		return nil
-	}
-	h := types.HashRow(0, types.Row(vals))
-	for s := h & t.mask; ; s = (s + 1) & t.mask {
-		slot := t.slots[s]
-		if slot == 0 {
-			return nil
-		}
-		if uint32(slot) == uint32(h) {
-			e := int(slot>>32) - 1
-			repr := t.rows[t.starts[e]]
-			ok := true
-			for i, c := range t.cols {
-				if !sameValue(&repr[c], &vals[i]) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return t.bucket(e)
-			}
-		}
-	}
+	return t.ProbeRow(vals, t.ident)
 }
 
 // Rows returns the table's own copy of the build input in bucket order
 // (no copy; callers must not mutate) — used when a table must be
-// re-shipped to another worker.
+// re-shipped to another worker. Rows with a NULL key are not in it.
 func (t *RowTable) Rows() []types.Row { return t.rows }

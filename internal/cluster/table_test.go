@@ -4,17 +4,22 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/rasql/rasql-go/internal/types"
 )
 
-// naiveGroups groups rows by their normalized key (the equality a State's
-// group table keys on, under which Int(3) and Float(3.0) coincide and NULL equals
-// NULL, as Value.Equal has it), keeping input order within a group.
+// naiveGroups groups rows by their AppendKey bytes (the one key relation,
+// under which Int(3) and Float(3.0) coincide), keeping input order within a
+// group, and leaves out the rows whose key holds a NULL, which join
+// nothing.
 func naiveGroups(rows []types.Row, cols []int) (order []string, groups map[string][]types.Row) {
 	groups = map[string][]types.Row{}
 	for _, r := range rows {
+		if types.HasNullKey(r, cols) {
+			continue
+		}
 		k := types.KeyString(r, cols)
 		if _, ok := groups[k]; !ok {
 			order = append(order, k)
@@ -97,11 +102,15 @@ func TestRowTableBucketsMatchNaiveGrouping(t *testing.T) {
 					t.Errorf("bucket %q = %v, want %v (input order)", k, got, want)
 				}
 			}
-			// Rows() holds every input row once, each bucket one
-			// contiguous run.
+			// Rows() holds every input row with no NULL key once, each
+			// bucket one contiguous run.
 			rows := tab.Rows()
-			if len(rows) != len(tc.rows) {
-				t.Fatalf("Rows() has %d rows, want %d", len(rows), len(tc.rows))
+			kept := 0
+			for _, k := range order {
+				kept += len(groups[k])
+			}
+			if len(rows) != kept {
+				t.Fatalf("Rows() has %d rows, want %d", len(rows), kept)
 			}
 			runs := 0
 			for i, r := range rows {
@@ -123,7 +132,7 @@ func TestRowTableProbesAgree(t *testing.T) {
 			for _, r := range tc.rows {
 				byRow := tab.ProbeRow(r, tc.cols)
 				byVals := tab.ProbeValues(keyValues(r, tc.cols))
-				if len(byRow) == 0 || !reflect.DeepEqual(byRow, byVals) {
+				if (len(byRow) == 0) != types.HasNullKey(r, tc.cols) || !reflect.DeepEqual(byRow, byVals) {
 					t.Errorf("probe %v: ProbeRow = %v, ProbeValues = %v", r, byRow, byVals)
 				}
 			}
@@ -161,7 +170,7 @@ func TestRowTableOwnsItsRows(t *testing.T) {
 				}
 			}
 			for i, r := range saved {
-				if got := tab.ProbeRow(r, tc.cols); !reflect.DeepEqual(got, want[i]) {
+				if got := types.CloneRows(tab.ProbeRow(r, tc.cols)); !reflect.DeepEqual(got, want[i]) {
 					t.Errorf("after overwriting the input, probe %v = %v, want %v", r, got, want[i])
 				}
 			}
@@ -169,8 +178,8 @@ func TestRowTableOwnsItsRows(t *testing.T) {
 	}
 }
 
-// A build allocates a fixed number of times: the slab and offset layout
-// replaced one bucket slice per key. Each side takes the least of three
+// A build allocates a fixed number of times, at most 12: the slab and
+// offset layout replaced one bucket slice per key. Each side takes the least of three
 // measurements, so a stray allocation elsewhere in the process does not
 // count.
 func TestRowTableBuildAllocsIndependentOfKeys(t *testing.T) {
@@ -190,18 +199,30 @@ func TestRowTableBuildAllocsIndependentOfKeys(t *testing.T) {
 		return least
 	}
 	few, many := build(10), build(n)
+	t.Logf("BuildRowTable of %d rows: %v allocs", n, many)
 	if few != many {
 		t.Errorf("BuildRowTable allocs: %v at 10 keys, %v at %d keys; want equal", few, many, n)
 	}
+	if many > 12 {
+		t.Errorf("BuildRowTable allocs %v times, want at most 12", many)
+	}
 }
 
-// TestRowTableKeyEqualityMatchesReference holds keyEqual's and
-// ProbeValues' int fast path to the generic path over every pair of
-// two-column keys drawn from values where the two could part: ints around
-// the edges of float64's exact range and of int64, ±0, NaN, infinities,
-// ints and floats of equal value, and every other kind. Key columns compare
-// with Value.Equal, and a probe finds a row whose key compares equal and
-// also hashes equal under HashValue folded over the columns.
+// refHit is the reference for a probe of a table holding build: it hits iff
+// the AppendKey bytes are equal and no key column on either side is NULL.
+func refHit(build types.Row, bcols []int, probe types.Row, pcols []int) bool {
+	return !types.HasNullKey(build, bcols) && !types.HasNullKey(probe, pcols) &&
+		types.KeyString(build, bcols) == types.KeyString(probe, pcols)
+}
+
+// TestRowTableKeyEqualityMatchesReference holds ProbeRow and ProbeValues to
+// the one key relation over every pair of two-column keys drawn from values
+// where relations could part: ints around the edges of float64's exact
+// range and of int64, ±0, NaN, infinities, ints and floats of equal value,
+// and every other kind. A probe hits iff the KeyString bytes are equal and
+// no key column is NULL, so Int(2^53) and Int(2^53+1) match (until exact
+// ints, ROADMAP item 24(i), change the relation everywhere at once), -0.0
+// and +0.0 do not, NaN matches NaN and NULL matches nothing.
 func TestRowTableKeyEqualityMatchesReference(t *testing.T) {
 	const p53 = 1 << 53
 	vals := []types.Value{
@@ -211,13 +232,6 @@ func TestRowTableKeyEqualityMatchesReference(t *testing.T) {
 		types.Float(3), types.Float(p53),
 		types.Bool(true), types.Null(), types.Str(""), types.Str("3"),
 	}
-	refHash := func(r types.Row) uint64 {
-		h := types.HashRow(0, nil) // the offset basis
-		for _, v := range r {
-			h = types.HashValue(h, v)
-		}
-		return h
-	}
 	cols := []int{0, 1}
 	for _, x := range vals {
 		for _, y := range vals {
@@ -226,11 +240,7 @@ func TestRowTableKeyEqualityMatchesReference(t *testing.T) {
 			for _, p := range vals {
 				for _, q := range vals {
 					b := types.Row{p, q}
-					equal := x.Equal(p) && y.Equal(q)
-					if got := keyEqual(a, cols, b, cols); got != equal {
-						t.Fatalf("keyEqual(%v, %v) = %v, Value.Equal says %v", a, b, got, equal)
-					}
-					want := equal && refHash(a) == refHash(b)
+					want := refHit(a, cols, b, cols)
 					if got := len(tab.ProbeValues(b)) == 1; got != want {
 						t.Fatalf("table of %v: ProbeValues(%v) hit = %v, want %v", a, b, got, want)
 					}
@@ -241,4 +251,64 @@ func TestRowTableKeyEqualityMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzRowTable builds a table from every pair of the values FuzzRowKey's
+// inputs make, as two-column keys with the row's position as payload, and
+// holds every ProbeRow and ProbeValues to a reference: a Go map keyed by
+// KeyString that leaves out the rows with a NULL key, buckets in input
+// order. Probes come both aligned with the table's key columns and from
+// the probe row's own columns in the other order. Buckets compare by their
+// rows' positions, since a NaN key is not reflect.DeepEqual to itself.
+func FuzzRowTable(f *testing.F) {
+	f.Add(int64(0), 0.0, "", "x", true)
+	f.Add(int64(-1), 3.0, "abc", "abd", false)
+	f.Add(int64(1<<53), -0.0, "π", "", true)
+	f.Add(int64(1<<53+1), math.NaN(), "3", "3", false)
+	cols, swapped := []int{0, 1}, []int{1, 0}
+	f.Fuzz(func(t *testing.T, n int64, fv float64, s1, s2 string, b bool) {
+		vals := [...]types.Value{types.Int(n), types.Float(fv), types.Float(float64(n)), types.Int(int64(fv)),
+			types.Float(-fv), types.Str(s1), types.Str(s2), types.Bool(b), types.Null()}
+		var rows []types.Row
+		for _, x := range vals {
+			for _, y := range vals {
+				rows = append(rows, types.Row{x, y, types.Int(int64(len(rows)))})
+			}
+		}
+		_, ref := naiveGroups(rows, cols)
+		tab := BuildRowTable(rows, cols)
+		kept := 0
+		for _, g := range ref {
+			kept += len(g)
+		}
+		if len(tab.Rows()) != kept {
+			t.Fatalf("table holds %d rows, want the %d with no NULL key", len(tab.Rows()), kept)
+		}
+		for _, x := range vals {
+			for _, y := range vals {
+				var want []types.Row
+				if probe := (types.Row{x, y}); !types.HasNullKey(probe, cols) {
+					want = ref[types.KeyString(probe, cols)]
+				}
+				if got := tab.ProbeRow(types.Row{x, y}, cols); !slices.Equal(positions(got), positions(want)) {
+					t.Fatalf("ProbeRow(%v, %v) = %v, want %v", x, y, got, want)
+				}
+				if got := tab.ProbeRow(types.Row{y, x}, swapped); !slices.Equal(positions(got), positions(want)) {
+					t.Fatalf("ProbeRow(%v, %v) by swapped columns = %v, want %v", x, y, got, want)
+				}
+				if got := tab.ProbeValues([]types.Value{x, y}); !slices.Equal(positions(got), positions(want)) {
+					t.Fatalf("ProbeValues(%v, %v) = %v, want %v", x, y, got, want)
+				}
+			}
+		}
+	})
+}
+
+// positions lists the payload column of FuzzRowTable's rows.
+func positions(rows []types.Row) []int64 {
+	out := make([]int64, len(rows))
+	for i, r := range rows {
+		out[i] = r[2].I
+	}
+	return out
 }

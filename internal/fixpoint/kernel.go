@@ -83,7 +83,14 @@ func buildCopart(c *cluster.QueryContext, rows []types.Row, buildCols []int, joi
 		tasks[i] = cluster.Task{Part: p, Preferred: c.DefaultOwner(p), Run: func(w int) {
 			cb.owner[p] = w
 			if join == SortMerge {
-				rs := append([]types.Row(nil), bucketed[p]...)
+				// A NULL-keyed row joins nothing, so it stays out of the
+				// run, as it stays out of a RowTable.
+				var rs []types.Row
+				for _, r := range bucketed[p] {
+					if !types.HasNullKey(r, buildCols) {
+						rs = append(rs, r)
+					}
+				}
 				ks := make([]string, len(rs))
 				for j, r := range rs {
 					ks[j] = types.KeyString(r, buildCols)

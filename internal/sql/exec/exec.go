@@ -315,14 +315,15 @@ const pollEvery = 4096
 // JoinRows joins n sources, given as per-source row slices, under the
 // conjuncts and pushes every result tuple into sink. Sources are bound in
 // order, depth first. An equi-join conjunct drives a hash join into the
-// later of its two sources, whose table is built once; every other conjunct
-// filters as soon as all its inputs are bound (predicate pushdown); a
-// source with no equi-join is scanned in full. Tuples reach the sink in the
-// order a breadth-first materialization would list them. The environment
-// the sink receives is reused for the next tuple, so it is valid only
-// inside the call. Every 4,096 rows it visits, whether or not they reach
-// the sink, the join reads ctx (nil: never cancelled) and stops with its
-// error once it is done.
+// later of its two sources, whose table is built once and leaves out the
+// rows whose key holds a NULL, as the engine's build sides do; every other
+// conjunct filters as soon as all its inputs are bound (predicate
+// pushdown); a source with no equi-join is scanned in full. Tuples reach
+// the sink in the order a breadth-first materialization would list them.
+// The environment the sink receives is reused for the next tuple, so it is
+// valid only inside the call. Every 4,096 rows it visits, whether or not
+// they reach the sink, the join reads ctx (nil: never cancelled) and stops
+// with its error once it is done.
 func JoinRows(ctx context.Context, n int, rows [][]types.Row, conjuncts []expr.Expr, sink func(expr.Env)) error {
 	if n == 0 {
 		for _, c := range conjuncts {
@@ -357,6 +358,9 @@ func JoinRows(ctx context.Context, n int, rows [][]types.Row, conjuncts []expr.E
 		lv.table = make(map[string][]types.Row, len(rows[d]))
 		var key []byte
 		for _, r := range rows[d] {
+			if types.HasNullKey(r, lv.build) {
+				continue // NULL = NULL is not true: the row joins nothing
+			}
 			key = types.AppendKey(key[:0], r, lv.build)
 			lv.table[string(key)] = append(lv.table[string(key)], r)
 		}

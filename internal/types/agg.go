@@ -155,12 +155,18 @@ func CountContribution(v Value) Value {
 // (cluster.State), whose groups are the partition's rows. A reused Combiner
 // allocates only for a call with more groups than any before it, and Reset
 // zeroes only the slots the last call used, so small deltas after one large
-// step stay cheap. The zero value is ready to use; a Combiner is not safe
-// for concurrent use.
+// step stay cheap. It is also the key index of every join build side
+// (cluster.RowTable), which Reserves it once and then only Looks up. The
+// zero value is ready to use; a Combiner is not safe for concurrent use,
+// apart from Lookups while nothing folds.
 //
 // Key columns compare as AppendKey's bytes would: numerics by the bits of
 // their float64 image (Int(3) meets Float(3.0), -0.0 and +0.0 stay apart,
-// NaN meets NaN), other values by kind and string.
+// NaN meets NaN), other values by kind and string, and NULL meets NULL.
+// This is the engine's one key relation: grouping, UNION and the set state
+// use it as it is, and joins use it with NULL matching nothing, because a
+// build side leaves rows with a NULL key out. Changing what keys are equal
+// (ROADMAP item 24) changes sameKey, hashNum and appendKeyValue only.
 type Combiner struct {
 	key    []int
 	valIdx int
@@ -199,8 +205,13 @@ func (c *Combiner) Fold(r Row, arena *RowSlab) (g Row, fresh bool) {
 // fresh false, or opens the group as Fold does and returns its row with
 // fresh true. The caller updates the group's row itself.
 func (c *Combiner) Group(r Row, arena *RowSlab) (g Row, fresh bool) {
-	h := HashRowKey(r, c.key)
-	id, s := c.find(r, h)
+	if 4*(len(c.rows)+1) > 3*len(c.slots) {
+		// Grow first if one more group would pass 3/4 load, so the slot
+		// probe returns stays valid for insert. The table doubles, so it
+		// grows O(log n) times over a Combiner's life.
+		c.grow()
+	}
+	id, s, h := c.probe(r, c.key)
 	if id >= 0 {
 		return c.rows[id], false
 	}
@@ -212,7 +223,8 @@ func (c *Combiner) Group(r Row, arena *RowSlab) (g Row, fresh bool) {
 }
 
 // Groups returns the row of every group in first-appearance order, valid
-// until the next Reset.
+// until the next Reset. The slice is the Combiner's own: a caller may
+// replace a group's row with another row of equal key.
 func (c *Combiner) Groups() []Row { return c.rows }
 
 // Truncate forgets every group after the first n, as if the rows that
@@ -255,29 +267,51 @@ func (c *Combiner) Combine(rows []Row, key []int, valIdx int, kind AggKind) []Ro
 	return out
 }
 
-// find returns the id of r's group, or -1 and the empty slot where a group
-// with hash h goes. It first grows the table if one more group would pass
-// 3/4 load, so the slot stays valid for insert.
-func (c *Combiner) find(r Row, h uint64) (id int, slot uint64) {
-	if 4*(len(c.rows)+1) > 3*len(c.slots) {
-		// The table doubles, so it grows O(log n) times over a Combiner's life.
-		c.grow()
+// probe hashes r's values at cols and returns the id of the group whose
+// key equals them, or -1 and the empty slot where a group with that hash
+// goes, and the hash. It only reads the table.
+func (c *Combiner) probe(r Row, cols []int) (id int, slot, h uint64) {
+	h = HashRowKey(r, cols)
+	if len(c.slots) == 0 {
+		return -1, 0, h
 	}
 	for s := h >> 32 & c.mask; ; s = (s + 1) & c.mask {
 		v := c.slots[s]
 		if v == 0 {
-			return -1, s
+			return -1, s, h
 		}
 		if uint32(v) == uint32(h) {
-			if id := int(v>>32) - 1; sameKey(c.rows[id], r, c.key) {
-				return id, s
+			if id := int(v>>32) - 1; sameKey(c.rows[id], c.key, r, cols) {
+				return id, s, h
 			}
 		}
 	}
 }
 
+// Lookup returns the id of the group whose key equals r's values at cols
+// (aligned with the key columns), its index in Groups, or -1 if there is
+// none. It only reads the table, so any number of goroutines may look up
+// while nothing folds.
+func (c *Combiner) Lookup(r Row, cols []int) int {
+	id, _, _ := c.probe(r, cols)
+	return id
+}
+
+// Reserve sizes the table once for up to n groups at half load, for a
+// Combiner that is built in one go and then probed many times: folding n
+// groups after it does not grow the table. Call it after Reset, on a
+// Combiner with no groups.
+func (c *Combiner) Reserve(n int) {
+	size := 16
+	for size < 2*n {
+		size <<= 1
+	}
+	c.slots, c.mask = make([]uint64, size), uint64(size-1)
+	c.rows, c.used = make([]Row, 0, n), make([]uint32, 0, n)
+}
+
 // insert makes g the row of a new group with hash h at the empty slot s
-// find returned. Its appends amortize into capacity earlier calls grew.
+// probe returned. Its appends amortize into capacity earlier calls grew.
 func (c *Combiner) insert(s, h uint64, g Row) {
 	c.slots[s] = uint64(len(c.rows)+1)<<32 | uint64(uint32(h))
 	c.rows = append(c.rows, g)
@@ -298,11 +332,12 @@ func (c *Combiner) grow() {
 	}
 }
 
-// sameKey reports whether a and b agree on the key columns under
-// AppendKey's equality.
-func sameKey(a, b Row, key []int) bool {
-	for _, i := range key {
-		x, y := &a[i], &b[i]
+// sameKey reports whether a's values at akey equal b's at bkey, column by
+// column, under AppendKey's equality.
+func sameKey(a Row, akey []int, b Row, bkey []int) bool {
+	bkey = bkey[:len(akey)]
+	for j, i := range akey {
+		x, y := &a[i], &b[bkey[j]]
 		if x.K == KindInt && y.K == KindInt {
 			// No int's float64 image is NaN or -0: == is the bits' equality.
 			if float64(x.I) != float64(y.I) {

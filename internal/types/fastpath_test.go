@@ -80,7 +80,7 @@ func checkFastPaths(t *testing.T, x, y Value) {
 	t.Helper()
 	a, b := Row{x, y}, Row{y, x}
 	for _, key := range [][]int{{0}, {1}, {0, 1}, {1, 0}} {
-		if got, want := sameKey(a, b, key), refSameKey(a, b, key); got != want {
+		if got, want := sameKey(a, key, b, key), refSameKey(a, b, key); got != want {
 			t.Fatalf("sameKey(%v, %v, %v) = %v, AppendKey bytes say %v", a, b, key, got, want)
 		}
 		if got, want := HashRowKey(a, key), refHashRowKey(a, key); got != want {
@@ -133,7 +133,7 @@ func TestKeyFastPathsMatchReference(t *testing.T) {
 		for _, y := range vals {
 			for _, z := range vals {
 				a, b := Row{x, y}, Row{z, y}
-				if got, want := sameKey(a, b, []int{0, 1}), refSameKey(a, b, []int{0, 1}); got != want {
+				if got, want := sameKey(a, []int{0, 1}, b, []int{0, 1}), refSameKey(a, b, []int{0, 1}); got != want {
 					t.Fatalf("sameKey(%v, %v) = %v, AppendKey bytes say %v", a, b, got, want)
 				}
 			}

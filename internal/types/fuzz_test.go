@@ -162,7 +162,7 @@ func FuzzRowKey(f *testing.F) {
 				a[0], a[1], c[0], c[1] = x, y, y, x
 				for _, k := range keys {
 					ka, kc = AppendKey(ka[:0], a, k), AppendKey(kc[:0], c, k)
-					same := sameKey(a, c, k)
+					same := sameKey(a, k, c, k)
 					if same != bytes.Equal(ka, kc) {
 						t.Fatalf("sameKey(%v, %v, %v) = %v disagrees with AppendKey byte equality", a, c, k, same)
 					}

@@ -14,9 +14,13 @@ import (
 // bytes while hashing to a cheap uint64.
 //
 // The hot paths do not encode keys: the Combiner, which holds the recursive
-// state, hashes values with HashRowKey and compares them with sameKey,
-// which is exactly this encoding's byte equality (FuzzRowKey checks it).
-// KeyString and RowKeyString turn the bytes into Go map keys.
+// state, the map-side combine, the final stage's groups and every join
+// build side (cluster.RowTable), hashes values with HashRowKey and compares
+// them with sameKey, which is exactly this encoding's byte equality
+// (FuzzRowKey checks it). KeyString and RowKeyString turn the bytes into Go
+// map keys for exec, Local and relation, so every keyed structure matches
+// keys under this one relation. Joins add one rule on top of it: a row with
+// a NULL key column (HasNullKey) joins nothing.
 
 // AppendKey appends the binary key of r's values at the key indices to buf
 // and returns the extended buffer.
@@ -25,6 +29,18 @@ func AppendKey(buf []byte, r Row, key []int) []byte {
 		buf = appendKeyValue(buf, r[i])
 	}
 	return buf
+}
+
+// HasNullKey reports whether any of r's values at the key indices is NULL.
+// Every join build side leaves such a row out, because NULL = NULL is not
+// true: it matches no row, and a probe with a NULL key finds none.
+func HasNullKey(r Row, key []int) bool {
+	for _, i := range key {
+		if r[i].K == KindNull {
+			return true
+		}
+	}
+	return false
 }
 
 // AppendRowKey appends the binary key of the entire row (set semantics).
