@@ -252,8 +252,7 @@ func TestPreparedWorkspaceAfterFailure(t *testing.T) {
 // exactly: 4 iterations, a 1,985-row fixpoint, and 22,390 shuffle records
 // in 139,784 bytes.
 func TestCCRMATPreparedAllocBudget(t *testing.T) {
-	edges := gen.Symmetrized(gen.Unweighted(gen.RMATDefault(2000, gen.Rng(1))))
-	preparedAllocFence(t, edges, queries.CC, preparedCounts{4, 1985, 139784, 22390}, 41, 1804)
+	preparedAllocFence(t, ccRMATEdges(), queries.CC, preparedCounts{4, 1985, 139784, 22390}, 41, 1804)
 }
 
 // TestTCGridPreparedAllocBudget is the same fence over the tc-grid
@@ -270,10 +269,22 @@ func TestCCRMATPreparedAllocBudget(t *testing.T) {
 // state from nothing 520 of 30 MiB. The plan decomposes, so it never
 // shuffles.
 func TestTCGridPreparedAllocBudget(t *testing.T) {
+	preparedAllocFence(t, tcGridEdges(), tcGridQuery, preparedCounts{40, 52920, 0, 0}, 18, 1241)
+}
+
+// tcGridQuery is the tc-grid benchmark statement over tcGridEdges.
+const tcGridQuery = `WITH recursive tc(Src, Dst) AS (SELECT Src, Dst FROM grid_edge) UNION (SELECT tc.Src, grid_edge.Dst FROM tc, grid_edge WHERE tc.Dst = grid_edge.Src) SELECT count(*) FROM tc`
+
+// tcGridEdges is the tc-grid benchmark graph, the 21x21 grid.
+func tcGridEdges() *rasql.Relation {
 	edges := gen.Unweighted(gen.Grid(20, gen.Rng(1)))
 	edges.Name = "grid_edge"
-	const query = `WITH recursive tc(Src, Dst) AS (SELECT Src, Dst FROM grid_edge) UNION (SELECT tc.Src, grid_edge.Dst FROM tc, grid_edge WHERE tc.Dst = grid_edge.Src) SELECT count(*) FROM tc`
-	preparedAllocFence(t, edges, query, preparedCounts{40, 52920, 0, 0}, 18, 1241)
+	return edges
+}
+
+// ccRMATEdges is the cc-rmat benchmark graph: RMAT-2000, symmetrized.
+func ccRMATEdges() *rasql.Relation {
+	return gen.Symmetrized(gen.Unweighted(gen.RMATDefault(2000, gen.Rng(1))))
 }
 
 // TestShortReachPreparedAllocBudget is the fence over short-mix's class C
@@ -493,7 +504,7 @@ func TestWarmExecutionIgnoresGC(t *testing.T) {
 		name, query string
 		edges       *rasql.Relation
 	}{
-		{"cc-rmat", queries.CC, gen.Symmetrized(gen.Unweighted(gen.RMATDefault(2000, gen.Rng(1))))},
+		{"cc-rmat", queries.CC, ccRMATEdges()},
 		{"tc-grid", queries.TC, gen.Unweighted(gen.Grid(20, gen.Rng(1)))},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -5,9 +5,12 @@
 package rasql_test
 
 import (
+	"context"
 	"testing"
 
+	rasql "github.com/rasql/rasql-go"
 	"github.com/rasql/rasql-go/internal/bench"
+	"github.com/rasql/rasql-go/queries"
 )
 
 func benchRunner(b *testing.B) *bench.Runner {
@@ -80,3 +83,37 @@ func BenchmarkTable3CCBaselines(b *testing.B) { runExperiment(b, "table3") }
 // BenchmarkAblations runs the DESIGN.md design-choice ablations: SetRDD
 // mutability, scheduling policy, build-side caching, semi-naive vs naive.
 func BenchmarkAblations(b *testing.B) { runExperiment(b, "ablations") }
+
+// BenchmarkPreparedCCRMAT times one warm execution of the cc-rmat statement
+// (CC over symmetrized RMAT-2000) on four workers and four partitions, the
+// in-process half of the served workload: the base is built and the
+// working memory sized before the timer starts. Run it at -cpu 1 (make
+// kernels) for a number with less spread than a served run.
+func BenchmarkPreparedCCRMAT(b *testing.B) { benchPrepared(b, ccRMATEdges(), queries.CC) }
+
+// BenchmarkPreparedTCGrid is BenchmarkPreparedCCRMAT for the tc-grid
+// statement (transitive closure of the 21x21 grid, then count(*)).
+func BenchmarkPreparedTCGrid(b *testing.B) { benchPrepared(b, tcGridEdges(), tcGridQuery) }
+
+func benchPrepared(b *testing.B, edges *rasql.Relation, query string) {
+	eng := rasql.New(rasql.Config{Cluster: rasql.ClusterConfig{Workers: 4, Partitions: 4}})
+	eng.MustRegister(edges)
+	p, err := eng.Prepare(query)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := eng.ExecPrepared(ctx, p, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if benchSink, err = eng.ExecPrepared(ctx, p, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchSink keeps the benchmarked results alive.
+var benchSink *rasql.Relation

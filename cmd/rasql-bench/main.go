@@ -37,7 +37,7 @@ func main() {
 		run       = flag.String("run", "", "comma-separated experiment ids: "+strings.Join(bench.Order, ","))
 		scale     = flag.Int("scale", 1000, "divisor for the paper's RMAT vertex counts")
 		treeScale = flag.Int("tree-scale", 256, "divisor for the paper's tree node counts")
-		workers   = flag.Int("workers", 0, "simulated workers (default GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "simulated workers (default 8)")
 		repeat    = flag.Int("repeat", 1, "runs to average per measurement (paper: 5)")
 		seed      = flag.Int64("seed", 1, "dataset seed")
 		quick     = flag.Bool("quick", false, "tiny sizes for smoke runs")

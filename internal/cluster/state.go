@@ -150,8 +150,8 @@ func (s *State) Merge(part int, incoming []types.Row) Delta {
 	additive := s.Kind.Additive()
 	for _, r := range incoming {
 		v := r[s.ValIdx]
-		if additive && v.AsFloat() == 0 {
-			continue // a zero increment derives nothing, new group or not
+		if additive && (v.IsNull() || v.AsFloat() == 0) {
+			continue // a NULL or zero increment derives nothing, new group or not
 		}
 		// A new group stores a copy: a second contribution to it later in
 		// the same batch updates the stored row's value column in place,

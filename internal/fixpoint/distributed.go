@@ -117,7 +117,10 @@ func DistributedShared(clique *analyze.Clique, final *analyze.Query, ctx *exec.C
 // it accepts, and kernels only probe their tables. Concurrent executions
 // may therefore read one Base without locks.
 type Base struct {
-	plan    *Plan
+	plan *Plan
+	// heads[i] is plan rule i's head, compiled once for every execution's
+	// emit.
+	heads   []ruleHead
 	kernels []*ruleKernel
 	// seed[p] is partition p's base case, in one slab per partition.
 	seed [][]types.Row
@@ -135,7 +138,7 @@ func (b *Base) takeWorkspace() *workspace {
 	case ws := <-b.free:
 		return ws
 	default:
-		return newWorkspace(b.plan, len(b.seed))
+		return newWorkspace(b, len(b.seed))
 	}
 }
 
@@ -229,7 +232,11 @@ func buildBase(clique *analyze.Clique, final *analyze.Query, ctx *exec.Context, 
 		}
 		seed[p] = types.CloneRows(rows)
 	}
-	return &Base{plan: plan, kernels: kernels, seed: seed, final: compileFinal(final), free: make(chan *workspace, runtime.GOMAXPROCS(0))}, nil
+	heads := make([]ruleHead, len(plan.Rules))
+	for i, rp := range plan.Rules {
+		heads[i] = compileHead(rp.Rule.Head)
+	}
+	return &Base{plan: plan, heads: heads, kernels: kernels, seed: seed, final: compileFinal(final), free: make(chan *workspace, runtime.GOMAXPROCS(0))}, nil
 }
 
 // replanShuffled rebuilds the plan with decomposition disabled; the rules
@@ -311,15 +318,15 @@ func makeKernels(plan *Plan, ctx *exec.Context, c *cluster.QueryContext, opt Dis
 // workspace is one execution's working memory, borrowed from its Base. run
 // evaluates rule heads over kernel emissions, bucketing output rows by the
 // view partition key, with map-side partial aggregation (Algorithm 5 line
-// 5) folded in as each row is emitted. Head expressions are compiled to
-// closures once and every byte a step needs, shuffled input included, comes
-// out of the partition's reusable scratch — the allocation-shape half of
-// whole-stage code generation.
+// 5) folded in as each row is emitted. The heads are the Base's, compiled
+// once per plan, and every byte a step needs, shuffled input included,
+// comes out of the partition's reusable scratch — the allocation-shape half
+// of whole-stage code generation.
 type workspace struct {
 	plan  *Plan
 	parts int
-	// heads[rule][col] is the compiled projection.
-	heads [][]func(expr.Env) types.Value
+	// heads are the Base's compiled heads, shared read-only.
+	heads []ruleHead
 	// scratch[part] is partition part's working memory. Tasks of one
 	// partition never overlap, so it needs no lock.
 	scratch []stepScratch
@@ -360,17 +367,46 @@ type stepScratch struct {
 	iters int
 }
 
-func newWorkspace(plan *Plan, parts int) *workspace {
-	ws := &workspace{plan: plan, parts: parts, scratch: make([]stepScratch, parts)}
-	ws.heads = make([][]func(expr.Env) types.Value, len(plan.Rules))
-	for i, rp := range plan.Rules {
-		fns := make([]func(expr.Env) types.Value, len(rp.Rule.Head))
-		for j, h := range rp.Rule.Head {
-			fns[j] = compileExpr(h)
+func newWorkspace(b *Base, parts int) *workspace {
+	return &workspace{plan: b.plan, parts: parts, heads: b.heads, scratch: make([]stepScratch, parts)}
+}
+
+// ruleHead is one rule's head compiled for the emit, in exactly one of two
+// forms: when every head expression is a column reference, copies[i] is the
+// (input, column) pair head column i copies; otherwise fns[i] is head
+// column i's compiled expression.
+type ruleHead struct {
+	copies [][2]int
+	fns    []func(expr.Env) types.Value
+}
+
+func compileHead(head []expr.Expr) ruleHead {
+	copies := make([][2]int, len(head))
+	for i, e := range head {
+		c, ok := e.(*expr.Col)
+		if !ok {
+			fns := make([]func(expr.Env) types.Value, len(head))
+			for j, h := range head {
+				fns[j] = compileExpr(h)
+			}
+			return ruleHead{fns: fns}
 		}
-		ws.heads[i] = fns
+		copies[i] = [2]int{c.Input, c.Idx}
 	}
-	return ws
+	return ruleHead{copies: copies}
+}
+
+// write evaluates the head over env into row.
+func (h *ruleHead) write(row types.Row, env expr.Env) {
+	if h.fns == nil {
+		for i, c := range h.copies {
+			row[i] = env[c[0]][c[1]]
+		}
+		return
+	}
+	for i, f := range h.fns {
+		row[i] = f(env)
+	}
 }
 
 // compileExpr flattens the common expression shapes into direct closures,
@@ -426,15 +462,13 @@ func (ws *workspace) run(c *cluster.QueryContext, kernels []*ruleKernel, delta d
 		if len(stream) == 0 {
 			continue
 		}
-		head := ws.heads[ki]
+		head := &ws.heads[ki]
 		k.run(c, stream, part, worker, sc, func(env expr.Env) {
 			row := scratch
 			if !agg {
 				row = sc.arena.Alloc(width)
 			}
-			for i, h := range head {
-				row[i] = h(env)
-			}
+			head.write(row, env)
 			if v.Agg == types.AggCount {
 				row[v.AggIdx] = types.CountContribution(row[v.AggIdx])
 			}

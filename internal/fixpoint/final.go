@@ -235,7 +235,7 @@ rows:
 				sc.seen.Group(d, &sc.arena)
 			case a.kind == types.AggCount:
 				slot.I++
-			case slot.IsNull() || a.kind.Improves(v, *slot):
+			case a.kind.Improves(v, *slot):
 				*slot = v
 			}
 		}
@@ -314,16 +314,16 @@ func (x *execution) mergeFinal() *relation.Relation {
 }
 
 // mergePartial folds the aggregate slots of a later partition's partial row
-// into dst's: counts add, and an extremum replaces dst's only when strictly
-// better, so the first of equal values stays, as in exec.
+// into dst's: counts add, and an extremum replaces dst's only when it
+// improves on it (a NULL never does; anything else improves on a NULL), so
+// the first of equal values stays, as in exec.
 func (f *finalPlan) mergePartial(dst, src types.Row) {
 	for i, a := range f.aggs {
 		v := src[i]
 		switch {
 		case a.kind == types.AggCount:
 			dst[i].I += v.I
-		case v.IsNull():
-		case dst[i].IsNull() || a.kind.Improves(v, dst[i]):
+		case a.kind.Improves(v, dst[i]):
 			dst[i] = v
 		}
 	}

@@ -217,7 +217,7 @@ func (lv *localView) merge(emitted []types.Row) {
 		val := r[v.AggIdx]
 		cur, ok := lv.all[k]
 		if !ok {
-			if additive && val.AsFloat() == 0 {
+			if additive && (val.IsNull() || val.AsFloat() == 0) {
 				continue
 			}
 			lv.all[k] = r.Clone()
@@ -230,7 +230,7 @@ func (lv *localView) merge(emitted []types.Row) {
 			continue
 		}
 		if additive {
-			if val.AsFloat() == 0 {
+			if val.IsNull() || val.AsFloat() == 0 {
 				continue
 			}
 			lv.recordOld(k, cur)

@@ -73,7 +73,9 @@ func (a AggKind) Additive() bool { return a == AggSum || a == AggCount }
 
 // Improves reports whether candidate v improves on current cur under a
 // min/max aggregate. For additive aggregates it reports whether the
-// increment is nonzero.
+// increment is nonzero. A NULL candidate improves on nothing, and any other
+// candidate improves on a NULL current, as SQL's aggregates ignore NULL
+// inputs.
 func (a AggKind) Improves(v, cur Value) bool {
 	if v.K == KindInt && cur.K == KindInt {
 		// What Compare and AsFloat give two ints, without the calls.
@@ -89,9 +91,9 @@ func (a AggKind) Improves(v, cur Value) bool {
 	}
 	switch a {
 	case AggMin:
-		return v.Compare(cur) < 0
+		return !v.IsNull() && (cur.IsNull() || v.Compare(cur) < 0)
 	case AggMax:
-		return v.Compare(cur) > 0
+		return !v.IsNull() && (cur.IsNull() || v.Compare(cur) > 0)
 	case AggSum, AggCount:
 		return v.AsFloat() != 0
 	default:
@@ -100,7 +102,9 @@ func (a AggKind) Improves(v, cur Value) bool {
 }
 
 // Combine merges a new contribution v into the accumulator cur:
-// min/max keep the better value; sum/count add.
+// min/max keep the better value; sum/count add. A NULL on either side is
+// ignored, as SQL's aggregates ignore NULL inputs: Combine(cur, NULL) is
+// cur and Combine(NULL, v) is v.
 func (a AggKind) Combine(cur, v Value) Value {
 	if v.K == KindInt && cur.K == KindInt {
 		// What Compare and Add give two ints (+ wraps), without the calls.
@@ -121,18 +125,18 @@ func (a AggKind) Combine(cur, v Value) Value {
 		return v
 	}
 	switch a {
-	case AggMin:
-		if v.Compare(cur) < 0 {
+	case AggMin, AggMax, AggSum, AggCount:
+		switch {
+		case v.IsNull():
+			return cur
+		case cur.IsNull():
+			return v
+		case a.Additive():
+			return cur.Add(v)
+		case a.Improves(v, cur):
 			return v
 		}
 		return cur
-	case AggMax:
-		if v.Compare(cur) > 0 {
-			return v
-		}
-		return cur
-	case AggSum, AggCount:
-		return cur.Add(v)
 	default:
 		return v
 	}
@@ -194,11 +198,30 @@ func (c *Combiner) Reset(key []int, valIdx int, kind AggKind) {
 // fresh false. When r opens a group, the group's row is a copy of r carved
 // from arena, or r itself if arena is nil, and it returns that with fresh
 // true.
+//
+// When the group's value and r's are both ints, a min/max/sum/count fold
+// updates the group's value in place, as Combine would, without the call;
+// every other pair goes through Combine.
 func (c *Combiner) Fold(r Row, arena *RowSlab) (g Row, fresh bool) {
-	if g, fresh = c.Group(r, arena); !fresh {
-		g[c.valIdx] = c.kind.Combine(g[c.valIdx], r[c.valIdx])
+	if g, fresh = c.Group(r, arena); fresh {
+		return g, true
 	}
-	return g, fresh
+	cur, v := &g[c.valIdx], &r[c.valIdx]
+	if cur.K == KindInt && v.K == KindInt {
+		switch c.kind {
+		case AggMin:
+			cur.I = min(cur.I, v.I)
+			return g, false
+		case AggMax:
+			cur.I = max(cur.I, v.I)
+			return g, false
+		case AggSum, AggCount:
+			cur.I += v.I
+			return g, false
+		}
+	}
+	*cur = c.kind.Combine(*cur, *v)
+	return g, false
 }
 
 // Group is Fold without the combine: it returns the row of r's group with

@@ -7,9 +7,10 @@ import (
 )
 
 // The generic paths the int fast paths of HashRow, HashRowKey, sameKey,
-// AggKind.Improves and AggKind.Combine must reproduce bit for bit: a hash
-// is HashValue folded over the columns, key equality is the equality of
-// AppendKey's bytes, and the min/max fold goes through Value.Compare.
+// AggKind.Improves, AggKind.Combine and Combiner.Fold must reproduce bit for
+// bit: a hash is HashValue folded over the columns, key equality is the
+// equality of AppendKey's bytes, and the fold goes through Value.Compare
+// and Value.Add after setting NULL inputs aside, as SQL's aggregates do.
 
 func refHashRow(seed uint64, r Row) uint64 {
 	h := seed
@@ -36,9 +37,13 @@ func refSameKey(a, b Row, key []int) bool {
 
 func refImproves(a AggKind, v, cur Value) bool {
 	switch a {
-	case AggMin:
-		return v.Compare(cur) < 0
-	case AggMax:
+	case AggMin, AggMax:
+		if v.IsNull() || cur.IsNull() {
+			return !v.IsNull()
+		}
+		if a == AggMin {
+			return v.Compare(cur) < 0
+		}
 		return v.Compare(cur) > 0
 	case AggSum, AggCount:
 		return v.AsFloat() != 0
@@ -49,18 +54,18 @@ func refImproves(a AggKind, v, cur Value) bool {
 
 func refCombine(a AggKind, cur, v Value) Value {
 	switch a {
-	case AggMin:
-		if v.Compare(cur) < 0 {
+	case AggMin, AggMax, AggSum, AggCount:
+		switch {
+		case v.IsNull():
+			return cur
+		case cur.IsNull():
 			return v
+		case a == AggMin && v.Compare(cur) < 0, a == AggMax && v.Compare(cur) > 0:
+			return v
+		case a == AggSum, a == AggCount:
+			return cur.Add(v)
 		}
 		return cur
-	case AggMax:
-		if v.Compare(cur) > 0 {
-			return v
-		}
-		return cur
-	case AggSum, AggCount:
-		return cur.Add(v)
 	default:
 		return v
 	}
@@ -98,6 +103,65 @@ func checkFastPaths(t *testing.T, x, y Value) {
 		}
 		if got, want := k.Combine(x, y), refCombine(k, x, y); !sameBits(got, want) {
 			t.Fatalf("%v.Combine(%v, %v) = %#v, Compare/Add give %#v", k, x, y, got, want)
+		}
+		checkFold(t, k, x, y)
+	}
+}
+
+// checkFold folds y into a group opened with x and requires the group's
+// value to be Combine(x, y), bit for bit, and y's row to be left as it was.
+func checkFold(t *testing.T, k AggKind, x, y Value) {
+	t.Helper()
+	var c Combiner
+	c.Reset([]int{0}, 1, k)
+	c.Fold(Row{Str("g"), x}, nil)
+	r := Row{Str("g"), y}
+	g, fresh := c.Fold(r, nil)
+	if fresh || len(c.Groups()) != 1 {
+		t.Fatalf("%v: folding into an open group opened another", k)
+	}
+	if want := k.Combine(x, y); !sameBits(g[1], want) {
+		t.Fatalf("%v: Fold of %v into %v gives %#v, Combine gives %#v", k, y, x, g[1], want)
+	}
+	if !sameBits(r[1], y) {
+		t.Fatalf("%v: Fold of %v changed the incoming row to %#v", k, y, r[1])
+	}
+}
+
+// TestFoldMatchesCombine holds Combiner.Fold's in-place int path to
+// AggKind.Combine over every pair of values and every aggregate, and pins
+// what both give where it matters: int sums wrap at ±2^63 as Go's + does,
+// and a NULL input leaves the other side as it was.
+func TestFoldMatchesCombine(t *testing.T) {
+	vals := fastPathValues()
+	for _, k := range allAggKinds {
+		for _, x := range vals {
+			for _, y := range vals {
+				checkFold(t, k, x, y)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		k          AggKind
+		x, y, want Value
+	}{
+		{AggSum, Int(math.MaxInt64), Int(1), Int(math.MinInt64)},
+		{AggSum, Int(math.MinInt64), Int(-1), Int(math.MaxInt64)},
+		{AggCount, Int(math.MaxInt64), Int(math.MaxInt64), Int(-2)},
+		{AggMin, Int(math.MinInt64), Int(math.MaxInt64), Int(math.MinInt64)},
+		{AggMax, Int(math.MinInt64), Int(math.MaxInt64), Int(math.MaxInt64)},
+		{AggMin, Null(), Int(3), Int(3)},
+		{AggMin, Int(3), Null(), Int(3)},
+		{AggMax, Float(2), Null(), Float(2)},
+		{AggSum, Null(), Float(2.5), Float(2.5)},
+		{AggSum, Int(2), Null(), Int(2)},
+		{AggMin, Null(), Null(), Null()},
+	} {
+		var c Combiner
+		c.Reset([]int{0}, 1, tc.k)
+		c.Fold(Row{Int(0), tc.x}, nil)
+		if g, _ := c.Fold(Row{Int(0), tc.y}, nil); !sameBits(g[1], tc.want) {
+			t.Errorf("%v: Fold of %v into %v gives %v, want %v", tc.k, tc.y, tc.x, g[1], tc.want)
 		}
 	}
 }

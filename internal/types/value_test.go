@@ -353,11 +353,12 @@ func TestCombinerMatchesReferenceGrouping(t *testing.T) {
 // TestCombinerFoldZeroAllocs: a warm fold — over a table that already held
 // its peak group count, into an arena that already carved as many rows —
 // allocates nothing: the reset, the probes, the in-place combines and the
-// inserts all reuse memory the first pass grew.
+// inserts all reuse memory the first pass grew — through Combine on the
+// float column and in place on the int one.
 func TestCombinerFoldZeroAllocs(t *testing.T) {
 	rows := make([]Row, 4096)
 	for i := range rows {
-		rows[i] = Row{Int(int64(i % 1000)), Str("k"), Float(float64(i))}
+		rows[i] = Row{Int(int64(i % 1000)), Str("k"), Float(float64(i)), Int(int64(i))}
 	}
 	key := []int{0, 1}
 	var c Combiner
@@ -365,11 +366,13 @@ func TestCombinerFoldZeroAllocs(t *testing.T) {
 	groups := 0
 	fold := func() {
 		arena.Reset()
-		c.Reset(key, 2, AggMin)
-		groups = 0
-		for _, r := range rows {
-			if _, fresh := c.Fold(r, &arena); fresh {
-				groups++
+		for _, col := range []int{2, 3} {
+			c.Reset(key, col, AggMin)
+			groups = 0
+			for _, r := range rows {
+				if _, fresh := c.Fold(r, &arena); fresh {
+					groups++
+				}
 			}
 		}
 	}

@@ -132,3 +132,47 @@ func TestKeyRelationEngineMatchesLocal(t *testing.T) {
 		})
 	}
 }
+
+// TestRecursiveAggregatesIgnoreNull: SQL's aggregates ignore NULL inputs,
+// so a NULL contribution to a recursive min(), max() or sum() neither wins
+// nor spreads, and a group whose only contributions are NULL stays NULL
+// (ROADMAP item 24(v)). In SSSP the NULL-cost edge (1, 4) gives node 4 a
+// NULL path that the real one replaces; in CC the NULL node, which joins
+// nothing, takes node 2's label 1 over its own NULL; in MLM member 3's
+// NULL sale adds nothing to its bonus — under local-naive too, which sums
+// through relation.Aggregate.
+func TestRecursiveAggregatesIgnoreNull(t *testing.T) {
+	null := rasql.Null()
+	weighted := weightedEdges()
+	weighted.Append(rasql.Row{rasql.Int(1), rasql.Int(4), null})
+	pair := rasql.NewSchema(rasql.Col("Src", rasql.KindInt), rasql.Col("Dst", rasql.KindInt))
+	ccEdges := relOf("edge", pair, iRow(1, 2), iRow(2, 1),
+		rasql.Row{rasql.Int(2), null}, rasql.Row{null, rasql.Int(2)},
+		rasql.Row{rasql.Int(3), null}, rasql.Row{null, rasql.Int(3)})
+	sales := relOf("sales", rasql.NewSchema(rasql.Col("M", rasql.KindInt), rasql.Col("P", rasql.KindFloat)),
+		rasql.Row{rasql.Int(1), rasql.Float(100)}, rasql.Row{rasql.Int(2), rasql.Float(200)},
+		rasql.Row{rasql.Int(3), rasql.Float(300)}, rasql.Row{rasql.Int(3), null})
+	sponsor := relOf("sponsor", rasql.NewSchema(rasql.Col("M1", rasql.KindInt), rasql.Col("M2", rasql.KindInt)),
+		iRow(1, 2), iRow(2, 3))
+	for _, tc := range []struct {
+		name   string
+		tables []*rasql.Relation
+		query  string
+		want   []rasql.Row
+	}{
+		{"SSSP", []*rasql.Relation{weighted}, queries.SSSP, []rasql.Row{
+			{rasql.Int(1), rasql.Float(0)}, {rasql.Int(2), rasql.Float(1)}, {rasql.Int(3), rasql.Float(3)},
+			{rasql.Int(4), rasql.Float(4)}, {rasql.Int(5), rasql.Float(11)}}},
+		{"CC", []*rasql.Relation{ccEdges}, queries.CCLabels, []rasql.Row{
+			iRow(1, 1), iRow(2, 1), iRow(3, 3), {null, rasql.Int(1)}}},
+		{"MLM", []*rasql.Relation{sales, sponsor}, queries.MLM, []rasql.Row{
+			{rasql.Int(1), rasql.Float(27.5)}, {rasql.Int(2), rasql.Float(35)}, {rasql.Int(3), rasql.Float(30)}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := agreeWithLocal(t, tc.tables, tc.query)
+			if want := relOf("want", got.Schema, tc.want...); !got.EqualAsSet(want) {
+				t.Errorf("got %v, want %v", got.Sort(), want.Sort())
+			}
+		})
+	}
+}
