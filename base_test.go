@@ -297,60 +297,24 @@ func ccRMATEdges() *rasql.Relation {
 // with task queues of its own, 110 of 8 KiB with fresh deltas and task
 // lists and about 120 of 33 KiB with the collect.
 func TestShortReachPreparedAllocBudget(t *testing.T) {
-	edges := gen.RMATDefault(200, gen.Rng(1))
-	edges.Name = "mix_edge"
-	degree := map[int64]int{}
-	for _, r := range edges.Rows {
-		degree[r[0].I]++
-	}
-	var source int64
-	for v, d := range degree {
-		if d > degree[source] || d == degree[source] && v < source {
-			source = v
-		}
-	}
-	query := fmt.Sprintf(`WITH recursive reach(Dst) AS (SELECT %d) UNION (SELECT mix_edge.Dst FROM reach, mix_edge WHERE reach.Dst = mix_edge.Src) SELECT count(*) FROM reach`, source)
+	edges := mixEdges()
+	query := fmt.Sprintf(`WITH recursive reach(Dst) AS (SELECT %d) UNION (SELECT mix_edge.Dst FROM reach, mix_edge WHERE reach.Dst = mix_edge.Src) SELECT count(*) FROM reach`, busiestSrc(edges))
 	preparedAllocFence(t, edges, query, preparedCounts{4, 199, 7071, 2000}, 41, 1804)
 }
 
 // preparedCounts are the exact counts of one prepared execution.
 type preparedCounts struct{ iterations, viewRows, shuffleBytes, shuffleRecords int64 }
 
-// preparedAllocFence prepares query over edges on an engine with the
-// benchmark's four workers and four partitions (the default follows the
-// host's GOMAXPROCS), runs it once to build the base and size the working
-// memory, and holds the next execution to the allocation budgets, each the
-// measured value plus 10%. Its counts must equal want: the
-// iterations and shuffle volume of the measured execution, and the view's
-// fixpoint size read from one more, traced, execution. Any change to the
-// plan, the map-side combine or the wire format moves one of them.
+// preparedAllocFence holds a warm execution of query over edges (see
+// warmExecution) to the allocation budgets, each the measured value plus
+// 10%. Its counts must equal want: the iterations and shuffle volume of the
+// measured execution, and the view's fixpoint size read from one more,
+// traced, execution. Any change to the plan, the map-side combine or the
+// wire format moves one of them.
 func preparedAllocFence(t *testing.T, edges *rasql.Relation, query string, want preparedCounts, budget, byteBudget uint64) {
 	t.Helper()
-	if raceEnabled {
-		t.Skip("the race detector's shadow allocations are not the engine's")
-	}
-	eng := rasql.New(rasql.Config{Cluster: cluster.Config{Workers: 4, Partitions: 4}})
-	eng.MustRegister(edges)
-	p, err := eng.Prepare(query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func() {
-		if _, err := eng.ExecPrepared(context.Background(), p, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // build and publish the base; size the workspace, its state and send memory
-	// The measured execution runs on one P, as in TestWarmExecutionIgnoresGC:
-	// with more, a stage goroutine that finds no free goroutine of its P
-	// costs the runtime a new one, a few hundred bytes each time the
-	// scheduler happens to place it so, and that noise is not the engine's.
-	prev := runtime.GOMAXPROCS(1)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	run()
-	runtime.ReadMemStats(&after)
-	runtime.GOMAXPROCS(prev)
+	eng, p := prepareFenced(t, edges, query)
+	_, allocs, bytes := warmExecution(t, eng, p)
 	s, _ := eng.Observability().Last()
 	tr := rasql.NewIterationsTracer()
 	if _, err := eng.ExecPrepared(context.Background(), p, &rasql.ExecOptions{Tracer: tr}); err != nil {
@@ -373,7 +337,57 @@ func preparedAllocFence(t *testing.T, edges *rasql.Relation, query string, want 
 			t.Errorf("a prepared execution's %s changed: %d, was %d", c.what, c.got, c.want)
 		}
 	}
-	got, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	checkAllocBudget(t, allocs, bytes, budget, byteBudget)
+}
+
+// prepareFenced prepares query over edges on an engine with the benchmark's
+// four workers and four partitions (the default follows the host's
+// GOMAXPROCS). It skips under the race detector, whose shadow allocations
+// are not the engine's.
+func prepareFenced(t testing.TB, edges *rasql.Relation, query string) (*rasql.Engine, *rasql.Prepared) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations are not the engine's")
+	}
+	eng := rasql.New(rasql.Config{Cluster: cluster.Config{Workers: 4, Partitions: 4}})
+	eng.MustRegister(edges)
+	p, err := eng.Prepare(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, p
+}
+
+// warmExecution runs p once to build the base and size the working memory,
+// then measures the next execution: its result, and the allocations and
+// bytes it made.
+func warmExecution(t testing.TB, eng *rasql.Engine, p *rasql.Prepared) (res *rasql.Relation, allocs, bytes uint64) {
+	t.Helper()
+	run := func() *rasql.Relation {
+		res, err := eng.ExecPrepared(context.Background(), p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	run() // build and publish the base; size the workspace, its state and send memory
+	// The measured execution runs on one P, as in TestWarmExecutionIgnoresGC:
+	// with more, a stage goroutine that finds no free goroutine of its P
+	// costs the runtime a new one, a few hundred bytes each time the
+	// scheduler happens to place it so, and that noise is not the engine's.
+	prev := runtime.GOMAXPROCS(1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res = run()
+	runtime.ReadMemStats(&after)
+	runtime.GOMAXPROCS(prev)
+	return res, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// checkAllocBudget fails t when a measured execution's allocations or bytes
+// pass their budgets, and logs both.
+func checkAllocBudget(t *testing.T, got, bytes, budget, byteBudget uint64) {
+	t.Helper()
 	if got > budget {
 		t.Errorf("a prepared execution made %d allocations, budget %d", got, budget)
 	}

@@ -95,6 +95,12 @@ func BenchmarkPreparedCCRMAT(b *testing.B) { benchPrepared(b, ccRMATEdges(), que
 // statement (transitive closure of the 21x21 grid, then count(*)).
 func BenchmarkPreparedTCGrid(b *testing.B) { benchPrepared(b, tcGridEdges(), tcGridQuery) }
 
+// BenchmarkPreparedGroupBy is BenchmarkPreparedCCRMAT for a statement that
+// does not recurse: TestGroupByPreparedAllocBudget's GROUP BY over
+// short-mix's table, 185 groups with every aggregate and a count(distinct),
+// all of it exec.Grouping's fold.
+func BenchmarkPreparedGroupBy(b *testing.B) { benchPrepared(b, mixEdges(), groupByQuery) }
+
 func benchPrepared(b *testing.B, edges *rasql.Relation, query string) {
 	eng := rasql.New(rasql.Config{Cluster: rasql.ClusterConfig{Workers: 4, Partitions: 4}})
 	eng.MustRegister(edges)

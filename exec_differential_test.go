@@ -24,7 +24,8 @@ import (
 // programs, with the recursive sources read from the program's fixpoint,
 // and a set of statements over an RMAT graph: scans, filters, hash joins
 // on one and two keys, theta and cross joins, groups with every aggregate,
-// count(distinct), DISTINCT, ORDER BY, LIMIT, UNION and derived tables.
+// count(distinct), DISTINCT, ORDER BY, LIMIT, UNION and derived tables, a
+// UNION branch's own DISTINCT, and the grouped fold's edge cases.
 func TestExecStreamingMatchesMaterialized(t *testing.T) {
 	for _, c := range exampleCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -82,6 +83,19 @@ func TestExecStreamingMatchesMaterialized(t *testing.T) {
 		`SELECT 1, 2 WHERE 1 = 1`,
 		`SELECT g.Src, g.N FROM (SELECT Src, count(*) N FROM edge GROUP BY Src) g WHERE g.N > 3`,
 		`SELECT edge.Src, t.Total FROM edge JOIN (SELECT Dst, sum(Cost) Total FROM edge GROUP BY Dst) t ON edge.Dst = t.Dst WHERE t.Total > 100`,
+		`SELECT DISTINCT Src FROM edge UNION ALL SELECT Src FROM edge`,
+		`(SELECT DISTINCT Src FROM edge) UNION ALL (SELECT Src FROM edge)`,
+		`SELECT Src FROM edge UNION ALL SELECT DISTINCT Src FROM edge`,
+		// The grouped fold's edges: DISTINCT on every kind, a key that is
+		// NULL for some rows, aggregates whose every input is NULL, HAVING
+		// on an avg, no rows, and a sum over strings.
+		`SELECT Src, count(distinct Dst), count(distinct Cost), sum(distinct Cost), avg(distinct Dst), min(distinct Cost) FROM edge GROUP BY Src`,
+		`SELECT Src / (Dst - 3), count(*), min(Cost) FROM edge GROUP BY Src / (Dst - 3)`,
+		`SELECT Src, min(Cost / 0), sum(Cost / 0), avg(Cost / 0), count(Cost / 0), count(*) FROM edge GROUP BY Src`,
+		`SELECT Src, avg(Cost) FROM edge GROUP BY Src HAVING avg(Cost) > 40`,
+		`SELECT Src, count(*), avg(Cost) FROM edge WHERE Cost < 0 GROUP BY Src`,
+		`SELECT count(*), count(distinct Dst), min(Cost), sum(Cost), avg(Cost) FROM edge WHERE Cost < 0`,
+		`SELECT Src, sum('x') FROM edge GROUP BY Src`,
 	} {
 		t.Run(q, func(t *testing.T) {
 			prog, err := eng.Compile(q)
@@ -169,9 +183,6 @@ func materializedQuery(q *analyze.Query, ctx *exec.Context) (*relation.Relation,
 			out.Dedup()
 		}
 	}
-	if q.Distinct {
-		out.Dedup()
-	}
 	if len(q.OrderBy) > 0 {
 		keys := q.OrderBy
 		sort.SliceStable(out.Rows, func(i, j int) bool {
@@ -215,7 +226,14 @@ func materializedCore(q *analyze.Query, ctx *exec.Context) (*relation.Relation, 
 		}
 		rows[i] = r.Rows
 	}
-	envs := materializedJoin(len(q.Sources), rows, q.Conjuncts)
+	out := materializedSelect(q, materializedJoin(len(q.Sources), rows, q.Conjuncts))
+	if q.Distinct {
+		out.Dedup() // a branch's DISTINCT is its own
+	}
+	return out, nil
+}
+
+func materializedSelect(q *analyze.Query, envs []expr.Env) *relation.Relation {
 	out := relation.New("", q.Schema)
 	if !q.Grouped {
 		for _, env := range envs {
@@ -225,7 +243,7 @@ func materializedCore(q *analyze.Query, ctx *exec.Context) (*relation.Relation, 
 			}
 			out.Append(row)
 		}
-		return out, nil
+		return out
 	}
 	type group struct {
 		keys types.Row
@@ -277,7 +295,7 @@ func materializedCore(q *analyze.Query, ctx *exec.Context) (*relation.Relation, 
 		}
 		out.Append(row)
 	}
-	return out, nil
+	return out
 }
 
 type refAgg struct {

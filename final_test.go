@@ -30,8 +30,9 @@ const (
 
 // finalCases are the 17 example programs plus final queries that exercise
 // every shape of the final stage over the view — WHERE, projection, GROUP
-// BY with min/max/count, count(distinct), HAVING, a WHERE that matches
-// nothing — and the shapes that keep the driver's route.
+// BY with min/max/count, count(distinct), min/max(distinct), HAVING, a
+// WHERE that matches nothing, a group key that is NULL for some rows — and
+// the shapes that keep the driver's route.
 func finalCases() []exampleCase {
 	rmat := func() []*rasql.Relation { return []*rasql.Relation{gen.RMATDefault(40, gen.Rng(3))} }
 	grid := func() []*rasql.Relation { return []*rasql.Relation{gen.Unweighted(gen.Grid(5, gen.Rng(2)))} }
@@ -55,6 +56,9 @@ func finalCases() []exampleCase {
 		{"group-expr", finalTC, `SELECT Dst - Src, count(*) FROM tc GROUP BY Dst - Src`, grid},
 		{"group-no-agg", finalTC, `SELECT Src FROM tc GROUP BY Src`, grid},
 		{"group-matches-nothing", finalTC, `SELECT Src, count(*) FROM tc WHERE Src < 0 GROUP BY Src`, grid},
+		{"group-two-distinct", finalSSSP, `SELECT Dst % 3, count(distinct Dst), count(distinct Cost), min(Cost), max(Cost) FROM path GROUP BY Dst % 3 HAVING count(distinct Cost) > 1`, rmat},
+		{"group-min-distinct", finalTC, `SELECT Src, min(distinct Dst), max(distinct Dst), count(distinct Dst) FROM tc GROUP BY Src`, grid},
+		{"group-null-key", finalTC, `SELECT Src / (Dst - 2), count(*), min(Dst), max(Src) FROM tc GROUP BY Src / (Dst - 2)`, grid},
 		{"count-star", finalTC, `SELECT count(*) FROM tc`, grid},
 		{"agg-view-groups", finalCC, `SELECT CmpId, count(*), min(Src), max(Src) FROM cc GROUP BY CmpId`, cc},
 		{"agg-view-distinct", finalCC, `SELECT count(distinct CmpId) FROM cc WHERE Src > 3`, cc},

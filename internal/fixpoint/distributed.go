@@ -124,9 +124,9 @@ type Base struct {
 	kernels []*ruleKernel
 	// seed[p] is partition p's base case, in one slab per partition.
 	seed [][]types.Row
-	// final is the program's final query compiled for the final stage, or
-	// nil when the execution returns the view.
-	final *finalPlan
+	// final is the program's final query when it runs as the final stage,
+	// or nil when the execution returns the view.
+	final *analyze.Query
 	// free parks up to GOMAXPROCS workspaces of finished executions, already
 	// sized to the plan's steps, for the next executions to borrow.
 	free chan *workspace
@@ -196,7 +196,7 @@ func (s *BaseSlot) Fingerprint(workers int) uint64 {
 
 // buildBase plans the clique and builds its base side: the kernels, then
 // the base rules evaluated on the driver and bucketed by partition key. It
-// also compiles final, when the final stage can run it.
+// also keeps final, when the final stage can run it.
 func buildBase(clique *analyze.Clique, final *analyze.Query, ctx *exec.Context, c *cluster.QueryContext, opt DistOptions) (*Base, error) {
 	plan, err := PlanDistributed(clique)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"github.com/rasql/rasql-go/internal/cluster"
 	"github.com/rasql/rasql-go/internal/relation"
+	"github.com/rasql/rasql-go/internal/sql/analyze"
 	"github.com/rasql/rasql-go/internal/trace"
 	"github.com/rasql/rasql-go/internal/types"
 )
@@ -44,7 +45,7 @@ type execution struct {
 	front frontier
 	// final is the final query the execution runs as its last stage, or
 	// nil when it returns the view.
-	final *finalPlan
+	final *analyze.Query
 	// part is the running stage's body, which every kept task calls for its
 	// partition; cps are the partitions' checkpoints a failed attempt of a
 	// recoverable stage restores, empty unless the stage is one.

@@ -5,6 +5,7 @@ import (
 
 	"github.com/rasql/rasql-go/internal/relation"
 	"github.com/rasql/rasql-go/internal/sql/analyze"
+	"github.com/rasql/rasql-go/internal/sql/exec"
 	"github.com/rasql/rasql-go/internal/sql/expr"
 	"github.com/rasql/rasql-go/internal/types"
 )
@@ -15,42 +16,11 @@ import (
 // ORDER BY or LIMIT, runs the same way: one task per partition, on the
 // partition's owner, filters the partition's state and either projects it
 // or folds it into partial aggregates, and the driver fetches only those
-// outputs, in partition order. Any other final query, and sum and avg
-// (merging partial float sums would reassociate the additions), keeps the
-// collect plus exec.Query on the driver.
-
-// finalPlan is a final query compiled for the final stage, once per Base.
-type finalPlan struct {
-	q     *analyze.Query
-	where []func(expr.Env) types.Value
-	// items project an ungrouped query.
-	items []func(expr.Env) types.Value
-	// keys compute a grouped query's group columns. A partial row is a
-	// group's keys followed by one slot per aggregate call: exec's layout
-	// for the environment HAVING and the select items read.
-	keys   []func(expr.Env) types.Value
-	aggs   []finalAgg
-	having func(expr.Env) types.Value
-	post   []func(expr.Env) types.Value
-	// zero is the partial row of a group no row has reached yet: counts 0,
-	// extrema NULL. empty is the one group a global aggregate over no rows
-	// still yields.
-	zero  types.Row
-	empty []types.Row
-	// keyIdx are a partial row's key columns. seenIdx are every column of
-	// a count(distinct) row: the keys, the call's index and the value.
-	keyIdx, seenIdx []int
-}
-
-// finalAgg is one aggregate call of a grouped final query.
-type finalAgg struct {
-	kind types.AggKind
-	star bool
-	// distinct marks count(distinct c): its values are deduplicated per
-	// group on the driver, and its partial slot stays 0 until then.
-	distinct bool
-	arg      func(expr.Env) types.Value
-}
+// outputs, in partition order. The fold is exec's own GROUP BY, an
+// exec.Grouping per partition, merged on the driver by one more. Any other
+// final query, and sum and avg (merging partial float sums would
+// reassociate the additions), keeps the collect plus exec.Query on the
+// driver.
 
 // finalIneligible reports why q cannot run as the final stage, or "" when
 // it can.
@@ -91,54 +61,13 @@ func DescribeFinal(q *analyze.Query) string {
 	}
 }
 
-// compileFinal compiles q for the final stage, or returns nil when q has
-// none or must run on the driver.
-func compileFinal(q *analyze.Query) *finalPlan {
+// compileFinal returns q when it runs as the final stage, or nil when q is
+// nil or must run on the driver.
+func compileFinal(q *analyze.Query) *analyze.Query {
 	if q == nil || finalIneligible(q) != "" {
 		return nil
 	}
-	f := &finalPlan{q: q, where: compileAll(q.Conjuncts)}
-	if !q.Grouped {
-		f.items = compileAll(q.Items)
-		return f
-	}
-	f.keys, f.post = compileAll(q.GroupExprs), compileAll(q.PostItems)
-	if q.Having != nil {
-		f.having = compileExpr(q.Having)
-	}
-	g := len(f.keys)
-	f.zero = make(types.Row, g+len(q.AggCalls))
-	f.aggs = make([]finalAgg, len(q.AggCalls))
-	for i, a := range q.AggCalls {
-		f.aggs[i] = finalAgg{kind: a.Kind, star: a.Star, distinct: a.Distinct && a.Kind == types.AggCount}
-		if !a.Star {
-			f.aggs[i].arg = compileExpr(a.Arg)
-		}
-		if a.Kind == types.AggCount {
-			f.zero[g+i] = types.Int(0)
-		}
-	}
-	if g == 0 {
-		f.empty = []types.Row{f.zero}
-	}
-	f.keyIdx, f.seenIdx = columns(g), columns(g+2)
-	return f
-}
-
-func compileAll(es []expr.Expr) []func(expr.Env) types.Value {
-	fns := make([]func(expr.Env) types.Value, len(es))
-	for i, e := range es {
-		fns[i] = compileExpr(e)
-	}
-	return fns
-}
-
-func columns(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
+	return q
 }
 
 // finalScratch is the memory one partition's final-stage attempt works in.
@@ -150,34 +79,17 @@ type finalScratch struct {
 	env   expr.Env
 	// out holds the projected rows of an ungrouped query.
 	out []types.Row
-	// groups holds a grouped query's partial rows, and seen its
-	// count(distinct) rows.
-	groups, seen types.Combiner
-	// probe and seenProbe are the rows looked up in groups and seen.
-	probe, seenProbe types.Row
-}
-
-func (sc *finalScratch) reset(f *finalPlan) {
-	sc.arena.Reset()
-	sc.out = sc.out[:0]
-	sc.groups.Reset(f.keyIdx, -1, types.AggNone)
-	sc.seen.Reset(f.seenIdx, -1, types.AggNone)
-	if sc.env == nil {
-		sc.env = make(expr.Env, 1)
-	}
-	if f.q.Grouped {
-		sc.probe = sc.arena.Clone(f.zero)
-		sc.seenProbe = sc.arena.Alloc(len(f.keys) + 2)
-	}
+	// group folds a grouped query's partial aggregates.
+	group exec.Grouping
 }
 
 // finalMerge is the driver's memory for merging partial aggregates, reused
-// by the workspace's next execution.
+// by the workspace's next execution: the fetched partial and distinct rows,
+// and the Grouping they merge into.
 type finalMerge struct {
-	rows         []types.Row
-	slab         types.RowSlab
-	groups, seen types.Combiner
-	env          expr.Env
+	rows  []types.Row
+	slab  types.RowSlab
+	group exec.Grouping
 }
 
 // finalStage runs the final query where the view lives, on the workspace's
@@ -189,69 +101,50 @@ func (x *execution) finalStage() *relation.Relation {
 
 // finalPart is partition p's final-stage task on worker w: WHERE over the
 // partition's state, then the projection or the partial aggregates, into
-// the partition's final scratch. The fault point after the work models an
-// executor lost before its output is fetched; the retry starts from a reset
-// scratch.
+// the partition's final scratch, each evaluated as exec evaluates it. The
+// fault point after the work models an executor lost before its output is
+// fetched; the retry starts from a reset scratch.
 func (x *execution) finalPart(p, w int) {
-	f, sc := x.final, &x.ws.scratch[p].final
-	sc.reset(f)
+	q, sc := x.final, &x.ws.scratch[p].final
+	sc.arena.Reset()
+	sc.out = sc.out[:0]
+	if q.Grouped {
+		sc.group.Reset(q)
+	}
+	if sc.env == nil {
+		sc.env = make(expr.Env, 1)
+	}
 	env := sc.env
-	g := len(f.keys)
-	var grp types.Row // a global aggregate's one group, once it is open
 rows:
 	for _, r := range x.c.Fetch(x.rows(p), x.c.DefaultOwner(p), w) {
 		env[0] = r
-		for _, c := range f.where {
-			if !c(env).Truthy() {
+		for _, c := range q.Conjuncts {
+			if !c.Eval(env).Truthy() {
 				continue rows
 			}
 		}
-		if !f.q.Grouped {
-			out := sc.arena.Alloc(len(f.items))
-			for i, it := range f.items {
-				out[i] = it(env)
-			}
-			sc.out = append(sc.out, out)
+		if q.Grouped {
+			sc.group.Add(env)
 			continue
 		}
-		if g > 0 || grp == nil {
-			for i, k := range f.keys {
-				sc.probe[i] = k(env)
-			}
-			grp, _ = sc.groups.Group(sc.probe, &sc.arena)
+		out := sc.arena.Alloc(len(q.Items))
+		for i, e := range q.Items {
+			out[i] = e.Eval(env)
 		}
-		for i, a := range f.aggs {
-			slot := &grp[g+i]
-			if a.star {
-				slot.I++
-				continue
-			}
-			switch v := a.arg(env); {
-			case v.IsNull():
-			case a.distinct:
-				d := sc.seenProbe
-				copy(d, sc.probe[:g])
-				d[g], d[g+1] = types.Int(int64(i)), v
-				sc.seen.Group(d, &sc.arena)
-			case a.kind == types.AggCount:
-				slot.I++
-			case a.kind.Improves(v, *slot):
-				*slot = v
-			}
-		}
+		sc.out = append(sc.out, out)
 	}
 	x.c.ChaosPostMerge(w)
 }
 
 // mergeFinal fetches every partition's final-stage output to the driver, in
 // partition order, and assembles the result: the projected rows in that
-// order, or the partial rows merged group by group in first-appearance
-// order, then HAVING and the select items over each group. Either order is
+// order, or every partition's partial rows and then its distinct rows,
+// merged into the driver's Grouping, which finishes them. Either order is
 // the one exec.Query gives over the collected view.
 func (x *execution) mergeFinal() *relation.Relation {
-	f, c, scratch := x.final, x.c, x.ws.scratch
-	out := relation.New("", f.q.Schema)
-	if !f.q.Grouped {
+	q, c, scratch := x.final, x.c, x.ws.scratch
+	out := relation.New("", q.Schema)
+	if !q.Grouped {
 		n := 0
 		for p := range scratch {
 			n += len(scratch[p].final.out)
@@ -265,66 +158,15 @@ func (x *execution) mergeFinal() *relation.Relation {
 	m := &x.ws.merge
 	m.rows = m.rows[:0]
 	m.slab.Reset()
-	m.groups.Reset(f.keyIdx, -1, types.AggNone)
-	m.seen.Reset(f.seenIdx, -1, types.AggNone)
-	g := len(f.keys)
 	for p := range scratch {
-		start := len(m.rows)
-		m.rows = c.FetchInto(m.rows, &m.slab, scratch[p].final.groups.Groups(), c.DefaultOwner(p), -1)
-		for _, r := range m.rows[start:] {
-			if grp, fresh := m.groups.Group(r, nil); !fresh {
-				f.mergePartial(grp[g:], r[g:])
-			}
-		}
+		m.rows = c.FetchInto(m.rows, &m.slab, scratch[p].final.group.Groups(), c.DefaultOwner(p), -1)
 	}
-	// Every distinct row's group opened on its partition, so it is merged.
+	partial := len(m.rows)
 	for p := range scratch {
-		start := len(m.rows)
-		m.rows = c.FetchInto(m.rows, &m.slab, scratch[p].final.seen.Groups(), c.DefaultOwner(p), -1)
-		for _, r := range m.rows[start:] {
-			if _, fresh := m.seen.Group(r, nil); fresh {
-				grp, _ := m.groups.Group(r, nil)
-				grp[g+int(r[g].I)].I++
-			}
-		}
+		m.rows = c.FetchInto(m.rows, &m.slab, scratch[p].final.group.Distinct(), c.DefaultOwner(p), -1)
 	}
-	groups := m.groups.Groups()
-	if len(groups) == 0 {
-		groups = f.empty
-	}
-	if m.env == nil {
-		m.env = make(expr.Env, 1)
-	}
-	width := len(f.post)
-	vals := make([]types.Value, width*len(groups))
-	out.Rows = make([]types.Row, 0, len(groups))
-	for _, grp := range groups {
-		m.env[0] = grp
-		if f.having != nil && !f.having(m.env).Truthy() {
-			continue
-		}
-		row := vals[:width:width]
-		vals = vals[width:]
-		for i, e := range f.post {
-			row[i] = e(m.env)
-		}
-		out.Rows = append(out.Rows, row)
-	}
+	m.group.Reset(q)
+	m.group.Merge(m.rows[:partial], m.rows[partial:])
+	m.group.Finish(out)
 	return out
-}
-
-// mergePartial folds the aggregate slots of a later partition's partial row
-// into dst's: counts add, and an extremum replaces dst's only when it
-// improves on it (a NULL never does; anything else improves on a NULL), so
-// the first of equal values stays, as in exec.
-func (f *finalPlan) mergePartial(dst, src types.Row) {
-	for i, a := range f.aggs {
-		v := src[i]
-		switch {
-		case a.kind == types.AggCount:
-			dst[i].I += v.I
-		case a.kind.Improves(v, dst[i]):
-			dst[i] = v
-		}
-	}
 }

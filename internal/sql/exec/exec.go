@@ -3,9 +3,10 @@
 // pushdown, grouping with the full aggregate set, unions, DISTINCT, ORDER
 // BY and LIMIT. It materializes named views on demand and resolves
 // recursive-view references through a caller-supplied result map, so final
-// queries over fixpoint results run here too. It also serves as the
-// single-node reference implementation the distributed engine is
-// property-tested against.
+// queries over fixpoint results run here too. Its Grouping is also the
+// fixpoint's final stage's fold, so the engine's routes share it; the
+// independent reference it is tested against is the materializing
+// evaluator of the root package's exec differential test.
 package exec
 
 import (
@@ -83,7 +84,9 @@ func (c *Context) SourceRelation(s analyze.Source) (*relation.Relation, error) {
 	}
 }
 
-// Query evaluates an analyzed query to a relation.
+// Query evaluates an analyzed query to a relation: its branches in order,
+// each deduplicated on its own under its own DISTINCT, then UNION, ORDER BY
+// and LIMIT over their rows.
 func Query(q *analyze.Query, ctx *Context) (*relation.Relation, error) {
 	out, err := evalCore(q, ctx)
 	if err != nil {
@@ -98,9 +101,6 @@ func Query(q *analyze.Query, ctx *Context) (*relation.Relation, error) {
 		if !q.All[i] {
 			out.Dedup()
 		}
-	}
-	if q.Distinct {
-		out.Dedup()
 	}
 	if len(q.OrderBy) > 0 {
 		keys := q.OrderBy
@@ -125,16 +125,26 @@ func Query(q *analyze.Query, ctx *Context) (*relation.Relation, error) {
 }
 
 // evalCore evaluates one SELECT branch. The join pushes every tuple into a
-// sink that projects it at once: an ungrouped branch appends its values to
+// sink that handles it at once: an ungrouped branch appends its values to
 // one slab that the result's rows are cut from, and a grouped branch folds
-// the tuple into its group.
+// the tuple into a Grouping.
 func evalCore(q *analyze.Query, ctx *Context) (*relation.Relation, error) {
 	rows, err := ctx.sourceRows(q.Sources)
 	if err != nil {
 		return nil, err
 	}
 	out := relation.New("", q.Schema)
-	if !q.Grouped {
+	if q.Grouped {
+		var g Grouping
+		g.Reset(q)
+		if len(rows) == 1 {
+			g.reserve(len(rows[0]))
+		}
+		if err := JoinRows(ctx.Ctx, len(rows), rows, q.Conjuncts, g.Add); err != nil {
+			return nil, err
+		}
+		g.Finish(out)
+	} else {
 		width := len(q.Items)
 		var vals []types.Value
 		if len(rows) == 1 && len(q.Conjuncts) == 0 {
@@ -155,144 +165,11 @@ func evalCore(q *analyze.Query, ctx *Context) (*relation.Relation, error) {
 		for i := range out.Rows {
 			out.Rows[i] = vals[i*width : (i+1)*width : (i+1)*width]
 		}
-		return out, nil
 	}
-
-	// Grouped evaluation: bucket by group key, accumulate aggregates,
-	// then evaluate post-expressions over [groups..., aggs...]. The key is
-	// evaluated into a scratch row and looked up by its bytes, so only a
-	// new group copies it.
-	type group struct {
-		keys types.Row
-		accs []*aggAcc
-	}
-	newGroup := func(keys types.Row) *group {
-		grp := &group{keys: keys, accs: make([]*aggAcc, len(q.AggCalls))}
-		for i := range q.AggCalls {
-			grp.accs[i] = newAggAcc(q.AggCalls[i])
-		}
-		return grp
-	}
-	groups := map[string]*group{}
-	var order []*group
-	scratch := make(types.Row, len(q.GroupExprs))
-	var key []byte
-	err = JoinRows(ctx.Ctx, len(rows), rows, q.Conjuncts, func(env expr.Env) {
-		for i, g := range q.GroupExprs {
-			scratch[i] = g.Eval(env)
-		}
-		key = types.AppendRowKey(key[:0], scratch)
-		grp, ok := groups[string(key)]
-		if !ok {
-			grp = newGroup(scratch.Clone())
-			groups[string(key)] = grp
-			order = append(order, grp)
-		}
-		for _, a := range grp.accs {
-			a.add(env)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	// A global aggregate over zero rows still yields one output row
-	// (count=0 etc.), matching SQL semantics.
-	if len(order) == 0 && len(q.GroupExprs) == 0 {
-		order = append(order, newGroup(nil))
-	}
-	for _, grp := range order {
-		synth := make(types.Row, 0, len(grp.keys)+len(grp.accs))
-		synth = append(synth, grp.keys...)
-		for _, a := range grp.accs {
-			synth = append(synth, a.result())
-		}
-		env := expr.Env{synth}
-		if q.Having != nil && !q.Having.Eval(env).Truthy() {
-			continue
-		}
-		row := make(types.Row, len(q.PostItems))
-		for i, e := range q.PostItems {
-			row[i] = e.Eval(env)
-		}
-		out.Append(row)
+	if q.Distinct {
+		out.Dedup()
 	}
 	return out, nil
-}
-
-// aggAcc accumulates one aggregate call. A DISTINCT call looks each value
-// up by its key bytes in buf, so only a value it has not seen allocates.
-type aggAcc struct {
-	call analyze.AggCall
-	cur  types.Value
-	n    int64
-	sum  types.Value
-	seen map[string]struct{}
-	buf  []byte
-	any  bool
-}
-
-func newAggAcc(c analyze.AggCall) *aggAcc {
-	a := &aggAcc{call: c, sum: types.Int(0)}
-	if c.Distinct {
-		a.seen = map[string]struct{}{}
-	}
-	return a
-}
-
-func (a *aggAcc) add(env expr.Env) {
-	var v types.Value
-	if a.call.Star {
-		v = types.Int(1)
-	} else {
-		v = a.call.Arg.Eval(env)
-		if v.IsNull() {
-			return
-		}
-	}
-	if a.seen != nil {
-		one := [1]types.Value{v}
-		a.buf = types.AppendRowKey(a.buf[:0], one[:])
-		if _, dup := a.seen[string(a.buf)]; dup {
-			return
-		}
-		a.seen[string(a.buf)] = struct{}{}
-	}
-	a.n++
-	switch a.call.Kind {
-	case types.AggMin:
-		if !a.any || v.Compare(a.cur) < 0 {
-			a.cur = v
-		}
-	case types.AggMax:
-		if !a.any || v.Compare(a.cur) > 0 {
-			a.cur = v
-		}
-	case types.AggSum, types.AggAvg:
-		a.sum = a.sum.Add(v)
-	}
-	a.any = true
-}
-
-func (a *aggAcc) result() types.Value {
-	switch a.call.Kind {
-	case types.AggCount:
-		return types.Int(a.n)
-	case types.AggSum:
-		if !a.any {
-			return types.Null()
-		}
-		return a.sum
-	case types.AggAvg:
-		if a.n == 0 {
-			return types.Null()
-		}
-		return types.Float(a.sum.AsFloat() / float64(a.n))
-	default: // min/max
-		if !a.any {
-			return types.Null()
-		}
-		return a.cur
-	}
 }
 
 // sourceRows resolves the FROM sources to their row slices.
@@ -344,10 +221,7 @@ func JoinRows(ctx context.Context, n int, rows [][]types.Row, conjuncts []expr.E
 			lv.build = append(lv.build, ej.RightCol)
 			continue
 		}
-		at := 0
-		for in := range expr.Inputs(c) {
-			at = max(at, in)
-		}
+		at := max(expr.MaxInput(c), 0)
 		j.levels[at].filters = append(j.levels[at].filters, c)
 	}
 	for d := range j.levels {

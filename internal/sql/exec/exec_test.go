@@ -130,6 +130,27 @@ func TestGlobalAggregateOnEmptyInput(t *testing.T) {
 	}
 }
 
+// TestGroupingMergeRefusesSums: Merge adds no sum slot and no avg count,
+// so merging a query with sum or avg panics instead of answering wrong.
+func TestGroupingMergeRefusesSums(t *testing.T) {
+	for _, src := range []string{
+		`SELECT Age, sum(Id) FROM users GROUP BY Age`,
+		`SELECT avg(Id) FROM users`,
+	} {
+		q := analyzeScript(t, src, testCatalog()).Final
+		var g Grouping
+		g.Reset(q)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Merge did not panic", src)
+				}
+			}()
+			g.Merge(nil, nil)
+		}()
+	}
+}
+
 func TestDistinct(t *testing.T) {
 	out := run(t, `SELECT distinct Age FROM users`)
 	if out.Len() != 3 {

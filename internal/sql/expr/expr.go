@@ -148,8 +148,21 @@ func Inputs(e Expr) map[int]bool {
 	return out
 }
 
+// MaxInput returns the largest source index the expression reads, or -1
+// when it reads no column. Unlike Inputs it allocates nothing.
+func MaxInput(e Expr) int {
+	at := -1
+	Walk(e, func(x Expr) bool {
+		if c, ok := x.(*Col); ok {
+			at = max(at, c.Input)
+		}
+		return true
+	})
+	return at
+}
+
 // IsConst reports whether the expression reads no columns.
-func IsConst(e Expr) bool { return len(Inputs(e)) == 0 }
+func IsConst(e Expr) bool { return MaxInput(e) < 0 }
 
 // Fold performs constant folding: any subtree with no column references is
 // replaced by its value. Part of the paper's "constant evaluation"

@@ -144,10 +144,16 @@ func TestAsEquiJoinNormalizes(t *testing.T) {
 }
 
 func TestInputsAndIsConst(t *testing.T) {
-	e := &Bin{Op: ast.OpAdd, L: &Col{Input: 1, Idx: 0}, R: &Col{Input: 3, Idx: 0}}
+	e := &Bin{Op: ast.OpAdd, L: &Col{Input: 3, Idx: 0}, R: &Col{Input: 1, Idx: 0}}
 	in := Inputs(e)
 	if !in[1] || !in[3] || len(in) != 2 {
 		t.Errorf("inputs = %v", in)
+	}
+	if got := MaxInput(e); got != 3 {
+		t.Errorf("MaxInput = %d, want 3", got)
+	}
+	if got := MaxInput(&Lit{V: types.Int(1)}); got != -1 {
+		t.Errorf("MaxInput(literal) = %d, want -1", got)
 	}
 	if IsConst(e) {
 		t.Error("column expression is not const")

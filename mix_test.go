@@ -1,0 +1,105 @@
+package rasql_test
+
+import (
+	"fmt"
+	"testing"
+
+	rasql "github.com/rasql/rasql-go"
+	"github.com/rasql/rasql-go/internal/gen"
+)
+
+// mixEdges is short-mix's table: RMAT-200 with its weights, named mix_edge,
+// as benchmarks/rasqlbench/workloads.go builds it for seed 1 (copied, since
+// that package is a main).
+func mixEdges() *rasql.Relation {
+	edges := gen.RMATDefault(200, gen.Rng(1))
+	edges.Name = "mix_edge"
+	return edges
+}
+
+// busiestSrc is the vertex with the most outgoing edges, the smallest of
+// equals.
+func busiestSrc(edges *rasql.Relation) int64 {
+	degree := map[int64]int{}
+	for _, r := range edges.Rows {
+		degree[r[0].I]++
+	}
+	var source int64
+	for v, d := range degree {
+		if d > degree[source] || d == degree[source] && v < source {
+			source = v
+		}
+	}
+	return source
+}
+
+// statementAllocFence holds a warm execution of a non-recursive query over
+// edges (see warmExecution) to the allocation budgets, each the largest of
+// 30 measured runs plus 10%. Its answer must render exactly as want, one
+// row per line.
+func statementAllocFence(t *testing.T, edges *rasql.Relation, query, want string, budget, byteBudget uint64) {
+	t.Helper()
+	eng, p := prepareFenced(t, edges, query)
+	res, allocs, bytes := warmExecution(t, eng, p)
+	got := ""
+	for _, r := range res.Rows {
+		got += r.String() + "\n"
+	}
+	if got != want {
+		t.Errorf("%s answers\n%swant\n%s", query, got, want)
+	}
+	checkAllocBudget(t, allocs, bytes, budget, byteBudget)
+}
+
+// TestShortMixPreparedAllocBudget fences short-mix's statement classes that
+// do not recurse, each a warm execution on four workers and four
+// partitions: A, the cached count(*) of one vertex's edges, here the busiest
+// one's; B, the filtered projection a fresh literal makes every request
+// compile, here of vertex 3's edges; D, the global aggregate scan. Class C
+// is TestShortReachPreparedAllocBudget. A and D fold into exec.Grouping's
+// one partial row, B projects into one value slab, and no filter builds a
+// set of the sources it reads: 15, 15 and 14 allocations of 1,160, 3,872
+// and 1,304 B. With a map of per-call accumulator objects, a grouped
+// statement's group, key and result rows allocated apart, and a map per
+// filter, A made 17 allocations of 1,392 B, B 19 of 4,256 B and D 16 of
+// 1,680 B.
+func TestShortMixPreparedAllocBudget(t *testing.T) {
+	edges := mixEdges()
+	for _, c := range []struct {
+		class, query, want string
+		budget, byteBudget uint64
+	}{
+		{"A", fmt.Sprintf(`SELECT count(*) FROM mix_edge WHERE Src = %d`, busiestSrc(edges)), "(126)\n", 17, 1276},
+		{"B", fmt.Sprintf(`SELECT Dst, Cost FROM mix_edge WHERE Src = 3 AND Cost < %.7f`, 50+1e-7),
+			"(40, 12.0)\n(52, 12.0)\n(105, 9.0)\n(22, 29.0)\n(16, 41.0)\n(154, 32.0)\n" +
+				"(170, 26.0)\n(155, 22.0)\n(0, 32.0)\n(131, 35.0)\n(25, 26.0)\n(65, 7.0)\n", 17, 4260},
+		{"D", `SELECT count(*), min(Cost), max(Cost) FROM mix_edge`, "(2000, 0.0, 99.0)\n", 16, 1435},
+	} {
+		t.Run(c.class, func(t *testing.T) {
+			statementAllocFence(t, edges, c.query, c.want, c.budget, c.byteBudget)
+		})
+	}
+}
+
+// TestGroupByPreparedAllocBudget fences a GROUP BY with every aggregate and
+// a count(distinct) over short-mix's table: 185 groups, folded by one
+// exec.Grouping into a group table of partial rows and a table of distinct
+// values sized once from the 2,000 input rows, both carved from one slab,
+// so the fold allocates O(log groups) times: 46 allocations of 500,336 B,
+// whose budgets are the largest of 30 runs plus 10%. With a map of
+// accumulator objects, a key string per distinct value and a row per
+// group, a warm execution made 5,310 allocations of 525 KB.
+func TestGroupByPreparedAllocBudget(t *testing.T) {
+	edges := mixEdges()
+	eng, p := prepareFenced(t, edges, groupByQuery)
+	res, allocs, bytes := warmExecution(t, eng, p)
+	if got, want := len(res.Rows), 185; got != want {
+		t.Errorf("%d groups, want %d", got, want)
+	} else if first, last := res.Rows[0].String(), res.Rows[184].String(); first != "(2, 61, 49, 2803.0, 0.0, 99.0, 45.950819672131146)" || last != "(62, 1, 1, 32.0, 32.0, 32.0, 32.0)" {
+		t.Errorf("first and last groups %s and %s changed", first, last)
+	}
+	checkAllocBudget(t, allocs, bytes, 51, 550370)
+}
+
+// groupByQuery is TestGroupByPreparedAllocBudget's statement.
+const groupByQuery = `SELECT Src, count(*), count(distinct Dst), sum(Cost), min(Cost), max(Cost), avg(Cost) FROM mix_edge GROUP BY Src`

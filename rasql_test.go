@@ -7,6 +7,7 @@ import (
 
 	rasql "github.com/rasql/rasql-go"
 	"github.com/rasql/rasql-go/internal/fixpoint"
+	"github.com/rasql/rasql-go/internal/gen"
 	"github.com/rasql/rasql-go/queries"
 )
 
@@ -456,6 +457,34 @@ func TestSelectWithoutFromHonorsWhere(t *testing.T) {
 			`SELECT 1 WHERE 1 = 1`:           1,
 			`SELECT 1, 2 WHERE 1 < 2`:        1,
 			`SELECT 1 WHERE 1 = 1 AND false`: 0,
+		} {
+			got, err := eng.Query(q)
+			if err != nil {
+				t.Fatalf("ForceLocal=%v: %s: %v", cfg.ForceLocal, q, err)
+			}
+			if got.Len() != want {
+				t.Errorf("ForceLocal=%v: %s answers %d rows, want %d", cfg.ForceLocal, q, got.Len(), want)
+			}
+		}
+	}
+}
+
+// TestBranchDistinctIsItsOwn: a UNION branch's DISTINCT deduplicates that
+// branch's rows only, before they join the union, on the distributed engine
+// and the local one alike. Over RMAT-20's 200 edges, 19 distinct Src values
+// and 200 Src rows make 219.
+func TestBranchDistinctIsItsOwn(t *testing.T) {
+	edges := gen.RMATDefault(20, gen.Rng(1))
+	edges.Name = "edge"
+	for _, cfg := range []rasql.Config{{}, {ForceLocal: true}} {
+		eng := rasql.New(cfg)
+		eng.MustRegister(edges.Clone())
+		for q, want := range map[string]int{
+			`SELECT DISTINCT Src FROM edge`:                                    19,
+			`SELECT DISTINCT Src FROM edge UNION ALL SELECT Src FROM edge`:     219,
+			`(SELECT DISTINCT Src FROM edge) UNION ALL (SELECT Src FROM edge)`: 219,
+			`SELECT Src FROM edge UNION ALL SELECT DISTINCT Src FROM edge`:     219,
+			`SELECT Src FROM edge UNION SELECT DISTINCT Src FROM edge`:         19,
 		} {
 			got, err := eng.Query(q)
 			if err != nil {
