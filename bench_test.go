@@ -121,5 +121,19 @@ func benchPrepared(b *testing.B, edges *rasql.Relation, query string) {
 	}
 }
 
+// BenchmarkServedRowsOut times one served request of the rows-out
+// statement, SELECT Src, Dst, Cost FROM out_edge over RMAT-2000, through
+// server.Handler in process, set up as TestRowsOutServedAllocBudget is: the
+// scan, the JSON encoding and the response, without the socket. Run it at
+// -cpu 1 (make kernels).
+func BenchmarkServedRowsOut(b *testing.B) {
+	_, request, serve := rowsOutServer(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(request())
+	}
+}
+
 // benchSink keeps the benchmarked results alive.
 var benchSink *rasql.Relation

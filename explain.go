@@ -26,7 +26,7 @@ func (e *Engine) explain(src string, commit bool) (string, error) {
 		return nil
 	}
 	// Describe the program that runs: walk optimizes before planning.
-	err := e.walk(src, nil, commit, onView, func(prog *analyze.Program) error {
+	err := e.walk(src, nil, commit, onView, func(prog *analyze.Program, _ bool) error {
 		// Where the final query runs: the fixpoint's final stage, or the
 		// driver over the collected view.
 		finalStage := ""

@@ -167,6 +167,6 @@ func (x *execution) mergeFinal() *relation.Relation {
 	}
 	m.group.Reset(q)
 	m.group.Merge(m.rows[:partial], m.rows[partial:])
-	m.group.Finish(out)
+	out.Rows = m.group.Finish()
 	return out
 }

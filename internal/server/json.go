@@ -19,25 +19,48 @@ type ColumnJSON struct {
 	Kind string `json:"kind"`
 }
 
-// flushAt is how many response bytes writeQueryResponse gathers before it
-// hands them to the connection.
-const flushAt = 32 << 10
+// body is a query response under construction. It is the query's
+// rasql.RowSink: the engine hands it the last statement's rows as they are
+// produced, and it appends each one's JSON at once, so the rows are never
+// held as a relation. The head, which needs the schema, is written once the
+// statement has run. The server keeps bodies in a free list between
+// requests, so a warm request grows no buffer.
+type body struct {
+	head []byte // {"columns":[…],"rows":[
+	rows []byte // the rows, then the rest of the document
+	n    int    // rows appended
+}
+
+// Row appends r's JSON.
+func (b *body) Row(r types.Row) {
+	if b.n > 0 {
+		b.rows = append(b.rows, ',')
+	}
+	b.rows = appendRow(b.rows, r)
+	b.n++
+}
+
+// reset empties the body for the next request, keeping its memory.
+func (b *body) reset() {
+	b.head, b.rows, b.n = b.head[:0], b.rows[:0], 0
+}
 
 // writeQueryResponse writes a statement's answer,
 //
 //	{"columns":[…],"rows":[[…],…],"row_count":N,"cached":B,"stats":{…}}
 //
-// and a newline, straight from the result's schema and rows into one
-// buffer that goes to the connection every flushAt bytes. The bytes are
-// json.Encoder's for the same document with the rows as [][]any
-// (FuzzEncodeResponse compares them), except that a non-finite double,
-// which encoding/json refuses, is written as the string "NaN", "Infinity"
-// or "-Infinity".
+// and a newline: the head from the result's schema, then the rows the
+// engine appended to the body, then the count, the cache flag and the
+// stats. The whole document is built before the status is written, so a
+// statement that fails after some of its rows still answers with its own
+// status. The bytes are json.Encoder's for the same document with the rows
+// as [][]any (FuzzEncodeResponse compares them), except that a non-finite
+// double, which encoding/json refuses, is written as the string "NaN",
+// "Infinity" or "-Infinity".
 func (s *Server) writeQueryResponse(w http.ResponseWriter, resp *queryResponse) {
 	var cols []types.Column
-	var rows []types.Row
 	if resp.rel != nil {
-		cols, rows = resp.rel.Schema.Columns, resp.rel.Rows
+		cols = resp.rel.Schema.Columns
 	}
 	var statsJSON []byte
 	if resp.stats != nil {
@@ -47,49 +70,34 @@ func (s *Server) writeQueryResponse(w http.ResponseWriter, resp *queryResponse) 
 			return
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	// Room for the whole document when it is small (eight bytes a cell is
-	// generous for numbers), and for a row past flushAt when it is not.
-	size := 96 + 32*len(cols) + len(statsJSON)
-	if len(rows) > 0 {
-		size += 8 * len(rows) * (len(rows[0]) + 1)
-	}
-	buf := make([]byte, 0, min(size, flushAt+flushAt/2))
-	buf = append(buf, `{"columns":[`...)
+	b := resp.body
+	b.head = append(b.head[:0], `{"columns":[`...)
 	for i, c := range cols { // ColumnJSON's encoding
 		if i > 0 {
-			buf = append(buf, ',')
+			b.head = append(b.head, ',')
 		}
-		buf = append(buf, `{"name":`...)
-		buf = appendString(buf, c.Name)
-		buf = append(buf, `,"kind":`...)
-		buf = appendString(buf, c.Type.String())
-		buf = append(buf, '}')
+		b.head = append(b.head, `{"name":`...)
+		b.head = appendString(b.head, c.Name)
+		b.head = append(b.head, `,"kind":`...)
+		b.head = appendString(b.head, c.Type.String())
+		b.head = append(b.head, '}')
 	}
-	buf = append(buf, `],"rows":[`...)
-	for i, r := range rows {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = appendRow(buf, r)
-		if len(buf) >= flushAt {
-			if _, err := w.Write(buf); err != nil {
-				return // the client is gone; the status has been sent
-			}
-			buf = buf[:0]
-		}
-	}
-	buf = append(buf, `],"row_count":`...)
-	buf = strconv.AppendInt(buf, int64(len(rows)), 10)
-	buf = append(buf, `,"cached":`...)
-	buf = strconv.AppendBool(buf, resp.cached)
+	b.head = append(b.head, `],"rows":[`...)
+	b.rows = append(b.rows, `],"row_count":`...)
+	b.rows = strconv.AppendInt(b.rows, int64(b.n), 10)
+	b.rows = append(b.rows, `,"cached":`...)
+	b.rows = strconv.AppendBool(b.rows, resp.cached)
 	if statsJSON != nil {
-		buf = append(buf, `,"stats":`...)
-		buf = append(buf, statsJSON...)
+		b.rows = append(b.rows, `,"stats":`...)
+		b.rows = append(b.rows, statsJSON...)
 	}
-	buf = append(buf, "}\n"...)
-	_, _ = w.Write(buf) // as above: a failed write has no one to tell
+	b.rows = append(b.rows, "}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// A failed write has no one to tell: the client is gone.
+	if _, err := w.Write(b.head); err == nil {
+		_, _ = w.Write(b.rows)
+	}
 }
 
 // appendRow appends a row as a JSON array: ints and doubles as numbers,
@@ -118,9 +126,15 @@ func appendRow(b []byte, r types.Row) []byte {
 
 // appendFloat formats a double as encoding/json does: like ES6, shortest
 // round-trip digits, exponent form below 1e-6 and from 1e21 on, with a
-// one-digit negative exponent unpadded. A non-finite double becomes a
-// string, which decodeValue reads back.
+// one-digit negative exponent unpadded. A whole double of magnitude under
+// 2^53 other than -0 is printed as the int it holds, the same digits,
+// without the shortest-digits search: below 2^53 doubles are at most 1
+// apart, so no shorter decimal reads back as the same one. A non-finite
+// double becomes a string, which decodeValue reads back.
 func appendFloat(b []byte, f float64) []byte {
+	if f == math.Trunc(f) && math.Abs(f) < 1<<53 && (f != 0 || !math.Signbit(f)) {
+		return strconv.AppendInt(b, int64(f), 10)
+	}
 	switch {
 	case math.IsNaN(f):
 		return append(b, `"NaN"`...)

@@ -56,11 +56,17 @@ func materialize(rows []types.Row) [][]any {
 	return out
 }
 
-// written returns the bytes writeQueryResponse sends for resp.
-func written(t *testing.T, resp *queryResponse) []byte {
+// written returns the bytes s sends for resp when the engine hands rows
+// to the body one by one, as it does while a statement runs. The body comes
+// from s's free list and goes back to it, so a later call reuses it.
+func written(t *testing.T, s *Server, resp *queryResponse, rows []types.Row) []byte {
 	t.Helper()
+	resp.body = s.getBody()
+	for _, r := range rows {
+		resp.body.Row(r)
+	}
 	rec := httptest.NewRecorder()
-	(&Server{}).writeQueryResponse(rec, resp)
+	s.respond(rec, resp, http.StatusOK, nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
 	}
@@ -69,7 +75,10 @@ func written(t *testing.T, resp *queryResponse) []byte {
 
 // FuzzEncodeResponse: for every finite result the streamed response is
 // byte for byte what json.Encoder makes of the materialized one. The rows
-// mix every kind; reps repeats them, so a response can cross flushAt.
+// mix every kind; reps repeats them, up to about 96 KiB of rows. The four
+// responses of one input share one reused body, and the seeds hold the
+// doubles the whole-number path prints (±3, 2^53-1) and those it leaves to
+// the shortest-digits one (-0, 2^53, 2^53+2, 1e20, 1e21).
 func FuzzEncodeResponse(f *testing.F) {
 	for _, c := range []struct {
 		i    int64
@@ -87,6 +96,14 @@ func FuzzEncodeResponse(f *testing.F) {
 		{-1, math.MaxFloat64, "ok", 3000},
 		{1 << 53, 1e-7, "\xed\xa0\x80 surrogate", 7},
 		{-(1 << 53), 123456789.125, "tab\there", 8},
+		{3, 3, "whole", 2},
+		{-3, -3, "whole", 2},
+		{0, math.Copysign(0, -1), "negative zero", 1},
+		{1<<53 - 1, 1<<53 - 1, "2^53-1", 2},
+		{1 << 53, 1 << 53, "2^53", 2},
+		{1<<53 + 2, 1<<53 + 2, "2^53+2", 2},
+		{1e18, 1e20, "1e20", 2},
+		{-1e18, 1e21, "1e21", 2},
 	} {
 		f.Add(c.i, c.fl, c.s, c.reps)
 	}
@@ -106,13 +123,14 @@ func FuzzEncodeResponse(f *testing.F) {
 			{types.Str(s), types.Int(i / 7), types.Null(), types.Float(fl * 1e-10), types.Bool(true)},
 			{},
 		}
-		// Up to about 96 KiB of rows: past flushAt twice, and cheap
-		// enough that minimizing an input stays quick.
+		// Up to about 96 KiB of rows: cheap enough that minimizing an
+		// input stays quick.
 		n := 1 + int(reps)%max(1, (96<<10)/(2*len(s)+64))
 		for k := 0; k < n; k++ {
 			rel.Rows = append(rel.Rows, base[k%len(base)])
 		}
 		stats := &obs.QueryStats{ID: uint64(reps), Iterations: i, Mode: s, Err: s}
+		srv := &Server{bodies: make(chan *body, 1)}
 		for _, resp := range []*queryResponse{
 			{rel: rel, cached: reps%2 == 0, stats: stats},
 			{rel: relation.New("empty", schema), stats: stats},
@@ -129,7 +147,11 @@ func FuzzEncodeResponse(f *testing.F) {
 			if err := json.NewEncoder(&buf).Encode(want); err != nil {
 				t.Fatal(err)
 			}
-			if got := written(t, resp); !bytes.Equal(got, buf.Bytes()) {
+			var rows []types.Row
+			if resp.rel != nil {
+				rows = resp.rel.Rows
+			}
+			if got := written(t, srv, resp, rows); !bytes.Equal(got, buf.Bytes()) {
 				at := 0
 				for at < len(got) && at < buf.Len() && got[at] == buf.Bytes()[at] {
 					at++

@@ -75,6 +75,8 @@ type Server struct {
 
 	draining atomic.Bool
 	inflight sync.WaitGroup
+	// bodies is the free list of response bodies, one per query slot.
+	bodies chan *body
 
 	requests   *obs.Counter
 	errorsCtr  *obs.Counter
@@ -94,6 +96,7 @@ func New(eng *rasql.Engine, cfg Config) *Server {
 		cache:      NewPlanCache(cfg.PlanCacheSize, reg),
 		sessions:   newSessionRegistry(reg),
 		adm:        newAdmission(cfg.MaxConcurrent, cfg.QueueDepth, reg),
+		bodies:     make(chan *body, cfg.MaxConcurrent),
 		requests:   reg.Counter("rasql_server_requests_total", "API requests received (excluding health/metrics)."),
 		errorsCtr:  reg.Counter("rasql_server_errors_total", "API requests answered with a 4xx/5xx status."),
 		timeouts:   reg.Counter("rasql_server_timeouts_total", "API requests that hit their deadline."),
@@ -306,9 +309,48 @@ type queryRequest struct {
 
 // queryResponse is a statement's answer; writeQueryResponse writes it.
 type queryResponse struct {
-	rel    *relation.Relation // nil when the script has no query statement
+	rel    *relation.Relation // the schema; nil when the script has no query statement
+	body   *body              // the rows
 	cached bool
 	stats  *obs.QueryStats
+}
+
+// maxKeptBody is the largest body, in bytes of buffer, that goes back to
+// the free list; the collector takes back a larger one.
+const maxKeptBody = 1 << 20
+
+// getBody takes a body from the free list, or makes one when it is empty.
+func (s *Server) getBody() *body {
+	select {
+	case b := <-s.bodies:
+		return b
+	default:
+		return &body{}
+	}
+}
+
+// putBody empties b and returns it to the free list, unless it is larger
+// than maxKeptBody or the list is full.
+func (s *Server) putBody(b *body) {
+	if cap(b.head)+cap(b.rows) > maxKeptBody {
+		return
+	}
+	b.reset()
+	select {
+	case s.bodies <- b:
+	default:
+	}
+}
+
+// respond writes a statement's answer, or its error with its status, and
+// then gives the answer's body back.
+func (s *Server) respond(w http.ResponseWriter, resp *queryResponse, status int, err error) {
+	if err != nil {
+		s.writeError(w, status, err)
+		return
+	}
+	s.writeQueryResponse(w, resp)
+	s.putBody(resp.body)
 }
 
 type prepareRequest struct {
@@ -358,11 +400,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	resp, status, err := s.runSQL(ctx, req.SQL, set)
-	if err != nil {
-		s.writeError(w, status, err)
-		return
-	}
-	s.writeQueryResponse(w, resp)
+	s.respond(w, resp, status, err)
 }
 
 func (s *Server) servePrepare(w http.ResponseWriter, r *http.Request) {
@@ -437,11 +475,7 @@ func (s *Server) serveExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	resp, status, err := s.execNormalized(ctx, st.src, st.norm, set)
-	if err != nil {
-		s.writeError(w, status, err)
-		return
-	}
-	s.writeQueryResponse(w, resp)
+	s.respond(w, resp, status, err)
 }
 
 // runSQL executes arbitrary SQL: cacheable scripts go through the plan
@@ -459,9 +493,12 @@ func (s *Server) runSQL(ctx context.Context, src string, set Settings) (*queryRe
 // /v1/execute: plan-cache lookup keyed on (normalized text, catalog
 // version), compile on miss, execute under ctx, retry once if a concurrent
 // DDL commit made the compiled plan stale between lookup and execution.
+// The last statement's rows go straight into the response's body; a stale
+// plan is refused before any row.
 func (s *Server) execNormalized(ctx context.Context, src, norm string, set Settings) (*queryResponse, int, error) {
 	stats := &obs.QueryStats{}
-	opts := &rasql.ExecOptions{Mode: set.Mode, MaxIterations: set.MaxIterations, Stats: stats}
+	b := s.getBody()
+	opts := &rasql.ExecOptions{Mode: set.Mode, MaxIterations: set.MaxIterations, Stats: stats, Rows: b}
 	switch set.Trace {
 	case "iterations":
 		opts.Tracer = trace.NewIterationsOnly()
@@ -491,6 +528,7 @@ func (s *Server) execNormalized(ctx context.Context, src, norm string, set Setti
 				break
 			}
 			if perr != nil {
+				s.putBody(b)
 				return nil, prepareStatus(perr), perr
 			}
 			s.cache.Put(norm, prep)
@@ -503,9 +541,10 @@ func (s *Server) execNormalized(ctx context.Context, src, norm string, set Setti
 		break
 	}
 	if err != nil {
+		s.putBody(b)
 		return nil, execStatus(err), err
 	}
-	return &queryResponse{rel: rel, cached: cached, stats: stats}, http.StatusOK, nil
+	return &queryResponse{rel: rel, body: b, cached: cached, stats: stats}, http.StatusOK, nil
 }
 
 // admissionStatus maps admission errors to HTTP statuses: a full queue is

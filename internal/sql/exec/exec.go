@@ -84,29 +84,71 @@ func (c *Context) SourceRelation(s analyze.Source) (*relation.Relation, error) {
 	}
 }
 
+// RowSink receives a statement's result rows, in order. The row a call
+// hands over is valid only during that call: a sink that keeps it copies
+// it.
+type RowSink interface {
+	Row(types.Row)
+}
+
 // Query evaluates an analyzed query to a relation: its branches in order,
 // each deduplicated on its own under its own DISTINCT, then UNION, ORDER BY
-// and LIMIT over their rows.
+// and LIMIT over their rows. An ungrouped branch is projected through the
+// pipeline Run streams, into a sink that copies its rows into one value
+// slab.
 func Query(q *analyze.Query, ctx *Context) (*relation.Relation, error) {
-	out, err := evalCore(q, ctx)
+	rows, err := queryRows(q, ctx)
+	if err != nil {
+		return nil, err
+	}
+	return relation.FromRows("", q.Schema, rows), nil
+}
+
+// Run evaluates q as Query does and hands its rows to sink, in Query's
+// order. A query of one ungrouped branch with no DISTINCT, UNION, ORDER BY
+// or LIMIT streams: each joined tuple is projected into one reused row and
+// handed on at once, so its rows are never held. Any other query is built
+// in full, then handed on row by row. On an error, sink may have seen some
+// of the rows.
+func Run(q *analyze.Query, ctx *Context, sink RowSink) error {
+	if q.Grouped || q.Distinct || len(q.Unions) > 0 || len(q.OrderBy) > 0 || q.Limit >= 0 {
+		rows, err := queryRows(q, ctx)
+		if err != nil {
+			return err
+		}
+		for _, r := range rows {
+			sink.Row(r)
+		}
+		return nil
+	}
+	rows, err := ctx.sourceRows(q.Sources)
+	if err != nil {
+		return err
+	}
+	return project(q, ctx, rows, sink)
+}
+
+// queryRows is Query's evaluation: the result's rows.
+func queryRows(q *analyze.Query, ctx *Context) ([]types.Row, error) {
+	out, err := branchRows(q, ctx)
 	if err != nil {
 		return nil, err
 	}
 	for i, u := range q.Unions {
-		ur, err := evalCore(u, ctx)
+		ur, err := branchRows(u, ctx)
 		if err != nil {
 			return nil, err
 		}
-		out.Rows = append(out.Rows, ur.Rows...)
+		out = append(out, ur...)
 		if !q.All[i] {
-			out.Dedup()
+			out = dedup(out)
 		}
 	}
 	if len(q.OrderBy) > 0 {
 		keys := q.OrderBy
-		sort.SliceStable(out.Rows, func(i, j int) bool {
+		sort.SliceStable(out, func(i, j int) bool {
 			for _, k := range keys {
-				c := out.Rows[i][k.Idx].Compare(out.Rows[j][k.Idx])
+				c := out[i][k.Idx].Compare(out[j][k.Idx])
 				if c == 0 {
 					continue
 				}
@@ -118,22 +160,21 @@ func Query(q *analyze.Query, ctx *Context) (*relation.Relation, error) {
 			return false
 		})
 	}
-	if q.Limit >= 0 && len(out.Rows) > q.Limit {
-		out.Rows = out.Rows[:q.Limit]
+	if q.Limit >= 0 && len(out) > q.Limit {
+		out = out[:q.Limit]
 	}
 	return out, nil
 }
 
-// evalCore evaluates one SELECT branch. The join pushes every tuple into a
-// sink that handles it at once: an ungrouped branch appends its values to
-// one slab that the result's rows are cut from, and a grouped branch folds
-// the tuple into a Grouping.
-func evalCore(q *analyze.Query, ctx *Context) (*relation.Relation, error) {
+// branchRows evaluates one SELECT branch to its rows: a grouped branch
+// folds every joined tuple into a Grouping, an ungrouped one projects them
+// into a slabSink; then its own DISTINCT.
+func branchRows(q *analyze.Query, ctx *Context) ([]types.Row, error) {
 	rows, err := ctx.sourceRows(q.Sources)
 	if err != nil {
 		return nil, err
 	}
-	out := relation.New("", q.Schema)
+	var out []types.Row
 	if q.Grouped {
 		var g Grouping
 		g.Reset(q)
@@ -143,33 +184,78 @@ func evalCore(q *analyze.Query, ctx *Context) (*relation.Relation, error) {
 		if err := JoinRows(ctx.Ctx, len(rows), rows, q.Conjuncts, g.Add); err != nil {
 			return nil, err
 		}
-		g.Finish(out)
+		out = g.Finish()
 	} else {
-		width := len(q.Items)
-		var vals []types.Value
+		s := slabSink{width: len(q.Items)}
 		if len(rows) == 1 && len(q.Conjuncts) == 0 {
 			// One source and no filter: the output has exactly its rows.
-			vals = make([]types.Value, 0, width*len(rows[0]))
+			s.vals = make([]types.Value, 0, s.width*len(rows[0]))
 		}
-		produced := 0
-		err := JoinRows(ctx.Ctx, len(rows), rows, q.Conjuncts, func(env expr.Env) {
-			for _, e := range q.Items {
-				vals = append(vals, e.Eval(env))
-			}
-			produced++
-		})
-		if err != nil {
+		if err := project(q, ctx, rows, &s); err != nil {
 			return nil, err
 		}
-		out.Rows = make([]types.Row, produced)
-		for i := range out.Rows {
-			out.Rows[i] = vals[i*width : (i+1)*width : (i+1)*width]
-		}
+		out = s.rows()
 	}
 	if q.Distinct {
-		out.Dedup()
+		out = dedup(out)
 	}
 	return out, nil
+}
+
+// project joins an ungrouped branch's sources and hands sink each joined
+// tuple's select items, evaluated into one reused row.
+func project(q *analyze.Query, ctx *Context, rows [][]types.Row, sink RowSink) error {
+	row := make(types.Row, len(q.Items))
+	return JoinRows(ctx.Ctx, len(rows), rows, q.Conjuncts, func(env expr.Env) {
+		for i, e := range q.Items {
+			row[i] = e.Eval(env)
+		}
+		sink.Row(row)
+	})
+}
+
+// slabSink is the RowSink a relation is built with: it appends each row's
+// values to one slab, which its rows are cut from once the last has come.
+type slabSink struct {
+	width, n int
+	vals     []types.Value
+}
+
+func (s *slabSink) Row(r types.Row) {
+	s.vals = append(s.vals, r...)
+	s.n++
+}
+
+// rows cuts the rows from the slab.
+func (s *slabSink) rows() []types.Row {
+	out := make([]types.Row, s.n)
+	for i := range out {
+		out[i] = s.vals[i*s.width : (i+1)*s.width : (i+1)*s.width]
+	}
+	return out
+}
+
+// dedup keeps the first of every set of equal rows, in order, compacted in
+// place. Rows are equal when every column is, as a Combiner keyed on all of
+// them finds keys equal, and the table is sized once for every row.
+func dedup(rows []types.Row) []types.Row {
+	if len(rows) == 0 {
+		return rows
+	}
+	cols := make([]int, len(rows[0]))
+	for i := range cols {
+		cols[i] = i
+	}
+	var seen types.Combiner
+	seen.Reset(cols, -1, types.AggNone)
+	seen.Reserve(len(rows))
+	out := rows[:0]
+	for _, r := range rows {
+		if _, fresh := seen.Group(r, nil); fresh {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // sourceRows resolves the FROM sources to their row slices.

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"github.com/rasql/rasql-go/internal/relation"
 	"github.com/rasql/rasql-go/internal/sql/analyze"
 	"github.com/rasql/rasql-go/internal/sql/expr"
 	"github.com/rasql/rasql-go/internal/types"
@@ -196,12 +195,12 @@ func (g *Grouping) Merge(partial, distinct []types.Row) {
 	}
 }
 
-// Finish evaluates HAVING and the select items over every group into out's
-// rows, cut from one value slab. Each group reads as exec's grouped
+// Finish evaluates HAVING and the select items over every group into rows
+// cut from one value slab, and returns them. Each group reads as exec's grouped
 // environment: its keys, then one result per aggregate call. A global
 // aggregate over no input still yields its one row: count 0, every other
 // aggregate NULL. Finish is the Grouping's last call before a Reset.
-func (g *Grouping) Finish(out *relation.Relation) {
+func (g *Grouping) Finish() []types.Row {
 	q := g.q
 	k, n := len(q.GroupExprs), len(q.AggCalls)
 	if k == 0 && len(g.groups.Groups()) == 0 {
@@ -218,7 +217,7 @@ func (g *Grouping) Finish(out *relation.Relation) {
 	}
 	width := len(q.PostItems)
 	vals := make([]types.Value, width*len(groups))
-	out.Rows = make([]types.Row, 0, len(groups))
+	out := make([]types.Row, 0, len(groups))
 	for _, grp := range groups {
 		count := k + n
 		for i, a := range q.AggCalls {
@@ -239,6 +238,7 @@ func (g *Grouping) Finish(out *relation.Relation) {
 		for i, e := range q.PostItems {
 			row[i] = e.Eval(g.env)
 		}
-		out.Rows = append(out.Rows, row)
+		out = append(out, row)
 	}
+	return out
 }

@@ -62,7 +62,7 @@ func (e *Engine) CatalogVersion() uint64 { return e.cat.Version() }
 // mislabelled.
 func (e *Engine) Prepare(src string) (*Prepared, error) {
 	p := &Prepared{version: e.cat.Version(), eng: e}
-	err := e.walk(src, nil, false, func(*ast.CreateView) error { return ErrNotPreparable }, func(prog *analyze.Program) error {
+	err := e.walk(src, nil, false, func(*ast.CreateView) error { return ErrNotPreparable }, func(prog *analyze.Program, _ bool) error {
 		p.progs = append(p.progs, prog)
 		return nil
 	})
@@ -96,8 +96,12 @@ func (e *Engine) ExecPrepared(ctx context.Context, p *Prepared, opts *ExecOption
 		if p.eng == e {
 			slot = &p.bases[i]
 		}
+		var sink RowSink
+		if i == len(p.progs)-1 {
+			sink = opts.rows()
+		}
 		sp := qc.Tracer.Begin("prepared", trace.TidDriver)
-		last, err = e.run(qc, prog, opts, slot)
+		last, err = e.run(qc, prog, sink, opts, slot)
 		sp.End()
 		if err != nil {
 			break

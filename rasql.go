@@ -157,6 +157,23 @@ type ExecOptions struct {
 	// per-query execution stats to their responses without racing other
 	// queries for the recorder's last record.
 	Stats *obs.QueryStats
+	// Rows, when non-nil, receives the rows of the script's last query
+	// statement as they are produced, and the returned relation carries
+	// that statement's schema and no rows. A row is valid only during the
+	// call that hands it over. When the query fails, Rows may have seen
+	// some of its rows.
+	Rows RowSink
+}
+
+// RowSink receives a statement's result rows, in order (ExecOptions.Rows).
+// The row a call hands over is valid only during that call.
+type RowSink = exec.RowSink
+
+func (o *ExecOptions) rows() RowSink {
+	if o == nil {
+		return nil
+	}
+	return o.Rows
 }
 
 func (o *ExecOptions) tracer(e *Engine) *trace.Tracer {
@@ -213,8 +230,12 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*relation.Relati
 // script — sequentially or from concurrent goroutines — stays idempotent.
 func (e *Engine) exec(qc *cluster.QueryContext, src string, opts *ExecOptions) (*relation.Relation, error) {
 	var last *relation.Relation
-	err := e.walk(src, qc.Tracer, true, nil, func(prog *analyze.Program) (err error) {
-		last, err = e.run(qc, prog, opts, nil)
+	err := e.walk(src, qc.Tracer, true, nil, func(prog *analyze.Program, isLast bool) (err error) {
+		var sink RowSink
+		if isLast {
+			sink = opts.rows()
+		}
+		last, err = e.run(qc, prog, sink, opts, nil)
 		return err
 	})
 	if err != nil {
@@ -230,16 +251,22 @@ func (e *Engine) exec(qc *cluster.QueryContext, src string, opts *ExecOptions) (
 // statements see it, and in the session too when commit is set; onView,
 // when non-nil, sees the statement first and may refuse it. Every other
 // statement is analyzed and optimized under tr's spans and handed to
-// onQuery.
-func (e *Engine) walk(src string, tr *trace.Tracer, commit bool, onView func(*ast.CreateView) error, onQuery func(*analyze.Program) error) error {
+// onQuery, with whether it is the script's last query statement.
+func (e *Engine) walk(src string, tr *trace.Tracer, commit bool, onView func(*ast.CreateView) error, onQuery func(prog *analyze.Program, last bool) error) error {
 	sp := tr.Begin("parse", trace.TidDriver)
 	stmts, err := parser.Parse(src)
 	sp.End()
 	if err != nil {
 		return err
 	}
+	lastQuery := -1
+	for i, s := range stmts {
+		if _, ok := s.(*ast.CreateView); !ok {
+			lastQuery = i
+		}
+	}
 	cat := e.cat.Clone()
-	for _, s := range stmts {
+	for i, s := range stmts {
 		if cv, ok := s.(*ast.CreateView); ok {
 			if onView != nil {
 				if err := onView(cv); err != nil {
@@ -266,7 +293,7 @@ func (e *Engine) walk(src string, tr *trace.Tracer, commit bool, onView func(*as
 		if err != nil {
 			return err
 		}
-		if err := onQuery(prog); err != nil {
+		if err := onQuery(prog, i == lastQuery); err != nil {
 			return err
 		}
 	}
@@ -280,7 +307,7 @@ func (e *Engine) walk(src string, tr *trace.Tracer, commit bool, onView func(*as
 // themselves (the PreM checker) start here.
 func (e *Engine) Compile(src string) (*analyze.Program, error) {
 	var prog *analyze.Program
-	err := e.walk(src, nil, false, nil, func(p *analyze.Program) error {
+	err := e.walk(src, nil, false, nil, func(p *analyze.Program, _ bool) error {
 		if prog != nil {
 			return fmt.Errorf("rasql: script has more than one query statement")
 		}
@@ -318,7 +345,7 @@ func (e *Engine) Vet(src string) (*vet.Report, error) {
 	sp := e.Tracer().Begin("vet", trace.TidDriver)
 	defer sp.End()
 	rep := &vet.Report{}
-	err := e.walk(src, nil, false, nil, func(prog *analyze.Program) error {
+	err := e.walk(src, nil, false, nil, func(prog *analyze.Program, _ bool) error {
 		rep.Merge(vet.Analyze(prog))
 		return nil
 	})
@@ -332,8 +359,9 @@ func (e *Engine) Vet(src string) (*vet.Report, error) {
 // physical base side (see Prepared); nil builds it for this query alone.
 // When the distributed engine ran the final query as the fixpoint's final
 // stage, its result is the program's; otherwise the final query runs here,
-// over the view the fixpoint collected.
-func (e *Engine) run(qc *cluster.QueryContext, prog *analyze.Program, opts *ExecOptions, slot *fixpoint.BaseSlot) (*relation.Relation, error) {
+// over the view the fixpoint collected. A non-nil sink receives the result's
+// rows instead of the returned relation, which then has none.
+func (e *Engine) run(qc *cluster.QueryContext, prog *analyze.Program, sink RowSink, opts *ExecOptions, slot *fixpoint.BaseSlot) (*relation.Relation, error) {
 	ctx := exec.NewContext()
 	ctx.Ctx = qc.Context()
 	if prog.Clique != nil && len(prog.Clique.Views) > 0 {
@@ -344,14 +372,25 @@ func (e *Engine) run(qc *cluster.QueryContext, prog *analyze.Program, opts *Exec
 			return nil, err
 		}
 		if res.Final != nil {
-			return res.Final, nil
+			if sink == nil {
+				return res.Final, nil
+			}
+			for _, r := range res.Final.Rows {
+				sink.Row(r)
+			}
+			return relation.New("", prog.Final.Schema), nil
 		}
 		res.Bind(ctx)
 	}
 	sp := qc.Tracer.Begin("final", trace.TidDriver)
-	rel, err := exec.Query(prog.Final, ctx)
-	sp.End()
-	return rel, err
+	defer sp.End()
+	if sink == nil {
+		return exec.Query(prog.Final, ctx)
+	}
+	if err := exec.Run(prog.Final, ctx, sink); err != nil {
+		return nil, err
+	}
+	return relation.New("", prog.Final.Schema), nil
 }
 
 // RunClique evaluates just the recursive clique of a program, returning the
