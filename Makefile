@@ -65,12 +65,13 @@ allocs:
 # aggregate merge, join-table probe and the group table's long tail, then
 # one warm prepared execution of the cc-rmat and tc-grid statements on one
 # CPU (the emit, the fold and the merge together), of a 185-group GROUP BY
-# (exec.Grouping's fold) and one served rows-out request in process (the
-# scan streamed into the JSON body), five runs each, for comparing medians
+# (exec.Grouping's fold), of a point self-join (exec's join through a
+# cluster.RowTable) and one served rows-out request in process (the scan
+# streamed into the JSON body), five runs each, for comparing medians
 # before and after a change to them.
 kernels:
 	$(GO) test -run '^$$' -bench 'HashRowKey|SetRDDDedup|AggRDDMerge|RowTableProbe|CombinerLongTail' -benchmem -count 5 ./internal/types/ ./internal/cluster/
-	$(GO) test -run '^$$' -bench '^Benchmark(Prepared(CCRMAT|TCGrid|GroupBy)|ServedRowsOut)$$' -benchmem -count 5 -cpu 1 .
+	$(GO) test -run '^$$' -bench '^Benchmark(Prepared(CCRMAT|TCGrid|GroupBy|Join)|ServedRowsOut)$$' -benchmem -count 5 -cpu 1 .
 
 # Serving lifecycle smoke (DESIGN.md §14): start rasqld on the demo
 # graph, run two HTTP queries (the second must hit the plan cache),

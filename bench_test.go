@@ -101,6 +101,12 @@ func BenchmarkPreparedTCGrid(b *testing.B) { benchPrepared(b, tcGridEdges(), tcG
 // all of it exec.Grouping's fold.
 func BenchmarkPreparedGroupBy(b *testing.B) { benchPrepared(b, mixEdges(), groupByQuery) }
 
+// BenchmarkPreparedJoin is BenchmarkPreparedCCRMAT for
+// TestJoinAllocBudget's point self-join over short-mix's table: one
+// cluster.RowTable build of the 2,000 edges and a probe per edge of
+// vertex 3.
+func BenchmarkPreparedJoin(b *testing.B) { benchPrepared(b, mixEdges(), joinQuery) }
+
 func benchPrepared(b *testing.B, edges *rasql.Relation, query string) {
 	eng := rasql.New(rasql.Config{Cluster: rasql.ClusterConfig{Workers: 4, Partitions: 4}})
 	eng.MustRegister(edges)

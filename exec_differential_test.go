@@ -25,7 +25,8 @@ import (
 // and a set of statements over an RMAT graph: scans, filters, hash joins
 // on one and two keys, theta and cross joins, groups with every aggregate,
 // count(distinct), DISTINCT, ORDER BY, LIMIT, UNION and derived tables, a
-// UNION branch's own DISTINCT, and the grouped fold's edge cases.
+// UNION branch's own DISTINCT, the grouped fold's edge cases, and joins,
+// DISTINCT and UNION over keys that mix NULL, Int and Float values.
 func TestExecStreamingMatchesMaterialized(t *testing.T) {
 	for _, c := range exampleCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -59,6 +60,7 @@ func TestExecStreamingMatchesMaterialized(t *testing.T) {
 	edges.Name = "edge"
 	eng := rasql.New(rasql.Config{})
 	eng.MustRegister(edges)
+	eng.MustRegister(mixedKeys())
 	for _, q := range []string{
 		`SELECT Src, Dst, Cost FROM edge`,
 		`SELECT Dst, Cost * 2 FROM edge WHERE Src = 3 AND Cost < 50`,
@@ -96,6 +98,14 @@ func TestExecStreamingMatchesMaterialized(t *testing.T) {
 		`SELECT Src, count(*), avg(Cost) FROM edge WHERE Cost < 0 GROUP BY Src`,
 		`SELECT count(*), count(distinct Dst), min(Cost), sum(Cost), avg(Cost) FROM edge WHERE Cost < 0`,
 		`SELECT Src, sum('x') FROM edge GROUP BY Src`,
+		// Keys of mixed kinds: Int(3) meets Float(3.0), and a NULL in
+		// either key of a one-key or a two-key join joins nothing, while
+		// DISTINCT and UNION keep one NULL.
+		`SELECT a.V, b.V FROM kv a, kv b WHERE a.K = b.K`,
+		`SELECT a.V, b.V FROM kv a, kv b WHERE a.K = b.K AND a.J = b.J`,
+		`SELECT edge.Src, edge.Dst, kv.V FROM edge, kv WHERE edge.Src = kv.K AND edge.Dst > 40`,
+		`SELECT DISTINCT K, J FROM kv`,
+		`SELECT K FROM kv UNION SELECT J FROM kv`,
 	} {
 		t.Run(q, func(t *testing.T) {
 			prog, err := eng.Compile(q)
@@ -105,6 +115,24 @@ func TestExecStreamingMatchesMaterialized(t *testing.T) {
 			compareQuery(t, prog.Final, exec.NewContext())
 		})
 	}
+}
+
+// mixedKeys is the table kv(K, J, V) whose join keys mix NULL, Int and
+// Float values, V naming each row.
+func mixedKeys() *rasql.Relation {
+	null, i, f := rasql.Null(), rasql.Int, rasql.Float
+	schema := rasql.NewSchema(rasql.Col("K", rasql.KindFloat), rasql.Col("J", rasql.KindInt), rasql.Col("V", rasql.KindInt))
+	return relOf("kv", schema,
+		rasql.Row{i(3), i(1), i(10)},
+		rasql.Row{f(3), i(1), i(11)},
+		rasql.Row{null, i(1), i(12)},
+		rasql.Row{i(3), null, i(13)},
+		rasql.Row{f(2.5), i(2), i(14)},
+		rasql.Row{i(2), i(2), i(15)},
+		rasql.Row{null, null, i(16)},
+		rasql.Row{f(3), i(2), i(17)},
+		rasql.Row{i(7), i(3), i(18)},
+	)
 }
 
 func compareRule(t *testing.T, rule *analyze.Rule, ctx *exec.Context, views map[string]*relation.Relation) {
@@ -180,7 +208,7 @@ func materializedQuery(q *analyze.Query, ctx *exec.Context) (*relation.Relation,
 		}
 		out.Rows = append(out.Rows, ur.Rows...)
 		if !q.All[i] {
-			out.Dedup()
+			out.Rows = refDedup(out.Rows)
 		}
 	}
 	if len(q.OrderBy) > 0 {
@@ -203,6 +231,21 @@ func materializedQuery(q *analyze.Query, ctx *exec.Context) (*relation.Relation,
 		out.Rows = out.Rows[:q.Limit]
 	}
 	return out, nil
+}
+
+// refDedup keeps the first of every set of equal rows, in order, through
+// a map over RowKeyString keys rather than the types.Combiner exec dedups
+// with.
+func refDedup(rows []types.Row) []types.Row {
+	seen := map[string]bool{}
+	var out []types.Row
+	for _, r := range rows {
+		if k := types.RowKeyString(r); !seen[k] {
+			seen[k] = true
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 func materializedSource(s analyze.Source, ctx *exec.Context) (*relation.Relation, error) {
@@ -228,7 +271,7 @@ func materializedCore(q *analyze.Query, ctx *exec.Context) (*relation.Relation, 
 	}
 	out := materializedSelect(q, materializedJoin(len(q.Sources), rows, q.Conjuncts))
 	if q.Distinct {
-		out.Dedup() // a branch's DISTINCT is its own
+		out.Rows = refDedup(out.Rows) // a branch's DISTINCT is its own
 	}
 	return out, nil
 }
@@ -444,7 +487,11 @@ func materializedJoin(n int, rows [][]types.Row, conjuncts []expr.Expr) []expr.E
 		if len(buildCols) > 0 {
 			table := make(map[string][]types.Row, len(rows[next]))
 			for _, r := range rows[next] {
-				table[types.KeyString(r, buildCols)] = append(table[types.KeyString(r, buildCols)], r)
+				// NULL = NULL is not true: a row with a NULL key joins
+				// nothing, and a probe with one finds no row.
+				if !types.HasNullKey(r, buildCols) {
+					table[types.KeyString(r, buildCols)] = append(table[types.KeyString(r, buildCols)], r)
+				}
 			}
 			key := make(types.Row, len(buildCols))
 			for _, env := range envs {

@@ -84,7 +84,8 @@ func DistributedSQLNaive(clique *analyze.Clique, ctx *exec.Context, c *cluster.Q
 				// before aggregating.
 				sort.Slice(rows, func(i, j int) bool { return rows[i].Compare(rows[j]) < 0 })
 				next[p] = aggregateFull(v, rows)
-				if !sameRows(x.naive[p], next[p]) {
+				// Both sides are sets, so set equality is state equality.
+				if !(&relation.Relation{Rows: x.naive[p]}).EqualAsSet(&relation.Relation{Rows: next[p]}) {
 					changed.Store(true)
 				}
 				x.front.addNews(max(len(next[p])-len(x.naive[p]), 0))
@@ -108,26 +109,8 @@ func DistributedSQLNaive(clique *analyze.Clique, ctx *exec.Context, c *cluster.Q
 // complete derivation multiset the caller owns.
 func aggregateFull(v *analyze.RecView, rows []types.Row) []types.Row {
 	if !v.IsAgg() {
-		return (&relation.Relation{Rows: rows}).Dedup().Rows
+		return relation.DedupRows(rows)
 	}
 	var c types.Combiner
 	return c.Combine(rows, v.GroupIdx, v.AggIdx, v.Agg)
-}
-
-// sameRows compares two partition states as sets (groups compare with
-// their aggregate values).
-func sameRows(a, b []types.Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	set := make(map[string]struct{}, len(a))
-	for _, r := range a {
-		set[types.RowKeyString(r)] = struct{}{}
-	}
-	for _, r := range b {
-		if _, ok := set[types.RowKeyString(r)]; !ok {
-			return false
-		}
-	}
-	return true
 }

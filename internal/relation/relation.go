@@ -58,37 +58,42 @@ func (r *Relation) Sort() *Relation {
 
 // Dedup removes duplicate rows (set semantics) in place and returns r.
 func (r *Relation) Dedup() *Relation {
-	seen := make(map[string]struct{}, len(r.Rows))
-	out := r.Rows[:0]
-	for _, row := range r.Rows {
-		k := types.RowKeyString(row)
-		if _, ok := seen[k]; ok {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, row)
-	}
-	r.Rows = out
+	r.Rows = DedupRows(r.Rows)
 	return r
+}
+
+// DedupRows keeps the first of every set of equal rows, in order, compacted
+// in place. Rows are equal when every column is, as a types.Combiner keyed
+// on all of them finds keys equal, and the table is sized once for every
+// row.
+func DedupRows(rows []types.Row) []types.Row {
+	if len(rows) == 0 {
+		return rows
+	}
+	cols := make([]int, len(rows[0]))
+	for i := range cols {
+		cols[i] = i
+	}
+	var seen types.Combiner
+	seen.Reset(cols, -1, types.AggNone)
+	seen.Reserve(len(rows))
+	out := rows[:0]
+	for _, r := range rows {
+		if _, fresh := seen.Group(r, nil); fresh {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // Aggregate applies γ — grouping on the key columns with kind on column
 // valIdx — and returns the groups as a new relation of copied rows, in
-// first-appearance order. It is the reference grouping: a Go map over
-// KeyString keys, sharing no code with the engine's map-side combine.
+// first-appearance order. It folds a copy of r's rows through a
+// types.Combiner, the group table of the engine's map-side combine and
+// state.
 func (r *Relation) Aggregate(key []int, valIdx int, kind types.AggKind) *Relation {
-	out := New(r.Name, r.Schema)
-	idx := map[string]int{}
-	for _, row := range r.Rows {
-		k := types.KeyString(row, key)
-		if i, ok := idx[k]; ok {
-			out.Rows[i][valIdx] = kind.Combine(out.Rows[i][valIdx], row[valIdx])
-			continue
-		}
-		idx[k] = len(out.Rows)
-		out.Rows = append(out.Rows, row.Clone())
-	}
-	return out
+	var c types.Combiner
+	return FromRows(r.Name, r.Schema, c.Combine(types.CloneRows(r.Rows), key, valIdx, kind))
 }
 
 // EqualAsSet reports whether two relations hold the same set of rows,

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/rasql/rasql-go/internal/cluster"
 	"github.com/rasql/rasql-go/internal/relation"
 	"github.com/rasql/rasql-go/internal/sql/analyze"
 	"github.com/rasql/rasql-go/internal/sql/expr"
@@ -141,7 +142,7 @@ func queryRows(q *analyze.Query, ctx *Context) ([]types.Row, error) {
 		}
 		out = append(out, ur...)
 		if !q.All[i] {
-			out = dedup(out)
+			out = relation.DedupRows(out)
 		}
 	}
 	if len(q.OrderBy) > 0 {
@@ -197,7 +198,7 @@ func branchRows(q *analyze.Query, ctx *Context) ([]types.Row, error) {
 		out = s.rows()
 	}
 	if q.Distinct {
-		out = dedup(out)
+		out = relation.DedupRows(out)
 	}
 	return out, nil
 }
@@ -235,29 +236,6 @@ func (s *slabSink) rows() []types.Row {
 	return out
 }
 
-// dedup keeps the first of every set of equal rows, in order, compacted in
-// place. Rows are equal when every column is, as a Combiner keyed on all of
-// them finds keys equal, and the table is sized once for every row.
-func dedup(rows []types.Row) []types.Row {
-	if len(rows) == 0 {
-		return rows
-	}
-	cols := make([]int, len(rows[0]))
-	for i := range cols {
-		cols[i] = i
-	}
-	var seen types.Combiner
-	seen.Reset(cols, -1, types.AggNone)
-	seen.Reserve(len(rows))
-	out := rows[:0]
-	for _, r := range rows {
-		if _, fresh := seen.Group(r, nil); fresh {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // sourceRows resolves the FROM sources to their row slices.
 func (c *Context) sourceRows(sources []analyze.Source) ([][]types.Row, error) {
 	rows := make([][]types.Row, len(sources))
@@ -278,13 +256,15 @@ const pollEvery = 4096
 // JoinRows joins n sources, given as per-source row slices, under the
 // conjuncts and pushes every result tuple into sink. Sources are bound in
 // order, depth first. An equi-join conjunct drives a hash join into the
-// later of its two sources, whose table is built once and leaves out the
-// rows whose key holds a NULL, as the engine's build sides do; every other
-// conjunct filters as soon as all its inputs are bound (predicate
-// pushdown); a source with no equi-join is scanned in full. Tuples reach
-// the sink in the order a breadth-first materialization would list them.
-// The environment the sink receives is reused for the next tuple, so it is
-// valid only inside the call. Every 4,096 rows it visits, whether or not
+// later of its two sources, whose cluster.RowTable is built once, as the
+// engine's build sides are, and leaves out the rows whose key holds a
+// NULL; every other conjunct filters as soon as all its inputs are bound
+// (predicate pushdown); a source with no equi-join is scanned in full. A
+// bucket keeps its rows in input order, so tuples reach the sink in the
+// order a breadth-first materialization would list them. The environment
+// the sink receives is reused for the next tuple, so it is valid only
+// inside the call, and a hash-joined source's row in it is the table's
+// copy, not the input row. Every 4,096 rows it visits, whether or not
 // they reach the sink, the join reads ctx (nil: never cancelled) and stops
 // with its error once it is done.
 func JoinRows(ctx context.Context, n int, rows [][]types.Row, conjuncts []expr.Expr, sink func(expr.Env)) error {
@@ -311,18 +291,9 @@ func JoinRows(ctx context.Context, n int, rows [][]types.Row, conjuncts []expr.E
 		j.levels[at].filters = append(j.levels[at].filters, c)
 	}
 	for d := range j.levels {
-		lv := &j.levels[d]
-		if len(lv.build) == 0 {
-			continue
-		}
-		lv.table = make(map[string][]types.Row, len(rows[d]))
-		var key []byte
-		for _, r := range rows[d] {
-			if types.HasNullKey(r, lv.build) {
-				continue // NULL = NULL is not true: the row joins nothing
-			}
-			key = types.AppendKey(key[:0], r, lv.build)
-			lv.table[string(key)] = append(lv.table[string(key)], r)
+		if lv := &j.levels[d]; len(lv.build) > 0 {
+			lv.table = cluster.BuildRowTable(rows[d], lv.build)
+			lv.vals = make([]types.Value, len(lv.build))
 		}
 	}
 	return j.bind(0, sink)
@@ -337,17 +308,17 @@ type joiner struct {
 	rows    [][]types.Row
 	levels  []joinLevel
 	env     expr.Env
-	key     []byte
 }
 
-// joinLevel binds one source: through a hash table on its build columns,
-// probed with the bound (source, column) pairs in probe, or by a scan when
-// it has none; filters are the conjuncts that become ready once it is
-// bound.
+// joinLevel binds one source: through a RowTable on its build columns,
+// probed with the values of the bound (source, column) pairs in probe,
+// gathered into vals, or by a scan when it has none; filters are the
+// conjuncts that become ready once it is bound.
 type joinLevel struct {
 	probe   []int
 	build   []int
-	table   map[string][]types.Row
+	table   *cluster.RowTable
+	vals    []types.Value
 	filters []expr.Expr
 }
 
@@ -360,11 +331,10 @@ func (j *joiner) bind(d int, sink func(expr.Env)) error {
 	lv := &j.levels[d]
 	cands := j.rows[d]
 	if lv.table != nil {
-		j.key = j.key[:0]
-		for i := 0; i < len(lv.probe); i += 2 {
-			j.key = types.AppendKey(j.key, j.env[lv.probe[i]], lv.probe[i+1:i+2])
+		for i := range lv.vals {
+			lv.vals[i] = j.env[lv.probe[2*i]][lv.probe[2*i+1]]
 		}
-		cands = lv.table[string(j.key)]
+		cands = lv.table.ProbeValues(lv.vals)
 	}
 next:
 	for _, r := range cands {

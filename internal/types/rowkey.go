@@ -14,13 +14,14 @@ import (
 // bytes while hashing to a cheap uint64.
 //
 // The hot paths do not encode keys: the Combiner, which holds the recursive
-// state, the map-side combine, the final stage's groups and every join
-// build side (cluster.RowTable), hashes values with HashRowKey and compares
-// them with sameKey, which is exactly this encoding's byte equality
-// (FuzzRowKey checks it). KeyString and RowKeyString turn the bytes into Go
-// map keys for exec, Local and relation, so every keyed structure matches
-// keys under this one relation. Joins add one rule on top of it: a row with
-// a NULL key column (HasNullKey) joins nothing.
+// state, the map-side combine, the final stage's groups, relation's dedup
+// and γ, and every join build side (cluster.RowTable, exec's joins
+// included), hashes values with HashRowKey and compares them with sameKey,
+// which is exactly this encoding's byte equality (FuzzRowKey checks it). KeyString and RowKeyString turn the bytes into Go
+// map keys and sort keys for Local, the sort-merge runs and EqualAsSet, so
+// every keyed structure matches keys under this one relation. Joins add one
+// rule on top of it: a row with a NULL key column (HasNullKey) joins
+// nothing.
 
 // AppendKey appends the binary key of r's values at the key indices to buf
 // and returns the extended buffer.
